@@ -198,16 +198,17 @@ def _cmd_constraints(args) -> int:
 
 
 def _cmd_verify_constraints(args) -> int:
+    given = None
     if args.entry:
         spec, kind = _spec_from_args(args)
     else:
         doc = _load(args.file, "constraints", "adinkra")
         if doc.kind == "constraints":
-            spec, kind = doc.payload.spec, doc.payload.kind
+            spec, kind, given = doc.payload.spec, doc.payload.kind, doc.payload.equations
         else:
             ident = identify(doc.payload)
             spec, kind = ident.spec, ident.kind
-    report = verify_presentation(spec, kind)
+    report = verify_presentation(spec, kind, given)
     _report(
         {
             "ok": report.ok,
@@ -326,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, func, extra_help in (
         ("constraints", _cmd_constraints, "emit the constraint system of a battery"),
-        ("verify-constraints", _cmd_verify_constraints, "substitute the battery into its constraints"),
+        ("verify-constraints", _cmd_verify_constraints, "check a constraint system against its battery"),
     ):
         p = sub.add_parser(name, help=extra_help)
         p.add_argument("-n", type=int, help="color count (with --entry)")

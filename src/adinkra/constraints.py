@@ -17,7 +17,8 @@ how often each source vertex descends.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Sequence
 
 from .core import BOSON, Adinkra, AdinkraError
 from .cube import SCALAR, SPINOR, cube_signature, dist0, hgt0, subset_label
@@ -30,6 +31,7 @@ from .superspace import (
     apply_op,
     descending_product,
     dtau_expr,
+    expr_add,
     expr_scale,
     expr_sub,
     generic_superfield,
@@ -184,24 +186,27 @@ def m_alpha(spec: SourceSpec, component: int, alpha: int) -> int:
     return shift + hgt0(mask & ~component)
 
 
-def _battery(spec: SourceSpec, kind: str) -> tuple[SuperfieldExpr, list[SuperfieldExpr]]:
+def _battery(spec: SourceSpec, kind: str) -> list[SuperfieldExpr]:
     u = generic_superfield(spec.n_colors, kind)
     fs = []
     for mask, shift in spec.entries:
         colors = [c + 1 for c in range(spec.n_colors) if mask >> c & 1]
         fs.append(dtau_expr(apply_op(descending_product(colors), u), shift))
-    return u, fs
+    return fs
 
 
-def _projected_phase(spec: SourceSpec, fs, component: int, alpha: int) -> tuple[Phase, int]:
-    """Lowest component of P_(c,alpha) F_alpha: a single phased derivative of U_c."""
-    low = apply_op(projector(spec, component, alpha), fs[alpha]).component(0)
+def _lowest(projection: SuperfieldExpr, component: int, alpha: int) -> tuple[int, int]:
+    """Lowest component of P_(c,alpha) F_alpha: a single phased derivative of U_c.
+
+    Returns the phase as an exponent of i and the derivative order.
+    """
+    low = projection.component(0)
     if len(low) != 1:
         raise AdinkraError(
             f"projection of entry {alpha} onto {subset_label(component)} is not a single term"
         )
     phase, sym = low[0]
-    return phase, sym.derivative_order
+    return phase.k, sym.derivative_order
 
 
 @dataclass(frozen=True)
@@ -223,6 +228,59 @@ class ConstraintSystem:
     equations: tuple[Constraint, ...]
 
 
+Projections = dict[tuple[int, int], SuperfieldExpr]  # (component, alpha) -> P F_alpha
+Sides = tuple[SuperfieldExpr, SuperfieldExpr]
+
+
+def _sides(projections: Projections, eq: Constraint) -> Sides:
+    lhs = projections[(eq.component, eq.alpha)]
+    rhs = expr_scale(dtau_expr(projections[(eq.component, eq.beta)], eq.gap), eq.phase)
+    return lhs, rhs
+
+
+@dataclass(frozen=True)
+class _Build:
+    """One battery's projections, lowest components and equations."""
+
+    projections: Projections
+    lowest: dict[tuple[int, int], tuple[int, int]]  # (component, alpha) -> phase k, order
+    equations: tuple[Constraint, ...]
+    sides: tuple[Sides, ...]
+
+
+def _build(spec: SourceSpec, kind: str, flag: bool) -> _Build:
+    """Project the battery onto every component and relate each entry pair there.
+
+    Each projection P_(c,alpha) F_alpha is computed once, and each equation's
+    two sides once.  For every component c and entry pair, the side with more
+    derivatives is expressed through the other; the relating phase is read
+    off the lowest components of the two projections.  With flag set,
+    equations that follow from an earlier one are marked redundant.
+    """
+    fs = _battery(spec, kind)
+    m = len(spec.entries)
+    projections = {
+        (c, a): apply_op(projector(spec, c, a), fs[a])
+        for c in range(1 << spec.n_colors)
+        for a in range(m)
+    }
+    lowest = {key: _lowest(p, *key) for key, p in projections.items()}
+    equations = []
+    for c in range(1 << spec.n_colors):
+        for a in range(m):
+            for b in range(a + 1, m):
+                ma, mb = m_alpha(spec, c, a), m_alpha(spec, c, b)
+                hi, lo = (a, b) if (ma, a) >= (mb, b) else (b, a)
+                ka, da = lowest[(c, hi)]
+                kb, db = lowest[(c, lo)]
+                assert (da, db) == (m_alpha(spec, c, hi), m_alpha(spec, c, lo))
+                equations.append(Constraint(c, hi, lo, da - db, Phase(ka - kb), False))
+    sides = [_sides(projections, eq) for eq in equations]
+    if flag:
+        equations = _flag_redundant(spec.n_colors, equations, sides)
+    return _Build(projections, lowest, tuple(equations), tuple(sides))
+
+
 def emit_constraints(spec: SourceSpec, kind: str = SCALAR) -> ConstraintSystem:
     """The full (redundant) first-order system tying the battery together.
 
@@ -231,64 +289,48 @@ def emit_constraints(spec: SourceSpec, kind: str = SCALAR) -> ConstraintSystem:
     both sides with the engine.  Equations derivable from an earlier one by a
     single left D multiplication are flagged redundant (but kept).
     """
-    _, fs = _battery(spec, kind)
-    m = len(spec.entries)
-    equations: list[Constraint] = []
-    for c in range(1 << spec.n_colors):
-        for a in range(m):
-            for b in range(a + 1, m):
-                ma, mb = m_alpha(spec, c, a), m_alpha(spec, c, b)
-                hi, lo = (a, b) if (ma, a) >= (mb, b) else (b, a)
-                pa, da = _projected_phase(spec, fs, c, hi)
-                pb, db = _projected_phase(spec, fs, c, lo)
-                assert (da, db) == (m_alpha(spec, c, hi), m_alpha(spec, c, lo))
-                equations.append(
-                    Constraint(c, hi, lo, da - db, pa * pb.inverse(), False)
-                )
-    flagged = _flag_redundant(spec, fs, equations)
-    return ConstraintSystem(spec, kind, tuple(flagged))
+    return ConstraintSystem(spec, kind, _build(spec, kind, flag=True).equations)
 
 
-def _equation_sides(spec, fs, eq: Constraint) -> tuple[SuperfieldExpr, SuperfieldExpr]:
-    lhs = apply_op(projector(spec, eq.component, eq.alpha), fs[eq.alpha])
-    rhs = expr_scale(
-        dtau_expr(apply_op(projector(spec, eq.component, eq.beta), fs[eq.beta]), eq.gap),
-        eq.phase,
-    )
-    return lhs, rhs
+def _pair(eq: Constraint) -> tuple[int, int]:
+    return min(eq.alpha, eq.beta), max(eq.alpha, eq.beta)
 
 
-def _flag_redundant(spec, fs, equations: list[Constraint]) -> list[Constraint]:
-    sides = [_equation_sides(spec, fs, eq) for eq in equations]
+def _flag_redundant(
+    n_colors: int, equations: list[Constraint], sides: list[Sides]
+) -> list[Constraint]:
+    """Flag equations that D_k maps an earlier equation onto, up to a phase.
+
+    Each component has one equation per entry pair, emitted by ascending
+    component, so the only candidates are the same pair's equations at the
+    one-color neighbours c - 2^(k-1), found through an index.
+    """
+    index = {(eq.component, _pair(eq)): i for i, eq in enumerate(equations)}
     out: list[Constraint] = []
     for i, eq in enumerate(equations):
         redundant = False
-        for j in range(i):
-            prev = equations[j]
-            if {prev.alpha, prev.beta} != {eq.alpha, eq.beta}:
+        for k in range(1, n_colors + 1):
+            bit = 1 << (k - 1)
+            if not eq.component & bit:
                 continue
-            if dist0(prev.component, eq.component) != 1:
-                continue
-            k = (prev.component ^ eq.component).bit_length()
+            j = index[(eq.component ^ bit, _pair(eq))]
             dl = apply_op(D(k), sides[j][0])
             dr = apply_op(D(k), sides[j][1])
             # the higher-derivative entry can differ between the two
             # components, so try both side orientations
-            targets = [sides[i], (sides[i][1], sides[i][0])]
-            for lhs, rhs in targets:
-                for lam in (Phase(t) for t in range(4)):
-                    if (
-                        expr_sub(dl, expr_scale(lhs, lam)).is_zero()
-                        and expr_sub(dr, expr_scale(rhs, lam)).is_zero()
-                    ):
-                        redundant = True
-                        break
-                if redundant:
-                    break
-            if redundant:
+            lhs, rhs = sides[i]
+            if any(
+                dl == expr_scale(x, lam) and dr == expr_scale(y, lam)
+                for x, y in ((lhs, rhs), (rhs, lhs))
+                for lam in _PHASES
+            ):
+                redundant = True
                 break
         out.append(Constraint(eq.component, eq.alpha, eq.beta, eq.gap, eq.phase, redundant))
     return out
+
+
+_PHASES = tuple(Phase(k) for k in range(4))
 
 
 @dataclass(frozen=True)
@@ -299,35 +341,63 @@ class VerificationReport:
     rederived_matches_image: bool
 
 
-def verify_presentation(spec: SourceSpec, kind: str = SCALAR) -> VerificationReport:
+def verify_presentation(
+    spec: SourceSpec, kind: str = SCALAR, equations: Sequence[Constraint] | None = None
+) -> VerificationReport:
     """Substitute the battery into every emitted constraint and re-derive heights.
 
     All equations must vanish identically on a generic superfield, and the
     image Adinkra recomputed from the engine's derivative orders must equal
-    the formula-based one.
+    the formula-based one.  Given equations (say, read from a constraints
+    document) must also equal the rebuilt system field by field; each one
+    that does not is a failure naming the differing fields and, where its
+    indices are in range, the nonzero residual lhs - rhs it leaves.
     """
-    system = emit_constraints(spec, kind)
-    _, fs = _battery(spec, kind)
+    build = _build(spec, kind, flag=equations is not None)
     failures = []
-    for eq in system.equations:
-        lhs, rhs = _equation_sides(spec, fs, eq)
-        if not expr_sub(lhs, rhs).is_zero():
+    for eq, (lhs, rhs) in zip(build.equations, build.sides):
+        residual = expr_sub(lhs, rhs)
+        if not residual.is_zero():
             failures.append(
                 f"component {subset_label(eq.component)}: entries {eq.alpha}/{eq.beta}"
-                " do not satisfy the emitted relation"
+                f" do not satisfy the emitted relation; residual {residual}"
             )
+    if equations is not None:
+        failures.extend(_mismatches(build, equations))
     rederived = {
-        c: hgt0(c) + 2 * min(_projected_phase(spec, fs, c, a)[1] for a in range(len(spec.entries)))
+        c: hgt0(c) + 2 * min(build.lowest[(c, a)][1] for a in range(len(spec.entries)))
         for c in range(1 << spec.n_colors)
     }
     image = image_adinkra(spec, kind)
     matches = rederived == image.heights_by_vertex()
     return VerificationReport(
         ok=not failures and matches,
-        checked_equations=len(system.equations),
+        checked_equations=len(build.equations),
         failures=tuple(failures),
         rederived_matches_image=matches,
     )
+
+
+def _mismatches(build: _Build, given: Sequence[Constraint]) -> list[str]:
+    out = []
+    if len(given) != len(build.equations):
+        out.append(f"{len(given)} equations given, the battery has {len(build.equations)}")
+    for i, (eq, want) in enumerate(zip(given, build.equations)):
+        if eq == want:
+            continue
+        diffs = [
+            f"{f.name} {getattr(eq, f.name)} differs from the rebuilt {getattr(want, f.name)}"
+            for f in fields(Constraint)
+            if getattr(eq, f.name) != getattr(want, f.name)
+        ]
+        msg = f"equation {i}: " + ", ".join(diffs)
+        in_range = all((eq.component, x) in build.projections for x in (eq.alpha, eq.beta))
+        if in_range and eq.gap >= 0:
+            residual = expr_sub(*_sides(build.projections, eq))
+            if not residual.is_zero():
+                msg += f"; residual {residual}"
+        out.append(msg)
+    return out
 
 
 @dataclass(frozen=True)
@@ -359,21 +429,15 @@ def check_annihilation(a: Matrix, b: Matrix, n_colors: int) -> AnnihilationCount
         for k in range(rows_b):
             acc = apply_op(b[k][0], vec[0])
             for j in range(1, cols_b):
-                acc = _expr_acc(acc, apply_op(b[k][j], vec[j]))
+                acc = expr_add(acc, apply_op(b[k][j], vec[j]))
             mid.append(acc)
         for r in range(rows_a):
             acc = apply_op(a[r][0], mid[0])
             for k in range(1, cols_a):
-                acc = _expr_acc(acc, apply_op(a[r][k], mid[k]))
+                acc = expr_add(acc, apply_op(a[r][k], mid[k]))
             if not acc.is_zero():
                 return AnnihilationCounterexample(r, kind, acc)
     return None
-
-
-def _expr_acc(e1: SuperfieldExpr, e2: SuperfieldExpr) -> SuperfieldExpr:
-    from .superspace import expr_add
-
-    return expr_add(e1, e2)
 
 
 def dimension_vector(adinkra: Adinkra) -> tuple[int, ...]:

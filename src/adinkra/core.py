@@ -134,8 +134,8 @@ def validate_topology(
 class Topology:
     """A validated statistics-graded, edge-colored graph.
 
-    Use :meth:`build` to construct from raw data; the bare constructor assumes
-    already-canonical tuples and re-validates.
+    Use :meth:`build` to construct from raw data: it validates.  The bare
+    constructor only indexes already-canonical tuples and checks nothing.
     """
 
     n_colors: int

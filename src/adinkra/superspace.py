@@ -1,10 +1,14 @@
 """Exact superspace engine over one time dimension and n odd directions.
 
-Everything is computed exactly: coefficients live in the phase group
-{+1, +i, -1, -i} with integer multiplicity (a summand list may repeat a term,
-so 2i*x is two copies of +i*x), theta monomials are subset bitmasks stored to
-the left of component fields, and operators are formal words in D_c, Q_c and
-d_tau.  With the conventions
+Everything is computed exactly.  An expression is one sparse map from
+(theta monomial, component field) to a nonzero Gaussian-integer coefficient
+(a, b) = a + b i, so 2i*x is the single entry (0, 2).  Theta monomials are
+subset bitmasks stored to the left of component fields.  Operators are
+formal words in D_c, Q_c and d_tau, kept as the same kind of map from word
+to coefficient.  A phase i^k acts on a coefficient through one rotation,
+with k an int mod 4.  The ``terms`` view of either object spells each
+coefficient out in unit phases (2i*x reads as two copies of +i*x); str()
+and component() show that view.  With the conventions
 
     D_c = d/d(theta^c) + i theta^c d_tau
     Q_c = i d/d(theta^c) + theta^c d_tau
@@ -20,7 +24,7 @@ them: for every component X, [delta(eps1), delta(eps2)] X must equal
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .core import BOSON, FERMION, Adinkra, AdinkraError
@@ -84,19 +88,42 @@ MINUS_I = Phase(3)
 Gauss = tuple[int, int]
 
 
-def _gauss_times_phase(g: Gauss, p: Phase) -> Gauss:
+def _rot(g: Gauss, k: int) -> Gauss:
+    """g times i^k, for any int k."""
     a, b = g
-    return [(a, b), (-b, a), (-a, -b), (b, -a)][p.k]
+    k &= 3
+    if k == 0:
+        return g
+    if k == 1:
+        return (-b, a)
+    if k == 2:
+        return (-a, -b)
+    return (b, -a)
 
 
-def _gauss_to_summands(g: Gauss):
+def _times(g: Gauss, h: Gauss) -> Gauss:
     a, b = g
-    out = []
-    if a:
-        out.extend([ONE if a > 0 else MINUS_ONE] * abs(a))
-    if b:
-        out.extend([I_PHASE if b > 0 else MINUS_I] * abs(b))
-    return out
+    c, d = h
+    return (a * c - b * d, a * d + b * c)
+
+
+def _accumulate(out: dict, key, g: Gauss) -> None:
+    """Add g to out[key], dropping the entry when it cancels."""
+    old = out.get(key)
+    if old is None:
+        out[key] = g
+        return
+    v = (old[0] + g[0], old[1] + g[1])
+    if v == (0, 0):
+        del out[key]
+    else:
+        out[key] = v
+
+
+def _unit_phases(g: Gauss) -> list[Phase]:
+    """g as a sum of unit phases: real units first, then imaginary ones."""
+    a, b = g
+    return [ONE if a > 0 else MINUS_ONE] * abs(a) + [I_PHASE if b > 0 else MINUS_I] * abs(b)
 
 
 @dataclass(frozen=True, order=True)
@@ -120,46 +147,78 @@ def _flip(statistics: str) -> str:
 
 Summand = tuple[Phase, FieldSymbol]
 Term = tuple[int, tuple[Summand, ...]]
+Key = tuple[int, FieldSymbol]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SuperfieldExpr:
-    """A finite theta expansion: monomial bitmask -> phase-weighted field sum.
+    """A finite theta expansion: (monomial bitmask, field) -> Gaussian integer.
 
-    Terms are kept canonical (ascending monomial, summands sorted, exact
-    cancellation of opposite phases) and homogeneous: every field's statistics
-    must equal the expression's overall statistics flipped by the monomial
-    degree.  statistics is the Grassmann parity of the whole expression.
+    coeffs is the one stored form and holds only nonzero coefficients.  The
+    expression is homogeneous: every field's statistics equals the overall
+    statistics flipped by the monomial degree; statistics is the Grassmann
+    parity of the whole expression.
+
+    The constructor takes the ``terms`` view, checks it and sums it into the
+    map.  ``terms`` is derived from the map on first read: ascending
+    monomials, each with its summands sorted by field then phase, every
+    coefficient written as repeated unit phases.
     """
 
     n_colors: int
     statistics: str
-    terms: tuple[Term, ...]
+    coeffs: dict[Key, Gauss]
+    _terms: tuple[Term, ...] | None = field(default=None, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        if self.statistics not in (BOSON, FERMION):
-            raise AdinkraError(f"unknown statistics {self.statistics!r}")
-        for mask, summands in self.terms:
-            if not 0 <= mask < 1 << self.n_colors:
+    def __init__(self, n_colors: int, statistics: str, terms: Iterable[Term]) -> None:
+        if statistics not in (BOSON, FERMION):
+            raise AdinkraError(f"unknown statistics {statistics!r}")
+        coeffs: dict[Key, Gauss] = {}
+        for mask, summands in terms:
+            if not 0 <= mask < 1 << n_colors:
                 raise AdinkraError(f"theta monomial {mask:#b} outside color range")
-            want = self.statistics if hgt0(mask) % 2 == 0 else _flip(self.statistics)
-            for _, sym in summands:
+            want = statistics if hgt0(mask) % 2 == 0 else _flip(statistics)
+            for phase, sym in summands:
                 if sym.statistics != want:
-                    raise AdinkraError(
-                        f"field {sym} at monomial {mask:#b} should be a {want}"
-                    )
+                    raise AdinkraError(f"field {sym} at monomial {mask:#b} should be a {want}")
+                _accumulate(coeffs, (mask, sym), _rot((1, 0), phase.k))
+        _init_expr(self, n_colors, statistics, coeffs)
+
+    @classmethod
+    def _of(cls, n_colors: int, statistics: str, coeffs: dict[Key, Gauss]) -> "SuperfieldExpr":
+        """Wrap a map the engine built; it is homogeneous by construction."""
+        self = object.__new__(cls)
+        _init_expr(self, n_colors, statistics, coeffs)
+        return self
+
+    @property
+    def terms(self) -> tuple[Term, ...]:
+        if self._terms is None:
+            by_mask: dict[int, list[tuple[FieldSymbol, Gauss]]] = {}
+            for (mask, sym), g in self.coeffs.items():
+                by_mask.setdefault(mask, []).append((sym, g))
+            object.__setattr__(
+                self, "_terms", tuple((m, _summands(by_mask[m])) for m in sorted(by_mask))
+            )
+        return self._terms
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.coeffs
 
     def component(self, mask: int) -> tuple[Summand, ...]:
-        for m, summands in self.terms:
-            if m == mask:
-                return summands
-        return ()
+        return _summands([(sym, g) for (m, sym), g in self.coeffs.items() if m == mask])
+
+    def __hash__(self) -> int:
+        return hash((self.n_colors, self.statistics, frozenset(self.coeffs.items())))
+
+    def __repr__(self) -> str:
+        return (
+            f"SuperfieldExpr(n_colors={self.n_colors!r}, statistics={self.statistics!r},"
+            f" terms={self.terms!r})"
+        )
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.coeffs:
             return "0"
         bits = []
         for mask, summands in self.terms:
@@ -169,26 +228,17 @@ class SuperfieldExpr:
         return " ".join(bits)
 
 
-def _canon(n_colors: int, statistics: str, gauss: Mapping[tuple[int, FieldSymbol], Gauss]) -> SuperfieldExpr:
-    terms: dict[int, list[Summand]] = {}
-    for (mask, sym), g in gauss.items():
-        for phase in _gauss_to_summands(g):
-            terms.setdefault(mask, []).append((phase, sym))
-    canon = tuple(
-        (mask, tuple(sorted(terms[mask], key=lambda s: (s[1], s[0]))))
-        for mask in sorted(terms)
-    )
-    return SuperfieldExpr(n_colors, statistics, canon)
+def _init_expr(self: SuperfieldExpr, n_colors: int, statistics: str, coeffs) -> None:
+    setattr_ = object.__setattr__
+    setattr_(self, "n_colors", n_colors)
+    setattr_(self, "statistics", statistics)
+    setattr_(self, "coeffs", coeffs)
+    setattr_(self, "_terms", None)
 
 
-def _gauss_of(expr: SuperfieldExpr) -> dict[tuple[int, FieldSymbol], Gauss]:
-    out: dict[tuple[int, FieldSymbol], Gauss] = {}
-    for mask, summands in expr.terms:
-        for phase, sym in summands:
-            a, b = out.get((mask, sym), (0, 0))
-            da, db = _gauss_times_phase((1, 0), phase)
-            out[(mask, sym)] = (a + da, b + db)
-    return {k: g for k, g in out.items() if g != (0, 0)}
+def _summands(items: list[tuple[FieldSymbol, Gauss]]) -> tuple[Summand, ...]:
+    items.sort(key=lambda t: t[0])
+    return tuple((phase, sym) for sym, g in items for phase in sorted(_unit_phases(g)))
 
 
 def expr_add(e1: SuperfieldExpr, e2: SuperfieldExpr) -> SuperfieldExpr:
@@ -200,15 +250,10 @@ def expr_add(e1: SuperfieldExpr, e2: SuperfieldExpr) -> SuperfieldExpr:
         return e1
     if e1.statistics != e2.statistics:
         raise AdinkraError("cannot add a boson expression to a fermion expression")
-    g = _gauss_of(e1)
-    for k, (a, b) in _gauss_of(e2).items():
-        x, y = g.get(k, (0, 0))
-        v = (x + a, y + b)
-        if v == (0, 0):
-            g.pop(k, None)
-        else:
-            g[k] = v
-    return _canon(e1.n_colors, e1.statistics, g)
+    out = dict(e1.coeffs)
+    for key, g in e2.coeffs.items():
+        _accumulate(out, key, g)
+    return SuperfieldExpr._of(e1.n_colors, e1.statistics, out)
 
 
 def expr_sub(e1: SuperfieldExpr, e2: SuperfieldExpr) -> SuperfieldExpr:
@@ -216,46 +261,45 @@ def expr_sub(e1: SuperfieldExpr, e2: SuperfieldExpr) -> SuperfieldExpr:
 
 
 def expr_scale(expr: SuperfieldExpr, phase: Phase) -> SuperfieldExpr:
-    g = {k: _gauss_times_phase(v, phase) for k, v in _gauss_of(expr).items()}
-    return _canon(expr.n_colors, expr.statistics, g)
+    k = phase.k
+    out = {key: _rot(g, k) for key, g in expr.coeffs.items()}
+    return SuperfieldExpr._of(expr.n_colors, expr.statistics, out)
 
 
-def _check_color(expr: SuperfieldExpr, color: int) -> None:
-    if not 1 <= color <= expr.n_colors:
-        raise AdinkraError(f"color {color} outside 1..{expr.n_colors}")
+def _check_color(n_colors: int, color: int) -> None:
+    if not 1 <= color <= n_colors:
+        raise AdinkraError(f"color {color} outside 1..{n_colors}")
 
 
 def theta_times(expr: SuperfieldExpr, color: int) -> SuperfieldExpr:
     """Left-multiply by theta^color; kills terms already containing it."""
-    _check_color(expr, color)
+    _check_color(expr.n_colors, color)
     bit = 1 << (color - 1)
     below = bit - 1
-    g: dict[tuple[int, FieldSymbol], Gauss] = {}
-    for (mask, sym), v in _gauss_of(expr).items():
-        if mask & bit:
-            continue
-        sign = MINUS_ONE if hgt0(mask & below) % 2 else ONE
-        g[(mask | bit, sym)] = _gauss_times_phase(v, sign)
-    return _canon(expr.n_colors, _flip(expr.statistics), g)
+    out = {
+        (mask | bit, sym): _rot(g, 2 * (mask & below).bit_count())
+        for (mask, sym), g in expr.coeffs.items()
+        if not mask & bit
+    }
+    return SuperfieldExpr._of(expr.n_colors, _flip(expr.statistics), out)
 
 
 def deriv_theta(expr: SuperfieldExpr, color: int) -> SuperfieldExpr:
     """Left Grassmann derivative in theta^color."""
-    _check_color(expr, color)
+    _check_color(expr.n_colors, color)
     bit = 1 << (color - 1)
     below = bit - 1
-    g: dict[tuple[int, FieldSymbol], Gauss] = {}
-    for (mask, sym), v in _gauss_of(expr).items():
-        if not mask & bit:
-            continue
-        sign = MINUS_ONE if hgt0(mask & below) % 2 else ONE
-        g[(mask ^ bit, sym)] = _gauss_times_phase(v, sign)
-    return _canon(expr.n_colors, _flip(expr.statistics), g)
+    out = {
+        (mask ^ bit, sym): _rot(g, 2 * (mask & below).bit_count())
+        for (mask, sym), g in expr.coeffs.items()
+        if mask & bit
+    }
+    return SuperfieldExpr._of(expr.n_colors, _flip(expr.statistics), out)
 
 
 def dtau_expr(expr: SuperfieldExpr, k: int = 1) -> SuperfieldExpr:
-    g = {(mask, sym.dot(k)): v for (mask, sym), v in _gauss_of(expr).items()}
-    return _canon(expr.n_colors, expr.statistics, g)
+    out = {(mask, sym.dot(k)): g for (mask, sym), g in expr.coeffs.items()}
+    return SuperfieldExpr._of(expr.n_colors, expr.statistics, out)
 
 
 # -- formal operators ------------------------------------------------------
@@ -264,27 +308,65 @@ Atom = tuple
 Word = tuple[Atom, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SuperOp:
-    """A phase-weighted formal word combination over {D_c, Q_c, d_tau}."""
+    """A Gaussian-integer combination of formal words over {D_c, Q_c, d_tau}.
 
-    terms: tuple[tuple[Phase, Word], ...]
+    coeffs maps each word to its nonzero coefficient.  The constructor takes
+    the ``terms`` view, (phase, word) summands; ``terms`` is derived from the
+    map on first read: ascending words, each coefficient's real units before
+    its imaginary ones.
+    """
+
+    coeffs: dict[Word, Gauss]
+    _terms: tuple[tuple[Phase, Word], ...] | None = field(default=None, compare=False, repr=False)
+
+    def __init__(self, terms: Iterable[tuple[Phase, Word]]) -> None:
+        coeffs: dict[Word, Gauss] = {}
+        for phase, word in terms:
+            _accumulate(coeffs, tuple(word), _rot((1, 0), phase.k))
+        _init_op(self, coeffs)
+
+    @classmethod
+    def _of(cls, coeffs: dict[Word, Gauss]) -> "SuperOp":
+        self = object.__new__(cls)
+        _init_op(self, coeffs)
+        return self
 
     @classmethod
     def zero(cls) -> "SuperOp":
-        return cls(())
+        return cls._of({})
 
     @classmethod
     def identity(cls) -> "SuperOp":
-        return cls(((ONE, ()),))
+        return cls._of({(): (1, 0)})
+
+    @property
+    def terms(self) -> tuple[tuple[Phase, Word], ...]:
+        if self._terms is None:
+            object.__setattr__(
+                self,
+                "_terms",
+                tuple(
+                    (phase, word)
+                    for word in sorted(self.coeffs)
+                    for phase in _unit_phases(self.coeffs[word])
+                ),
+            )
+        return self._terms
 
     def __mul__(self, other: "SuperOp") -> "SuperOp":
-        return _op_canon(
-            [(p1 * p2, w1 + w2) for p1, w1 in self.terms for p2, w2 in other.terms]
-        )
+        out: dict[Word, Gauss] = {}
+        for w1, g1 in self.coeffs.items():
+            for w2, g2 in other.coeffs.items():
+                _accumulate(out, w1 + w2, _times(g1, g2))
+        return SuperOp._of(out)
 
     def __add__(self, other: "SuperOp") -> "SuperOp":
-        return _op_canon(list(self.terms) + list(other.terms))
+        out = dict(self.coeffs)
+        for word, g in other.coeffs.items():
+            _accumulate(out, word, g)
+        return SuperOp._of(out)
 
     def __sub__(self, other: "SuperOp") -> "SuperOp":
         return self + (-other)
@@ -293,10 +375,16 @@ class SuperOp:
         return self.scaled(MINUS_ONE)
 
     def scaled(self, phase: Phase) -> "SuperOp":
-        return _op_canon([(phase * p, w) for p, w in self.terms])
+        return SuperOp._of({w: _rot(g, phase.k) for w, g in self.coeffs.items()})
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.coeffs.items()))
+
+    def __repr__(self) -> str:
+        return f"SuperOp(terms={self.terms!r})"
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.coeffs:
             return "0"
         def word_str(w: Word) -> str:
             return "".join(
@@ -305,61 +393,83 @@ class SuperOp:
         return " ".join(f"{p}*{word_str(w)}" for p, w in self.terms)
 
 
-def _op_canon(raw: Iterable[tuple[Phase, Word]]) -> SuperOp:
-    g: dict[Word, Gauss] = {}
-    for phase, word in raw:
-        a, b = g.get(word, (0, 0))
-        da, db = _gauss_times_phase((1, 0), phase)
-        g[word] = (a + da, b + db)
-    terms = []
-    for word in sorted(g):
-        for phase in _gauss_to_summands(g[word]):
-            terms.append((phase, word))
-    return SuperOp(tuple(terms))
+def _init_op(self: SuperOp, coeffs: dict[Word, Gauss]) -> None:
+    object.__setattr__(self, "coeffs", coeffs)
+    object.__setattr__(self, "_terms", None)
 
 
 def D(color: int) -> SuperOp:
-    return SuperOp(((ONE, (("D", color),)),))
+    return SuperOp._of({(("D", color),): (1, 0)})
 
 
 def Q(color: int) -> SuperOp:
-    return SuperOp(((ONE, (("Q", color),)),))
+    return SuperOp._of({(("Q", color),): (1, 0)})
 
 
-DTAU = SuperOp(((ONE, (("dt",),)),))
+DTAU = SuperOp._of({(("dt",),): (1, 0)})
 
 
 def anticommutator(a: SuperOp, b: SuperOp) -> SuperOp:
     return a * b + b * a
 
 
+def _word_steps(word: Word, n_colors: int) -> list[tuple[int, int, int]]:
+    """The word's atoms, rightmost first, as (bit, lower bits, phase exponent).
+
+    bit 0 marks d_tau.  Otherwise the exponent is the i-power the atom
+    contributes when it adds theta^c (1 for D_c); the derivative branch
+    contributes the complementary power (1 for Q_c).
+    """
+    steps = []
+    for atom in reversed(word):
+        if atom[0] in ("D", "Q"):
+            _check_color(n_colors, atom[1])
+            bit = 1 << (atom[1] - 1)
+            steps.append((bit, bit - 1, 1 if atom[0] == "D" else 0))
+        elif atom[0] == "dt":
+            steps.append((0, 0, 0))
+        else:  # pragma: no cover
+            raise AdinkraError(f"unknown operator atom {atom!r}")
+    return steps
+
+
 def apply_op(op: SuperOp, expr: SuperfieldExpr) -> SuperfieldExpr:
-    """Apply a formal operator to an expression, rightmost word atom first."""
-    total = SuperfieldExpr(expr.n_colors, _op_output_stat(op, expr.statistics), ())
-    for phase, word in op.terms:
-        cur = expr_scale(expr, phase)
-        for atom in reversed(word):
-            if atom[0] == "D":
-                c = atom[1]
-                cur = expr_add(
-                    deriv_theta(cur, c), expr_scale(theta_times(dtau_expr(cur), c), I_PHASE)
-                )
-            elif atom[0] == "Q":
-                c = atom[1]
-                cur = expr_add(
-                    expr_scale(deriv_theta(cur, c), I_PHASE), theta_times(dtau_expr(cur), c)
-                )
-            elif atom[0] == "dt":
-                cur = dtau_expr(cur)
-            else:  # pragma: no cover
-                raise AdinkraError(f"unknown operator atom {atom!r}")
-        total = expr_add(total, cur)
-    return total
+    """Apply a formal operator to an expression, rightmost word atom first.
+
+    Each atom sends one term to one term: D_c strips theta^c from a monomial
+    that holds it and otherwise adds it along with a time derivative and a
+    factor i (Q_c puts the i on the other branch); both branches carry the
+    sign (-1)^(number of lower thetas in the monomial).  A word is therefore
+    walked term by term on ints, and only terms from different words can
+    cancel.
+    """
+    statistics = _op_output_stat(op, expr.statistics)
+    out: dict[Key, Gauss] = {}
+    for word, g_op in op.coeffs.items():
+        steps = _word_steps(word, expr.n_colors)
+        for (mask, sym), g in expr.coeffs.items():
+            k = dots = 0
+            for bit, below, add_k in steps:
+                if not bit:
+                    dots += 1
+                    continue
+                k += 2 * (mask & below).bit_count()
+                if mask & bit:
+                    mask ^= bit
+                    k += 1 - add_k
+                else:
+                    mask |= bit
+                    dots += 1
+                    k += add_k
+            if g_op != (1, 0):
+                g = _times(g_op, g)
+            _accumulate(out, (mask, sym.dot(dots) if dots else sym), _rot(g, k))
+    return SuperfieldExpr._of(expr.n_colors, statistics, out)
 
 
 def _op_output_stat(op: SuperOp, statistics: str) -> str:
     # all words in a canonical combination must agree on Grassmann parity
-    flips = {sum(1 for a in w if a[0] in ("D", "Q")) % 2 for _, w in op.terms}
+    flips = {sum(1 for a in w if a[0] in ("D", "Q")) % 2 for w in op.coeffs}
     if len(flips) > 1:
         raise AdinkraError("operator mixes Grassmann parities")
     flip = next(iter(flips), 0)
@@ -385,13 +495,13 @@ def generic_superfield(n_colors: int, kind: str = SCALAR, prefix: str = "U") -> 
         raise AdinkraError(f"superfield kind must be scalar or spinor, got {kind!r}")
     overall = BOSON if kind == SCALAR else FERMION
     s = 1 if kind == SCALAR else 0
-    g: dict[tuple[int, FieldSymbol], Gauss] = {}
+    coeffs: dict[Key, Gauss] = {}
     for mask in range(1 << n_colors):
         k = hgt0(mask)
         stat = overall if k % 2 == 0 else _flip(overall)
         sym = FieldSymbol(component_name(prefix, mask), 0, stat)
-        g[(mask, sym)] = _gauss_times_phase((1, 0), Phase((k + s) // 2))
-    return _canon(n_colors, overall, g)
+        coeffs[(mask, sym)] = _rot((1, 0), (k + s) // 2)
+    return SuperfieldExpr._of(n_colors, overall, coeffs)
 
 
 def descending_product(colors: Sequence[int]) -> SuperOp:
@@ -512,26 +622,15 @@ def _apply_delta(
     out: dict[EpsTerm, Gauss] = {}
     for (mono, vertex, dots), g in terms.items():
         # the variation's odd generator anticommutes past the monomial
-        base = MINUS_ONE if len(mono) % 2 else ONE
+        base = 2 * len(mono)
         for rt in rules[vertex]:
             sym = (label, rt.color)
             if sym in mono:
                 continue
             # new symbol appends at the right, then bubbles left into place
             crossings = sum(1 for s in mono if s > sym)
-            phase = base * rt.phase * (MINUS_ONE if crossings % 2 else ONE)
-            key = (
-                tuple(sorted(mono + (sym,))),
-                rt.source,
-                dots + (1 if rt.dotted else 0),
-            )
-            a, b = out.get(key, (0, 0))
-            da, db = _gauss_times_phase(g, phase)
-            v = (a + da, b + db)
-            if v == (0, 0):
-                out.pop(key, None)
-            else:
-                out[key] = v
+            key = (tuple(sorted(mono + (sym,))), rt.source, dots + rt.dotted)
+            _accumulate(out, key, _rot(g, base + rt.phase.k + 2 * crossings))
     return out
 
 
@@ -549,13 +648,8 @@ def closure_violations(ruleset: RuleSet) -> list[str]:
         one_two = _apply_delta(1, rules, _apply_delta(2, rules, start))
         two_one = _apply_delta(2, rules, _apply_delta(1, rules, start))
         comm: dict[EpsTerm, Gauss] = dict(one_two)
-        for key, (a, b) in two_one.items():
-            x0, y0 = comm.get(key, (0, 0))
-            v = (x0 - a, y0 - b)
-            if v == (0, 0):
-                comm.pop(key, None)
-            else:
-                comm[key] = v
+        for key, g in two_one.items():
+            _accumulate(comm, key, _rot(g, 2))
         expected: dict[EpsTerm, Gauss] = {
             (((1, c), (2, c)), x, 1): (0, 2) for c in range(1, t.n_colors + 1)
         }

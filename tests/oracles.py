@@ -3,14 +3,19 @@
 Everything here recomputes expected values by a different route than the
 implementation under test: potentials over a spanning forest instead of the
 BFS conflict search, direct height-pattern enumeration instead of move
-closure, and a closed-form ladder count for the equivariant sequences.
+closure, a closed-form ladder count for the equivariant sequences, and a
+superspace engine that keeps coefficients as repeated unit-phase summands
+instead of Gaussian integers.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import product
+from typing import Iterable
 
 from adinkra.core import BOSON, Edge, Topology
+from adinkra.superspace import I_PHASE, MINUS_ONE, ONE, FieldSymbol, Phase
 
 
 def all_orientations(topology: Topology):
@@ -145,3 +150,113 @@ def equivariant_ladder_patterns(n: int) -> set[tuple[int, ...]]:
         levels = [x + t for x in levels]
         patterns.add(tuple(levels[bin(v).count("1")] for v in topology_vids))
     return patterns
+
+
+# -- reference superspace engine ---------------------------------------------
+#
+# Expressions are ``terms`` tuples: ascending theta monomials, each with its
+# (phase, field) summands, where 2i*x is two copies of (+i, x).  Every
+# operation works on the flat summand list and cancels opposite phases by
+# counting, so it shares no arithmetic with the engine's Gaussian integers.
+
+RefTerms = tuple[tuple[int, tuple[tuple[Phase, FieldSymbol], ...]], ...]
+
+
+def _summands(terms: RefTerms):
+    for mask, summands in terms:
+        for phase, sym in summands:
+            yield mask, phase, sym
+
+
+def _net_phases(counts: Counter) -> list[Phase]:
+    """Unit phases left after +1/-1 and +i/-i copies cancel pairwise."""
+    out = []
+    for k in (0, 1):
+        surplus = counts[k] - counts[k + 2]
+        out += [Phase(k) if surplus > 0 else Phase(k + 2)] * abs(surplus)
+    return out
+
+
+def ref_canon(summands: Iterable[tuple[int, Phase, FieldSymbol]]) -> RefTerms:
+    counts: dict[tuple[int, FieldSymbol], Counter] = {}
+    for mask, phase, sym in summands:
+        counts.setdefault((mask, sym), Counter())[phase.k] += 1
+    by_mask: dict[int, list[tuple[Phase, FieldSymbol]]] = {}
+    for (mask, sym), c in counts.items():
+        for phase in _net_phases(c):
+            by_mask.setdefault(mask, []).append((phase, sym))
+    return tuple(
+        (mask, tuple(sorted(by_mask[mask], key=lambda s: (s[1], s[0]))))
+        for mask in sorted(by_mask)
+    )
+
+
+def ref_add(t1: RefTerms, t2: RefTerms) -> RefTerms:
+    return ref_canon(list(_summands(t1)) + list(_summands(t2)))
+
+
+def ref_scale(terms: RefTerms, phase: Phase) -> RefTerms:
+    return ref_canon((mask, phase * p, sym) for mask, p, sym in _summands(terms))
+
+
+def _theta_sign(mask: int, color: int) -> Phase:
+    below = mask & ((1 << (color - 1)) - 1)
+    return MINUS_ONE if bin(below).count("1") % 2 else ONE
+
+
+def ref_theta_times(terms: RefTerms, color: int) -> RefTerms:
+    bit = 1 << (color - 1)
+    return ref_canon(
+        (mask | bit, _theta_sign(mask, color) * p, sym)
+        for mask, p, sym in _summands(terms)
+        if not mask & bit
+    )
+
+
+def ref_deriv_theta(terms: RefTerms, color: int) -> RefTerms:
+    bit = 1 << (color - 1)
+    return ref_canon(
+        (mask ^ bit, _theta_sign(mask, color) * p, sym)
+        for mask, p, sym in _summands(terms)
+        if mask & bit
+    )
+
+
+def ref_dtau(terms: RefTerms, k: int = 1) -> RefTerms:
+    return ref_canon((mask, p, sym.dot(k)) for mask, p, sym in _summands(terms))
+
+
+def ref_op_canon(raw: Iterable[tuple[Phase, tuple]]) -> tuple[tuple[Phase, tuple], ...]:
+    """An operator's summands: ascending words, +-1 copies before +-i ones."""
+    counts: dict[tuple, Counter] = {}
+    for phase, word in raw:
+        counts.setdefault(tuple(word), Counter())[phase.k] += 1
+    return tuple((phase, word) for word in sorted(counts) for phase in _net_phases(counts[word]))
+
+
+def ref_apply(op_summands: Iterable[tuple[Phase, tuple]], terms: RefTerms) -> RefTerms:
+    """D_c = d/dtheta^c + i theta^c d_tau, Q_c = i d/dtheta^c + theta^c d_tau."""
+    total: RefTerms = ()
+    for phase, word in op_summands:
+        cur = ref_scale(terms, phase)
+        for atom in reversed(word):
+            if atom[0] in ("D", "Q"):
+                c = atom[1]
+                strip = ref_deriv_theta(cur, c)
+                add = ref_theta_times(ref_dtau(cur), c)
+                if atom[0] == "D":
+                    cur = ref_add(strip, ref_scale(add, I_PHASE))
+                else:
+                    cur = ref_add(ref_scale(strip, I_PHASE), add)
+            else:
+                cur = ref_dtau(cur)
+        total = ref_add(total, cur)
+    return total
+
+
+def ref_str(n_colors: int, terms: RefTerms) -> str:
+    bits = []
+    for mask, phase, sym in _summands(terms):
+        theta = "".join(f"th{c + 1}" for c in range(n_colors) if mask >> c & 1)
+        bits.append(f"{phase}*{theta + '*' if theta else ''}{sym}")
+    return " ".join(bits) or "0"

@@ -154,6 +154,26 @@ def test_verify_constraints_round_trip(run) -> None:
     assert report["rederived_matches_image"] is True
 
 
+@pytest.mark.parametrize(
+    "field, value, evidence",
+    [
+        ("component", 99, "component 99 differs from the rebuilt 0"),
+        ("alpha", 7, "alpha 7 differs from the rebuilt 1"),
+        ("phase", "-1", "phase -1 differs from the rebuilt +1; residual +i*U' +i*U'"),
+    ],
+)
+def test_verify_constraints_rejects_a_tampered_equation(run, field, value, evidence) -> None:
+    _, text, _ = run(["constraints", "-n", "2", "--entry", "1", "--entry", "2"])
+    doc = json.loads(text)
+    doc["payload"]["equations"][0][field] = value
+    code, out, _ = run(["verify-constraints"], stdin=json.dumps(doc))
+    assert code == 1
+    report = json.loads(out)
+    assert report["ok"] is False
+    [failure] = report["failures"]
+    assert failure.startswith(f"equation 0: {evidence}")
+
+
 def test_verify_constraints_from_adinkra_document(run) -> None:
     _, cube, _ = run(["cube", "2"])
     _, hung, _ = run(

@@ -1,9 +1,20 @@
 from __future__ import annotations
 
+import hashlib
+from dataclasses import replace
+
 import pytest
 
-from adinkra.core import AdinkraError
-from adinkra.cube import SCALAR, SPINOR, antipodal_quotient, dist0, hgt0
+from adinkra.core import Adinkra, AdinkraError
+from adinkra.cube import (
+    SCALAR,
+    SPINOR,
+    antipodal_quotient,
+    cube_topology,
+    dist0,
+    hgt0,
+    standard_parity,
+)
 from adinkra.constraints import (
     N2_DOUBLET_ANNIHILATOR,
     N3_QUINTET_ANNIHILATOR,
@@ -23,6 +34,7 @@ from adinkra.constraints import (
     projector,
     verify_presentation,
 )
+from adinkra.document import serialize
 from adinkra.mutation import base_adinkra, enumerate_family, lower_vertex, targets
 from adinkra.superspace import (
     MINUS_ONE,
@@ -206,6 +218,72 @@ def test_verify_counts_all_pairs() -> None:
     report = verify_presentation(TRIPLE_SPEC)
     # 3 entries make 3 pairs per component, 8 components
     assert report.checked_equations == 24
+
+
+def test_verify_accepts_the_emitted_equations() -> None:
+    system = emit_constraints(TRIPLE_SPEC)
+    report = verify_presentation(TRIPLE_SPEC, SCALAR, system.equations)
+    assert report.ok and report.failures == ()
+
+
+def test_verify_names_each_given_mismatch() -> None:
+    given = list(emit_constraints(X_SPEC).equations)
+    flipped = replace(given[1], redundant=not given[1].redundant)
+    given[1] = flipped
+    report = verify_presentation(X_SPEC, SCALAR, given)
+    assert not report.ok
+    # the flag is not part of the relation, so there is no residual to show
+    assert report.failures == (
+        f"equation 1: redundant {flipped.redundant} differs from the rebuilt {not flipped.redundant}",
+    )
+    report = verify_presentation(X_SPEC, SCALAR, given[:2])
+    assert report.failures[0] == "2 equations given, the battery has 4"
+
+
+def test_verify_reports_the_residual_of_a_wrong_gap() -> None:
+    given = list(emit_constraints(X_SPEC).equations)
+    given[0] = replace(given[0], gap=given[0].gap + 1)
+    [failure] = verify_presentation(X_SPEC, SCALAR, given).failures
+    assert failure == (
+        "equation 0: gap 1 differs from the rebuilt 0; residual +i*U' -i*U''"
+        " -1*th1*U1' +1*th1*U1'' -1*th2*U2' +1*th2*U2'' -1*th1th2*U12' +1*th1th2*U12''"
+    )
+
+
+# sha256 of the sorted, concatenated constraint documents of every battery
+# identify() finds on the N-color cube, and of the N=4 valise's battery.
+# Recorded before the engine kept coefficients as Gaussian integers: the
+# documents, phases and redundant flags must stay byte-identical.
+FROZEN_FAMILY_DIGESTS = {
+    (1, SCALAR): (2, "a9a31eecd6ba6ae94e8aaf1762ef334bb515d923b021e945379ca236bfc9a0ea"),
+    (1, SPINOR): (2, "f10be842a0aa1bf23aba20a312e0dbcd45b8ccb62b17a297e2485095420feb24"),
+    (2, SCALAR): (6, "98d24bf423db143c9edeb6b7214019a88fb17bda0952a27cb76920b1d3bb7498"),
+    (2, SPINOR): (6, "074b5731bdf712182bf47bc745f1bfb4d2badd5817e33de56ee816bb43658638"),
+    (3, SCALAR): (38, "33b06270ca6c24ab2a88c3d57258484fd73c07ac578470c99120f4c5a9d03bc7"),
+    (3, SPINOR): (38, "8bc86b0e1c70b2ff742097f7d1428b4d04d69fc2f9ad7321379b23d86941a97f"),
+}
+FROZEN_VALISE_DIGEST = "e6726ddcc86c7c919ea16d7b0e949b5f3d2de37506eaf46cb65116cfda80b43b"
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("n, kind", sorted(FROZEN_FAMILY_DIGESTS))
+def test_constraint_documents_are_frozen(n: int, kind: str) -> None:
+    docs = set()
+    for member in enumerate_family(cube_topology(n, kind)).members.values():
+        ident = identify(member)
+        docs.add(serialize(emit_constraints(ident.spec, ident.kind)))
+    assert (len(docs), _sha256("".join(sorted(docs)))) == FROZEN_FAMILY_DIGESTS[(n, kind)]
+
+
+def test_valise_constraint_document_is_frozen() -> None:
+    t = cube_topology(4)
+    valise = Adinkra.from_maps(t, {v: hgt0(v) % 2 for v in t.vertex_ids}, standard_parity(t))
+    ident = identify(valise)
+    assert len(ident.spec.entries) == 8
+    assert _sha256(serialize(emit_constraints(ident.spec, ident.kind))) == FROZEN_VALISE_DIGEST
 
 
 # ---------------------------------------------------------------------------

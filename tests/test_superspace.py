@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,6 +38,17 @@ from adinkra.superspace import (
     project,
     theta_times,
     transformation_rules,
+)
+
+from oracles import (
+    ref_add,
+    ref_apply,
+    ref_deriv_theta,
+    ref_dtau,
+    ref_op_canon,
+    ref_scale,
+    ref_str,
+    ref_theta_times,
 )
 
 
@@ -76,6 +89,24 @@ def test_expr_add_cancels_exactly() -> None:
     assert expr_sub(u, u).is_zero()
     doubled = expr_add(u, u)
     assert expr_sub(expr_sub(doubled, u), u).is_zero()
+
+
+def test_expressions_are_immutable_values() -> None:
+    u = generic_superfield(2)
+    with pytest.raises(AttributeError):
+        u.n_colors = 3
+    copy = pickle.loads(pickle.dumps(u))
+    assert copy == u and hash(copy) == hash(u) and str(copy) == str(u)
+    op = D(1) * Q(2)
+    assert pickle.loads(pickle.dumps(op)) == op
+
+
+def test_constructor_sums_repeated_phases() -> None:
+    x = FieldSymbol("x")
+    e = SuperfieldExpr(1, BOSON, ((0, ((I_PHASE, x), (ONE, x), (I_PHASE, x), (MINUS_ONE, x))),))
+    assert e.coeffs == {(0, x): (0, 2)}
+    assert e.terms == ((0, ((I_PHASE, x), (I_PHASE, x))),)
+    assert SuperfieldExpr(1, BOSON, e.terms) == e
 
 
 def test_expr_add_rejects_mismatches() -> None:
@@ -191,6 +222,73 @@ def test_distinct_descending_orders_antisymmetrize() -> None:
 def test_mixed_parity_operator_is_rejected() -> None:
     with pytest.raises(AdinkraError, match="parities"):
         apply_op(D(1) + DTAU, generic_superfield(1))
+
+
+# ---------------------------------------------------------------------------
+# the engine against the repeated-summand reference (tests/oracles.py)
+
+_atoms = st.one_of(
+    st.tuples(st.sampled_from(["D", "Q"]), st.integers(1, 4)), st.just(("dt",))
+)
+
+
+def _odd_count(word) -> int:
+    return sum(1 for a in word if a[0] != "dt") % 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.sampled_from([SCALAR, SPINOR]),
+    st.lists(st.tuples(st.integers(0, 3), st.lists(_atoms, max_size=4)), min_size=1, max_size=3),
+)
+def test_apply_op_matches_the_reference_engine(n: int, kind: str, raw) -> None:
+    summands = []
+    for k, word in raw:
+        word = [(a[0], (a[1] - 1) % n + 1) if a[0] != "dt" else a for a in word]
+        # every word of one operator must share its Grassmann parity
+        if summands and _odd_count(word) != _odd_count(summands[0][1]):
+            word.append(("D", 1))
+        summands.append((Phase(k), tuple(word)))
+    op = SuperOp.zero()
+    for summand in summands:
+        op = op + SuperOp((summand,))
+    assert op.terms == ref_op_canon(summands)
+    u = generic_superfield(n, kind)
+    got = apply_op(op, u)
+    want = ref_apply(summands, u.terms)
+    assert got.terms == want
+    assert str(got) == ref_str(n, want)
+    for mask in range(1 << n):
+        assert got.component(mask) == dict(want).get(mask, ())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.sampled_from([SCALAR, SPINOR]),
+    st.lists(
+        st.tuples(st.sampled_from(["theta", "deriv", "dtau", "scale", "add"]), st.integers(0, 7)),
+        max_size=6,
+    ),
+)
+def test_expression_primitives_match_the_reference_engine(n: int, kind: str, steps) -> None:
+    e = generic_superfield(n, kind)
+    ref = e.terms
+    for name, x in steps:
+        color = x % n + 1
+        if name == "theta":
+            e, ref = theta_times(e, color), ref_theta_times(ref, color)
+        elif name == "deriv":
+            e, ref = deriv_theta(e, color), ref_deriv_theta(ref, color)
+        elif name == "dtau":
+            e, ref = dtau_expr(e, x % 3), ref_dtau(ref, x % 3)
+        elif name == "scale":
+            e, ref = expr_scale(e, Phase(x)), ref_scale(ref, Phase(x))
+        else:  # add a rotated copy: doubles, cancels or mixes coefficients
+            e, ref = expr_add(e, expr_scale(e, Phase(x))), ref_add(ref, ref_scale(ref, Phase(x)))
+        assert e.terms == ref
+        assert str(e) == ref_str(n, ref)
 
 
 # ---------------------------------------------------------------------------
