@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
@@ -136,6 +137,7 @@ class Topology:
 
     Use :meth:`build` to construct from raw data: it validates.  The bare
     constructor only indexes already-canonical tuples and checks nothing.
+    Indexes, components and two-color squares are computed once per instance.
     """
 
     n_colors: int
@@ -150,6 +152,15 @@ class Topology:
     )
     _neighbor: dict[tuple[int, int], int] = field(
         default_factory=dict, compare=False, repr=False, hash=False
+    )
+    _adjacent: tuple[tuple[int, ...], ...] = field(
+        default=(), compare=False, repr=False, hash=False
+    )
+    _components: tuple[tuple[int, ...], ...] = field(
+        default=(), compare=False, repr=False, hash=False
+    )
+    _component_slots: tuple[tuple[int, ...], ...] = field(
+        default=(), compare=False, repr=False, hash=False
     )
     _dist_cache: dict[int, dict[int, int]] = field(
         default_factory=dict, compare=False, repr=False, hash=False
@@ -171,13 +182,38 @@ class Topology:
         return cls(n_colors, vids, stats, es)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_vindex", {v: i for i, v in enumerate(self.vertex_ids)})
+        vindex = {v: i for i, v in enumerate(self.vertex_ids)}
+        object.__setattr__(self, "_vindex", vindex)
         object.__setattr__(self, "_eindex", {e: i for i, e in enumerate(self.edges)})
         nbr: dict[tuple[int, int], int] = {}
         for u, v, color in self.edges:
             nbr[u, color] = v
             nbr[v, color] = u
         object.__setattr__(self, "_neighbor", nbr)
+        # neighbour positions per vertex position, in color order
+        adjacent = tuple(
+            tuple(vindex[w] for w, _ in self.neighbors(v)) for v in self.vertex_ids
+        )
+        object.__setattr__(self, "_adjacent", adjacent)
+        slots: list[tuple[int, ...]] = []
+        seen: set[int] = set()
+        for root in range(len(self.vertex_ids)):
+            if root in seen:
+                continue
+            seen.add(root)
+            comp = [root]
+            for i in comp:
+                for j in adjacent[i]:
+                    if j not in seen:
+                        seen.add(j)
+                        comp.append(j)
+            slots.append(tuple(sorted(comp)))
+        object.__setattr__(self, "_component_slots", tuple(slots))
+        object.__setattr__(
+            self,
+            "_components",
+            tuple(tuple(self.vertex_ids[i] for i in comp) for comp in slots),
+        )
 
     # -- basic queries ----------------------------------------------------
 
@@ -214,23 +250,7 @@ class Topology:
 
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Connected components as sorted vertex tuples, ordered by minimum id."""
-        seen: set[int] = set()
-        comps = []
-        for root in self.vertex_ids:
-            if root in seen:
-                continue
-            comp = []
-            queue = deque([root])
-            seen.add(root)
-            while queue:
-                v = queue.popleft()
-                comp.append(v)
-                for w, _ in self.neighbors(v):
-                    if w not in seen:
-                        seen.add(w)
-                        queue.append(w)
-            comps.append(tuple(sorted(comp)))
-        return tuple(comps)
+        return self._components
 
     def distances_from(self, v: int) -> dict[int, int]:
         """BFS distances from v to every vertex in its component (cached)."""
@@ -280,6 +300,21 @@ class Topology:
             cycles.append(cyc)
         return cycles
 
+    @cached_property
+    def squares(self) -> tuple[tuple[int, int, tuple[int, int, int, int]], ...]:
+        """Every two-color square as (c1, c2, edge indices in walk order).
+
+        Ordered by color pair, then as :meth:`bichromatic_cycles` lists them;
+        longer two-colored cycles are left out.  Computed on first use.
+        """
+        return tuple(
+            (c1, c2, tuple(self._eindex[e] for e in cyc))
+            for c1 in range(1, self.n_colors + 1)
+            for c2 in range(c1 + 1, self.n_colors + 1)
+            for cyc in self.bichromatic_cycles(c1, c2)
+            if len(cyc) == 4
+        )
+
 
 def orientation_from_heights(
     topology: Topology, heights: Mapping[int, int]
@@ -300,7 +335,10 @@ class Adinkra:
 
     heights and parity are stored positionally (aligned with
     topology.vertex_ids and topology.edges) so instances hash cheaply; use
-    the accessors for map-style reads.
+    the accessors for map-style reads.  The constructor and :meth:`from_maps`
+    check the +-1 gap on every edge and the odd-square rule on every square;
+    raising, lowering and normalizing build their results unchecked, since
+    none of them can break either rule.
     """
 
     topology: Topology
@@ -308,21 +346,19 @@ class Adinkra:
     parity: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        t = self.topology
-        if len(self.heights) != len(t.vertex_ids):
-            raise AdinkraError("heights length does not match vertex count")
-        if len(self.parity) != len(t.edges):
-            raise AdinkraError("parity length does not match edge count")
-        for u, v, color in t.edges:
-            gap = self.height_of(v) - self.height_of(u)
-            if abs(gap) != 1:
-                raise AdinkraError(f"edge {(u, v, color)} has height gap {gap}, expected +-1")
-        for p, e in zip(self.parity, t.edges):
-            if p not in (0, 1):
-                raise AdinkraError(f"edge {e} has parity {p!r}, expected 0 or 1")
-        bad = parity_violations(t, self.parity)
-        if bad:
-            raise AdinkraError("odd-square rule violated: " + "; ".join(bad))
+        _check_heights(self.topology, self.heights)
+        _check_parity(self.topology, self.parity)
+
+    @classmethod
+    def _trusted(
+        cls, topology: Topology, heights: tuple[int, ...], parity: tuple[int, ...]
+    ) -> "Adinkra":
+        """Build without checks; only for data that already meets both rules."""
+        a = object.__new__(cls)
+        object.__setattr__(a, "topology", topology)
+        object.__setattr__(a, "heights", heights)
+        object.__setattr__(a, "parity", parity)
+        return a
 
     @classmethod
     def from_maps(
@@ -350,24 +386,74 @@ class Adinkra:
     def orientation(self) -> dict[Edge, tuple[int, int]]:
         return orientation_from_heights(self.topology, self.heights_by_vertex())
 
+    def extremes(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(sources, targets) in one pass, each in vertex order.
+
+        A source is a strict local minimum (every edge points away), a target
+        a strict local maximum (every edge points in).
+        """
+        h = self.heights
+        sources: list[int] = []
+        targets: list[int] = []
+        for v, hv, around in zip(self.topology.vertex_ids, h, self.topology._adjacent):
+            # every gap is +-1, so the neighbours sum to deg * (hv +- 1) only at an extreme
+            rise = sum(map(h.__getitem__, around)) - len(around) * hv
+            if rise == len(around):
+                sources.append(v)
+            elif rise == -len(around):
+                targets.append(v)
+        return tuple(sources), tuple(targets)
+
     def normalized(self) -> "Adinkra":
-        h = normalize_heights(self.topology, self.heights_by_vertex())
-        return Adinkra(self.topology, tuple(h[v] for v in self.topology.vertex_ids), self.parity)
+        """The even translate per component into normal form (see normalize_heights)."""
+        t = self.topology
+        h = self.heights
+        out: list[int] | None = None
+        for slots in t._component_slots:
+            low = min(h[i] for i in slots)
+            first = slots[0]
+            # across an edge both the height and the statistics flip
+            boson_parity = (h[first] + (t.statistics[first] != BOSON)) % 2
+            shift = _normal_shift(low, boson_parity)
+            if shift:
+                if out is None:
+                    out = list(h)
+                for i in slots:
+                    out[i] += shift
+        return self if out is None else Adinkra._trusted(t, tuple(out), self.parity)
+
+
+def _check_heights(topology: Topology, heights: Sequence[int]) -> None:
+    """Raise unless heights has one entry per vertex and a +-1 gap on every edge."""
+    if len(heights) != len(topology.vertex_ids):
+        raise AdinkraError("heights length does not match vertex count")
+    vindex = topology._vindex
+    for u, v, color in topology.edges:
+        gap = heights[vindex[v]] - heights[vindex[u]]
+        if abs(gap) != 1:
+            raise AdinkraError(f"edge {(u, v, color)} has height gap {gap}, expected +-1")
+
+
+def _check_parity(topology: Topology, parity: Sequence[int]) -> None:
+    """Raise unless parity has one 0/1 entry per edge and obeys the odd-square rule."""
+    if len(parity) != len(topology.edges):
+        raise AdinkraError("parity length does not match edge count")
+    for p, e in zip(parity, topology.edges):
+        if p not in (0, 1):
+            raise AdinkraError(f"edge {e} has parity {p!r}, expected 0 or 1")
+    bad = parity_violations(topology, parity)
+    if bad:
+        raise AdinkraError("odd-square rule violated: " + "; ".join(bad))
 
 
 def parity_violations(topology: Topology, parity: Sequence[int]) -> list[str]:
     """Odd-square rule check; returns one entry per violating two-color square."""
     bad = []
-    eindex = topology._eindex
-    for c1 in range(1, topology.n_colors + 1):
-        for c2 in range(c1 + 1, topology.n_colors + 1):
-            for cyc in topology.bichromatic_cycles(c1, c2):
-                if len(cyc) != 4:
-                    continue
-                total = sum(parity[eindex[e]] for e in cyc) % 2
-                if total != 1:
-                    verts = sorted({w for u, v, _ in cyc for w in (u, v)})
-                    bad.append(f"square on vertices {verts} (colors {c1},{c2}) has even parity sum")
+    edges = topology.edges
+    for c1, c2, square in topology.squares:
+        if sum(parity[i] for i in square) % 2 != 1:
+            verts = sorted({w for i in square for w in edges[i][:2]})
+            bad.append(f"square on vertices {verts} (colors {c1},{c2}) has even parity sum")
     return bad
 
 
@@ -468,6 +554,11 @@ def engineerable(
     return EngineerResult(ok=True, heights=normalize_heights(topology, heights))
 
 
+def _normal_shift(low: int, boson_parity: int) -> int:
+    """The unique translation putting a component's minimum at 0 or 1 with bosons even."""
+    return -low if (low + boson_parity) % 2 == 0 else 1 - low
+
+
 def normalize_heights(topology: Topology, heights: Mapping[int, int]) -> dict[int, int]:
     """Translate each component to the normal form; idempotent.
 
@@ -491,8 +582,7 @@ def normalize_heights(topology: Topology, heights: Mapping[int, int]) -> dict[in
         m = min(heights[v] for v in comp)
         # valid topologies have no isolated vertices, so both sets are nonempty
         bp = next(iter(boson_par), (m + 1) % 2)
-        # unique translation putting the minimum at 0 or 1 with bosons even
-        t = -m if (m + bp) % 2 == 0 else 1 - m
+        t = _normal_shift(m, bp)
         for v in comp:
             out[v] = heights[v] + t
     return out
@@ -546,16 +636,12 @@ def solve_edge_parity(topology: Topology) -> ParityResult:
 
     squares: list[tuple[Edge, ...]] = []
     rows: list[int] = []  # bit i (i < ne) = edge coefficient, bit ne = RHS
-    for c1 in range(1, topology.n_colors + 1):
-        for c2 in range(c1 + 1, topology.n_colors + 1):
-            for cyc in topology.bichromatic_cycles(c1, c2):
-                if len(cyc) != 4:
-                    continue
-                row = 1 << ne
-                for e in cyc:
-                    row ^= 1 << eindex[e]
-                squares.append(tuple(cyc))
-                rows.append(row)
+    for _, _, square in topology.squares:
+        row = 1 << ne
+        for i in square:
+            row ^= 1 << i
+        squares.append(tuple(edges[i] for i in square))
+        rows.append(row)
     n_squares = len(rows)
     for e in _spanning_forest(topology):
         rows.append(1 << eindex[e])  # gauge: tree edge = 0

@@ -14,6 +14,7 @@ from .core import BOSON, FERMION, AdinkraError, Edge, Topology
 __all__ = [
     "SCALAR",
     "SPINOR",
+    "MAX_CUBE_COLORS",
     "cube_topology",
     "cube_statistics",
     "standard_parity",
@@ -26,6 +27,10 @@ __all__ = [
 
 SCALAR = "scalar"
 SPINOR = "spinor"
+
+# Every cube computation grows at least as 2^n; at 10 colors the cube has
+# 1024 vertices and its parity solve takes over ten seconds.
+MAX_CUBE_COLORS = 10
 
 
 def hgt0(subset: int) -> int:
@@ -51,9 +56,14 @@ def cube_statistics(subset: int, convention: str = SCALAR) -> str:
 
 
 def cube_topology(n: int, convention: str = SCALAR) -> Topology:
-    """The n-color cube: 2^n subset vertices, n*2^(n-1) edges, color c flips bit c-1."""
+    """The n-color cube: 2^n subset vertices, n*2^(n-1) edges, color c flips bit c-1.
+
+    n is capped at MAX_CUBE_COLORS, checked before anything is built.
+    """
     if not isinstance(n, int) or n < 1:
         raise AdinkraError(f"need a positive number of colors, got {n!r}")
+    if n > MAX_CUBE_COLORS:
+        raise AdinkraError(f"{n} colors exceeds the cap of {MAX_CUBE_COLORS} on cube size")
     stats = {v: cube_statistics(v, convention) for v in range(1 << n)}
     edges = [
         (v, v | 1 << (c - 1), c)

@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from .core import BOSON, FERMION, Adinkra, AdinkraError, Topology
+from .core import BOSON, FERMION, Adinkra, AdinkraError, Topology, _check_heights, _check_parity
 from .constraints import Constraint, ConstraintSystem, SourceSpec
 from .cube import SCALAR, SPINOR
 from .mutation import FamilyGraph, SequenceStep, SequenceTrace
@@ -278,7 +278,16 @@ def _heights_tuple(raw, topo: Topology, path: str) -> tuple[int, ...]:
     return tuple(raw)
 
 
-def _parity_map(data: dict, topo: Topology, path: str):
+def _at(path: str, check, *args) -> None:
+    """Run a graph-level check, naming path in its error."""
+    try:
+        check(*args)
+    except AdinkraError as exc:
+        raise _fail(path, str(exc)) from None
+
+
+def _shared_parity(data: dict, topo: Topology, path: str) -> tuple[int, ...]:
+    """The parity every member or step shares, aligned with topo.edges and checked once."""
     raw = _list(data, "parity", path)
     order = sorted((c, u, v) for u, v, c in topo.edges)
     if len(raw) != len(order):
@@ -288,16 +297,19 @@ def _parity_map(data: dict, topo: Topology, path: str):
         if p not in (0, 1) or isinstance(p, bool):
             raise _fail(f"{path}.parity[{i}]", f"expected 0 or 1, got {p!r}")
         out[(u, v, c)] = p
-    return out
+    parity = tuple(out[e] for e in topo.edges)
+    _at(f"{path}.parity", _check_parity, topo, parity)
+    return parity
 
 
 def _decode_family(data: dict, path: str) -> FamilyGraph:
     topo = _decode_topology(_get(data, "topology", dict, path), f"{path}.topology")
-    parity = _parity_map(data, topo, path)
+    parity = _shared_parity(data, topo, path)
     members = {}
     for i, raw in enumerate(_list(data, "members", path)):
         key = _heights_tuple(raw, topo, f"{path}.members[{i}]")
-        members[key] = Adinkra(topo, key, tuple(parity[k] for k in sorted(parity)))
+        _at(f"{path}.members[{i}]", _check_heights, topo, key)
+        members[key] = Adinkra._trusted(topo, key, parity)
     moves = []
     for i, item in enumerate(_list(data, "moves", path)):
         mp = f"{path}.moves[{i}]"
@@ -315,11 +327,28 @@ def _decode_family(data: dict, path: str) -> FamilyGraph:
     return FamilyGraph(topo, members, tuple(sorted(moves)))
 
 
+def _vertex(val, topo: Topology, path: str) -> int:
+    if isinstance(val, bool) or not isinstance(val, int) or val not in topo._vindex:
+        raise _fail(path, f"expected a vertex id, got {val!r}")
+    return val
+
+
+def _step_index(item: dict, key: str, before: int, path: str) -> int | None:
+    """A null or an index of an earlier step."""
+    val = item.get(key)
+    if val is None:
+        return None
+    if isinstance(val, bool) or not isinstance(val, int):
+        raise _fail(f"{path}.{key}", f"expected null or int, got {type(val).__name__}")
+    if not 0 <= val < before:
+        raise _fail(f"{path}.{key}", f"expected the index of an earlier step, got {val}")
+    return val
+
+
 def _decode_trace(data: dict, path: str) -> SequenceTrace:
     topo = _decode_topology(_get(data, "topology", dict, path), f"{path}.topology")
-    parity_map = _parity_map(data, topo, path)
-    parity = tuple(parity_map[k] for k in sorted(parity_map))
-    steps = []
+    parity = _shared_parity(data, topo, path)
+    steps: list[SequenceStep] = []
     raw_steps = _list(data, "steps", path)
     if not raw_steps:
         raise _fail(f"{path}.steps", "a trace needs at least the start step")
@@ -328,32 +357,46 @@ def _decode_trace(data: dict, path: str) -> SequenceTrace:
         if not isinstance(item, dict):
             raise _fail(sp, f"expected object, got {type(item).__name__}")
         heights = _heights_tuple(_get(item, "heights", list, sp), topo, f"{sp}.heights")
+        _at(f"{sp}.heights", _check_heights, topo, heights)
         move_raw = _get(item, "move", None, sp)
         if move_raw is not None and not isinstance(move_raw, list):
             raise _fail(f"{sp}.move", f"expected null or list, got {type(move_raw).__name__}")
-        move = None if move_raw is None else tuple(move_raw)
+        move = None
+        if move_raw is not None:
+            move = tuple(_vertex(v, topo, f"{sp}.move[{j}]") for j, v in enumerate(move_raw))
         counters = []
         for j, pair in enumerate(_get(item, "counters", list, sp)):
+            cp = f"{sp}.counters[{j}]"
             if not isinstance(pair, list) or len(pair) != 2:
-                raise _fail(f"{sp}.counters[{j}]", "expected a [vertex, count] pair")
-            counters.append((pair[0], pair[1]))
-        parent = item.get("parent")
-        repeat_of = item.get("repeat_of")
-        for key, val in (("parent", parent), ("repeat_of", repeat_of)):
-            if val is not None and (isinstance(val, bool) or not isinstance(val, int)):
-                raise _fail(f"{sp}.{key}", f"expected null or int, got {type(val).__name__}")
-        steps.append(
-            SequenceStep(Adinkra(topo, heights, parity), move, tuple(counters), parent, repeat_of)
-        )
+                raise _fail(cp, "expected a [vertex, count] pair")
+            vertex, count = _vertex(pair[0], topo, f"{cp}[0]"), pair[1]
+            if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+                raise _fail(f"{cp}[1]", f"expected a non-negative int, got {count!r}")
+            counters.append((vertex, count))
+        parent = _step_index(item, "parent", i, sp)
+        repeat_of = _step_index(item, "repeat_of", i, sp)
+        if repeat_of is not None and steps[repeat_of].adinkra.heights != heights:
+            raise _fail(f"{sp}.repeat_of", f"step {repeat_of} has other heights")
+        adinkra = Adinkra._trusted(topo, heights, parity)
+        steps.append(SequenceStep(adinkra, move, tuple(counters), parent, repeat_of))
     closure = data.get("cycle_closure")
+    if closure is not None:
+        if isinstance(closure, bool) or not isinstance(closure, int):
+            raise _fail(f"{path}.cycle_closure", f"expected null or int, got {type(closure).__name__}")
+        if not 0 <= closure < len(steps) or steps[closure].repeat_of != 0:
+            raise _fail(
+                f"{path}.cycle_closure", f"expected the index of a step repeating step 0, got {closure}"
+            )
     return SequenceTrace(tuple(steps), closure)
 
 
 _PHASES = {str(Phase(k)): Phase(k) for k in range(4)}
 
 
-def _decode_constraints(data: dict, path: str) -> ConstraintSystem:
+def _decode_constraints(data: dict, path: str, check_equations: bool = True) -> ConstraintSystem:
     n = _int(data, "n_colors", path)
+    if n < 1:
+        raise _fail(f"{path}.n_colors", f"expected a positive int, got {n}")
     kind = _get(data, "kind", str, path)
     if kind not in (SCALAR, SPINOR):
         raise _fail(f"{path}.kind", f"expected '{SCALAR}' or '{SPINOR}', got {kind!r}")
@@ -372,17 +415,30 @@ def _decode_constraints(data: dict, path: str) -> ConstraintSystem:
         phase_txt = _get(item, "phase", str, ep)
         if phase_txt not in _PHASES:
             raise _fail(f"{ep}.phase", f"expected one of {sorted(_PHASES)}, got {phase_txt!r}")
-        equations.append(
-            Constraint(
-                component=_int(item, "component", ep),
-                alpha=_int(item, "alpha", ep),
-                beta=_int(item, "beta", ep),
-                gap=_int(item, "gap", ep),
-                phase=_PHASES[phase_txt],
-                redundant=bool(_get(item, "redundant", bool, ep)),
-            )
+        eq = Constraint(
+            component=_int(item, "component", ep),
+            alpha=_int(item, "alpha", ep),
+            beta=_int(item, "beta", ep),
+            gap=_int(item, "gap", ep),
+            phase=_PHASES[phase_txt],
+            redundant=bool(_get(item, "redundant", bool, ep)),
         )
+        if check_equations:
+            _check_equation_ranges(eq, n, len(entries), ep)
+        equations.append(eq)
     return ConstraintSystem(spec, kind, tuple(equations))
+
+
+def _check_equation_ranges(eq: Constraint, n: int, m: int, path: str) -> None:
+    if not 0 <= eq.component < 1 << n:
+        raise _fail(f"{path}.component", f"expected 0..{(1 << n) - 1}, got {eq.component}")
+    for key in ("alpha", "beta"):
+        if not 0 <= getattr(eq, key) < m:
+            raise _fail(f"{path}.{key}", f"expected an entry index 0..{m - 1}, got {getattr(eq, key)}")
+    if eq.alpha == eq.beta:
+        raise _fail(f"{path}.beta", f"expected an entry other than alpha {eq.alpha}")
+    if eq.gap < 0:
+        raise _fail(f"{path}.gap", f"expected a non-negative int, got {eq.gap}")
 
 
 _DECODERS = {
@@ -394,8 +450,13 @@ _DECODERS = {
 }
 
 
-def deserialize(text: str) -> Document:
-    """Parse document text back into a Document with a live payload."""
+def deserialize(text: str, check_equations: bool = True) -> Document:
+    """Parse document text back into a Document with a live payload.
+
+    check_equations=False keeps the index-range checks off the equations of
+    a constraints document, for a caller that compares every given equation
+    with the rebuilt system and reports the field that differs.
+    """
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -414,7 +475,11 @@ def deserialize(text: str) -> Document:
     annotations = data.get("annotations", {})
     if not isinstance(annotations, dict):
         raise _fail("$.annotations", f"expected object, got {type(annotations).__name__}")
-    payload = _DECODERS[kind](_get(data, "payload", dict, "$"), "$.payload")
+    body = _get(data, "payload", dict, "$")
+    if kind == "constraints":
+        payload = _decode_constraints(body, "$.payload", check_equations)
+    else:
+        payload = _DECODERS[kind](body, "$.payload")
     return Document(kind, payload, annotations)
 
 

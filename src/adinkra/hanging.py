@@ -123,13 +123,8 @@ def hooks_of(adinkra: Adinkra) -> HookSet:
     Inverse of :func:`hang`: hanging these hooks reproduces the heights
     bit-exactly.
     """
-    hooks: dict[int, int] = {}
-    t = adinkra.topology
-    for v in t.vertex_ids:
-        hv = adinkra.height_of(v)
-        if all(adinkra.height_of(w) < hv for w, _ in t.neighbors(v)):
-            hooks[v] = hv
-    return HookSet.from_map(TARGETS, hooks)
+    _, targets = adinkra.extremes()
+    return HookSet.from_map(TARGETS, {v: adinkra.height_of(v) for v in targets})
 
 
 def one_hooked(

@@ -6,14 +6,16 @@ family of height functions on a topology from the base Adinkra (bosons at 0,
 fermions at 1).  Member identity is the normalized height vector, so the
 family is finite and the move graph is well defined.  A sequence trace walks
 the family by raisings only, recording every move including the ones that
-land on an already-visited pattern.
+land on an already-visited pattern.  Isomorphism compares canonical keys:
+each component relabelled by breadth-first search from its best anchor.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from itertools import permutations
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .core import BOSON, Adinkra, AdinkraError, Topology, solve_edge_parity
 
@@ -40,29 +42,26 @@ HeightKey = tuple[int, ...]
 
 def sources(adinkra: Adinkra) -> tuple[int, ...]:
     """Vertices all of whose edges point away (strict local minima)."""
-    t = adinkra.topology
-    return tuple(
-        v
-        for v in t.vertex_ids
-        if all(adinkra.height_of(w) > adinkra.height_of(v) for w, _ in t.neighbors(v))
-    )
+    return adinkra.extremes()[0]
 
 
 def targets(adinkra: Adinkra) -> tuple[int, ...]:
     """Vertices all of whose edges point in (strict local maxima)."""
-    t = adinkra.topology
-    return tuple(
-        v
-        for v in t.vertex_ids
-        if all(adinkra.height_of(w) < adinkra.height_of(v) for w, _ in t.neighbors(v))
-    )
+    return adinkra.extremes()[1]
 
 
-def _shift(adinkra: Adinkra, vertex: int, delta: int) -> Adinkra:
-    t = adinkra.topology
-    i = t._vindex[vertex]
-    heights = adinkra.heights[:i] + (adinkra.heights[i] + delta,) + adinkra.heights[i + 1 :]
-    return Adinkra(t, heights, adinkra.parity)
+def _shift(adinkra: Adinkra, vertices: Iterable[int], delta: int) -> Adinkra:
+    """Move each vertex by delta, unchecked.
+
+    The caller has checked that every vertex is a source (delta 2) or a
+    target (delta -2); such vertices are pairwise non-adjacent, so every gap
+    stays +-1, and the topology and parity are untouched.
+    """
+    vindex = adinkra.topology._vindex
+    heights = list(adinkra.heights)
+    for v in vertices:
+        heights[vindex[v]] += delta
+    return Adinkra._trusted(adinkra.topology, tuple(heights), adinkra.parity)
 
 
 def lower_vertex(adinkra: Adinkra, vertex: int) -> Adinkra:
@@ -76,7 +75,7 @@ def lower_vertex(adinkra: Adinkra, vertex: int) -> Adinkra:
             raise AdinkraError(
                 f"cannot lower {vertex}: edge {(vertex, w, color)} points into {w} above it"
             )
-    return _shift(adinkra, vertex, -2)
+    return _shift(adinkra, (vertex,), -2)
 
 
 def raise_vertex(adinkra: Adinkra, vertex: int) -> Adinkra:
@@ -90,7 +89,26 @@ def raise_vertex(adinkra: Adinkra, vertex: int) -> Adinkra:
             raise AdinkraError(
                 f"cannot raise {vertex}: edge {(vertex, w, color)} comes up from {w} below it"
             )
-    return _shift(adinkra, vertex, 2)
+    return _shift(adinkra, (vertex,), 2)
+
+
+def _moves(
+    member: Adinkra,
+    orbits: Sequence[tuple[int, ...]],
+    kinds: tuple[str, ...] = ("raise", "lower"),
+) -> Iterator[tuple[str, tuple[int, ...], Adinkra]]:
+    """Every move out of member as (kind, orbit, normalized result).
+
+    An orbit is raised when all its vertices are sources and lowered when all
+    are targets.  Moves come kind by kind in the order given, and within a
+    kind in orbit order.
+    """
+    src, tgt = member.extremes()
+    for kind in kinds:
+        extreme, delta = (set(src), 2) if kind == "raise" else (set(tgt), -2)
+        for orbit in orbits:
+            if all(v in extreme for v in orbit):
+                yield kind, orbit, _shift(member, orbit, delta).normalized()
 
 
 def base_adinkra(topology: Topology, parity=None) -> Adinkra:
@@ -162,9 +180,6 @@ class FamilyGraph:
     def __len__(self) -> int:
         return len(self.members)
 
-    def neighbors(self, key: HeightKey) -> list[tuple[str, int, HeightKey]]:
-        return [(kind, v, dst) for src, kind, v, dst in self.moves if src == key]
-
 
 def member_key(adinkra: Adinkra) -> HeightKey:
     return adinkra.normalized().heights
@@ -173,21 +188,17 @@ def member_key(adinkra: Adinkra) -> HeightKey:
 def enumerate_family(topology: Topology, parity=None) -> FamilyGraph:
     """Breadth-first closure of the base Adinkra under raising and lowering."""
     start = base_adinkra(topology, parity).normalized()
+    singles = [(v,) for v in topology.vertex_ids]
     members: dict[HeightKey, Adinkra] = {start.heights: start}
     moves: set[tuple[HeightKey, str, int, HeightKey]] = set()
-    queue = deque([start.heights])
+    queue = deque([start])
     while queue:
-        key = queue.popleft()
-        member = members[key]
-        steps = [("raise", v, raise_vertex) for v in sources(member)] + [
-            ("lower", v, lower_vertex) for v in targets(member)
-        ]
-        for kind, v, op in steps:
-            nxt = op(member, v).normalized()
+        member = queue.popleft()
+        for kind, (v,), nxt in _moves(member, singles):
             if nxt.heights not in members:
                 members[nxt.heights] = nxt
-                queue.append(nxt.heights)
-            moves.add((key, kind, v, nxt.heights))
+                queue.append(nxt)
+            moves.add((member.heights, kind, v, nxt.heights))
     return FamilyGraph(topology, members, tuple(sorted(moves)))
 
 
@@ -195,136 +206,120 @@ def kinship_distance(a: Adinkra, b: Adinkra) -> int:
     """Minimum number of single-vertex moves turning a into b (same topology)."""
     if a.topology != b.topology:
         raise AdinkraError("kinship distance needs both Adinkras on the same topology")
-    start = member_key(a)
+    start = a.normalized()
     goal = member_key(b)
-    if start == goal:
+    if start.heights == goal:
         return 0
-    dist = {start: 0}
+    singles = [(v,) for v in a.topology.vertex_ids]
+    dist = {start.heights: 0}
     queue = deque([start])
-    t = a.topology
-    parity = a.parity
     while queue:
-        key = queue.popleft()
-        member = Adinkra(t, key, parity)
-        for v in sources(member):
-            nxt = member_key(raise_vertex(member, v))
-            if nxt not in dist:
-                dist[nxt] = dist[key] + 1
-                if nxt == goal:
-                    return dist[nxt]
-                queue.append(nxt)
-        for v in targets(member):
-            nxt = member_key(lower_vertex(member, v))
-            if nxt not in dist:
-                dist[nxt] = dist[key] + 1
-                if nxt == goal:
-                    return dist[nxt]
+        member = queue.popleft()
+        for _, _, nxt in _moves(member, singles):
+            if nxt.heights not in dist:
+                dist[nxt.heights] = dist[member.heights] + 1
+                if nxt.heights == goal:
+                    return dist[nxt.heights]
                 queue.append(nxt)
     raise AdinkraError("height patterns are not connected by moves; data is inconsistent")
 
 
-def _color_map_extensions(ta: Topology, tb: Topology, va: int, vb: int):
-    """Try to extend va -> vb to a color-respecting map on va's component."""
-    mapping = {va: vb}
-    queue = deque([va])
-    while queue:
-        x = queue.popleft()
-        for w, color in ta.neighbors(x):
-            y = tb.neighbor(mapping[x], color)
-            if w in mapping:
-                if mapping[w] != y:
-                    return None
-            else:
-                mapping[w] = y
-                queue.append(w)
-    return mapping
+# An anchoring of one component: its vertex positions in BFS order from the
+# anchor, their statistics, and each one's neighbour ranks by color.
+_Anchoring = tuple[tuple[int, ...], tuple[str, ...], tuple[tuple[int, ...], ...]]
+
+
+def _anchorings(topology: Topology, colors: Sequence[int]) -> list[list[_Anchoring]]:
+    """Per component, one anchoring per vertex, searching neighbours in color order.
+
+    The statistics and neighbour ranks depend on the topology alone, so they
+    are computed once per topology and color order.
+    """
+    nbr = topology._neighbor
+    out = []
+    for comp in topology.components():
+        per_anchor = []
+        for anchor in comp:
+            rank = {anchor: 0}
+            order = [anchor]
+            for v in order:
+                for c in colors:
+                    w = nbr[v, c]
+                    if w not in rank:
+                        rank[w] = len(order)
+                        order.append(w)
+            per_anchor.append(
+                (
+                    tuple(topology._vindex[v] for v in order),
+                    tuple(topology.statistics_of(v) for v in order),
+                    tuple(tuple(rank[nbr[v, c]] for c in colors) for v in order),
+                )
+            )
+        out.append(per_anchor)
+    return out
+
+
+def _component_key(heights: tuple[int, ...], anchors: list[_Anchoring]) -> tuple:
+    """The least (statistics, heights moved by an even shift to a minimum of 0 or 1, ranks)."""
+    low = min(heights[i] for i in anchors[0][0])
+    base = low - low % 2
+    return min(
+        (stats, tuple(heights[i] - base for i in slots), ranks)
+        for slots, stats, ranks in anchors
+    )
+
+
+def _key_function(permute_colors: bool) -> Callable[[Adinkra], tuple]:
+    """A canonical isomorphism key, reusing each topology's anchorings.
+
+    Two components get equal keys exactly when a color- and
+    statistics-preserving map carries one onto the other with heights
+    agreeing up to an even shift.  The Adinkra's key is its color count with
+    the sorted component keys; with permute_colors, the least of these over
+    all color orders.
+    """
+    tables: dict[Topology, list[list[list[_Anchoring]]]] = {}
+
+    def key(a: Adinkra) -> tuple:
+        t = a.topology
+        per_order = tables.get(t)
+        if per_order is None:
+            colors = tuple(range(1, t.n_colors + 1))
+            orders = permutations(colors) if permute_colors else [colors]
+            per_order = tables[t] = [_anchorings(t, order) for order in orders]
+        return t.n_colors, min(
+            tuple(sorted(_component_key(a.heights, anchors) for anchors in comps))
+            for comps in per_order
+        )
+
+    return key
 
 
 def isomorphic(a: Adinkra, b: Adinkra, permute_colors: bool = False) -> bool:
     """Color- and statistics-preserving isomorphism of height patterns.
 
-    A color-respecting vertex map is rigid once one vertex image per component
-    is chosen, so candidates are enumerated by anchoring each component at
-    every possible image.  Heights must agree up to a constant even shift per
-    component; statistics must be preserved.  With permute_colors=True, color
-    relabelings are tried on top (a strictly coarser equivalence, exposed
-    separately).
+    Heights must agree up to a constant even shift per component, and
+    statistics must be preserved; parity is not compared.  With
+    permute_colors=True, color relabelings are allowed on top (a strictly
+    coarser equivalence, exposed separately).  Decided by comparing
+    canonical keys.
     """
-    ta, tb = a.topology, b.topology
-    if ta.n_colors != tb.n_colors or len(ta.vertex_ids) != len(tb.vertex_ids):
-        return False
-    from itertools import permutations
-
-    color_maps = (
-        [dict(zip(range(1, ta.n_colors + 1), p)) for p in permutations(range(1, ta.n_colors + 1))]
-        if permute_colors
-        else [{c: c for c in range(1, ta.n_colors + 1)}]
-    )
-    for cmap in color_maps:
-        relabeled = Topology.build(
-            ta.n_colors,
-            {v: ta.statistics_of(v) for v in ta.vertex_ids},
-            [(u, v, cmap[c]) for u, v, c in ta.edges],
-        )
-        ra = Adinkra(
-            relabeled,
-            tuple(a.height_of(v) for v in relabeled.vertex_ids),
-            tuple(a.parity_of(*e) for e in _unmapped_edges(ta, relabeled, cmap)),
-        )
-        if _match_components(ra, b):
-            return True
-    return False
-
-
-def _unmapped_edges(ta: Topology, relabeled: Topology, cmap) -> list[tuple[int, int, int]]:
-    inverse = {w: c for c, w in cmap.items()}
-    return [(u, v, inverse[c]) for u, v, c in relabeled.edges]
-
-
-def _match_components(a: Adinkra, b: Adinkra) -> bool:
-    ta, tb = a.topology, b.topology
-    comps_a = ta.components()
-    comps_b = list(tb.components())
-    if sorted(map(len, comps_a)) != sorted(map(len, comps_b)):
-        return False
-
-    def try_assign(i: int, used: set[int]) -> bool:
-        if i == len(comps_a):
-            return True
-        ca = comps_a[i]
-        va = ca[0]
-        for j, cb in enumerate(comps_b):
-            if j in used or len(cb) != len(ca):
-                continue
-            for vb in cb:
-                mapping = _color_map_extensions(ta, tb, va, vb)
-                if mapping is None:
-                    continue
-                if any(ta.statistics_of(x) != tb.statistics_of(y) for x, y in mapping.items()):
-                    continue
-                shifts = {b.height_of(y) - a.height_of(x) for x, y in mapping.items()}
-                if len(shifts) != 1 or next(iter(shifts)) % 2 != 0:
-                    continue
-                if try_assign(i + 1, used | {j}):
-                    return True
-        return False
-
-    return try_assign(0, set())
+    key = _key_function(permute_colors)
+    return key(a) == key(b)
 
 
 def isomorphism_classes(
     members: Iterable[Adinkra], permute_colors: bool = False
 ) -> list[list[Adinkra]]:
-    """Partition Adinkras into isomorphism classes (greedy, deterministic)."""
-    classes: list[list[Adinkra]] = []
+    """Partition Adinkras into isomorphism classes.
+
+    Classes and their members come in order of first appearance.
+    """
+    key = _key_function(permute_colors)
+    classes: dict[tuple, list[Adinkra]] = {}
     for m in members:
-        for cls in classes:
-            if isomorphic(cls[0], m, permute_colors=permute_colors):
-                cls.append(m)
-                break
-        else:
-            classes.append([m])
-    return classes
+        classes.setdefault(key(m), []).append(m)
+    return list(classes.values())
 
 
 @dataclass(frozen=True)
@@ -410,14 +405,7 @@ def main_sequence(
         idx = queue.popleft()
         member = steps[idx].adinkra
         counters = dict(steps[idx].counters)
-        src = set(sources(member))
-        for orbit in orbit_list:
-            if not all(v in src for v in orbit):
-                continue
-            raised = member
-            for v in orbit:
-                raised = raise_vertex(raised, v)
-            raised = raised.normalized()
+        for _, orbit, raised in _moves(member, orbit_list, kinds=("raise",)):
             new_counters = dict(counters)
             for v in orbit:
                 new_counters[v] += 1

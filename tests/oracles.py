@@ -3,18 +3,19 @@
 Everything here recomputes expected values by a different route than the
 implementation under test: potentials over a spanning forest instead of the
 BFS conflict search, direct height-pattern enumeration instead of move
-closure, a closed-form ladder count for the equivariant sequences, and a
-superspace engine that keeps coefficients as repeated unit-phase summands
-instead of Gaussian integers.
+closure, a closed-form ladder count for the equivariant sequences, pairwise
+vertex matching and a Burnside count instead of canonical isomorphism keys,
+and a superspace engine that keeps coefficients as repeated unit-phase
+summands instead of Gaussian integers.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import product
+from collections import Counter, deque
+from itertools import permutations, product
 from typing import Iterable
 
-from adinkra.core import BOSON, Edge, Topology
+from adinkra.core import BOSON, Adinkra, Edge, Topology
 from adinkra.superspace import I_PHASE, MINUS_ONE, ONE, FieldSymbol, Phase
 
 
@@ -150,6 +151,114 @@ def equivariant_ladder_patterns(n: int) -> set[tuple[int, ...]]:
         levels = [x + t for x in levels]
         patterns.add(tuple(levels[bin(v).count("1")] for v in topology_vids))
     return patterns
+
+
+# -- isomorphism by pairwise matching -----------------------------------------
+
+
+def _color_map_extensions(ta: Topology, tb: Topology, va: int, vb: int):
+    """Try to extend va -> vb to a color-respecting map on va's component."""
+    mapping = {va: vb}
+    queue = deque([va])
+    while queue:
+        x = queue.popleft()
+        for w, color in ta.neighbors(x):
+            y = tb.neighbor(mapping[x], color)
+            if w in mapping:
+                if mapping[w] != y:
+                    return None
+            else:
+                mapping[w] = y
+                queue.append(w)
+    return mapping
+
+
+def _match_components(a: Adinkra, b: Adinkra) -> bool:
+    """Assign components by backtracking, each through every anchor image."""
+    ta, tb = a.topology, b.topology
+    comps_a = ta.components()
+    comps_b = list(tb.components())
+    if sorted(map(len, comps_a)) != sorted(map(len, comps_b)):
+        return False
+
+    def try_assign(i: int, used: set[int]) -> bool:
+        if i == len(comps_a):
+            return True
+        ca = comps_a[i]
+        va = ca[0]
+        for j, cb in enumerate(comps_b):
+            if j in used or len(cb) != len(ca):
+                continue
+            for vb in cb:
+                mapping = _color_map_extensions(ta, tb, va, vb)
+                if mapping is None:
+                    continue
+                if any(ta.statistics_of(x) != tb.statistics_of(y) for x, y in mapping.items()):
+                    continue
+                shifts = {b.height_of(y) - a.height_of(x) for x, y in mapping.items()}
+                if len(shifts) != 1 or next(iter(shifts)) % 2 != 0:
+                    continue
+                if try_assign(i + 1, used | {j}):
+                    return True
+        return False
+
+    return try_assign(0, set())
+
+
+def matched_isomorphic(a: Adinkra, b: Adinkra, permute_colors: bool = False) -> bool:
+    """Search for a vertex map directly, once per color relabeling of a."""
+    ta, tb = a.topology, b.topology
+    if ta.n_colors != tb.n_colors or len(ta.vertex_ids) != len(tb.vertex_ids):
+        return False
+    colors = range(1, ta.n_colors + 1)
+    images = permutations(colors) if permute_colors else [tuple(colors)]
+    for image in images:
+        cmap = dict(zip(colors, image))
+        relabeled = Topology.build(
+            ta.n_colors,
+            {v: ta.statistics_of(v) for v in ta.vertex_ids},
+            [(u, v, cmap[c]) for u, v, c in ta.edges],
+        )
+        inverse = {w: c for c, w in cmap.items()}
+        ra = Adinkra(
+            relabeled,
+            tuple(a.height_of(v) for v in relabeled.vertex_ids),
+            tuple(a.parity_of(u, v, inverse[c]) for u, v, c in relabeled.edges),
+        )
+        if _match_components(ra, b):
+            return True
+    return False
+
+
+def matched_isomorphism_classes(
+    members: Iterable[Adinkra], permute_colors: bool = False
+) -> list[list[Adinkra]]:
+    """Greedy partition: each Adinkra joins the first class whose head it matches."""
+    classes: list[list[Adinkra]] = []
+    for m in members:
+        for cls in classes:
+            if matched_isomorphic(cls[0], m, permute_colors):
+                cls.append(m)
+                break
+        else:
+            classes.append([m])
+    return classes
+
+
+def burnside_class_count(n: int, patterns: Iterable[tuple[int, ...]]) -> int:
+    """Orbits of the even-weight XOR translations on a set of n-cube patterns.
+
+    These translations are the color- and statistics-preserving automorphisms
+    of the cube; by Burnside's lemma the orbit count is the mean number of
+    patterns each translation fixes.  The set must be closed under them.
+    """
+    group = [t for t in range(1 << n) if bin(t).count("1") % 2 == 0]
+    pats = list(patterns)
+    fixed = sum(
+        all(key[v ^ t] == key[v] for v in range(1 << n)) for t in group for key in pats
+    )
+    assert fixed % len(group) == 0
+    return fixed // len(group)
 
 
 # -- reference superspace engine ---------------------------------------------

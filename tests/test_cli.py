@@ -8,6 +8,7 @@ import json
 import pytest
 
 from adinkra.cli import main
+from adinkra.cube import MAX_CUBE_COLORS
 
 
 @pytest.fixture
@@ -27,6 +28,12 @@ def test_cube_emits_an_adinkra_document(run) -> None:
     doc = json.loads(out)
     assert doc["kind"] == "adinkra"
     assert len(doc["payload"]["vertices"]) == 4
+
+
+def test_cube_above_the_cap_fails(run) -> None:
+    code, out, err = run(["cube", str(MAX_CUBE_COLORS + 1)])
+    assert code == 1 and out == ""
+    assert "cap" in json.loads(err)["error"]
 
 
 def test_cube_spinor_flag(run) -> None:
@@ -172,6 +179,18 @@ def test_verify_constraints_rejects_a_tampered_equation(run, field, value, evide
     assert report["ok"] is False
     [failure] = report["failures"]
     assert failure.startswith(f"equation 0: {evidence}")
+
+
+@pytest.mark.parametrize("field, value", [("component", 99), ("gap", -3)])
+def test_validate_rejects_an_out_of_range_equation(run, field, value) -> None:
+    _, text, _ = run(["constraints", "-n", "2", "--entry", "1", "--entry", "2"])
+    doc = json.loads(text)
+    doc["payload"]["equations"][0][field] = value
+    code, out, _ = run(["validate"], stdin=json.dumps(doc))
+    assert code == 1
+    report = json.loads(out)
+    assert report["ok"] is False
+    assert report["violations"][0].startswith(f"$.payload.equations[0].{field}: expected")
 
 
 def test_verify_constraints_from_adinkra_document(run) -> None:

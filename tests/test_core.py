@@ -94,6 +94,16 @@ def test_components_and_distances() -> None:
     assert two.distance(0, 10) is None
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_squares_are_the_two_color_four_cycles(n: int) -> None:
+    t = cube_topology(n)
+    assert len(t.squares) == n * (n - 1) // 2 * (1 << (n - 2))
+    for c1, c2, square in t.squares:
+        edges = [t.edges[i] for i in square]
+        assert [e[2] for e in edges] == [c1, c2, c1, c2]
+        assert len({w for e in edges for w in e[:2]}) == 4
+
+
 def test_cube_distance_is_hamming() -> None:
     t = cube_topology(3)
     for u in t.vertex_ids:

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from adinkra.core import BOSON, FERMION, AdinkraError, parity_violations
 from adinkra.cube import (
+    MAX_CUBE_COLORS,
     SCALAR,
     SPINOR,
     antipodal_quotient,
@@ -41,6 +44,19 @@ def test_cube_shape(n: int) -> None:
     assert t.vertex_ids == tuple(range(1 << n))
     assert len(t.edges) == n * (1 << (n - 1))
     assert len(t.components()) == 1
+
+
+def test_cube_above_the_cap_fails_before_building() -> None:
+    assert MAX_CUBE_COLORS >= 9
+    tracemalloc.start()
+    try:
+        with pytest.raises(AdinkraError, match="cap"):
+            cube_topology(MAX_CUBE_COLORS + 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the 11-cube's vertex table alone would take megabytes
+    assert peak < 100_000
 
 
 def test_cube_statistics_conventions() -> None:

@@ -116,6 +116,85 @@ def test_trace_decode_checks_counters() -> None:
         deserialize(json.dumps(data))
 
 
+def test_family_decode_checks_the_shared_parity() -> None:
+    data = json.loads(serialize(enumerate_family(cube_topology(2))))
+    data["payload"]["parity"][0] ^= 1
+    with pytest.raises(DocumentError, match=r"\$\.payload\.parity: .*odd-square"):
+        deserialize(json.dumps(data))
+
+
+def test_family_decode_checks_each_members_gaps() -> None:
+    data = json.loads(serialize(enumerate_family(cube_topology(2))))
+    data["payload"]["members"][3][0] += 2
+    with pytest.raises(DocumentError, match=r"\$\.payload\.members\[3\]: .*height gap"):
+        deserialize(json.dumps(data))
+
+
+def _trace_data() -> dict:
+    return json.loads(serialize(main_sequence(base_adinkra(cube_topology(2)))))
+
+
+@pytest.mark.parametrize(
+    "tamper, where",
+    [
+        (lambda p: p.__setitem__("cycle_closure", "oops"), r"payload\.cycle_closure"),
+        (lambda p: p.__setitem__("cycle_closure", 1), r"payload\.cycle_closure"),
+        (lambda p: p["steps"][1].__setitem__("counters", [["a", None]]), r"steps\[1\]\.counters\[0\]\[0\]"),
+        (lambda p: p["steps"][1].__setitem__("counters", [[9, 1]]), r"steps\[1\]\.counters\[0\]\[0\]"),
+        (lambda p: p["steps"][1].__setitem__("counters", [[[0], 1]]), r"steps\[1\]\.counters\[0\]\[0\]"),
+        (lambda p: p["steps"][1].__setitem__("counters", [[0, None]]), r"steps\[1\]\.counters\[0\]\[1\]"),
+        (lambda p: p["steps"][1].__setitem__("move", [7]), r"steps\[1\]\.move\[0\]"),
+        (lambda p: p["steps"][1].__setitem__("parent", 999), r"steps\[1\]\.parent"),
+        (lambda p: p["steps"][1].__setitem__("parent", 1), r"steps\[1\]\.parent"),
+        (lambda p: p["steps"][-1].__setitem__("repeat_of", len(p["steps"])), r"repeat_of"),
+        (lambda p: p["steps"][-1].__setitem__("repeat_of", 1), r"repeat_of: step 1 has other heights"),
+    ],
+)
+def test_trace_decode_checks_meaning(tamper, where) -> None:
+    data = _trace_data()
+    tamper(data["payload"])
+    with pytest.raises(DocumentError, match=where):
+        deserialize(json.dumps(data))
+
+
+def test_trace_decode_rejects_the_combined_tampering() -> None:
+    data = _trace_data()
+    payload = data["payload"]
+    payload["cycle_closure"] = "oops"
+    payload["steps"][1]["counters"] = [["a", None]]
+    payload["steps"][1]["parent"] = 999
+    with pytest.raises(DocumentError, match=r"^\$\.payload\."):
+        deserialize(json.dumps(data))
+
+
+@pytest.mark.parametrize(
+    "field, value, where",
+    [
+        ("component", 4, "component"),
+        ("component", -1, "component"),
+        ("alpha", 2, "alpha"),
+        ("beta", -1, "beta"),
+        ("beta", "alpha", "beta"),
+        ("gap", -3, "gap"),
+    ],
+)
+def test_constraints_decode_checks_index_ranges(field, value, where) -> None:
+    data = json.loads(serialize(emit_constraints(SourceSpec(2, ((1, 0), (2, 0))))))
+    eq = data["payload"]["equations"][0]
+    eq[field] = eq[value] if value == "alpha" else value
+    with pytest.raises(DocumentError, match=rf"equations\[0\]\.{where}: expected"):
+        deserialize(json.dumps(data))
+    # a caller comparing the equations itself can still read them
+    assert deserialize(json.dumps(data), check_equations=False).payload.equations[0] is not None
+
+
+def test_constraints_decode_checks_the_color_count() -> None:
+    data = json.loads(serialize(emit_constraints(SourceSpec(2, ((1, 0), (2, 0))))))
+    data["payload"]["n_colors"] = -1
+    with pytest.raises(DocumentError, match=r"n_colors: expected a positive int"):
+        deserialize(json.dumps(data))
+
+
 def test_constraints_decode_checks_phase() -> None:
     cs = emit_constraints(SourceSpec(2, ((1, 0), (2, 0))))
     data = json.loads(serialize(cs))

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adinkra.core import Adinkra, AdinkraError
-from adinkra.cube import antipodal_quotient, cube_topology
+from adinkra.core import BOSON, FERMION, Adinkra, AdinkraError, Topology
+from adinkra.cube import SCALAR, SPINOR, antipodal_quotient, cube_topology, standard_parity
 from adinkra.mutation import (
     automorphic_dual,
     base_adinkra,
@@ -22,7 +22,12 @@ from adinkra.mutation import (
     targets,
 )
 
-from oracles import all_height_patterns, equivariant_ladder_patterns
+from oracles import (
+    all_height_patterns,
+    burnside_class_count,
+    equivariant_ladder_patterns,
+    matched_isomorphism_classes,
+)
 
 
 def x_adinkra() -> Adinkra:
@@ -212,6 +217,84 @@ def test_isomorphism_classes_of_n2_family() -> None:
     assert len(classes) == 4
     assert sorted(len(c) for c in classes) == [1, 1, 2, 2]
     assert len(isomorphism_classes(members, permute_colors=True)) == 4
+
+
+def two_squares() -> Topology:
+    """Two disjoint two-color squares, the second one's vertices offset by 10."""
+    stats, edges = {}, []
+    for off in (0, 10):
+        for v in range(4):
+            stats[off + v] = BOSON if bin(v).count("1") % 2 == 0 else FERMION
+        edges += [(off + 0, off + 1, 1), (off + 2, off + 3, 1), (off + 0, off + 2, 2), (off + 1, off + 3, 2)]
+    return Topology.build(2, stats, edges)
+
+
+def _pool() -> list[Adinkra]:
+    topologies = [cube_topology(n, kind) for n in (1, 2, 3) for kind in (SCALAR, SPINOR)]
+    topologies += [antipodal_quotient(), two_squares()]
+    return [m for t in topologies for m in enumerate_family(t).members.values()]
+
+
+POOL = _pool()
+
+
+def _lifted(a: Adinkra, lifts: list[int]) -> Adinkra:
+    """a with each component moved up by its lift; isomorphic to a when the lifts are even."""
+    heights = a.heights_by_vertex()
+    for comp, k in zip(a.topology.components(), lifts):
+        for v in comp:
+            heights[v] += k
+    return Adinkra.from_maps(a.topology, heights, a.parity_by_edge())
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(0, len(POOL) - 1), st.lists(st.integers(-3, 3), min_size=2, max_size=2)),
+        max_size=10,
+    ),
+    st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_classes_match_pairwise_matching(picks, permute_colors: bool) -> None:
+    members = [_lifted(POOL[i], lifts) for i, lifts in picks]
+    assert isomorphism_classes(members, permute_colors) == matched_isomorphism_classes(
+        members, permute_colors
+    )
+
+
+@pytest.mark.parametrize("permute_colors", [False, True])
+def test_classes_match_pairwise_matching_on_whole_families(permute_colors: bool) -> None:
+    for t in (cube_topology(3), antipodal_quotient(), two_squares()):
+        members = list(enumerate_family(t).members.values())
+        assert isomorphism_classes(members, permute_colors) == matched_isomorphism_classes(
+            members, permute_colors
+        )
+
+
+def test_n4_class_count_equals_burnside_count() -> None:
+    fam = enumerate_family(cube_topology(4))
+    classes = isomorphism_classes(fam.members.values())
+    assert len(classes) == burnside_class_count(4, fam.members) == 156
+
+
+def test_isomorphic_matches_components_in_any_order() -> None:
+    base = base_adinkra(two_squares())
+    # raising vertex 0 or vertex 10 tilts one square or the other
+    assert isomorphic(raise_vertex(base, 0), raise_vertex(base, 10))
+    assert not isomorphic(raise_vertex(base, 0), raise_vertex(raise_vertex(base, 0), 10))
+
+
+def test_every_n4_member_passes_the_public_checks() -> None:
+    t = cube_topology(4)
+    for member in enumerate_family(t, standard_parity(t)).members.values():
+        assert Adinkra(member.topology, member.heights, member.parity) == member
+
+
+def test_public_constructor_still_checks_members() -> None:
+    member = raise_vertex(base_adinkra(cube_topology(3)), 0)
+    flipped = (1 - member.parity[0],) + member.parity[1:]
+    with pytest.raises(AdinkraError, match="odd-square"):
+        Adinkra(member.topology, member.heights, flipped)
 
 
 # ---------------------------------------------------------------------------
