@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 from typing import Sequence
 
 from .core import BOSON, Adinkra, AdinkraError
-from .cube import SCALAR, SPINOR, cube_signature, dist0, hgt0, subset_label
+from .cube import MAX_CUBE_COLORS, SCALAR, SPINOR, cube_signature, dist0, hgt0, subset_label
 from .mutation import lowering_sequence_to_one_hooked, sources
 from .superspace import (
     D,
@@ -71,6 +71,9 @@ class SourceSpec:
     entries: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        n = self.n_colors  # the battery lives on the n-cube, so the cube cap applies
+        if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_CUBE_COLORS:
+            raise AdinkraError(f"a source spec needs 1..{MAX_CUBE_COLORS} colors (the cube cap), got {n!r}")
         if not self.entries:
             raise AdinkraError("a source spec needs at least one entry")
         seen = set()

@@ -137,7 +137,8 @@ class Topology:
 
     Use :meth:`build` to construct from raw data: it validates.  The bare
     constructor only indexes already-canonical tuples and checks nothing.
-    Indexes, components and two-color squares are computed once per instance.
+    Indexes, components, a spanning forest and two-color squares are computed
+    once per instance.
     """
 
     n_colors: int
@@ -160,6 +161,10 @@ class Topology:
         default=(), compare=False, repr=False, hash=False
     )
     _component_slots: tuple[tuple[int, ...], ...] = field(
+        default=(), compare=False, repr=False, hash=False
+    )
+    _forest: tuple[int, ...] = field(default=(), compare=False, repr=False, hash=False)
+    _around: tuple[tuple[tuple[int, int], ...], ...] = field(
         default=(), compare=False, repr=False, hash=False
     )
     _dist_cache: dict[int, dict[int, int]] = field(
@@ -190,12 +195,17 @@ class Topology:
             nbr[u, color] = v
             nbr[v, color] = u
         object.__setattr__(self, "_neighbor", nbr)
-        # neighbour positions per vertex position, in color order
-        adjacent = tuple(
-            tuple(vindex[w] for w, _ in self.neighbors(v)) for v in self.vertex_ids
+        # (neighbour, color) pairs and neighbour positions per vertex position, in color order
+        around = tuple(
+            tuple((nbr[v, c], c) for c in range(1, self.n_colors + 1) if (v, c) in nbr)
+            for v in self.vertex_ids
         )
+        object.__setattr__(self, "_around", around)
+        adjacent = tuple(tuple(vindex[w] for w, _ in pairs) for pairs in around)
         object.__setattr__(self, "_adjacent", adjacent)
+        # BFS from the lowest roots; its tree edges are the forest solve_edge_parity gauges
         slots: list[tuple[int, ...]] = []
+        forest: list[int] = []
         seen: set[int] = set()
         for root in range(len(self.vertex_ids)):
             if root in seen:
@@ -203,11 +213,13 @@ class Topology:
             seen.add(root)
             comp = [root]
             for i in comp:
-                for j in adjacent[i]:
+                for j, (w, color) in zip(adjacent[i], around[i]):
                     if j not in seen:
                         seen.add(j)
                         comp.append(j)
+                        forest.append(self._eindex[_canon_edge(self.vertex_ids[i], w, color)])
             slots.append(tuple(sorted(comp)))
+        object.__setattr__(self, "_forest", tuple(forest))
         object.__setattr__(self, "_component_slots", tuple(slots))
         object.__setattr__(
             self,
@@ -241,12 +253,8 @@ class Topology:
 
     def neighbors(self, v: int) -> list[tuple[int, int]]:
         """All (neighbor, color) pairs at v, in color order."""
-        out = []
-        for color in range(1, self.n_colors + 1):
-            w = self._neighbor.get((v, color))
-            if w is not None:
-                out.append((w, color))
-        return out
+        i = self._vindex.get(v)
+        return [] if i is None else list(self._around[i])
 
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Connected components as sorted vertex tuples, ordered by minimum id."""
@@ -410,7 +418,7 @@ class Adinkra:
         h = self.heights
         out: list[int] | None = None
         for slots in t._component_slots:
-            low = min(h[i] for i in slots)
+            low = min(map(h.__getitem__, slots))
             first = slots[0]
             # across an edge both the height and the statistics flip
             boson_parity = (h[first] + (t.statistics[first] != BOSON)) % 2
@@ -602,37 +610,17 @@ class ParityResult:
     certificate: tuple[tuple[Edge, ...], ...] | None = None
 
 
-def _spanning_forest(topology: Topology) -> set[Edge]:
-    """Deterministic BFS forest: lowest id roots, neighbors in color order."""
-    tree: set[Edge] = set()
-    seen: set[int] = set()
-    for root in topology.vertex_ids:
-        if root in seen:
-            continue
-        seen.add(root)
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for w, color in topology.neighbors(v):
-                if w not in seen:
-                    seen.add(w)
-                    tree.add(_canon_edge(v, w, color))
-                    queue.append(w)
-    return tree
-
-
 def solve_edge_parity(topology: Topology) -> ParityResult:
     """Solve for an edge parity satisfying the odd-square rule over GF(2).
 
     One equation per two-colored square (sum of its four edge parities = 1);
     longer two-colored cycles are unconstrained.  Gauge fixing: edges of the
-    lexicographic BFS spanning forest are set to 0, remaining free variables
+    topology's BFS spanning forest are set to 0, remaining free variables
     to 0, so the result is deterministic.  Unsatisfiable systems yield a
     certificate instead (the violating combination of squares).
     """
     edges = topology.edges
     ne = len(edges)
-    eindex = topology._eindex
 
     squares: list[tuple[Edge, ...]] = []
     rows: list[int] = []  # bit i (i < ne) = edge coefficient, bit ne = RHS
@@ -643,8 +631,7 @@ def solve_edge_parity(topology: Topology) -> ParityResult:
         squares.append(tuple(edges[i] for i in square))
         rows.append(row)
     n_squares = len(rows)
-    for e in _spanning_forest(topology):
-        rows.append(1 << eindex[e])  # gauge: tree edge = 0
+    rows += [1 << i for i in topology._forest]  # gauge: tree edge = 0
 
     # Gaussian elimination, pivots in canonical edge order; provenance masks
     # track which original rows combine into each reduced row.

@@ -20,8 +20,8 @@ from typing import Any, Mapping
 
 from .core import BOSON, FERMION, Adinkra, AdinkraError, Topology, _check_heights, _check_parity
 from .constraints import Constraint, ConstraintSystem, SourceSpec
-from .cube import SCALAR, SPINOR
-from .mutation import FamilyGraph, SequenceStep, SequenceTrace
+from .cube import MAX_CUBE_COLORS, SCALAR, SPINOR
+from .mutation import FamilyGraph, SequenceStep, SequenceTrace, lower_vertex, raise_vertex
 from .superspace import Phase
 
 __all__ = [
@@ -258,30 +258,31 @@ def _decode_topology(data: dict, path: str) -> Topology:
     n = _int(data, "n_colors", path)
     stats, _ = _decode_vertices(data, path, with_heights=False)
     edges, _ = _decode_edges(data, path, with_parity=False)
-    return Topology.build(n, stats, edges)
+    return _at(path, Topology.build, n, stats, edges)
 
 
 def _decode_adinkra(data: dict, path: str) -> Adinkra:
     n = _int(data, "n_colors", path)
     stats, heights = _decode_vertices(data, path, with_heights=True)
     edges, parity = _decode_edges(data, path, with_parity=True)
-    topo = Topology.build(n, stats, edges)
-    return Adinkra.from_maps(topo, heights, parity)
+    topo = _at(path, Topology.build, n, stats, edges)
+    return _at(path, Adinkra.from_maps, topo, heights, parity)
 
 
 def _heights_tuple(raw, topo: Topology, path: str) -> tuple[int, ...]:
     if not isinstance(raw, list) or len(raw) != len(topo.vertex_ids):
         raise _fail(path, f"expected {len(topo.vertex_ids)} heights")
-    for i, h in enumerate(raw):
-        if isinstance(h, bool) or not isinstance(h, int):
-            raise _fail(f"{path}[{i}]", f"expected int, got {type(h).__name__}")
+    # JSON decodes integers to exact ints; bool is the one int subclass it yields
+    if not {int}.issuperset(map(type, raw)):
+        i, h = next((i, h) for i, h in enumerate(raw) if type(h) is not int)
+        raise _fail(f"{path}[{i}]", f"expected int, got {type(h).__name__}")
     return tuple(raw)
 
 
-def _at(path: str, check, *args) -> None:
-    """Run a graph-level check, naming path in its error."""
+def _at(path: str, check, *args):
+    """Run a graph-level check or build and return its result, naming path in its error."""
     try:
-        check(*args)
+        return check(*args)
     except AdinkraError as exc:
         raise _fail(path, str(exc)) from None
 
@@ -323,7 +324,11 @@ def _decode_family(data: dict, path: str) -> FamilyGraph:
         for key, kp in ((src, "from"), (dst, "to")):
             if key not in members:
                 raise _fail(f"{mp}.{kp}", "heights are not a listed member")
-        moves.append((src, kind, _int(item, "vertex", mp), dst))
+        vertex = _int(item, "vertex", mp)
+        move = raise_vertex if kind == "raise" else lower_vertex
+        if _at(mp, move, members[src], vertex).normalized().heights != dst:
+            raise _fail(mp, f"{kind} {vertex} does not turn 'from' into 'to'")
+        moves.append((src, kind, vertex, dst))
     return FamilyGraph(topo, members, tuple(sorted(moves)))
 
 
@@ -378,7 +383,10 @@ def _decode_trace(data: dict, path: str) -> SequenceTrace:
         if repeat_of is not None and steps[repeat_of].adinkra.heights != heights:
             raise _fail(f"{sp}.repeat_of", f"step {repeat_of} has other heights")
         adinkra = Adinkra._trusted(topo, heights, parity)
-        steps.append(SequenceStep(adinkra, move, tuple(counters), parent, repeat_of))
+        step = SequenceStep(adinkra, move, tuple(counters), parent, repeat_of)
+        if i:
+            _replay_raise(steps, step, sp)
+        steps.append(step)
     closure = data.get("cycle_closure")
     if closure is not None:
         if isinstance(closure, bool) or not isinstance(closure, int):
@@ -390,13 +398,29 @@ def _decode_trace(data: dict, path: str) -> SequenceTrace:
     return SequenceTrace(tuple(steps), closure)
 
 
+def _replay_raise(steps: list[SequenceStep], step: SequenceStep, path: str) -> None:
+    """Check that raising step.move in its parent gives its heights and counters."""
+    if step.parent is None:
+        raise _fail(f"{path}.parent", "only the start step may have a null parent")
+    if not step.move:
+        raise _fail(f"{path}.move", "expected the raised vertices; only the start step has none")
+    parent = steps[step.parent]
+    raised = parent.adinkra
+    for v in step.move:
+        raised = _at(f"{path}.move", raise_vertex, raised, v)
+    if raised.normalized().heights != step.adinkra.heights:
+        raise _fail(f"{path}.move", f"raising {list(step.move)} in step {step.parent} gives other heights")
+    if tuple(sorted((v, c + step.move.count(v)) for v, c in parent.counters)) != step.counters:
+        raise _fail(f"{path}.counters", f"expected step {step.parent}'s counters plus one per moved vertex")
+
+
 _PHASES = {str(Phase(k)): Phase(k) for k in range(4)}
 
 
 def _decode_constraints(data: dict, path: str, check_equations: bool = True) -> ConstraintSystem:
     n = _int(data, "n_colors", path)
-    if n < 1:
-        raise _fail(f"{path}.n_colors", f"expected a positive int, got {n}")
+    if not 1 <= n <= MAX_CUBE_COLORS:
+        raise _fail(f"{path}.n_colors", f"expected a positive int up to the cube cap {MAX_CUBE_COLORS}, got {n}")
     kind = _get(data, "kind", str, path)
     if kind not in (SCALAR, SPINOR):
         raise _fail(f"{path}.kind", f"expected '{SCALAR}' or '{SPINOR}', got {kind!r}")

@@ -5,8 +5,9 @@ implementation under test: potentials over a spanning forest instead of the
 BFS conflict search, direct height-pattern enumeration instead of move
 closure, a closed-form ladder count for the equivariant sequences, pairwise
 vertex matching and a Burnside count instead of canonical isomorphism keys,
-and a superspace engine that keeps coefficients as repeated unit-phase
-summands instead of Gaussian integers.
+a superspace engine that keeps coefficients as repeated unit-phase
+summands instead of Gaussian integers, and a closure check by the walks of
+{Q_a, Q_b} instead of an epsilon-Grassmann algebra.
 """
 
 from __future__ import annotations
@@ -16,7 +17,16 @@ from itertools import permutations, product
 from typing import Iterable
 
 from adinkra.core import BOSON, Adinkra, Edge, Topology
-from adinkra.superspace import I_PHASE, MINUS_ONE, ONE, FieldSymbol, Phase
+from adinkra.superspace import (
+    I_PHASE,
+    MINUS_ONE,
+    ONE,
+    FieldSymbol,
+    Phase,
+    RuleSet,
+    _accumulate,
+    _rot,
+)
 
 
 def all_orientations(topology: Topology):
@@ -369,3 +379,35 @@ def ref_str(n_colors: int, terms: RefTerms) -> str:
         theta = "".join(f"th{c + 1}" for c in range(n_colors) if mask >> c & 1)
         bits.append(f"{phase}*{theta + '*' if theta else ''}{sym}")
     return " ".join(bits) or "0"
+
+
+# ---------------------------------------------------------------------------
+# closure as the anticommutator walk: each rule term of x is one step of Q_c
+# (Q_c x holds phase * source, dotted when marked), so Q_a Q_b x sums the
+# two-step walks x -(color b)-> y -(color a)-> z, and {Q_a, Q_b} x adds both
+# color orders; no epsilon monomials and no crossing signs
+
+
+def walk_closure_violations(ruleset: RuleSet) -> list[str]:
+    """The messages of closure_violations, evidence included, from the walks."""
+    t = ruleset.adinkra.topology
+    rules = ruleset.rule_map()
+    names = ruleset.name_map()
+    bad = []
+    for x in t.vertex_ids:
+        # (a, b, z, dots) -> coefficient of z with dots in {Q_a, Q_b} x, less 2i delta_ab x'
+        left = {(c, c, x, 1): (0, -2) for c in range(1, t.n_colors + 1)}
+        for r1 in rules[x]:
+            for r2 in rules[r1.source]:
+                g = _rot((1, 0), r1.phase.k + r2.phase.k)
+                end = (r2.source, r1.dotted + r2.dotted)
+                _accumulate(left, (r2.color, r1.color) + end, g)  # in Q_a Q_b
+                _accumulate(left, (r1.color, r2.color) + end, g)  # in Q_b Q_a
+        if left:
+            evidence = "; ".join(
+                f"{{Q{a},Q{b}}} leaves ({re}{im:+d}i) {FieldSymbol(str(names.get(z, z)), dots)}"
+                for (a, b, z, dots), (re, im) in sorted(left.items())
+                if a <= b
+            )
+            bad.append(f"closure fails on component {names.get(x, x)} (vertex {x}): {evidence}")
+    return bad

@@ -9,6 +9,7 @@ import pytest
 
 from adinkra.cli import main
 from adinkra.cube import MAX_CUBE_COLORS
+from adinkra.superspace import RuleSet, RuleTerm, transformation_rules
 
 
 @pytest.fixture
@@ -271,3 +272,50 @@ def test_missing_required_flag_is_a_usage_error(run) -> None:
     with pytest.raises(SystemExit) as exc:
         run(["hang"])
     assert exc.value.code == 2
+
+
+def test_validate_rejects_a_family_move_that_does_not_replay(run) -> None:
+    _, text, _ = run(["cube", "2"])
+    _, fam, _ = run(["family"], stdin=text)
+    doc = json.loads(fam)
+    move = doc["payload"]["moves"][0]
+    move["kind"] = "raise" if move["kind"] == "lower" else "lower"
+    move["vertex"] = 0
+    code, out, _ = run(["validate"], stdin=json.dumps(doc))
+    assert code == 1
+    assert json.loads(out)["violations"][0].startswith("$.payload.moves[0]: ")
+
+
+def test_validate_rejects_a_trace_step_that_does_not_replay(run) -> None:
+    _, text, _ = run(["cube", "2"])
+    _, trace, _ = run(["main-seq"], stdin=text)
+    doc = json.loads(trace)
+    doc["payload"]["steps"][1]["move"] = [3]
+    code, out, _ = run(["validate"], stdin=json.dumps(doc))
+    assert code == 1
+    assert json.loads(out)["violations"][0].startswith("$.payload.steps[1].move: ")
+
+
+def test_constraints_above_the_cap_fails(run) -> None:
+    code, out, err = run(["constraints", "-n", str(MAX_CUBE_COLORS + 1), "--entry", "1"])
+    assert code == 1 and out == ""
+    assert "cube cap" in json.loads(err)["error"]
+
+
+def test_verify_susy_reports_the_terms_left(run, monkeypatch) -> None:
+    def flipped(adinkra):
+        rs = transformation_rules(adinkra)
+        rules = dict(rs.rules)
+        r = rules[0][0]
+        rules[0] = (RuleTerm(-r.phase, r.color, r.source, r.dotted),) + rules[0][1:]
+        return RuleSet(rs.adinkra, rs.names, tuple(sorted(rules.items())))
+
+    monkeypatch.setattr("adinkra.cli.transformation_rules", flipped)
+    _, cube, _ = run(["cube", "2"])
+    code, out, _ = run(["verify-susy"], stdin=cube)
+    assert code == 1
+    report = json.loads(out)
+    assert report["ok"] is False
+    assert report["violations"][0] == (
+        "closure fails on component phi0 (vertex 0): {Q1,Q1} leaves (0-4i) phi0'; {Q1,Q2} leaves (0+2i) phi3"
+    )

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from adinkra.core import Adinkra, AdinkraError
 from adinkra.cube import (
     SCALAR,
+    MAX_CUBE_COLORS,
     SPINOR,
     antipodal_quotient,
     cube_topology,
@@ -66,6 +68,20 @@ def test_spec_validation() -> None:
         SourceSpec(2, ((1, -1),))
     with pytest.raises(AdinkraError, match="outside"):
         SourceSpec(2, ((4, 0),))
+
+
+@pytest.mark.parametrize("n", [0, MAX_CUBE_COLORS + 1, 10_000_000, True, 2.0])
+def test_spec_color_count_is_capped_before_building(n) -> None:
+    tracemalloc.start()
+    try:
+        with pytest.raises(AdinkraError, match="cube cap"):
+            SourceSpec(n, ((1, 0),))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 1 << 10_000_000 alone would take over a megabyte
+    assert peak < 100_000
+    assert SourceSpec(MAX_CUBE_COLORS, ((1, 0),)).n_colors == MAX_CUBE_COLORS
 
 
 def test_ehgt_flags_dominated_entries() -> None:

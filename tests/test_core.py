@@ -18,7 +18,7 @@ from adinkra.core import (
     solve_edge_parity,
     validate_topology,
 )
-from adinkra.cube import cube_topology, standard_parity
+from adinkra.cube import SPINOR, antipodal_quotient, cube_topology, standard_parity
 
 from oracles import all_orientations, cycle_space_engineerable
 
@@ -262,6 +262,31 @@ def test_solved_parity_satisfies_odd_square_rule(n: int) -> None:
     res = solve_edge_parity(t)
     assert res.ok
     assert parity_violations(t, tuple(res.parity[e] for e in t.edges)) == []
+
+
+def _two_squares() -> Topology:
+    stats = {**SQUARE_STATS, **{v + 4: s for v, s in SQUARE_STATS.items()}}
+    edges = SQUARE_EDGES + [(u + 4, v + 4, c) for u, v, c in SQUARE_EDGES]
+    return Topology.build(2, stats, edges)
+
+
+@pytest.mark.parametrize(
+    "t",
+    [cube_topology(n) for n in (1, 3, 5)] + [cube_topology(4, SPINOR), antipodal_quotient(), _two_squares()],
+)
+def test_recorded_forest_spans_every_component(t: Topology) -> None:
+    forest = [t.edges[i] for i in t._forest]
+    assert len(forest) == len(t.vertex_ids) - len(t.components())
+    root = {v: v for v in t.vertex_ids}
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for u, v, _ in forest:
+        assert find(u) != find(v)  # no cycle, so V - C edges span
+        root[find(u)] = find(v)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

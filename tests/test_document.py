@@ -250,3 +250,72 @@ def test_export_dot_multicomponent_topology() -> None:
     )
     dot = export_dot(two)
     assert "v10" in dot and "v11" in dot
+
+
+def test_graph_level_decode_errors_name_their_path() -> None:
+    def cube2(tamper) -> str:
+        data = json.loads(serialize(base_adinkra(cube_topology(2))))
+        tamper(data["payload"])
+        return json.dumps(data)
+
+    with pytest.raises(DocumentError, match=r"^\$\.payload: invalid topology: "):
+        deserialize(cube2(lambda p: p["edges"][0].__setitem__("color", 2)))
+    with pytest.raises(DocumentError, match=r"^\$\.payload: edge \(0, 1, 1\) has height gap -3"):
+        deserialize(cube2(lambda p: p["vertices"][0].__setitem__("height", 4)))
+    family = json.loads(serialize(enumerate_family(cube_topology(2))))
+    family["payload"]["topology"]["edges"][0]["color"] = 2
+    with pytest.raises(DocumentError, match=r"^\$\.payload\.topology: invalid topology"):
+        deserialize(json.dumps(family))
+
+
+@pytest.mark.parametrize(
+    "kind, vertex, why",
+    [
+        ("raise", 0, "raise 0 does not turn 'from' into 'to'"),
+        ("lower", 2, "lower 2 does not turn 'from' into 'to'"),
+        ("lower", 0, "cannot lower 0"),
+        ("lower", 9, "unknown vertex 9"),
+    ],
+)
+def test_family_decode_replays_each_move(kind, vertex, why) -> None:
+    data = json.loads(serialize(enumerate_family(cube_topology(2))))
+    move = data["payload"]["moves"][0]
+    assert (move["from"], move["kind"], move["vertex"]) == ([0, 1, 1, 0], "lower", 1)
+    move["kind"], move["vertex"] = kind, vertex
+    with pytest.raises(DocumentError, match=rf"^\$\.payload\.moves\[0\]: {why}"):
+        deserialize(json.dumps(data))
+
+
+def test_family_and_trace_documents_replay_cleanly() -> None:
+    for topo in (cube_topology(3), cube_topology(3, "spinor"), antipodal_quotient()):
+        for obj in (enumerate_family(topo), main_sequence(base_adinkra(topo))):
+            text = serialize(obj)
+            assert serialize(deserialize(text)) == text
+
+
+@pytest.mark.parametrize(
+    "tamper, where",
+    [
+        (lambda p: p["steps"][1].__setitem__("move", [3]), r"steps\[1\]\.move: raising \[3\] in step 0 gives other heights"),
+        (lambda p: p["steps"][1].__setitem__("move", [1]), r"steps\[1\]\.move: cannot raise 1"),
+        (lambda p: p["steps"][1].__setitem__("move", [0, 0]), r"steps\[1\]\.move: cannot raise 0"),
+        (lambda p: p["steps"][1].__setitem__("move", None), r"steps\[1\]\.move: expected the raised vertices"),
+        (lambda p: p["steps"][1].__setitem__("move", []), r"steps\[1\]\.move: expected the raised vertices"),
+        (lambda p: p["steps"][1].__setitem__("parent", None), r"steps\[1\]\.parent: only the start step"),
+        (lambda p: p["steps"][3].__setitem__("parent", 0), r"steps\[3\]\.move: raising \[3\] in step 0"),
+        (lambda p: p["steps"][1]["counters"][0].__setitem__(1, 2), r"steps\[1\]\.counters: expected step 0's"),
+        (lambda p: p["steps"][0]["counters"][3].__setitem__(1, 5), r"steps\[1\]\.counters: expected step 0's"),
+    ],
+)
+def test_trace_decode_replays_each_raise(tamper, where) -> None:
+    data = _trace_data()
+    tamper(data["payload"])
+    with pytest.raises(DocumentError, match=rf"^\$\.payload\.{where}"):
+        deserialize(json.dumps(data))
+
+
+def test_constraints_decode_caps_the_color_count() -> None:
+    data = json.loads(serialize(emit_constraints(SourceSpec(2, ((1, 0), (2, 0))))))
+    data["payload"]["n_colors"] = 1_000_000
+    with pytest.raises(DocumentError, match=r"^\$\.payload\.n_colors: .*cube cap 10, got 1000000"):
+        deserialize(json.dumps(data))

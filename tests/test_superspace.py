@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import pickle
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adinkra.core import BOSON, FERMION, AdinkraError
-from adinkra.cube import SCALAR, SPINOR, hgt0
+from adinkra.cube import SCALAR, SPINOR, antipodal_quotient, cube_topology, hgt0
 from adinkra.mutation import base_adinkra, enumerate_family
 from adinkra.superspace import (
     DTAU,
@@ -41,6 +42,7 @@ from adinkra.superspace import (
 )
 
 from oracles import (
+    walk_closure_violations,
     ref_add,
     ref_apply,
     ref_deriv_theta,
@@ -364,3 +366,73 @@ def test_closure_detects_a_wrong_sign() -> None:
     rules[0] = (RuleTerm(-first[0].phase, first[0].color, first[0].source, first[0].dotted),) + first[1:]
     corrupted = RuleSet(rs.adinkra, rs.names, tuple(sorted(rules.items())))
     assert closure_violations(corrupted) != []
+
+
+def test_closure_failure_lists_the_terms_left() -> None:
+    a = adinkra_of_superfield(2)
+    rs = transformation_rules(a)
+    rules = dict(rs.rules)
+    first = rules[0]
+    # Q1 phi0 = -i psi1 instead of +i psi1
+    rules[0] = (RuleTerm(-first[0].phase, first[0].color, first[0].source, first[0].dotted),) + first[1:]
+    corrupted = RuleSet(rs.adinkra, rs.names, tuple(sorted(rules.items())))
+    assert closure_violations(corrupted) == [
+        # {Q1,Q1} phi0 = 2 Q1 (-i psi1) = -2i phi0', and Q1 Q2 phi0 = Q2 Q1 phi0 = i phi3
+        "closure fails on component phi0 (vertex 0): {Q1,Q1} leaves (0-4i) phi0'; {Q1,Q2} leaves (0+2i) phi3",
+        "closure fails on component psi1 (vertex 1): {Q1,Q1} leaves (0-4i) psi1'",
+        "closure fails on component psi2 (vertex 2): {Q1,Q2} leaves (0-2i) psi1'",
+    ]
+
+
+@lru_cache(maxsize=None)
+def _family_rules(n: int, kind: str) -> tuple[RuleSet, ...]:
+    topo = antipodal_quotient() if n == 0 else cube_topology(n, kind)
+    return tuple(transformation_rules(m) for m in enumerate_family(topo).members.values())
+
+
+@pytest.mark.parametrize("n, kind", [(n, k) for n in (1, 2, 3) for k in (SCALAR, SPINOR)] + [(0, SCALAR)])
+def test_closure_matches_the_walks_on_whole_families(n: int, kind: str) -> None:
+    for rs in _family_rules(n, kind):
+        assert closure_violations(rs) == walk_closure_violations(rs) == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([SCALAR, SPINOR]), st.integers(0, 989))
+def test_closure_matches_the_walks_on_four_colors(kind: str, index: int) -> None:
+    rs = _family_rules(4, kind)[index]
+    assert closure_violations(rs) == walk_closure_violations(rs) == []
+
+
+_CORRUPTIONS = ("rotate", "drop", "dot", "duplicate", "source")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([(1, SCALAR), (2, SPINOR), (3, SCALAR), (3, SPINOR), (0, SCALAR)]),
+    st.data(),
+)
+def test_closure_matches_the_walks_on_corrupted_rules(family, data) -> None:
+    members = _family_rules(*family)
+    rs = members[data.draw(st.integers(0, len(members) - 1))]
+    rules = dict(rs.rules)
+    vertex = data.draw(st.sampled_from(sorted(rules)))
+    terms = list(rules[vertex])
+    j = data.draw(st.integers(0, len(terms) - 1))
+    r = terms[j]
+    how = data.draw(st.sampled_from(_CORRUPTIONS))
+    if how == "rotate":
+        terms[j] = RuleTerm(Phase(r.phase.k + data.draw(st.integers(1, 3))), r.color, r.source, r.dotted)
+    elif how == "drop":
+        del terms[j]
+    elif how == "dot":
+        terms[j] = RuleTerm(r.phase, r.color, r.source, not r.dotted)
+    elif how == "duplicate":
+        terms.append(r)
+    else:
+        other = data.draw(st.sampled_from([v for v in sorted(rules) if v != r.source]))
+        terms[j] = RuleTerm(r.phase, r.color, other, r.dotted)
+    rules[vertex] = tuple(terms)
+    corrupted = RuleSet(rs.adinkra, rs.names, tuple(sorted(rules.items())))
+    found = closure_violations(corrupted)
+    assert found == walk_closure_violations(corrupted)
+    assert found
