@@ -35,7 +35,7 @@ from .cube import (
     hgt0,
     standard_parity,
 )
-from .document import Document, deserialize, export_dot, serialize
+from .document import Document, _indented_json, deserialize, export_dot, serialize
 from .hanging import HookSet, check_hooks, hang
 from .mutation import (
     base_adinkra,
@@ -83,7 +83,7 @@ def _emit(obj, annotations=None) -> int:
 
 
 def _report(data: dict) -> None:
-    sys.stdout.write(json.dumps(data, indent=2) + "\n")
+    sys.stdout.write(_indented_json(data) + "\n")
 
 
 # ---------------------------------------------------------------------------

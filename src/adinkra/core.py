@@ -118,7 +118,11 @@ def validate_topology(
         if stats[ce[0]] == stats[ce[1]]:
             report.append(f"edge {ce} joins two {stats[ce[0]]}s; statistics must alternate")
 
-    # one edge of each color at every vertex
+    # one edge of each color at every vertex; the scan below is |V| * n_colors
+    # long, so a color count no valid graph on these edges can have stops here
+    if stats and n_colors > len(edge_list):
+        report.append(f"{n_colors} colors but {len(edge_list)} valid edges, so some vertex misses a color")
+        return report
     degree: dict[tuple[int, int], int] = {}
     for u, v, color in edge_list:
         degree[u, color] = degree.get((u, color), 0) + 1
@@ -460,9 +464,14 @@ def parity_violations(topology: Topology, parity: Sequence[int]) -> list[str]:
     edges = topology.edges
     for c1, c2, square in topology.squares:
         if sum(parity[i] for i in square) % 2 != 1:
-            verts = sorted({w for i in square for w in edges[i][:2]})
-            bad.append(f"square on vertices {verts} (colors {c1},{c2}) has even parity sum")
+            bad.append(_square_text([edges[i] for i in square]) + " has even parity sum")
     return bad
+
+
+def _square_text(square: Sequence[Edge]) -> str:
+    verts = sorted({w for e in square for w in e[:2]})
+    c1, c2 = sorted({e[2] for e in square})
+    return f"square on vertices {verts} (colors {c1},{c2})"
 
 
 def net_ascent(
@@ -616,8 +625,10 @@ def solve_edge_parity(topology: Topology) -> ParityResult:
     One equation per two-colored square (sum of its four edge parities = 1);
     longer two-colored cycles are unconstrained.  Gauge fixing: edges of the
     topology's BFS spanning forest are set to 0, remaining free variables
-    to 0, so the result is deterministic.  Unsatisfiable systems yield a
-    certificate instead (the violating combination of squares).
+    to 0, so the result is deterministic.  Rows are reduced in order, the
+    squares first and then the gauge rows; each row's pivot is its lowest
+    edge column that no earlier row has taken.  Unsatisfiable systems yield
+    a certificate instead (the violating combination of squares).
     """
     edges = topology.edges
     ne = len(edges)
@@ -633,35 +644,49 @@ def solve_edge_parity(topology: Topology) -> ParityResult:
     n_squares = len(rows)
     rows += [1 << i for i in topology._forest]  # gauge: tree edge = 0
 
-    # Gaussian elimination, pivots in canonical edge order; provenance masks
-    # track which original rows combine into each reduced row.
+    # Gaussian elimination, pivots in canonical edge order: each row takes
+    # its lowest coefficient bit without a pivot, and clearing a bit with its
+    # pivot row only touches higher bits.  Provenance masks track which
+    # original rows combine into each reduced row.
+    coeffs = (1 << ne) - 1
     prov = [1 << i for i in range(len(rows))]
     pivot_row_of: dict[int, int] = {}
     for r in range(len(rows)):
         row, pr = rows[r], prov[r]
-        for col in range(ne):
-            if not row >> col & 1:
-                continue
-            if col in pivot_row_of:
-                s = pivot_row_of[col]
-                row ^= rows[s]
-                pr ^= prov[s]
-            else:
+        rest = row & coeffs
+        while rest:
+            col = (rest & -rest).bit_length() - 1
+            s = pivot_row_of.get(col)
+            if s is None:
                 pivot_row_of[col] = r
                 break
+            row ^= rows[s]
+            pr ^= prov[s]
+            rest = row & coeffs
         rows[r], prov[r] = row, pr
         if row == 1 << ne:  # 0 = 1
             cert = tuple(squares[i] for i in range(n_squares) if pr >> i & 1)
             return ParityResult(ok=False, certificate=cert)
 
-    # back-substitution with free variables at 0
-    values = [0] * ne
+    # back-substitution with free variables at 0; bit i of values is edge i
+    values = 0
     for col in sorted(pivot_row_of, reverse=True):
         row = rows[pivot_row_of[col]]
-        acc = row >> ne & 1
-        for c2 in range(col + 1, ne):
-            if row >> c2 & 1:
-                acc ^= values[c2]
-        values[col] = acc
-    parity = {e: values[i] for i, e in enumerate(edges)}
+        # the row's bits are col, later (already solved) columns and the RHS
+        if ((row >> ne) + (row & values).bit_count()) & 1:
+            values |= 1 << col
+    parity = {e: values >> i & 1 for i, e in enumerate(edges)}
     return ParityResult(ok=True, parity=parity)
+
+
+def _solved_parity(topology: Topology) -> dict[Edge, int]:
+    """The solved parity, or an AdinkraError naming every certificate square."""
+    solved = solve_edge_parity(topology)
+    if not solved.ok:
+        cert = solved.certificate
+        raise AdinkraError(
+            "no odd-square edge parity exists for this topology: "
+            f"the odd-square rules of these {len(cert)} squares sum to 0 = 1: "
+            + "; ".join(map(_square_text, cert))
+        )
+    return solved.parity

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Mapping
 
 from .core import BOSON, FERMION, Adinkra, AdinkraError, Topology, _check_heights, _check_parity
@@ -183,7 +184,39 @@ def serialize(obj: Payload | Document, annotations: Mapping[str, Any] | None = N
         "annotations": annotations,
         "payload": _ENCODERS[kind](payload),
     }
-    return json.dumps(data, indent=2) + "\n"
+    return _indented_json(data) + "\n"
+
+
+def _indented_json(value: Any, pad: str = "") -> str:
+    """The text of json.dumps(value, indent=2), nested at indent pad.
+
+    json.dumps never uses its C encoder when indent is set, so this walks
+    the dicts with str keys and the lists and tuples itself, writes plain
+    ints and strs as json does, joins a list of plain ints in one step, and
+    hands every other value (floats, bools, None, dicts with other keys,
+    types json rejects) to json.dumps.
+    """
+    kind = type(value)
+    if kind is int:
+        return str(value)
+    if kind is str:
+        return _quote(value)
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        if {int}.issuperset(map(type, value)):
+            items = map(str, value)
+        else:
+            items = (_indented_json(x, inner) for x in value)
+        return f"[\n{inner}{sep.join(items)}\n{pad}]"
+    if kind is dict and {str}.issuperset(map(type, value)):
+        if not value:
+            return "{}"
+        items = (f"{_quote(k)}: {_indented_json(v, inner)}" for k, v in value.items())
+        return f"{{\n{inner}{sep.join(items)}\n{pad}}}"
+    return json.dumps(value, indent=2).replace("\n", "\n" + pad)
 
 
 # ---------------------------------------------------------------------------
@@ -214,13 +247,22 @@ def _list(obj: dict, key: str, path: str) -> list:
     return _get(obj, key, list, path)
 
 
+def _only_keys(item: dict, keys: tuple[str, ...], path: str) -> None:
+    """Reject keys another kind would carry, such as an Adinkra's heights in a topology."""
+    for key in item:
+        if key not in keys:
+            raise _fail(path, f"unexpected key {key!r}")
+
+
 def _decode_vertices(data: dict, path: str, with_heights: bool):
     stats: dict[int, str] = {}
     heights: dict[int, int] = {}
+    keys = ("id", "statistics", "height") if with_heights else ("id", "statistics")
     for i, item in enumerate(_list(data, "vertices", path)):
         vp = f"{path}.vertices[{i}]"
         if not isinstance(item, dict):
             raise _fail(vp, f"expected object, got {type(item).__name__}")
+        _only_keys(item, keys, vp)
         vid = _int(item, "id", vp)
         st = _get(item, "statistics", str, vp)
         if st not in (BOSON, FERMION):
@@ -236,10 +278,12 @@ def _decode_vertices(data: dict, path: str, with_heights: bool):
 def _decode_edges(data: dict, path: str, with_parity: bool):
     edges: list[tuple[int, int, int]] = []
     parity: dict[tuple[int, int, int], int] = {}
+    keys = ("color", "ends", "parity") if with_parity else ("color", "ends")
     for i, item in enumerate(_list(data, "edges", path)):
         ep = f"{path}.edges[{i}]"
         if not isinstance(item, dict):
             raise _fail(ep, f"expected object, got {type(item).__name__}")
+        _only_keys(item, keys, ep)
         color = _int(item, "color", ep)
         ends = _list(item, "ends", ep)
         if len(ends) != 2 or not all(isinstance(e, int) and not isinstance(e, bool) for e in ends):
@@ -368,6 +412,8 @@ def _decode_trace(data: dict, path: str) -> SequenceTrace:
             raise _fail(f"{sp}.move", f"expected null or list, got {type(move_raw).__name__}")
         move = None
         if move_raw is not None:
+            if not i:
+                raise _fail(f"{sp}.move", "expected null; the start step has no parent to replay a move from")
             move = tuple(_vertex(v, topo, f"{sp}.move[{j}]") for j, v in enumerate(move_raw))
         counters = []
         for j, pair in enumerate(_get(item, "counters", list, sp)):
@@ -430,7 +476,7 @@ def _decode_constraints(data: dict, path: str, check_equations: bool = True) -> 
         if not isinstance(item, dict):
             raise _fail(ep, f"expected object, got {type(item).__name__}")
         entries.append((_int(item, "subset", ep), _int(item, "shift", ep)))
-    spec = SourceSpec(n, tuple(entries))
+    spec = _at(f"{path}.entries", SourceSpec, n, tuple(entries))
     equations = []
     for i, item in enumerate(_list(data, "equations", path)):
         ep = f"{path}.equations[{i}]"

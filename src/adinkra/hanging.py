@@ -20,7 +20,7 @@ from .core import (
     AdinkraError,
     Edge,
     Topology,
-    solve_edge_parity,
+    _solved_parity,
 )
 
 __all__ = ["TARGETS", "SOURCES", "HookSet", "check_hooks", "hang", "hooks_of", "one_hooked"]
@@ -110,10 +110,7 @@ def hang(
             else:
                 heights[v] = min(h + dist[v] for h, dist in tables)
     if parity is None:
-        solved = solve_edge_parity(topology)
-        if not solved.ok:
-            raise AdinkraError("no odd-square edge parity exists for this topology")
-        parity = solved.parity
+        parity = _solved_parity(topology)
     return Adinkra.from_maps(topology, heights, parity)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .core import BOSON, Adinkra, AdinkraError, Topology, solve_edge_parity
+from .core import BOSON, Adinkra, AdinkraError, Topology, _solved_parity
 
 __all__ = [
     "sources",
@@ -117,10 +117,7 @@ def base_adinkra(topology: Topology, parity=None) -> Adinkra:
         v: 0 if topology.statistics_of(v) == BOSON else 1 for v in topology.vertex_ids
     }
     if parity is None:
-        solved = solve_edge_parity(topology)
-        if not solved.ok:
-            raise AdinkraError("no odd-square edge parity exists for this topology")
-        parity = solved.parity
+        parity = _solved_parity(topology)
     return Adinkra.from_maps(topology, heights, parity)
 
 

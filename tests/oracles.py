@@ -7,7 +7,9 @@ closure, a closed-form ladder count for the equivariant sequences, pairwise
 vertex matching and a Burnside count instead of canonical isomorphism keys,
 a superspace engine that keeps coefficients as repeated unit-phase
 summands instead of Gaussian integers, and a closure check by the walks of
-{Q_a, Q_b} instead of an epsilon-Grassmann algebra.
+{Q_a, Q_b} instead of an epsilon-Grassmann algebra, and an odd-square
+parity solve that eliminates column by column, and the doubly-even-code
+theorem for which cube quotients carry an odd-square parity at all.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from collections import Counter, deque
 from itertools import permutations, product
 from typing import Iterable
 
-from adinkra.core import BOSON, Adinkra, Edge, Topology
+from adinkra.core import BOSON, Adinkra, Edge, ParityResult, Topology
+from adinkra.cube import cube_statistics
 from adinkra.superspace import (
     I_PHASE,
     MINUS_ONE,
@@ -411,3 +414,81 @@ def walk_closure_violations(ruleset: RuleSet) -> list[str]:
             )
             bad.append(f"closure fails on component {names.get(x, x)} (vertex {x}): {evidence}")
     return bad
+
+
+# ---------------------------------------------------------------------------
+# the odd-square parity solve as first written: forward elimination tests
+# every column of every row, back-substitution keeps one value per edge
+
+
+def column_solve_edge_parity(topology: Topology) -> ParityResult:
+    """solve_edge_parity by column-by-column elimination: same pivots, same gauge."""
+    edges = topology.edges
+    ne = len(edges)
+
+    squares: list[tuple[Edge, ...]] = []
+    rows: list[int] = []  # bit i (i < ne) = edge coefficient, bit ne = RHS
+    for _, _, square in topology.squares:
+        row = 1 << ne
+        for i in square:
+            row ^= 1 << i
+        squares.append(tuple(edges[i] for i in square))
+        rows.append(row)
+    n_squares = len(rows)
+    rows += [1 << i for i in topology._forest]  # gauge: tree edge = 0
+
+    # Gaussian elimination, pivots in canonical edge order; provenance masks
+    # track which original rows combine into each reduced row.
+    prov = [1 << i for i in range(len(rows))]
+    pivot_row_of: dict[int, int] = {}
+    for r in range(len(rows)):
+        row, pr = rows[r], prov[r]
+        for col in range(ne):
+            if not row >> col & 1:
+                continue
+            if col in pivot_row_of:
+                s = pivot_row_of[col]
+                row ^= rows[s]
+                pr ^= prov[s]
+            else:
+                pivot_row_of[col] = r
+                break
+        rows[r], prov[r] = row, pr
+        if row == 1 << ne:  # 0 = 1
+            cert = tuple(squares[i] for i in range(n_squares) if pr >> i & 1)
+            return ParityResult(ok=False, certificate=cert)
+
+    # back-substitution with free variables at 0
+    values = [0] * ne
+    for col in sorted(pivot_row_of, reverse=True):
+        row = rows[pivot_row_of[col]]
+        acc = row >> ne & 1
+        for c2 in range(col + 1, ne):
+            if row >> c2 & 1:
+                acc ^= values[c2]
+        values[col] = acc
+    parity = {e: values[i] for i, e in enumerate(edges)}
+    return ParityResult(ok=True, parity=parity)
+
+
+def code_quotient(n: int, word: int) -> Topology:
+    """The n-cube with each subset identified with its XOR by word (|word| even, at least 4)."""
+    rep = lambda v: min(v, v ^ word)
+    stats = {rep(v): cube_statistics(rep(v)) for v in range(1 << n)}
+    edges = {
+        tuple(sorted((rep(v), rep(v | 1 << c)))) + (c + 1,)
+        for v in range(1 << n)
+        for c in range(n)
+        if not v >> c & 1
+    }
+    return Topology.build(n, stats, sorted(edges))
+
+
+def doubly_even(word: int) -> bool:
+    """Whether code_quotient(n, word) has an odd-square parity.
+
+    The quotient of a cube by the code {0, word} is an Adinkra topology with
+    a valid sign choice exactly when the code is doubly even, |word| = 0 mod 4
+    (Doran, Faux, Gates, Hubsch, Iga, Landweber, arXiv:1108.4124).
+    """
+    return bin(word).count("1") % 4 == 0

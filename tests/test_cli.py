@@ -9,7 +9,10 @@ import pytest
 
 from adinkra.cli import main
 from adinkra.cube import MAX_CUBE_COLORS
+from adinkra.document import serialize
 from adinkra.superspace import RuleSet, RuleTerm, transformation_rules
+
+from oracles import code_quotient
 
 
 @pytest.fixture
@@ -294,6 +297,25 @@ def test_validate_rejects_a_trace_step_that_does_not_replay(run) -> None:
     code, out, _ = run(["validate"], stdin=json.dumps(doc))
     assert code == 1
     assert json.loads(out)["violations"][0].startswith("$.payload.steps[1].move: ")
+
+
+def test_validate_rejects_a_move_on_the_start_step(run) -> None:
+    _, text, _ = run(["cube", "2"])
+    _, trace, _ = run(["main-seq"], stdin=text)
+    doc = json.loads(trace)
+    doc["payload"]["steps"][0]["move"] = [0]
+    code, out, _ = run(["validate"], stdin=json.dumps(doc))
+    assert code == 1
+    assert json.loads(out)["violations"][0].startswith("$.payload.steps[0].move: ")
+
+
+def test_hang_without_a_parity_names_the_certificate(run) -> None:
+    topology = serialize(code_quotient(6, 0b111111))
+    code, out, err = run(["hang", "--mode", "sources", "--hook=0=0"], stdin=topology)
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert "the odd-square rules of these 15 squares sum to 0 = 1: " in error
+    assert error.count("square on vertices") == 15
 
 
 def test_constraints_above_the_cap_fails(run) -> None:

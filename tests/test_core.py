@@ -19,8 +19,16 @@ from adinkra.core import (
     validate_topology,
 )
 from adinkra.cube import SPINOR, antipodal_quotient, cube_topology, standard_parity
+from adinkra.hanging import SOURCES, HookSet, hang
+from adinkra.mutation import base_adinkra
 
-from oracles import all_orientations, cycle_space_engineerable
+from oracles import (
+    all_orientations,
+    code_quotient,
+    column_solve_edge_parity,
+    cycle_space_engineerable,
+    doubly_even,
+)
 
 
 SQUARE_STATS = {0: BOSON, 1: FERMION, 2: FERMION, 3: BOSON}
@@ -294,3 +302,66 @@ def test_standard_parity_satisfies_odd_square_rule(n: int) -> None:
     t = cube_topology(n)
     parity = standard_parity(t)
     assert parity_violations(t, tuple(parity[e] for e in t.edges)) == []
+
+
+# (n, word) with |word| = 4, 4, 4, 8: the doubly-even codes {0, word}
+SOLVABLE_CODES = [(4, 0b1111), (5, 0b11110), (6, 0b110110), (8, 0b11111111)]
+# |word| = 6, 6, 6: even but not doubly even
+UNSOLVABLE_CODES = [(6, 0b111111), (7, 0b1111110), (8, 0b11111100)]
+
+
+def _parity_cases():
+    cases = [cube_topology(n, kind) for n in range(1, 9) for kind in ("scalar", SPINOR)]
+    cases += [antipodal_quotient(), _two_squares()]
+    cases += [code_quotient(n, w) for n, w in SOLVABLE_CODES + UNSOLVABLE_CODES]
+    return cases
+
+
+@pytest.mark.parametrize("t", _parity_cases(), ids=lambda t: f"{t.n_colors}c{len(t.vertex_ids)}v")
+def test_parity_solve_matches_column_elimination(t: Topology) -> None:
+    assert solve_edge_parity(t) == column_solve_edge_parity(t)
+
+
+@pytest.mark.parametrize("n, word", SOLVABLE_CODES + UNSOLVABLE_CODES)
+def test_code_quotient_is_solvable_exactly_when_doubly_even(n: int, word: int) -> None:
+    t = code_quotient(n, word)
+    res = solve_edge_parity(t)
+    assert res.ok == doubly_even(word)
+    if res.ok:
+        assert parity_violations(t, tuple(res.parity[e] for e in t.edges)) == []
+        assert res.certificate is None
+    else:
+        assert res.parity is None
+
+
+@pytest.mark.parametrize("n, word", UNSOLVABLE_CODES)
+def test_certificate_sums_to_zero_equals_one(n: int, word: int) -> None:
+    t = code_quotient(n, word)
+    cert = solve_edge_parity(t).certificate
+    # each square contributes 1 on the right; every edge must cancel on the left
+    assert len(cert) % 2 == 1
+    assert len(set(cert)) == len(cert)
+    assert set(cert) <= {tuple(t.edges[i] for i in sq) for _, _, sq in t.squares}
+    cover: dict = {}
+    for sq in cert:
+        assert len(sq) == 4
+        for e in sq:
+            cover[e] = cover.get(e, 0) + 1
+    assert all(k % 2 == 0 for k in cover.values())
+
+
+def test_parity_failure_names_every_certificate_square() -> None:
+    t = code_quotient(6, 0b111111)
+    cert = solve_edge_parity(t).certificate
+    assert len(cert) == 15
+    hooks = HookSet.from_map(SOURCES, {0: 0})
+    for build in (lambda: hang(t, hooks), lambda: base_adinkra(t)):
+        with pytest.raises(AdinkraError) as info:
+            build()
+        msg = str(info.value)
+        assert msg.startswith(
+            "no odd-square edge parity exists for this topology: "
+            "the odd-square rules of these 15 squares sum to 0 = 1: square on vertices ["
+        )
+        assert msg.count("square on vertices") == 15
+        assert "square on vertices [0, 15, 16, 31] (colors 5,6)" in msg

@@ -3,13 +3,16 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adinkra.constraints import SourceSpec, emit_constraints
 from adinkra.core import BOSON, FERMION, Topology
-from adinkra.cube import antipodal_quotient, cube_topology
+from adinkra.cube import SPINOR, antipodal_quotient, cube_topology
 from adinkra.document import (
     Document,
     DocumentError,
+    _indented_json,
     deserialize,
     document_kind,
     export_dot,
@@ -319,3 +322,133 @@ def test_constraints_decode_caps_the_color_count() -> None:
     data["payload"]["n_colors"] = 1_000_000
     with pytest.raises(DocumentError, match=r"^\$\.payload\.n_colors: .*cube cap 10, got 1000000"):
         deserialize(json.dumps(data))
+
+
+def test_trace_decode_rejects_a_move_on_the_start_step() -> None:
+    data = _trace_data()
+    data["payload"]["steps"][0]["move"] = [0]
+    with pytest.raises(DocumentError, match=r"^\$\.payload\.steps\[0\]\.move: expected null"):
+        deserialize(json.dumps(data))
+
+
+def test_constraints_decode_names_the_path_of_a_bad_entry() -> None:
+    data = json.loads(serialize(emit_constraints(SourceSpec(2, ((1, 0), (2, 0))))))
+    data["payload"]["entries"][1]["subset"] = 1
+    with pytest.raises(DocumentError, match=r"^\$\.payload\.entries: subset \{1\} appears twice"):
+        deserialize(json.dumps(data))
+
+
+def test_topology_decode_rejects_an_adinkras_vertex_and_edge_fields() -> None:
+    data = json.loads(serialize(base_adinkra(cube_topology(2))))
+    data["kind"] = "topology"
+    with pytest.raises(DocumentError, match=r"^\$\.payload\.vertices\[0\]: unexpected key 'height'"):
+        deserialize(json.dumps(data))
+    for v in data["payload"]["vertices"]:
+        del v["height"]
+    with pytest.raises(DocumentError, match=r"^\$\.payload\.edges\[0\]: unexpected key 'parity'"):
+        deserialize(json.dumps(data))
+
+
+def test_topology_decode_refuses_a_huge_color_count_at_once() -> None:
+    data = json.loads(serialize(cube_topology(2)))
+    data["payload"]["n_colors"] = 10**18
+    with pytest.raises(DocumentError, match=r"^\$\.payload: invalid topology: .* some vertex misses a color"):
+        deserialize(json.dumps(data))
+
+
+# ---------------------------------------------------------------------------
+# the indented writer and one-field mutations
+
+
+_JSON_LEAVES = (
+    st.integers()
+    | st.booleans()
+    | st.none()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=8)
+)
+_JSON_KEYS = st.text(max_size=6) | st.integers() | st.floats() | st.booleans() | st.none()
+_JSON_TREES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=5).map(tuple)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=5)
+    | st.dictionaries(_JSON_KEYS, inner, max_size=5),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_TREES)
+def test_indented_writer_equals_json_dumps(tree) -> None:
+    assert _indented_json(tree) == json.dumps(tree, indent=2)
+
+
+@pytest.mark.parametrize("bad", [object(), {1, 2}, b"x", 1j, {(1, 2): 0}])
+def test_indented_writer_rejects_what_json_rejects(bad) -> None:
+    for tree in (bad, [1, bad], {"a": [bad]}):
+        with pytest.raises(TypeError):
+            json.dumps(tree, indent=2)
+        with pytest.raises(TypeError):
+            _indented_json(tree)
+
+
+def _mutation_documents() -> list[str]:
+    docs = []
+    for n in (1, 2):
+        t = cube_topology(n)
+        docs += [serialize(t), serialize(base_adinkra(t)), serialize(enumerate_family(t))]
+        docs.append(serialize(main_sequence(base_adinkra(t))))
+    docs.append(serialize(base_adinkra(cube_topology(2, SPINOR))))
+    docs.append(serialize(emit_constraints(SourceSpec(1, ((0, 0), (1, 1))))))
+    docs.append(serialize(emit_constraints(SourceSpec(2, ((1, 0), (2, 0))))))
+    docs.append(serialize(emit_constraints(SourceSpec(2, ((0, 0), (3, 0))), SPINOR)))
+    return docs
+
+
+_MUTATION_DOCUMENTS = _mutation_documents()
+
+
+def _scalars(node, path=()):
+    """(path, value) of every non-null scalar in a JSON tree."""
+    if isinstance(node, dict):
+        for key, val in node.items():
+            yield from _scalars(val, path + (key,))
+    elif isinstance(node, list):
+        for i, val in enumerate(node):
+            yield from _scalars(val, path + (i,))
+    elif node is not None:
+        yield path, node
+
+
+# the strings the documents use, so that a swap can land on a meaningful value
+_VOCABULARY = sorted(
+    {s for text in _MUTATION_DOCUMENTS for _, s in _scalars(json.loads(text)) if isinstance(s, str)}
+    | {"topology", "adinkra", "family", "trace", "constraints", "raise", "lower", "-1", "+i", "-i"}
+)
+
+
+def _same_json_type(value):
+    if isinstance(value, bool):
+        return st.just(not value)
+    if isinstance(value, int):
+        return (st.integers() | st.integers(-3, 20)).filter(lambda x: x != value)
+    return (st.text() | st.sampled_from(_VOCABULARY)).filter(lambda x: x != value)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_one_mutated_scalar_is_rejected_with_its_path_or_round_trips(data) -> None:
+    tree = json.loads(data.draw(st.sampled_from(_MUTATION_DOCUMENTS)))
+    path, value = data.draw(st.sampled_from(list(_scalars(tree))))
+    node = tree
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = data.draw(_same_json_type(value))
+    text = json.dumps(tree, indent=2) + "\n"
+    try:
+        doc = deserialize(text)
+    except DocumentError as exc:
+        assert str(exc).startswith("$."), str(exc)
+    else:
+        assert serialize(doc) == text
