@@ -252,9 +252,6 @@ class Topology:
         except KeyError:
             raise AdinkraError(f"no edge {(u, v, color)} in topology") from None
 
-    def has_edge(self, u: int, v: int, color: int) -> bool:
-        return _canon_edge(u, v, color) in self._eindex
-
     def neighbors(self, v: int) -> list[tuple[int, int]]:
         """All (neighbor, color) pairs at v, in color order."""
         i = self._vindex.get(v)
@@ -332,12 +329,10 @@ def orientation_from_heights(
     topology: Topology, heights: Mapping[int, int]
 ) -> dict[Edge, tuple[int, int]]:
     """Arrow (tail, head) per edge, pointing from the lower to the higher end."""
+    _check_heights(topology, [heights[v] for v in topology.vertex_ids])
     out: dict[Edge, tuple[int, int]] = {}
     for u, v, color in topology.edges:
-        hu, hv = heights[u], heights[v]
-        if abs(hu - hv) != 1:
-            raise AdinkraError(f"edge {(u, v, color)} has height gap {hv - hu}, expected +-1")
-        out[(u, v, color)] = (u, v) if hu < hv else (v, u)
+        out[(u, v, color)] = (u, v) if heights[u] < heights[v] else (v, u)
     return out
 
 
@@ -584,10 +579,7 @@ def normalize_heights(topology: Topology, heights: Mapping[int, int]) -> dict[in
     Requires the +-1 gap rule on every edge.  A component whose bosons and
     fermions share a height parity cannot be normalized and is rejected.
     """
-    for u, v, color in topology.edges:
-        gap = heights[v] - heights[u]
-        if abs(gap) != 1:
-            raise AdinkraError(f"edge {(u, v, color)} has height gap {gap}, expected +-1")
+    _check_heights(topology, [heights[v] for v in topology.vertex_ids])
     out: dict[int, int] = {}
     for comp in topology.components():
         boson_par = {heights[v] % 2 for v in comp if topology.statistics_of(v) == BOSON}

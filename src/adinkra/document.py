@@ -22,7 +22,7 @@ from typing import Any, Mapping
 from .core import BOSON, FERMION, Adinkra, AdinkraError, Topology, _check_heights, _check_parity
 from .constraints import Constraint, ConstraintSystem, SourceSpec
 from .cube import MAX_CUBE_COLORS, SCALAR, SPINOR
-from .mutation import FamilyGraph, SequenceStep, SequenceTrace, lower_vertex, raise_vertex
+from .mutation import FamilyGraph, SequenceStep, SequenceTrace, _singles, _walk, raise_vertex
 from .superspace import Phase
 
 __all__ = [
@@ -348,32 +348,39 @@ def _shared_parity(data: dict, topo: Topology, path: str) -> tuple[int, ...]:
 
 
 def _decode_family(data: dict, path: str) -> FamilyGraph:
+    """Require the listed members and moves to be the family recomputed from topology and parity."""
     topo = _decode_topology(_get(data, "topology", dict, path), f"{path}.topology")
     parity = _shared_parity(data, topo, path)
-    members = {}
-    for i, raw in enumerate(_list(data, "members", path)):
-        key = _heights_tuple(raw, topo, f"{path}.members[{i}]")
-        _at(f"{path}.members[{i}]", _check_heights, topo, key)
-        members[key] = Adinkra._trusted(topo, key, parity)
+    listed = [
+        _heights_tuple(raw, topo, f"{path}.members[{i}]")
+        for i, raw in enumerate(_list(data, "members", path))
+    ]
     moves = []
     for i, item in enumerate(_list(data, "moves", path)):
         mp = f"{path}.moves[{i}]"
         if not isinstance(item, dict):
             raise _fail(mp, f"expected object, got {type(item).__name__}")
         kind = _get(item, "kind", str, mp)
-        if kind not in ("raise", "lower"):
-            raise _fail(f"{mp}.kind", f"expected 'raise' or 'lower', got {kind!r}")
         src = _heights_tuple(_get(item, "from", list, mp), topo, f"{mp}.from")
         dst = _heights_tuple(_get(item, "to", list, mp), topo, f"{mp}.to")
-        for key, kp in ((src, "from"), (dst, "to")):
-            if key not in members:
-                raise _fail(f"{mp}.{kp}", "heights are not a listed member")
-        vertex = _int(item, "vertex", mp)
-        move = raise_vertex if kind == "raise" else lower_vertex
-        if _at(mp, move, members[src], vertex).normalized().heights != dst:
-            raise _fail(mp, f"{kind} {vertex} does not turn 'from' into 'to'")
-        moves.append((src, kind, vertex, dst))
-    return FamilyGraph(topo, members, tuple(sorted(moves)))
+        moves.append((src, kind, _int(item, "vertex", mp), dst))
+    # the walk starts at the valise, which is already in normal form
+    start = Adinkra._trusted(topo, tuple(int(s != BOSON) for s in topo.statistics), parity)
+    members = {start.heights: start}
+    walked = []
+    for src, kind, (v,), nxt in _walk(start, _singles(topo), ("raise", "lower")):
+        members.setdefault(nxt.heights, nxt)
+        if len(members) > len(listed):
+            raise _fail(f"{path}.members", f"the family has more than the {len(listed)} listed")
+        walked.append((src, kind, v, nxt.heights))
+    for key, given, found in (("members", listed, sorted(members)), ("moves", moves, sorted(walked))):
+        if given != found:
+            i = next((i for i, (a, b) in enumerate(zip(given, found)) if a != b), min(len(given), len(found)))
+            if key == "members" and i < len(given):
+                _at(f"{path}.members[{i}]", _check_heights, topo, given[i])
+            why = f"expected {found[i]}" if i < len(found) else f"the family has only {len(found)} {key}"
+            raise _fail(f"{path}.{key}[{i}]", why)
+    return FamilyGraph(topo, {k: members[k] for k in listed}, tuple(moves))
 
 
 def _vertex(val, topo: Topology, path: str) -> int:
@@ -398,6 +405,7 @@ def _decode_trace(data: dict, path: str) -> SequenceTrace:
     topo = _decode_topology(_get(data, "topology", dict, path), f"{path}.topology")
     parity = _shared_parity(data, topo, path)
     steps: list[SequenceStep] = []
+    first: dict[tuple[int, ...], int] = {}
     raw_steps = _list(data, "steps", path)
     if not raw_steps:
         raise _fail(f"{path}.steps", "a trace needs at least the start step")
@@ -425,22 +433,31 @@ def _decode_trace(data: dict, path: str) -> SequenceTrace:
                 raise _fail(f"{cp}[1]", f"expected a non-negative int, got {count!r}")
             counters.append((vertex, count))
         parent = _step_index(item, "parent", i, sp)
+        if parent is not None and steps[parent].repeat_of is not None:
+            raise _fail(f"{sp}.parent", f"step {parent} is a repeat step, and nothing is raised from one")
         repeat_of = _step_index(item, "repeat_of", i, sp)
         if repeat_of is not None and steps[repeat_of].adinkra.heights != heights:
             raise _fail(f"{sp}.repeat_of", f"step {repeat_of} has other heights")
+        seen_at = first.setdefault(heights, i)
+        if repeat_of != (None if seen_at == i else seen_at):
+            raise _fail(f"{sp}.repeat_of", f"expected {seen_at}, the first step with these heights")
         adinkra = Adinkra._trusted(topo, heights, parity)
         step = SequenceStep(adinkra, move, tuple(counters), parent, repeat_of)
         if i:
             _replay_raise(steps, step, sp)
         steps.append(step)
+    # checked after the replays, which report a later step that disagrees with step 0's counters
+    if steps[0].counters != tuple((v, 0) for v in topo.vertex_ids):
+        raise _fail(f"{path}.steps[0].counters", "expected one [vertex, 0] pair per vertex, in vertex order")
     closure = data.get("cycle_closure")
-    if closure is not None:
-        if isinstance(closure, bool) or not isinstance(closure, int):
-            raise _fail(f"{path}.cycle_closure", f"expected null or int, got {type(closure).__name__}")
-        if not 0 <= closure < len(steps) or steps[closure].repeat_of != 0:
-            raise _fail(
-                f"{path}.cycle_closure", f"expected the index of a step repeating step 0, got {closure}"
-            )
+    if closure is not None and (isinstance(closure, bool) or not isinstance(closure, int)):
+        raise _fail(f"{path}.cycle_closure", f"expected null or int, got {type(closure).__name__}")
+    first_closure = next((i for i, s in enumerate(steps) if s.repeat_of == 0), None)
+    if closure != first_closure:
+        raise _fail(
+            f"{path}.cycle_closure",
+            f"expected {json.dumps(first_closure)}, the first step repeating step 0, got {json.dumps(closure)}",
+        )
     return SequenceTrace(tuple(steps), closure)
 
 

@@ -93,9 +93,7 @@ def raise_vertex(adinkra: Adinkra, vertex: int) -> Adinkra:
 
 
 def _moves(
-    member: Adinkra,
-    orbits: Sequence[tuple[int, ...]],
-    kinds: tuple[str, ...] = ("raise", "lower"),
+    member: Adinkra, orbits: Sequence[tuple[int, ...]], kinds: tuple[str, ...]
 ) -> Iterator[tuple[str, tuple[int, ...], Adinkra]]:
     """Every move out of member as (kind, orbit, normalized result).
 
@@ -107,8 +105,28 @@ def _moves(
     for kind in kinds:
         extreme, delta = (set(src), 2) if kind == "raise" else (set(tgt), -2)
         for orbit in orbits:
-            if all(v in extreme for v in orbit):
+            if extreme.issuperset(orbit):
                 yield kind, orbit, _shift(member, orbit, delta).normalized()
+
+
+def _walk(
+    start: Adinkra, orbits: Sequence[tuple[int, ...]], kinds: tuple[str, ...]
+) -> Iterator[tuple[HeightKey, str, tuple[int, ...], Adinkra]]:
+    """Every move of the breadth-first search from a normalized start.
+
+    Yields (from key, kind, orbit, normalized result) in discovery order:
+    members are searched in the order first reached, each once, and a move
+    landing on a member already reached is yielded but not searched again.
+    """
+    seen = {start.heights}
+    queue = deque([start])
+    while queue:
+        member = queue.popleft()
+        for kind, orbit, nxt in _moves(member, orbits, kinds):
+            if nxt.heights not in seen:
+                seen.add(nxt.heights)
+                queue.append(nxt)
+            yield member.heights, kind, orbit, nxt
 
 
 def base_adinkra(topology: Topology, parity=None) -> Adinkra:
@@ -185,18 +203,17 @@ def member_key(adinkra: Adinkra) -> HeightKey:
 def enumerate_family(topology: Topology, parity=None) -> FamilyGraph:
     """Breadth-first closure of the base Adinkra under raising and lowering."""
     start = base_adinkra(topology, parity).normalized()
-    singles = [(v,) for v in topology.vertex_ids]
     members: dict[HeightKey, Adinkra] = {start.heights: start}
-    moves: set[tuple[HeightKey, str, int, HeightKey]] = set()
-    queue = deque([start])
-    while queue:
-        member = queue.popleft()
-        for kind, (v,), nxt in _moves(member, singles):
-            if nxt.heights not in members:
-                members[nxt.heights] = nxt
-                queue.append(nxt)
-            moves.add((member.heights, kind, v, nxt.heights))
+    moves = []
+    for src, kind, (v,), nxt in _walk(start, _singles(topology), ("raise", "lower")):
+        members.setdefault(nxt.heights, nxt)
+        moves.append((src, kind, v, nxt.heights))
     return FamilyGraph(topology, members, tuple(sorted(moves)))
+
+
+def _singles(topology: Topology) -> list[tuple[int, ...]]:
+    """Each vertex as an orbit of its own."""
+    return [(v,) for v in topology.vertex_ids]
 
 
 def kinship_distance(a: Adinkra, b: Adinkra) -> int:
@@ -207,17 +224,11 @@ def kinship_distance(a: Adinkra, b: Adinkra) -> int:
     goal = member_key(b)
     if start.heights == goal:
         return 0
-    singles = [(v,) for v in a.topology.vertex_ids]
     dist = {start.heights: 0}
-    queue = deque([start])
-    while queue:
-        member = queue.popleft()
-        for _, _, nxt in _moves(member, singles):
-            if nxt.heights not in dist:
-                dist[nxt.heights] = dist[member.heights] + 1
-                if nxt.heights == goal:
-                    return dist[nxt.heights]
-                queue.append(nxt)
+    for src, _, _, nxt in _walk(start, _singles(a.topology), ("raise", "lower")):
+        dist.setdefault(nxt.heights, dist[src] + 1)
+        if nxt.heights == goal:
+            return dist[goal]
     raise AdinkraError("height patterns are not connected by moves; data is inconsistent")
 
 
@@ -387,33 +398,21 @@ def main_sequence(
     pattern, or None.
     """
     t = start.topology
-    if orbits is None:
-        orbit_list = [(v,) for v in t.vertex_ids]
-    else:
-        orbit_list = _check_orbits(start, orbits)
-
+    orbit_list = _singles(t) if orbits is None else _check_orbits(start, orbits)
     start_n = start.normalized()
     zero = tuple((v, 0) for v in t.vertex_ids)
     steps: list[SequenceStep] = [SequenceStep(start_n, None, zero, None, None)]
     first_index: dict[HeightKey, int] = {start_n.heights: 0}
     cycle_closure: int | None = None
-    queue = deque([0])
-    while queue:
-        idx = queue.popleft()
-        member = steps[idx].adinkra
-        counters = dict(steps[idx].counters)
-        for _, orbit, raised in _moves(member, orbit_list, kinds=("raise",)):
-            new_counters = dict(counters)
-            for v in orbit:
-                new_counters[v] += 1
-            ct = tuple(sorted(new_counters.items()))
-            seen_at = first_index.get(raised.heights)
-            if seen_at is None:
-                first_index[raised.heights] = len(steps)
-                steps.append(SequenceStep(raised, orbit, ct, idx, None))
-                queue.append(len(steps) - 1)
-            else:
-                steps.append(SequenceStep(raised, orbit, ct, idx, seen_at))
-                if seen_at == 0 and cycle_closure is None:
-                    cycle_closure = len(steps) - 1
+    for src, _, orbit, raised in _walk(start_n, orbit_list, ("raise",)):
+        parent = first_index[src]
+        counters = dict(steps[parent].counters)
+        for v in orbit:
+            counters[v] += 1
+        seen_at = first_index.get(raised.heights)
+        if seen_at is None:
+            first_index[raised.heights] = len(steps)
+        elif seen_at == 0 and cycle_closure is None:
+            cycle_closure = len(steps)
+        steps.append(SequenceStep(raised, orbit, tuple(sorted(counters.items())), parent, seen_at))
     return SequenceTrace(tuple(steps), cycle_closure)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 from adinkra.constraints import SourceSpec, emit_constraints
 from adinkra.core import BOSON, FERMION, Topology
-from adinkra.cube import SPINOR, antipodal_quotient, cube_topology
+from adinkra.cube import MAX_CUBE_COLORS, SCALAR, SPINOR, antipodal_quotient, cube_topology, standard_parity
 from adinkra.document import (
     Document,
     DocumentError,
@@ -18,7 +20,7 @@ from adinkra.document import (
     export_dot,
     serialize,
 )
-from adinkra.mutation import base_adinkra, enumerate_family, main_sequence
+from adinkra.mutation import FamilyGraph, base_adinkra, enumerate_family, main_sequence, raise_vertex
 
 
 def sample_objects():
@@ -107,7 +109,7 @@ def test_family_decode_checks_membership() -> None:
     fam = enumerate_family(cube_topology(1))
     data = json.loads(serialize(fam))
     data["payload"]["moves"][0]["from"] = [6, 7]
-    with pytest.raises(DocumentError, match="listed member"):
+    with pytest.raises(DocumentError, match=r"^\$\.payload\.moves\[0\]: expected \(\(0, 1\), 'lower', 1, \(2, 1\)\)$"):
         deserialize(json.dumps(data))
 
 
@@ -285,7 +287,7 @@ def test_family_decode_replays_each_move(kind, vertex, why) -> None:
     move = data["payload"]["moves"][0]
     assert (move["from"], move["kind"], move["vertex"]) == ([0, 1, 1, 0], "lower", 1)
     move["kind"], move["vertex"] = kind, vertex
-    with pytest.raises(DocumentError, match=rf"^\$\.payload\.moves\[0\]: {why}"):
+    with pytest.raises(DocumentError, match=r"^\$\.payload\.moves\[0\]: expected \(\(0, 1, 1, 0\), 'lower', 1, \(2, 1, 3, 2\)\)$"):
         deserialize(json.dumps(data))
 
 
@@ -294,6 +296,81 @@ def test_family_and_trace_documents_replay_cleanly() -> None:
         for obj in (enumerate_family(topo), main_sequence(base_adinkra(topo))):
             text = serialize(obj)
             assert serialize(deserialize(text)) == text
+
+
+_SMALL_TOPOLOGIES = {f"{kind}{n}": cube_topology(n, kind) for n in (1, 2, 3) for kind in (SCALAR, SPINOR)}
+_SMALL_TOPOLOGIES["quotient"] = antipodal_quotient()
+
+
+def _not_whole(payload: dict):
+    """(what was done, payload) for each way a family listing can stop being whole."""
+    members, moves = payload["members"], payload["moves"]
+    for i, gone in enumerate(members):
+        kept = [m for m in moves if gone not in (m["from"], m["to"])]
+        yield f"delete member {i}", {**payload, "members": members[:i] + members[i + 1 :], "moves": kept}
+    for i, member in enumerate(members):
+        shifted = sorted(members + [[h + 2 for h in member]])
+        yield f"add member {i} shifted by +2", {**payload, "members": shifted}
+    yield "duplicate a member", {**payload, "members": members[:1] + members}
+    yield "reverse the members", {**payload, "members": members[::-1]}
+    yield "empty both lists", {**payload, "members": [], "moves": []}
+    yield "drop a move", {**payload, "moves": moves[:1] + moves[2:]}
+    yield "duplicate a move", {**payload, "moves": moves[:2] + moves[1:]}
+
+
+@pytest.mark.parametrize("name", _SMALL_TOPOLOGIES)
+def test_family_decode_accepts_the_whole_family_and_nothing_else(name) -> None:
+    family = enumerate_family(_SMALL_TOPOLOGIES[name])
+    data = json.loads(serialize(family))
+    assert deserialize(json.dumps(data)).payload == family
+    for what, payload in _not_whole(data["payload"]):
+        try:
+            deserialize(json.dumps({**data, "payload": payload}))
+        except DocumentError as exc:
+            assert re.match(r"\$\.payload\.(members|moves)", str(exc)), (what, str(exc))
+        else:
+            pytest.fail(f"accepted after: {what}")
+
+
+def test_a_short_family_document_on_the_largest_cube_is_refused_early() -> None:
+    t = cube_topology(MAX_CUBE_COLORS)
+    base = base_adinkra(t, standard_parity(t))
+    raised = raise_vertex(base, 0).normalized()
+    moves = ((base.heights, "raise", 0, raised.heights), (raised.heights, "lower", 0, base.heights))
+    text = serialize(FamilyGraph(t, {base.heights: base, raised.heights: raised}, moves))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DocumentError, match=r"^\$\.payload\.members: the family has more than the 2 listed$"):
+            deserialize(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the whole family is astronomically large; the walk must stop at the third member
+    assert peak < 32_000_000
+
+
+def _cut_to_the_start(p: dict) -> None:
+    p["steps"] = p["steps"][:1]
+    p["steps"][0]["counters"] = [[1, 7]]
+    p["cycle_closure"] = None
+
+
+@pytest.mark.parametrize(
+    "n, tamper, where",
+    [
+        (1, _cut_to_the_start, r"steps\[0\]\.counters: expected one \[vertex, 0\] pair per vertex"),
+        (2, lambda p: p["steps"][4].__setitem__("repeat_of", None), r"steps\[4\]\.repeat_of: expected 3, the first step"),
+        (2, lambda p: p["steps"][8].__setitem__("repeat_of", 7), r"steps\[8\]\.repeat_of: expected 0, the first step"),
+        (2, lambda p: p["steps"][5].__setitem__("parent", 4), r"steps\[5\]\.parent: step 4 is a repeat step"),
+        (2, lambda p: p.__setitem__("cycle_closure", None), r"cycle_closure: expected 7, .* got null$"),
+        (2, lambda p: p.__setitem__("cycle_closure", 8), r"cycle_closure: expected 7, .* got 8$"),
+    ],
+)
+def test_trace_decode_requires_what_main_sequence_records(n, tamper, where) -> None:
+    data = json.loads(serialize(main_sequence(base_adinkra(cube_topology(n)))))
+    tamper(data["payload"])
+    with pytest.raises(DocumentError, match=rf"^\$\.payload\.{where}"):
+        deserialize(json.dumps(data))
 
 
 @pytest.mark.parametrize(

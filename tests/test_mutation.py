@@ -137,6 +137,29 @@ def test_kinship_distance_counts_moves() -> None:
     assert kinship_distance(x, base) == 2
 
 
+def test_kinship_distance_is_the_breadth_first_layer_of_the_move_graph() -> None:
+    t = cube_topology(3)
+    fam = enumerate_family(t)
+    base = base_adinkra(t)
+    neighbours: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for src, _, _, dst in fam.moves:
+        neighbours.setdefault(src, []).append(dst)
+    layer = {member_key(base): 0}
+    frontier = list(layer)
+    while frontier:
+        reached = []
+        for u in frontier:
+            for w in neighbours[u]:
+                if w not in layer:
+                    layer[w] = layer[u] + 1
+                    reached.append(w)
+        frontier = reached
+    assert layer.keys() == fam.members.keys()
+    assert max(layer.values()) > 1
+    for key, member in fam.members.items():
+        assert kinship_distance(base, member) == layer[key]
+
+
 def test_kinship_distance_rejects_different_topologies() -> None:
     with pytest.raises(AdinkraError):
         kinship_distance(base_adinkra(cube_topology(2)), base_adinkra(cube_topology(3)))
