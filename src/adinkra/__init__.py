@@ -15,172 +15,117 @@ The package splits along the objects it manipulates:
   constraint systems, and back.
 * :mod:`adinkra.document` and :mod:`adinkra.cli` move everything through
   JSON documents and a command line.
+
+Importing the package loads none of them: each exported name, and each
+submodule, is imported on first use, so a command line process compiles only
+the modules its subcommand needs.
 """
 
-from .core import (
-    BOSON,
-    FERMION,
-    Adinkra,
-    AdinkraError,
-    EngineerResult,
-    ParityResult,
-    Topology,
-    engineerable,
-    net_ascent,
-    normalize_heights,
-    orientation_from_heights,
-    parity_violations,
-    solve_edge_parity,
-    validate_topology,
-)
-from .cube import (
-    MAX_CUBE_COLORS,
-    SCALAR,
-    SPINOR,
-    antipodal_quotient,
-    cube_signature,
-    cube_statistics,
-    cube_topology,
-    dist0,
-    hgt0,
-    standard_parity,
-    subset_label,
-)
-from .hanging import SOURCES, TARGETS, HookSet, check_hooks, hang, hooks_of, one_hooked
-from .mutation import (
-    FamilyGraph,
-    SequenceStep,
-    SequenceTrace,
-    automorphic_dual,
-    base_adinkra,
-    enumerate_family,
-    isomorphic,
-    isomorphism_classes,
-    kinship_distance,
-    lower_vertex,
-    lowering_sequence_to_one_hooked,
-    main_sequence,
-    member_key,
-    raise_vertex,
-    sources,
-    targets,
-)
-from .superspace import (
-    DTAU,
-    D,
-    Phase,
-    Q,
-    RuleSet,
-    SuperOp,
-    SuperfieldExpr,
-    anticommutator,
-    apply_op,
-    check_identity,
-    closure_violations,
-    descending_product,
-    generic_superfield,
-    project,
-    transformation_rules,
-)
-from .constraints import (
-    Constraint,
-    ConstraintSystem,
-    Identification,
-    SourceSpec,
-    check_annihilation,
-    dimension_vector,
-    emit_constraints,
-    format_dimension_vector,
-    identify,
-    image_adinkra,
-    kernel_orders,
-    mu,
-    verify_presentation,
-)
-from .document import Document, DocumentError, deserialize, export_dot, serialize
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BOSON",
-    "FERMION",
-    "MAX_CUBE_COLORS",
-    "SCALAR",
-    "SPINOR",
-    "SOURCES",
-    "TARGETS",
-    "Adinkra",
-    "AdinkraError",
-    "Constraint",
-    "ConstraintSystem",
-    "D",
-    "DTAU",
-    "Document",
-    "DocumentError",
-    "EngineerResult",
-    "FamilyGraph",
-    "HookSet",
-    "Identification",
-    "ParityResult",
-    "Phase",
-    "Q",
-    "RuleSet",
-    "SequenceStep",
-    "SequenceTrace",
-    "SourceSpec",
-    "SuperOp",
-    "SuperfieldExpr",
-    "Topology",
-    "anticommutator",
-    "antipodal_quotient",
-    "apply_op",
-    "automorphic_dual",
-    "base_adinkra",
-    "check_annihilation",
-    "check_hooks",
-    "check_identity",
-    "closure_violations",
-    "cube_signature",
-    "cube_statistics",
-    "cube_topology",
-    "descending_product",
-    "deserialize",
-    "dimension_vector",
-    "dist0",
-    "emit_constraints",
-    "engineerable",
-    "enumerate_family",
-    "export_dot",
-    "format_dimension_vector",
-    "generic_superfield",
-    "hang",
-    "hgt0",
-    "hooks_of",
-    "identify",
-    "image_adinkra",
-    "isomorphic",
-    "isomorphism_classes",
-    "kernel_orders",
-    "kinship_distance",
-    "lower_vertex",
-    "lowering_sequence_to_one_hooked",
-    "main_sequence",
-    "member_key",
-    "mu",
-    "net_ascent",
-    "normalize_heights",
-    "one_hooked",
-    "orientation_from_heights",
-    "parity_violations",
-    "project",
-    "raise_vertex",
-    "serialize",
-    "solve_edge_parity",
-    "sources",
-    "standard_parity",
-    "subset_label",
-    "targets",
-    "transformation_rules",
-    "validate_topology",
-    "verify_presentation",
-]
+# every exported name and the submodule that defines it, in __all__ order
+_EXPORTS = {
+    "BOSON": "core",
+    "FERMION": "core",
+    "MAX_CUBE_COLORS": "cube",
+    "SCALAR": "cube",
+    "SPINOR": "cube",
+    "SOURCES": "hanging",
+    "TARGETS": "hanging",
+    "Adinkra": "core",
+    "AdinkraError": "core",
+    "Constraint": "constraints",
+    "ConstraintSystem": "constraints",
+    "D": "superspace",
+    "DTAU": "superspace",
+    "Document": "document",
+    "DocumentError": "document",
+    "EngineerResult": "core",
+    "FamilyGraph": "mutation",
+    "HookSet": "hanging",
+    "Identification": "constraints",
+    "ParityResult": "core",
+    "Phase": "superspace",
+    "Q": "superspace",
+    "RuleSet": "superspace",
+    "SequenceStep": "mutation",
+    "SequenceTrace": "mutation",
+    "SourceSpec": "constraints",
+    "SuperOp": "superspace",
+    "SuperfieldExpr": "superspace",
+    "Topology": "core",
+    "anticommutator": "superspace",
+    "antipodal_quotient": "cube",
+    "apply_op": "superspace",
+    "automorphic_dual": "mutation",
+    "base_adinkra": "mutation",
+    "check_annihilation": "constraints",
+    "check_hooks": "hanging",
+    "check_identity": "superspace",
+    "closure_violations": "superspace",
+    "cube_signature": "cube",
+    "cube_statistics": "cube",
+    "cube_topology": "cube",
+    "descending_product": "superspace",
+    "deserialize": "document",
+    "dimension_vector": "constraints",
+    "dist0": "cube",
+    "emit_constraints": "constraints",
+    "engineerable": "core",
+    "enumerate_family": "mutation",
+    "export_dot": "document",
+    "format_dimension_vector": "constraints",
+    "generic_superfield": "superspace",
+    "hang": "hanging",
+    "hgt0": "cube",
+    "hooks_of": "hanging",
+    "identify": "constraints",
+    "image_adinkra": "constraints",
+    "isomorphic": "mutation",
+    "isomorphism_classes": "mutation",
+    "kernel_orders": "constraints",
+    "kinship_distance": "mutation",
+    "lower_vertex": "mutation",
+    "lowering_sequence_to_one_hooked": "mutation",
+    "main_sequence": "mutation",
+    "member_key": "mutation",
+    "mu": "constraints",
+    "net_ascent": "core",
+    "normalize_heights": "core",
+    "one_hooked": "hanging",
+    "orientation_from_heights": "core",
+    "parity_violations": "core",
+    "project": "superspace",
+    "raise_vertex": "mutation",
+    "serialize": "document",
+    "solve_edge_parity": "core",
+    "sources": "mutation",
+    "standard_parity": "cube",
+    "subset_label": "cube",
+    "targets": "mutation",
+    "transformation_rules": "superspace",
+    "validate_topology": "core",
+    "verify_presentation": "constraints",
+}
+
+__all__ = list(_EXPORTS)
+
+_SUBMODULES = frozenset(_EXPORTS.values())
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    # the names of an eagerly imported package: the lazy machinery stays out of sight
+    hidden = {"importlib", "_EXPORTS", "_SUBMODULES", "__getattr__", "__dir__"}
+    return sorted({*globals(), *__all__, *_SUBMODULES} - hidden)

@@ -3,6 +3,10 @@
 Exit codes: 0 success, 1 domain failure (invalid input, failed check),
 2 usage error.  Domain failures print one JSON object on stderr with an
 ``error`` message so pipelines can report precisely.
+
+Each subcommand imports the modules it uses when it runs, so a process
+compiles only those: ``cube`` never loads the superspace engine or the
+constraint batteries.
 """
 
 from __future__ import annotations
@@ -10,21 +14,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
 
-from .constraints import (
-    N2_DOUBLET_ANNIHILATOR,
-    N3_QUINTET_ANNIHILATOR,
-    N3_TRIPLET_ANNIHILATOR,
-    SourceSpec,
-    check_annihilation,
-    dimension_vector,
-    emit_constraints,
-    format_dimension_vector,
-    gradient_column,
-    identify,
-    kernel_orders,
-    verify_presentation,
-)
 from .core import Adinkra, AdinkraError
 from .cube import (
     SCALAR,
@@ -36,15 +27,9 @@ from .cube import (
     standard_parity,
 )
 from .document import Document, _indented_json, deserialize, export_dot, serialize
-from .hanging import HookSet, check_hooks, hang
-from .mutation import (
-    base_adinkra,
-    enumerate_family,
-    lower_vertex,
-    main_sequence,
-    raise_vertex,
-)
-from .superspace import closure_violations, transformation_rules
+
+if TYPE_CHECKING:
+    from .constraints import SourceSpec
 
 __all__ = ["main"]
 
@@ -107,6 +92,8 @@ def _cmd_cube(args) -> int:
 
 
 def _cmd_quotient4(args) -> int:
+    from .mutation import base_adinkra
+
     return _emit(base_adinkra(antipodal_quotient()))
 
 
@@ -124,6 +111,8 @@ def _parse_hooks(pairs: list[str]) -> dict[int, int]:
 
 
 def _cmd_hang(args) -> int:
+    from .hanging import HookSet, check_hooks, hang
+
     topo, parity = _topology_and_parity(args.file)
     hookset = HookSet.from_map(args.mode, _parse_hooks(args.hook))
     bad = check_hooks(topo, hookset)
@@ -134,14 +123,20 @@ def _cmd_hang(args) -> int:
 
 
 def _cmd_raise(args) -> int:
+    from .mutation import raise_vertex
+
     return _emit(raise_vertex(_load_adinkra(args.file), args.vertex))
 
 
 def _cmd_lower(args) -> int:
+    from .mutation import lower_vertex
+
     return _emit(lower_vertex(_load_adinkra(args.file), args.vertex))
 
 
 def _cmd_family(args) -> int:
+    from .mutation import enumerate_family
+
     topo, parity = _topology_and_parity(args.file)
     return _emit(enumerate_family(topo, parity))
 
@@ -156,12 +151,16 @@ def _parse_orbits(text: str) -> list[list[int]]:
 
 
 def _cmd_main_seq(args) -> int:
+    from .mutation import main_sequence
+
     start = _load_adinkra(args.file)
     orbits = None if args.orbits is None else _parse_orbits(args.orbits)
     return _emit(main_sequence(start, orbits))
 
 
 def _cmd_identify(args) -> int:
+    from .constraints import identify
+
     ident = identify(_load_adinkra(args.file))
     _report(
         {
@@ -175,6 +174,8 @@ def _cmd_identify(args) -> int:
 
 
 def _spec_from_args(args) -> tuple[SourceSpec, str]:
+    from .constraints import SourceSpec, identify
+
     if args.entry:
         if args.n is None:
             raise AdinkraError("--entry needs -n to fix the color count")
@@ -193,11 +194,15 @@ def _spec_from_args(args) -> tuple[SourceSpec, str]:
 
 
 def _cmd_constraints(args) -> int:
+    from .constraints import emit_constraints
+
     spec, kind = _spec_from_args(args)
     return _emit(emit_constraints(spec, kind))
 
 
 def _cmd_verify_constraints(args) -> int:
+    from .constraints import identify, verify_presentation
+
     given = None
     if args.entry:
         spec, kind = _spec_from_args(args)
@@ -223,26 +228,39 @@ def _cmd_verify_constraints(args) -> int:
 
 
 def _cmd_verify_susy(args) -> int:
+    from .superspace import closure_violations, transformation_rules
+
     rules = transformation_rules(_load_adinkra(args.file))
     bad = closure_violations(rules)
     _report({"ok": not bad, "violations": bad})
     return 0 if not bad else 1
 
 
-_MATRIX_PAIRS = {
-    "doublet2": (N2_DOUBLET_ANNIHILATOR, lambda: gradient_column(2), 2),
-    "triplet3": (N3_TRIPLET_ANNIHILATOR, lambda: gradient_column(3), 3),
-    "quintet3": (N3_QUINTET_ANNIHILATOR, lambda: N3_TRIPLET_ANNIHILATOR, 3),
-}
+# the built-in annihilator products, named here so that building the parser
+# does not load the constraint batteries
+_MATRIX_PAIRS = ("doublet2", "quintet3", "triplet3")
 
 
 def _cmd_grassmann_check(args) -> int:
-    names = sorted(_MATRIX_PAIRS) if args.pair == "all" else [args.pair]
+    from .constraints import (
+        N2_DOUBLET_ANNIHILATOR,
+        N3_QUINTET_ANNIHILATOR,
+        N3_TRIPLET_ANNIHILATOR,
+        check_annihilation,
+        gradient_column,
+    )
+
+    pairs = {
+        "doublet2": (N2_DOUBLET_ANNIHILATOR, gradient_column(2), 2),
+        "quintet3": (N3_QUINTET_ANNIHILATOR, N3_TRIPLET_ANNIHILATOR, 3),
+        "triplet3": (N3_TRIPLET_ANNIHILATOR, gradient_column(3), 3),
+    }
+    names = _MATRIX_PAIRS if args.pair == "all" else [args.pair]
     results = {}
     ok = True
     for name in names:
-        left, right, n = _MATRIX_PAIRS[name]
-        ce = check_annihilation(left, right(), n)
+        left, right, n = pairs[name]
+        ce = check_annihilation(left, right, n)
         results[name] = (
             "zero" if ce is None else f"row {ce.row} ({ce.kind}) residual {ce.residual}"
         )
@@ -252,6 +270,8 @@ def _cmd_grassmann_check(args) -> int:
 
 
 def _cmd_dims(args) -> int:
+    from .constraints import dimension_vector, format_dimension_vector, identify, kernel_orders
+
     a = _load_adinkra(args.file)
     dims = dimension_vector(a)
     out = {"dimension_vector": format_dimension_vector(dims), "counts": list(dims)}
@@ -349,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify_susy)
 
     p = sub.add_parser("grassmann-check", help="check built-in annihilator matrix products")
-    p.add_argument("pair", choices=sorted(_MATRIX_PAIRS) + ["all"], nargs="?", default="all")
+    p.add_argument("pair", choices=[*_MATRIX_PAIRS, "all"], nargs="?", default="all")
     p.set_defaults(func=_cmd_grassmann_check)
 
     p = sub.add_parser("dims", help="dimension vector (and kernel orders on cubes)")

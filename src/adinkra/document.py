@@ -10,20 +10,28 @@ canonical: vertices ascend by id, edges ascend by (color, ends), family
 members and moves are sorted, so equal objects produce identical text.
 Deserialization validates shape and reports the offending path (for example
 ``payload.vertices[3].height``) before any graph-level validation runs.
+
+The decoders of the family, trace and constraints kinds import mutation,
+constraints and superspace when they run, so a process that reads and writes
+only topology and Adinkra documents never loads those modules.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 from .core import BOSON, FERMION, Adinkra, AdinkraError, Topology, _check_heights, _check_parity
-from .constraints import Constraint, ConstraintSystem, SourceSpec
 from .cube import MAX_CUBE_COLORS, SCALAR, SPINOR
-from .mutation import FamilyGraph, SequenceStep, SequenceTrace, _singles, _walk, raise_vertex
-from .superspace import Phase
+
+if TYPE_CHECKING:
+    from .constraints import Constraint, ConstraintSystem
+    from .mutation import FamilyGraph, SequenceStep, SequenceTrace
+
+    Payload = Topology | Adinkra | FamilyGraph | SequenceTrace | ConstraintSystem
 
 __all__ = [
     "FORMAT_NAME",
@@ -38,8 +46,6 @@ __all__ = [
 
 FORMAT_NAME = "adinkra-document"
 FORMAT_VERSION = 1
-
-Payload = Topology | Adinkra | FamilyGraph | SequenceTrace | ConstraintSystem
 
 
 class DocumentError(AdinkraError):
@@ -58,10 +64,14 @@ def document_kind(obj: Payload) -> str:
         return "adinkra"
     if isinstance(obj, Topology):
         return "topology"
+    from .mutation import FamilyGraph, SequenceTrace
+
     if isinstance(obj, FamilyGraph):
         return "family"
     if isinstance(obj, SequenceTrace):
         return "trace"
+    from .constraints import ConstraintSystem
+
     if isinstance(obj, ConstraintSystem):
         return "constraints"
     raise DocumentError(f"no document kind for {type(obj).__name__}")
@@ -349,6 +359,8 @@ def _shared_parity(data: dict, topo: Topology, path: str) -> tuple[int, ...]:
 
 def _decode_family(data: dict, path: str) -> FamilyGraph:
     """Require the listed members and moves to be the family recomputed from topology and parity."""
+    from .mutation import FamilyGraph, _singles, _walk
+
     topo = _decode_topology(_get(data, "topology", dict, path), f"{path}.topology")
     parity = _shared_parity(data, topo, path)
     listed = [
@@ -402,6 +414,8 @@ def _step_index(item: dict, key: str, before: int, path: str) -> int | None:
 
 
 def _decode_trace(data: dict, path: str) -> SequenceTrace:
+    from .mutation import SequenceStep, SequenceTrace
+
     topo = _decode_topology(_get(data, "topology", dict, path), f"{path}.topology")
     parity = _shared_parity(data, topo, path)
     steps: list[SequenceStep] = []
@@ -463,6 +477,8 @@ def _decode_trace(data: dict, path: str) -> SequenceTrace:
 
 def _replay_raise(steps: list[SequenceStep], step: SequenceStep, path: str) -> None:
     """Check that raising step.move in its parent gives its heights and counters."""
+    from .mutation import raise_vertex
+
     if step.parent is None:
         raise _fail(f"{path}.parent", "only the start step may have a null parent")
     if not step.move:
@@ -477,10 +493,11 @@ def _replay_raise(steps: list[SequenceStep], step: SequenceStep, path: str) -> N
         raise _fail(f"{path}.counters", f"expected step {step.parent}'s counters plus one per moved vertex")
 
 
-_PHASES = {str(Phase(k)): Phase(k) for k in range(4)}
-
-
 def _decode_constraints(data: dict, path: str, check_equations: bool = True) -> ConstraintSystem:
+    from .constraints import Constraint, ConstraintSystem, SourceSpec
+    from .superspace import Phase
+
+    phases = {str(Phase(k)): Phase(k) for k in range(4)}
     n = _int(data, "n_colors", path)
     if not 1 <= n <= MAX_CUBE_COLORS:
         raise _fail(f"{path}.n_colors", f"expected a positive int up to the cube cap {MAX_CUBE_COLORS}, got {n}")
@@ -500,14 +517,14 @@ def _decode_constraints(data: dict, path: str, check_equations: bool = True) -> 
         if not isinstance(item, dict):
             raise _fail(ep, f"expected object, got {type(item).__name__}")
         phase_txt = _get(item, "phase", str, ep)
-        if phase_txt not in _PHASES:
-            raise _fail(f"{ep}.phase", f"expected one of {sorted(_PHASES)}, got {phase_txt!r}")
+        if phase_txt not in phases:
+            raise _fail(f"{ep}.phase", f"expected one of {sorted(phases)}, got {phase_txt!r}")
         eq = Constraint(
             component=_int(item, "component", ep),
             alpha=_int(item, "alpha", ep),
             beta=_int(item, "beta", ep),
             gap=_int(item, "gap", ep),
-            phase=_PHASES[phase_txt],
+            phase=phases[phase_txt],
             redundant=bool(_get(item, "redundant", bool, ep)),
         )
         if check_equations:
@@ -576,14 +593,24 @@ def deserialize(text: str, check_equations: bool = True) -> Document:
 
 _PALETTE = ("red", "blue", "green", "orange", "purple", "brown", "cyan", "magenta")
 
+# Graphviz reads an unquoted graph name only if it has this form and is not a
+# keyword; it matches keywords in any letter case
+_DOT_ID = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_DOT_KEYWORDS = frozenset(("digraph", "edge", "graph", "node", "strict", "subgraph"))
+
 
 def export_dot(obj: Topology | Adinkra | Document, name: str = "adinkra") -> str:
     """Graphviz text: ranks by height, edge color by color, dashed on parity 1.
 
     Bosons are drawn as white circles, fermions as black ones.  Edges of a
     bare topology are undirected; an Adinkra's edges point from lower to
-    higher vertex.
+    higher vertex.  name must be a DOT identifier that is not a keyword.
     """
+    if not _DOT_ID.fullmatch(name) or name.lower() in _DOT_KEYWORDS:
+        raise DocumentError(
+            f"graph name {name!r} is not a DOT identifier: "
+            "expected [A-Za-z_][A-Za-z0-9_]* and not a DOT keyword"
+        )
     if isinstance(obj, Document):
         obj = obj.payload
     if isinstance(obj, Adinkra):

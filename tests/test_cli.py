@@ -1,15 +1,21 @@
-"""End-to-end checks of the command line interface, run in process."""
+"""End-to-end checks of the command line interface, run in process and, for start-up, in real processes."""
 
 from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import adinkra
 from adinkra.cli import main
-from adinkra.cube import MAX_CUBE_COLORS
+from adinkra.cube import MAX_CUBE_COLORS, cube_topology
 from adinkra.document import serialize
+from adinkra.mutation import base_adinkra
 from adinkra.superspace import RuleSet, RuleTerm, transformation_rules
 
 from oracles import code_quotient
@@ -332,7 +338,7 @@ def test_verify_susy_reports_the_terms_left(run, monkeypatch) -> None:
         rules[0] = (RuleTerm(-r.phase, r.color, r.source, r.dotted),) + rules[0][1:]
         return RuleSet(rs.adinkra, rs.names, tuple(sorted(rules.items())))
 
-    monkeypatch.setattr("adinkra.cli.transformation_rules", flipped)
+    monkeypatch.setattr("adinkra.superspace.transformation_rules", flipped)
     _, cube, _ = run(["cube", "2"])
     code, out, _ = run(["verify-susy"], stdin=cube)
     assert code == 1
@@ -341,3 +347,53 @@ def test_verify_susy_reports_the_terms_left(run, monkeypatch) -> None:
     assert report["violations"][0] == (
         "closure fails on component phi0 (vertex 0): {Q1,Q1} leaves (0-4i) phi0'; {Q1,Q2} leaves (0+2i) phi3"
     )
+
+
+def test_export_rejects_a_name_that_is_not_a_dot_identifier(run) -> None:
+    _, cube, _ = run(["cube", "2"])
+    code, out, err = run(["export", "--name", 'a"b'], stdin=cube)
+    assert code == 1 and out == ""
+    assert "is not a DOT identifier" in json.loads(err)["error"]
+
+
+# ---------------------------------------------------------------------------
+# modules a process loads
+
+
+def _loaded_modules(argv: list[str], stdin: str) -> set[str]:
+    """The adinkra modules a real `python -m adinkra` process imports, read from -X importtime."""
+    env = dict(os.environ, PYTHONPATH=str(Path(adinkra.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "adinkra", *argv],
+        input=stdin,
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = (line for line in proc.stderr.splitlines() if line.startswith("import time:"))
+    names = {line.rsplit("|", 1)[-1].strip() for line in lines}
+    return {name for name in names if name.split(".")[0] == "adinkra"}
+
+
+_HEAVY = {"adinkra.superspace", "adinkra.constraints", "adinkra.mutation", "adinkra.hanging"}
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, needed, unloaded",
+    [
+        (["cube", "1"], None, {"adinkra.cube"}, _HEAVY),
+        (["validate"], "topology", {"adinkra.document"}, _HEAVY),
+        (["family"], "adinkra", {"adinkra.mutation"}, {"adinkra.superspace", "adinkra.constraints"}),
+        (["verify-susy"], "adinkra", {"adinkra.superspace"}, {"adinkra.constraints"}),
+        (["--help"], None, {"adinkra.cli"}, {"adinkra.superspace", "adinkra.constraints"}),
+    ],
+    ids=["cube", "validate-topology", "family", "verify-susy", "help"],
+)
+def test_a_subcommand_loads_only_the_modules_it_uses(argv, stdin, needed, unloaded) -> None:
+    square = cube_topology(2)
+    inputs = {None: "", "topology": serialize(square), "adinkra": serialize(base_adinkra(square))}
+    loaded = _loaded_modules(argv, inputs[stdin])
+    assert needed <= loaded
+    assert not loaded & unloaded, sorted(loaded & unloaded)

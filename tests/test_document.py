@@ -247,6 +247,17 @@ def test_export_dot_accepts_documents_only_for_drawables() -> None:
         export_dot(fam)
 
 
+@pytest.mark.parametrize("name", ['a"b', "a b", "1abc", "", "a-b", "node", "Digraph"])
+def test_export_dot_rejects_a_name_that_is_not_a_dot_identifier(name) -> None:
+    with pytest.raises(DocumentError, match=r"not a DOT identifier: expected \[A-Za-z_\]"):
+        export_dot(cube_topology(1), name=name)
+
+
+def test_export_dot_default_name_is_unchanged() -> None:
+    assert export_dot(cube_topology(1)).startswith("digraph adinkra {\n")
+    assert export_dot(cube_topology(1), name="_Graph_2").startswith("digraph _Graph_2 {\n")
+
+
 def test_export_dot_multicomponent_topology() -> None:
     two = Topology.build(
         1,

@@ -1,6 +1,14 @@
-"""The package's public surface: every exported name resolves."""
+"""The package's public surface: every exported name resolves, on first use."""
 
 from __future__ import annotations
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 import adinkra
 
@@ -16,3 +24,29 @@ def test_star_import_exposes_verify_presentation() -> None:
     exec("from adinkra import *", namespace)
     assert namespace["verify_presentation"] is adinkra.verify_presentation
     assert set(adinkra.__all__) <= set(namespace)
+
+
+def test_a_bare_import_loads_no_submodule() -> None:
+    env = dict(os.environ, PYTHONPATH=str(Path(adinkra.__file__).parents[1]))
+    code = "import sys, adinkra; print(sorted(m for m in sys.modules if m.split('.')[0] == 'adinkra'))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "['adinkra']"
+
+
+def test_dir_lists_every_export_and_submodule() -> None:
+    names = set(dir(adinkra))
+    assert set(adinkra.__all__) <= names
+    assert {"core", "cube", "hanging", "mutation", "superspace", "constraints", "document"} <= names
+    assert not {"_EXPORTS", "__getattr__", "importlib"} & names
+
+
+def test_an_unknown_name_raises_the_standard_attribute_error() -> None:
+    with pytest.raises(AttributeError, match=r"^module 'adinkra' has no attribute 'nope'$"):
+        adinkra.nope
+
+
+def test_each_name_is_the_object_its_submodule_defines() -> None:
+    assert adinkra.verify_presentation is adinkra.constraints.verify_presentation
+    for name, module in adinkra._EXPORTS.items():
+        assert getattr(adinkra, name) is getattr(importlib.import_module(f"adinkra.{module}"), name), name
