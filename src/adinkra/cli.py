@@ -16,7 +16,7 @@ import json
 import sys
 from typing import TYPE_CHECKING
 
-from .core import Adinkra, AdinkraError
+from .core import Adinkra, AdinkraError, Topology
 from .cube import (
     SCALAR,
     SPINOR,
@@ -134,10 +134,20 @@ def _cmd_lower(args) -> int:
     return _emit(lower_vertex(_load_adinkra(args.file), args.vertex))
 
 
+# the 4-cube's family is walked in a fraction of a second, the 5-cube's in minutes and gigabytes
+MAX_WALK_VERTICES = 16
+
+
+def _check_walk_size(topo: Topology) -> None:
+    if len(topo.vertex_ids) > MAX_WALK_VERTICES:
+        raise AdinkraError(f"{len(topo.vertex_ids)} vertices exceed the cap of {MAX_WALK_VERTICES} on a walked family")
+
+
 def _cmd_family(args) -> int:
     from .mutation import enumerate_family
 
     topo, parity = _topology_and_parity(args.file)
+    _check_walk_size(topo)
     return _emit(enumerate_family(topo, parity))
 
 
@@ -154,6 +164,7 @@ def _cmd_main_seq(args) -> int:
     from .mutation import main_sequence
 
     start = _load_adinkra(args.file)
+    _check_walk_size(start.topology)
     orbits = None if args.orbits is None else _parse_orbits(args.orbits)
     return _emit(main_sequence(start, orbits))
 

@@ -38,6 +38,7 @@ from .superspace import (
 )
 
 __all__ = [
+    "MAX_BATTERY_TERMS",
     "SourceSpec",
     "ehgt_violations",
     "mu",
@@ -61,6 +62,10 @@ __all__ = [
     "N3_TRIPLET_ANNIHILATOR",
     "N3_QUINTET_ANNIHILATOR",
 ]
+
+
+# _build holds 2^n components x (m projections + m(m-1)/2 equation sides) x 2^n terms
+MAX_BATTERY_TERMS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -121,8 +126,8 @@ def kernel_orders(spec: SourceSpec) -> dict[int, int]:
     return {c: mu(spec, c) for c in range(1 << spec.n_colors)}
 
 
-def image_adinkra(spec: SourceSpec, kind: str = SCALAR, parity=None) -> Adinkra:
-    """The Adinkra presented by the battery: heights hgt0 + 2 mu on the cube.
+def image_adinkra(spec: SourceSpec, kind: str = SCALAR) -> Adinkra:
+    """The Adinkra presented by the battery: heights hgt0 + 2 mu on the standard-parity cube.
 
     Raises when the spec fails the extremality condition (see
     :func:`ehgt_violations`).  The battery entries come out as the sources,
@@ -135,9 +140,7 @@ def image_adinkra(spec: SourceSpec, kind: str = SCALAR, parity=None) -> Adinkra:
 
     topo = cube_topology(spec.n_colors, kind)
     heights = {c: hgt0(c) + 2 * mu(spec, c) for c in topo.vertex_ids}
-    if parity is None:
-        parity = standard_parity(topo)
-    return Adinkra.from_maps(topo, heights, parity)
+    return Adinkra.from_maps(topo, heights, standard_parity(topo))
 
 
 @dataclass(frozen=True)
@@ -258,10 +261,14 @@ def _build(spec: SourceSpec, kind: str, flag: bool) -> _Build:
     two sides once.  For every component c and entry pair, the side with more
     derivatives is expressed through the other; the relating phase is read
     off the lowest components of the two projections.  With flag set,
-    equations that follow from an earlier one are marked redundant.
+    equations that follow from an earlier one are marked redundant.  A
+    battery over MAX_BATTERY_TERMS is refused before any of this.
     """
-    fs = _battery(spec, kind)
     m = len(spec.entries)
+    terms = 4**spec.n_colors * m * (m + 1) // 2
+    if terms > MAX_BATTERY_TERMS:
+        raise AdinkraError(f"the battery would hold {terms} superfield terms, over the cap of {MAX_BATTERY_TERMS}")
+    fs = _battery(spec, kind)
     projections = {
         (c, a): apply_op(projector(spec, c, a), fs[a])
         for c in range(1 << spec.n_colors)

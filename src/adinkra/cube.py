@@ -65,13 +65,17 @@ def cube_topology(n: int, convention: str = SCALAR) -> Topology:
     if n > MAX_CUBE_COLORS:
         raise AdinkraError(f"{n} colors exceeds the cap of {MAX_CUBE_COLORS} on cube size")
     stats = {v: cube_statistics(v, convention) for v in range(1 << n)}
-    edges = [
+    return Topology.build(n, stats, _cube_edges(n))
+
+
+def _cube_edges(n: int) -> tuple[Edge, ...]:
+    """The n-cube's edges (low end, high end, color), in the order Topology keeps them."""
+    return tuple(
         (v, v | 1 << (c - 1), c)
         for v in range(1 << n)
         for c in range(1, n + 1)
         if not v >> (c - 1) & 1
-    ]
-    return Topology.build(n, stats, edges)
+    )
 
 
 def standard_parity(topology: Topology) -> dict[Edge, int]:
@@ -103,11 +107,7 @@ def antipodal_quotient() -> Topology:
     stats = {}
     for v in range(1 << 4):
         stats[rep(v)] = cube_statistics(rep(v), SCALAR)
-    edges = set()
-    for v in range(1 << 4):
-        for c in range(1, 5):
-            if not v >> (c - 1) & 1:
-                edges.add(tuple(sorted((rep(v), rep(v | 1 << (c - 1))))) + (c,))
+    edges = {tuple(sorted((rep(u), rep(v)))) + (c,) for u, v, c in _cube_edges(4)}
     return Topology.build(4, stats, sorted(edges))
 
 
@@ -129,7 +129,6 @@ def cube_signature(topology: Topology) -> tuple[int, str] | None:
             break
     else:
         return None
-    expected = cube_topology(n, convention)
-    if topology.edges != expected.edges:
+    if topology.edges != _cube_edges(n):
         return None
     return n, convention

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from itertools import islice
 from json.encoder import encode_basestring_ascii as _quote
 from typing import TYPE_CHECKING, Any, Mapping
 
@@ -29,7 +30,7 @@ from .cube import MAX_CUBE_COLORS, SCALAR, SPINOR
 
 if TYPE_CHECKING:
     from .constraints import Constraint, ConstraintSystem
-    from .mutation import FamilyGraph, SequenceStep, SequenceTrace
+    from .mutation import FamilyGraph, SequenceTrace
 
     Payload = Topology | Adinkra | FamilyGraph | SequenceTrace | ConstraintSystem
 
@@ -401,96 +402,67 @@ def _vertex(val, topo: Topology, path: str) -> int:
     return val
 
 
-def _step_index(item: dict, key: str, before: int, path: str) -> int | None:
-    """A null or an index of an earlier step."""
-    val = item.get(key)
-    if val is None:
-        return None
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise _fail(f"{path}.{key}", f"expected null or int, got {type(val).__name__}")
-    if not 0 <= val < before:
-        raise _fail(f"{path}.{key}", f"expected the index of an earlier step, got {val}")
-    return val
+def _same(given, expected, path: str) -> None:
+    """Require given to be expected, JSON types compared exactly, naming the deepest difference."""
+    # repr tells True from 1 and 1.0 from 1, as == does not
+    if repr(given) == repr(expected):
+        return
+    if type(expected) is dict and type(given) is dict:
+        _only_keys(given, tuple(expected), path)
+        for key, val in expected.items():
+            _same(_get(given, key, None, path), val, f"{path}.{key}")
+    elif type(expected) is list and type(given) is list:
+        for i, (g, e) in enumerate(zip(given, expected)):
+            _same(g, e, f"{path}[{i}]")
+        if len(given) != len(expected):
+            raise _fail(path, f"expected {len(expected)} entries, got {len(given)}")
+    else:
+        raise _fail(path, f"expected {json.dumps(expected)}, got {json.dumps(given)}")
 
 
 def _decode_trace(data: dict, path: str) -> SequenceTrace:
-    from .mutation import SequenceStep, SequenceTrace
+    """Require the listed steps to be main_sequence recomputed from step 0 and the raised orbits.
+
+    The orbits are the distinct moves; each vertex no move names joins the
+    orbit of the others with its statistics and step-0 height.  Such orbits
+    never become raisable in a whole trace, so they do not change the walk.
+    """
+    from .mutation import _check_orbit, _sequence, _trace
 
     topo = _decode_topology(_get(data, "topology", dict, path), f"{path}.topology")
     parity = _shared_parity(data, topo, path)
-    steps: list[SequenceStep] = []
-    first: dict[tuple[int, ...], int] = {}
-    raw_steps = _list(data, "steps", path)
-    if not raw_steps:
+    listed = _list(data, "steps", path)
+    if not listed:
         raise _fail(f"{path}.steps", "a trace needs at least the start step")
-    for i, item in enumerate(raw_steps):
+    seen: set[int] = set()
+    orbits: set[tuple[int, ...]] = set()
+    for i, item in enumerate(listed):
         sp = f"{path}.steps[{i}]"
         if not isinstance(item, dict):
             raise _fail(sp, f"expected object, got {type(item).__name__}")
-        heights = _heights_tuple(_get(item, "heights", list, sp), topo, f"{sp}.heights")
-        _at(f"{sp}.heights", _check_heights, topo, heights)
-        move_raw = _get(item, "move", None, sp)
-        if move_raw is not None and not isinstance(move_raw, list):
-            raise _fail(f"{sp}.move", f"expected null or list, got {type(move_raw).__name__}")
-        move = None
-        if move_raw is not None:
-            if not i:
-                raise _fail(f"{sp}.move", "expected null; the start step has no parent to replay a move from")
-            move = tuple(_vertex(v, topo, f"{sp}.move[{j}]") for j, v in enumerate(move_raw))
-        counters = []
-        for j, pair in enumerate(_get(item, "counters", list, sp)):
-            cp = f"{sp}.counters[{j}]"
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise _fail(cp, "expected a [vertex, count] pair")
-            vertex, count = _vertex(pair[0], topo, f"{cp}[0]"), pair[1]
-            if isinstance(count, bool) or not isinstance(count, int) or count < 0:
-                raise _fail(f"{cp}[1]", f"expected a non-negative int, got {count!r}")
-            counters.append((vertex, count))
-        parent = _step_index(item, "parent", i, sp)
-        if parent is not None and steps[parent].repeat_of is not None:
-            raise _fail(f"{sp}.parent", f"step {parent} is a repeat step, and nothing is raised from one")
-        repeat_of = _step_index(item, "repeat_of", i, sp)
-        if repeat_of is not None and steps[repeat_of].adinkra.heights != heights:
-            raise _fail(f"{sp}.repeat_of", f"step {repeat_of} has other heights")
-        seen_at = first.setdefault(heights, i)
-        if repeat_of != (None if seen_at == i else seen_at):
-            raise _fail(f"{sp}.repeat_of", f"expected {seen_at}, the first step with these heights")
-        adinkra = Adinkra._trusted(topo, heights, parity)
-        step = SequenceStep(adinkra, move, tuple(counters), parent, repeat_of)
-        if i:
-            _replay_raise(steps, step, sp)
-        steps.append(step)
-    # checked after the replays, which report a later step that disagrees with step 0's counters
-    if steps[0].counters != tuple((v, 0) for v in topo.vertex_ids):
-        raise _fail(f"{path}.steps[0].counters", "expected one [vertex, 0] pair per vertex, in vertex order")
-    closure = data.get("cycle_closure")
-    if closure is not None and (isinstance(closure, bool) or not isinstance(closure, int)):
-        raise _fail(f"{path}.cycle_closure", f"expected null or int, got {type(closure).__name__}")
-    first_closure = next((i for i, s in enumerate(steps) if s.repeat_of == 0), None)
-    if closure != first_closure:
-        raise _fail(
-            f"{path}.cycle_closure",
-            f"expected {json.dumps(first_closure)}, the first step repeating step 0, got {json.dumps(closure)}",
-        )
-    return SequenceTrace(tuple(steps), closure)
-
-
-def _replay_raise(steps: list[SequenceStep], step: SequenceStep, path: str) -> None:
-    """Check that raising step.move in its parent gives its heights and counters."""
-    from .mutation import raise_vertex
-
-    if step.parent is None:
-        raise _fail(f"{path}.parent", "only the start step may have a null parent")
-    if not step.move:
-        raise _fail(f"{path}.move", "expected the raised vertices; only the start step has none")
-    parent = steps[step.parent]
-    raised = parent.adinkra
-    for v in step.move:
-        raised = _at(f"{path}.move", raise_vertex, raised, v)
-    if raised.normalized().heights != step.adinkra.heights:
-        raise _fail(f"{path}.move", f"raising {list(step.move)} in step {step.parent} gives other heights")
-    if tuple(sorted((v, c + step.move.count(v)) for v, c in parent.counters)) != step.counters:
-        raise _fail(f"{path}.counters", f"expected step {step.parent}'s counters plus one per moved vertex")
+        if not i:
+            heights = _heights_tuple(_get(item, "heights", list, sp), topo, f"{sp}.heights")
+            _at(f"{sp}.heights", _check_heights, topo, heights)
+            start = Adinkra._trusted(topo, heights, parity).normalized()
+            continue
+        raw = _get(item, "move", None, sp)
+        if not isinstance(raw, list) or not raw:
+            raise _fail(f"{sp}.move", f"expected the raised vertices, got {json.dumps(raw)}")
+        orbit = tuple(sorted(_vertex(v, topo, f"{sp}.move[{j}]") for j, v in enumerate(raw)))
+        if orbit not in orbits:
+            orbits.add(_at(f"{sp}.move", _check_orbit, start, orbit, seen))
+    rest: dict[tuple[str, int], list[int]] = {}
+    for v, h in zip(topo.vertex_ids, start.heights):
+        if v not in seen:
+            rest.setdefault((topo.statistics_of(v), h), []).append(v)
+    # one step more than listed is enough to tell that the listing is cut short
+    steps = list(islice(_sequence(start, sorted([*orbits, *map(tuple, rest.values())])), len(listed) + 1))
+    trace = _trace(steps[: len(listed)])
+    _same(listed, _trace_data(trace)["steps"], f"{path}.steps")
+    if len(steps) > len(listed):
+        raise _fail(f"{path}.steps", f"the trace has more than the {len(listed)} listed")
+    _same(_get(data, "cycle_closure", None, path), trace.cycle_closure, f"{path}.cycle_closure")
+    return trace
 
 
 def _decode_constraints(data: dict, path: str, check_equations: bool = True) -> ConstraintSystem:

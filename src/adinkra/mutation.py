@@ -358,29 +358,32 @@ class SequenceTrace:
         return [s.adinkra for s in self.steps if s.repeat_of is None]
 
 
-def _check_orbits(start: Adinkra, orbits: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+def _check_orbit(start: Adinkra, orbit: Sequence[int], seen: set[int]) -> tuple[int, ...]:
+    """The orbit sorted, once it is non-empty, disjoint from seen (then added) and homogeneous in start."""
     t = start.topology
+    ot = tuple(sorted(orbit))
+    if not ot:
+        raise AdinkraError("empty orbit in partition")
+    for v in ot:
+        if v not in t._vindex:
+            raise AdinkraError(f"orbit refers to unknown vertex {v}")
+        if v in seen:
+            raise AdinkraError(f"vertex {v} appears in more than one orbit")
+        seen.add(v)
+    if len({t.statistics_of(v) for v in ot}) != 1:
+        raise AdinkraError(f"orbit {ot} mixes statistics")
+    if len({start.height_of(v) for v in ot}) != 1:
+        raise AdinkraError(f"orbit {ot} is not height-homogeneous in the start Adinkra")
+    return ot
+
+
+def _check_orbits(start: Adinkra, orbits: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     seen: set[int] = set()
-    out: list[tuple[int, ...]] = []
-    for orbit in orbits:
-        ot = tuple(sorted(orbit))
-        if not ot:
-            raise AdinkraError("empty orbit in partition")
-        for v in ot:
-            if v not in t._vindex:
-                raise AdinkraError(f"orbit refers to unknown vertex {v}")
-            if v in seen:
-                raise AdinkraError(f"vertex {v} appears in more than one orbit")
-            seen.add(v)
-        if len({t.statistics_of(v) for v in ot}) != 1:
-            raise AdinkraError(f"orbit {ot} mixes statistics")
-        if len({start.height_of(v) for v in ot}) != 1:
-            raise AdinkraError(f"orbit {ot} is not height-homogeneous in the start Adinkra")
-        out.append(ot)
-    missing = set(t.vertex_ids) - seen
+    out = sorted(_check_orbit(start, orbit, seen) for orbit in orbits)
+    missing = set(start.topology.vertex_ids) - seen
     if missing:
         raise AdinkraError(f"orbit partition misses vertices {sorted(missing)}")
-    return sorted(out)
+    return out
 
 
 def main_sequence(
@@ -395,24 +398,29 @@ def main_sequence(
     until no unseen normalized pattern remains.  A move landing on a seen
     pattern is recorded as a repeat step and not explored further.
     cycle_closure is the index of the first step that repeats the start
-    pattern, or None.
+    pattern, or None.  Orbits are checked against the normalized start.
     """
-    t = start.topology
-    orbit_list = _singles(t) if orbits is None else _check_orbits(start, orbits)
     start_n = start.normalized()
-    zero = tuple((v, 0) for v in t.vertex_ids)
-    steps: list[SequenceStep] = [SequenceStep(start_n, None, zero, None, None)]
-    first_index: dict[HeightKey, int] = {start_n.heights: 0}
-    cycle_closure: int | None = None
-    for src, _, orbit, raised in _walk(start_n, orbit_list, ("raise",)):
+    orbit_list = _singles(start.topology) if orbits is None else _check_orbits(start_n, orbits)
+    return _trace(list(_sequence(start_n, orbit_list)))
+
+
+def _sequence(start: Adinkra, orbits: Sequence[tuple[int, ...]]) -> Iterator[SequenceStep]:
+    """The steps of main_sequence from a normalized start, step 0 first."""
+    steps = [SequenceStep(start, None, tuple((v, 0) for v in start.topology.vertex_ids), None, None)]
+    yield steps[0]
+    first_index: dict[HeightKey, int] = {start.heights: 0}
+    for src, _, orbit, raised in _walk(start, orbits, ("raise",)):
         parent = first_index[src]
         counters = dict(steps[parent].counters)
         for v in orbit:
             counters[v] += 1
-        seen_at = first_index.get(raised.heights)
-        if seen_at is None:
-            first_index[raised.heights] = len(steps)
-        elif seen_at == 0 and cycle_closure is None:
-            cycle_closure = len(steps)
-        steps.append(SequenceStep(raised, orbit, tuple(sorted(counters.items())), parent, seen_at))
-    return SequenceTrace(tuple(steps), cycle_closure)
+        seen_at = first_index.setdefault(raised.heights, len(steps))
+        repeat_of = None if seen_at == len(steps) else seen_at
+        steps.append(SequenceStep(raised, orbit, tuple(sorted(counters.items())), parent, repeat_of))
+        yield steps[-1]
+
+
+def _trace(steps: Sequence[SequenceStep]) -> SequenceTrace:
+    """The trace of these steps, closing at the first one that repeats step 0."""
+    return SequenceTrace(tuple(steps), next((i for i, s in enumerate(steps) if s.repeat_of == 0), None))

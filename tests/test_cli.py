@@ -7,15 +7,17 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import adinkra
 from adinkra.cli import main
+from adinkra.constraints import MAX_BATTERY_TERMS
 from adinkra.cube import MAX_CUBE_COLORS, cube_topology
 from adinkra.document import serialize
-from adinkra.mutation import base_adinkra
+from adinkra.mutation import base_adinkra, main_sequence
 from adinkra.superspace import RuleSet, RuleTerm, transformation_rules
 
 from oracles import code_quotient
@@ -302,7 +304,7 @@ def test_validate_rejects_a_trace_step_that_does_not_replay(run) -> None:
     doc["payload"]["steps"][1]["move"] = [3]
     code, out, _ = run(["validate"], stdin=json.dumps(doc))
     assert code == 1
-    assert json.loads(out)["violations"][0].startswith("$.payload.steps[1].move: ")
+    assert json.loads(out)["violations"][0].startswith("$.payload.steps[1].move[0]: expected 0")
 
 
 def test_validate_rejects_a_move_on_the_start_step(run) -> None:
@@ -313,6 +315,38 @@ def test_validate_rejects_a_move_on_the_start_step(run) -> None:
     code, out, _ = run(["validate"], stdin=json.dumps(doc))
     assert code == 1
     assert json.loads(out)["violations"][0].startswith("$.payload.steps[0].move: ")
+
+
+@pytest.mark.parametrize(
+    "n, orbits, cut",
+    [(2, None, 1), (2, None, 2), (2, None, 8), (2, None, 10), (3, [[0], [1, 2, 4], [3, 5, 6], [7]], 3)],
+    ids=["start-only", "two-steps", "last-dropped", "last-duplicated", "so3-three-steps"],
+)
+def test_validate_rejects_a_trace_that_is_not_whole(run, n, orbits, cut) -> None:
+    doc = json.loads(serialize(main_sequence(base_adinkra(cube_topology(n)), orbits)))
+    steps = doc["payload"]["steps"]
+    doc["payload"]["steps"] = (steps + steps[-1:])[:cut]
+    code, out, _ = run(["validate"], stdin=json.dumps(doc))
+    assert code == 1
+    assert json.loads(out)["violations"][0].startswith("$.payload.steps")
+
+
+@pytest.mark.parametrize("command", [["family"], ["main-seq"]], ids=["family", "main-seq"])
+def test_walks_over_the_vertex_cap_fail_before_walking(run, command) -> None:
+    _, cube, _ = run(["cube", "5"])
+    code, out, err = run(command, stdin=cube)
+    assert code == 1 and out == ""
+    assert "32 vertices exceed the cap of 16" in json.loads(err)["error"]
+
+
+def test_constraints_over_the_battery_term_cap_fail_fast(run) -> None:
+    triples = [str(s) for s in range(64) if bin(s).count("1") == 3]
+    assert len(triples) == 20
+    start = time.perf_counter()
+    code, out, err = run(["constraints", "-n", "6", *(f"--entry={s}" for s in triples)])
+    assert time.perf_counter() - start < 2
+    assert code == 1 and out == ""
+    assert f"860160 superfield terms, over the cap of {MAX_BATTERY_TERMS}" in json.loads(err)["error"]
 
 
 def test_hang_without_a_parity_names_the_certificate(run) -> None:

@@ -18,6 +18,7 @@ from adinkra.cube import (
     standard_parity,
 )
 from adinkra.constraints import (
+    MAX_BATTERY_TERMS,
     N2_DOUBLET_ANNIHILATOR,
     N3_QUINTET_ANNIHILATOR,
     N3_TRIPLET_ANNIHILATOR,
@@ -364,3 +365,27 @@ def test_dimension_vector_starts_at_height_zero() -> None:
 
     base = base_adinkra(cube_topology(2))
     assert dimension_vector(base) == (2, 2)
+
+
+@pytest.mark.parametrize(
+    "spec, terms",
+    [
+        (SourceSpec(6, tuple((s, 0) for s in range(64) if hgt0(s) == 2)), 491_520),
+        (SourceSpec(6, tuple((s, 0) for s in range(64) if hgt0(s) == 3)), 860_160),
+        (SourceSpec(10, ((0, 0),)), 1_048_576),
+    ],
+    ids=["n6-pairs", "n6-triples", "n10-one-entry"],
+)
+def test_batteries_over_the_term_cap_are_refused_before_projecting(spec, terms) -> None:
+    for build in (emit_constraints, verify_presentation):
+        with pytest.raises(AdinkraError, match=rf"^the battery would hold {terms} superfield terms, over the cap of {MAX_BATTERY_TERMS}$"):
+            build(spec)
+
+
+def test_the_battery_term_cap_admits_its_own_size(monkeypatch) -> None:
+    # X_SPEC, with n = 2 and m = 2, holds 4^2 * 2 * 3 // 2 = 48 terms
+    monkeypatch.setattr("adinkra.constraints.MAX_BATTERY_TERMS", 48)
+    assert verify_presentation(X_SPEC).ok
+    monkeypatch.setattr("adinkra.constraints.MAX_BATTERY_TERMS", 47)
+    with pytest.raises(AdinkraError, match="48 superfield terms, over the cap of 47"):
+        emit_constraints(X_SPEC)

@@ -114,6 +114,19 @@ def test_cube_signature_rejects_quotient_and_relabelings() -> None:
     assert cube_signature(hexagon) is None
 
 
+def test_cube_signature_compares_edges_without_building_a_cube(monkeypatch) -> None:
+    from adinkra.core import Topology
+
+    cubes = [cube_topology(n, kind) for n in (1, 2, 3) for kind in (SCALAR, SPINOR)]
+    # the square with its two colors swapped: the cube's vertices and statistics, not its edges
+    swapped = Topology.build(
+        2, {0: BOSON, 1: FERMION, 2: FERMION, 3: BOSON}, [(0, 1, 2), (0, 2, 1), (1, 3, 1), (2, 3, 2)]
+    )
+    monkeypatch.setattr("adinkra.cube.Topology", None)
+    assert [cube_signature(t) for t in cubes] == [(n, kind) for n in (1, 2, 3) for kind in (SCALAR, SPINOR)]
+    assert cube_signature(swapped) is None
+
+
 def test_quotient_shape() -> None:
     q = antipodal_quotient()
     assert len(q.vertex_ids) == 8

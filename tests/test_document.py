@@ -20,7 +20,15 @@ from adinkra.document import (
     export_dot,
     serialize,
 )
-from adinkra.mutation import FamilyGraph, base_adinkra, enumerate_family, main_sequence, raise_vertex
+from adinkra.mutation import (
+    FamilyGraph,
+    SequenceStep,
+    SequenceTrace,
+    base_adinkra,
+    enumerate_family,
+    main_sequence,
+    raise_vertex,
+)
 
 
 def sample_objects():
@@ -152,7 +160,7 @@ def _trace_data() -> dict:
         (lambda p: p["steps"][1].__setitem__("parent", 999), r"steps\[1\]\.parent"),
         (lambda p: p["steps"][1].__setitem__("parent", 1), r"steps\[1\]\.parent"),
         (lambda p: p["steps"][-1].__setitem__("repeat_of", len(p["steps"])), r"repeat_of"),
-        (lambda p: p["steps"][-1].__setitem__("repeat_of", 1), r"repeat_of: step 1 has other heights"),
+        (lambda p: p["steps"][-1].__setitem__("repeat_of", 1), r"steps\[8\]\.repeat_of: expected 0, got 1$"),
     ],
 )
 def test_trace_decode_checks_meaning(tamper, where) -> None:
@@ -369,12 +377,12 @@ def _cut_to_the_start(p: dict) -> None:
 @pytest.mark.parametrize(
     "n, tamper, where",
     [
-        (1, _cut_to_the_start, r"steps\[0\]\.counters: expected one \[vertex, 0\] pair per vertex"),
-        (2, lambda p: p["steps"][4].__setitem__("repeat_of", None), r"steps\[4\]\.repeat_of: expected 3, the first step"),
-        (2, lambda p: p["steps"][8].__setitem__("repeat_of", 7), r"steps\[8\]\.repeat_of: expected 0, the first step"),
-        (2, lambda p: p["steps"][5].__setitem__("parent", 4), r"steps\[5\]\.parent: step 4 is a repeat step"),
-        (2, lambda p: p.__setitem__("cycle_closure", None), r"cycle_closure: expected 7, .* got null$"),
-        (2, lambda p: p.__setitem__("cycle_closure", 8), r"cycle_closure: expected 7, .* got 8$"),
+        (1, _cut_to_the_start, r"steps\[0\]\.counters\[0\]\[0\]: expected 0, got 1$"),
+        (2, lambda p: p["steps"][4].__setitem__("repeat_of", None), r"steps\[4\]\.repeat_of: expected 3, got null$"),
+        (2, lambda p: p["steps"][8].__setitem__("repeat_of", 7), r"steps\[8\]\.repeat_of: expected 0, got 7$"),
+        (2, lambda p: p["steps"][5].__setitem__("parent", 4), r"steps\[5\]\.parent: expected 3, got 4$"),
+        (2, lambda p: p.__setitem__("cycle_closure", None), r"cycle_closure: expected 7, got null$"),
+        (2, lambda p: p.__setitem__("cycle_closure", 8), r"cycle_closure: expected 7, got 8$"),
     ],
 )
 def test_trace_decode_requires_what_main_sequence_records(n, tamper, where) -> None:
@@ -387,15 +395,15 @@ def test_trace_decode_requires_what_main_sequence_records(n, tamper, where) -> N
 @pytest.mark.parametrize(
     "tamper, where",
     [
-        (lambda p: p["steps"][1].__setitem__("move", [3]), r"steps\[1\]\.move: raising \[3\] in step 0 gives other heights"),
-        (lambda p: p["steps"][1].__setitem__("move", [1]), r"steps\[1\]\.move: cannot raise 1"),
-        (lambda p: p["steps"][1].__setitem__("move", [0, 0]), r"steps\[1\]\.move: cannot raise 0"),
+        (lambda p: p["steps"][1].__setitem__("move", [3]), r"steps\[1\]\.move\[0\]: expected 0, got 3$"),
+        (lambda p: p["steps"][1].__setitem__("move", [1]), r"steps\[1\]\.move\[0\]: expected 0, got 1$"),
+        (lambda p: p["steps"][1].__setitem__("move", [0, 0]), r"steps\[1\]\.move: vertex 0 appears in more than one orbit$"),
         (lambda p: p["steps"][1].__setitem__("move", None), r"steps\[1\]\.move: expected the raised vertices"),
         (lambda p: p["steps"][1].__setitem__("move", []), r"steps\[1\]\.move: expected the raised vertices"),
-        (lambda p: p["steps"][1].__setitem__("parent", None), r"steps\[1\]\.parent: only the start step"),
-        (lambda p: p["steps"][3].__setitem__("parent", 0), r"steps\[3\]\.move: raising \[3\] in step 0"),
-        (lambda p: p["steps"][1]["counters"][0].__setitem__(1, 2), r"steps\[1\]\.counters: expected step 0's"),
-        (lambda p: p["steps"][0]["counters"][3].__setitem__(1, 5), r"steps\[1\]\.counters: expected step 0's"),
+        (lambda p: p["steps"][1].__setitem__("parent", None), r"steps\[1\]\.parent: expected 0, got null$"),
+        (lambda p: p["steps"][3].__setitem__("parent", 0), r"steps\[3\]\.parent: expected 1, got 0$"),
+        (lambda p: p["steps"][1]["counters"][0].__setitem__(1, 2), r"steps\[1\]\.counters\[0\]\[1\]: expected 1, got 2$"),
+        (lambda p: p["steps"][0]["counters"][3].__setitem__(1, 5), r"steps\[0\]\.counters\[3\]\[1\]: expected 0, got 5$"),
     ],
 )
 def test_trace_decode_replays_each_raise(tamper, where) -> None:
@@ -403,6 +411,87 @@ def test_trace_decode_replays_each_raise(tamper, where) -> None:
     tamper(data["payload"])
     with pytest.raises(DocumentError, match=rf"^\$\.payload\.{where}"):
         deserialize(json.dumps(data))
+
+
+def test_trace_decode_checks_the_raised_orbits() -> None:
+    data = _trace_data()
+    data["payload"]["steps"][1]["move"] = [0, 1]
+    with pytest.raises(DocumentError, match=r"^\$\.payload\.steps\[1\]\.move: orbit \(0, 1\) mixes statistics$"):
+        deserialize(json.dumps(data))
+
+
+def _family_members() -> dict[str, list]:
+    return {name: list(enumerate_family(t).members.values()) for name, t in _SMALL_TOPOLOGIES.items()}
+
+
+_FAMILY_MEMBERS = _family_members()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_a_trace_from_any_member_and_orbit_partition_round_trips(data) -> None:
+    member = data.draw(st.sampled_from(_FAMILY_MEMBERS[data.draw(st.sampled_from(sorted(_FAMILY_MEMBERS)))]))
+    t = member.topology
+    classes: dict[tuple[str, int], list[int]] = {}
+    for v in t.vertex_ids:
+        classes.setdefault((t.statistics_of(v), member.height_of(v)), []).append(v)
+    # split each class of vertices with one statistics and height at random
+    orbits: list[list[int]] = []
+    for same in classes.values():
+        parts: dict[int, list[int]] = {}
+        for v in same:
+            parts.setdefault(data.draw(st.integers(0, len(same) - 1)), []).append(v)
+        orbits += parts.values()
+    text = serialize(main_sequence(member, orbits))
+    assert serialize(deserialize(text)) == text
+
+
+def _so3_trace() -> dict:
+    return json.loads(serialize(main_sequence(base_adinkra(cube_topology(3)), [[0], [1, 2, 4], [3, 5, 6], [7]])))
+
+
+def _cut(p: dict, n: int) -> None:
+    p["steps"] = p["steps"][:n]
+    p["cycle_closure"] = None
+
+
+@pytest.mark.parametrize(
+    "make, tamper, why",
+    [
+        (_trace_data, lambda p: _cut(p, 1), r"steps: the trace has more than the 1 listed"),
+        (_trace_data, lambda p: _cut(p, 2), r"steps: the trace has more than the 2 listed"),
+        (_trace_data, lambda p: p["steps"].pop(), r"steps: the trace has more than the 8 listed"),
+        (_trace_data, lambda p: p["steps"].append(p["steps"][-1]), r"steps: expected 9 entries, got 10"),
+        (_so3_trace, lambda p: _cut(p, 3), r"steps: the trace has more than the 3 listed"),
+    ],
+    ids=["start-only", "two-steps", "last-dropped", "last-duplicated", "so3-three-steps"],
+)
+def test_trace_decode_requires_the_whole_trace(make, tamper, why) -> None:
+    data = make()
+    assert deserialize(json.dumps(data))
+    tamper(data["payload"])
+    with pytest.raises(DocumentError, match=rf"^\$\.payload\.{why}$"):
+        deserialize(json.dumps(data))
+
+
+def test_a_short_trace_document_on_the_largest_cube_is_refused_early() -> None:
+    t = cube_topology(MAX_CUBE_COLORS)
+    base = base_adinkra(t, standard_parity(t))
+    raised = raise_vertex(base, 0).normalized()
+    steps = (
+        SequenceStep(base, None, tuple((v, 0) for v in t.vertex_ids), None, None),
+        SequenceStep(raised, (0,), tuple((v, int(v == 0)) for v in t.vertex_ids), 0, None),
+    )
+    text = serialize(SequenceTrace(steps, None))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DocumentError, match=r"^\$\.payload\.steps: the trace has more than the 2 listed$"):
+            deserialize(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the whole trace is astronomically long; the walk must stop at the third step
+    assert peak < 32_000_000
 
 
 def test_constraints_decode_caps_the_color_count() -> None:
