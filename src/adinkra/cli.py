@@ -41,8 +41,8 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _load(path: str, *kinds: str, check_equations: bool = True) -> Document:
-    doc = deserialize(_read_text(path), check_equations)
+def _load(path: str, *kinds: str) -> Document:
+    doc = deserialize(_read_text(path))
     if kinds and doc.kind not in kinds:
         raise AdinkraError(f"expected a {' or '.join(kinds)} document, got {doc.kind}")
     return doc
@@ -214,19 +214,17 @@ def _cmd_constraints(args) -> int:
 def _cmd_verify_constraints(args) -> int:
     from .constraints import identify, verify_presentation
 
-    given = None
     if args.entry:
         spec, kind = _spec_from_args(args)
     else:
-        # every given equation is compared with the rebuilt system below,
-        # which names the field that differs, so the decoder leaves them be
-        doc = _load(args.file, "constraints", "adinkra", check_equations=False)
+        # decoding a constraints document checks its equations against the rebuilt system
+        doc = _load(args.file, "constraints", "adinkra")
         if doc.kind == "constraints":
-            spec, kind, given = doc.payload.spec, doc.payload.kind, doc.payload.equations
+            spec, kind = doc.payload.spec, doc.payload.kind
         else:
             ident = identify(doc.payload)
             spec, kind = ident.spec, ident.kind
-    report = verify_presentation(spec, kind, given)
+    report = verify_presentation(spec, kind)
     _report(
         {
             "ok": report.ok,

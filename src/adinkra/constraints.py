@@ -17,11 +17,20 @@ how often each source vertex descends.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, fields
-from typing import Sequence
+from dataclasses import dataclass
 
-from .core import BOSON, Adinkra, AdinkraError
-from .cube import MAX_CUBE_COLORS, SCALAR, SPINOR, cube_signature, dist0, hgt0, subset_label
+from .core import Adinkra, AdinkraError
+from .cube import (
+    MAX_CUBE_COLORS,
+    SCALAR,
+    SPINOR,
+    cube_signature,
+    cube_topology,
+    dist0,
+    hgt0,
+    standard_parity,
+    subset_label,
+)
 from .mutation import lowering_sequence_to_one_hooked, sources
 from .superspace import (
     D,
@@ -136,8 +145,6 @@ def image_adinkra(spec: SourceSpec, kind: str = SCALAR) -> Adinkra:
     bad = ehgt_violations(spec)
     if bad:
         raise AdinkraError("spec entries not mutually extreme: " + "; ".join(bad))
-    from .cube import cube_topology, standard_parity
-
     topo = cube_topology(spec.n_colors, kind)
     heights = {c: hgt0(c) + 2 * mu(spec, c) for c in topo.vertex_ids}
     return Adinkra.from_maps(topo, heights, standard_parity(topo))
@@ -246,23 +253,21 @@ def _sides(projections: Projections, eq: Constraint) -> Sides:
 
 @dataclass(frozen=True)
 class _Build:
-    """One battery's projections, lowest components and equations."""
+    """One battery's lowest components, unflagged equations and equation sides."""
 
-    projections: Projections
     lowest: dict[tuple[int, int], tuple[int, int]]  # (component, alpha) -> phase k, order
     equations: tuple[Constraint, ...]
     sides: tuple[Sides, ...]
 
 
-def _build(spec: SourceSpec, kind: str, flag: bool) -> _Build:
+def _build(spec: SourceSpec, kind: str) -> _Build:
     """Project the battery onto every component and relate each entry pair there.
 
     Each projection P_(c,alpha) F_alpha is computed once, and each equation's
     two sides once.  For every component c and entry pair, the side with more
     derivatives is expressed through the other; the relating phase is read
-    off the lowest components of the two projections.  With flag set,
-    equations that follow from an earlier one are marked redundant.  A
-    battery over MAX_BATTERY_TERMS is refused before any of this.
+    off the lowest components of the two projections.  A battery over
+    MAX_BATTERY_TERMS is refused before any of this.
     """
     m = len(spec.entries)
     terms = 4**spec.n_colors * m * (m + 1) // 2
@@ -285,10 +290,8 @@ def _build(spec: SourceSpec, kind: str, flag: bool) -> _Build:
                 kb, db = lowest[(c, lo)]
                 assert (da, db) == (m_alpha(spec, c, hi), m_alpha(spec, c, lo))
                 equations.append(Constraint(c, hi, lo, da - db, Phase(ka - kb), False))
-    sides = [_sides(projections, eq) for eq in equations]
-    if flag:
-        equations = _flag_redundant(spec.n_colors, equations, sides)
-    return _Build(projections, lowest, tuple(equations), tuple(sides))
+    sides = tuple(_sides(projections, eq) for eq in equations)
+    return _Build(lowest, tuple(equations), sides)
 
 
 def emit_constraints(spec: SourceSpec, kind: str = SCALAR) -> ConstraintSystem:
@@ -299,7 +302,8 @@ def emit_constraints(spec: SourceSpec, kind: str = SCALAR) -> ConstraintSystem:
     both sides with the engine.  Equations derivable from an earlier one by a
     single left D multiplication are flagged redundant (but kept).
     """
-    return ConstraintSystem(spec, kind, _build(spec, kind, flag=True).equations)
+    build = _build(spec, kind)
+    return ConstraintSystem(spec, kind, _flag_redundant(spec.n_colors, build.equations, build.sides))
 
 
 def _pair(eq: Constraint) -> tuple[int, int]:
@@ -307,8 +311,8 @@ def _pair(eq: Constraint) -> tuple[int, int]:
 
 
 def _flag_redundant(
-    n_colors: int, equations: list[Constraint], sides: list[Sides]
-) -> list[Constraint]:
+    n_colors: int, equations: tuple[Constraint, ...], sides: tuple[Sides, ...]
+) -> tuple[Constraint, ...]:
     """Flag equations that D_k maps an earlier equation onto, up to a phase.
 
     Each component has one equation per entry pair, emitted by ascending
@@ -337,7 +341,7 @@ def _flag_redundant(
                 redundant = True
                 break
         out.append(Constraint(eq.component, eq.alpha, eq.beta, eq.gap, eq.phase, redundant))
-    return out
+    return tuple(out)
 
 
 _PHASES = tuple(Phase(k) for k in range(4))
@@ -351,19 +355,15 @@ class VerificationReport:
     rederived_matches_image: bool
 
 
-def verify_presentation(
-    spec: SourceSpec, kind: str = SCALAR, equations: Sequence[Constraint] | None = None
-) -> VerificationReport:
+def verify_presentation(spec: SourceSpec, kind: str = SCALAR) -> VerificationReport:
     """Substitute the battery into every emitted constraint and re-derive heights.
 
     All equations must vanish identically on a generic superfield, and the
     image Adinkra recomputed from the engine's derivative orders must equal
-    the formula-based one.  Given equations (say, read from a constraints
-    document) must also equal the rebuilt system field by field; each one
-    that does not is a failure naming the differing fields and, where its
-    indices are in range, the nonzero residual lhs - rhs it leaves.
+    the formula-based one.  Each equation that does not vanish is a failure
+    naming the nonzero residual lhs - rhs it leaves.
     """
-    build = _build(spec, kind, flag=equations is not None)
+    build = _build(spec, kind)
     failures = []
     for eq, (lhs, rhs) in zip(build.equations, build.sides):
         residual = expr_sub(lhs, rhs)
@@ -372,8 +372,6 @@ def verify_presentation(
                 f"component {subset_label(eq.component)}: entries {eq.alpha}/{eq.beta}"
                 f" do not satisfy the emitted relation; residual {residual}"
             )
-    if equations is not None:
-        failures.extend(_mismatches(build, equations))
     rederived = {
         c: hgt0(c) + 2 * min(build.lowest[(c, a)][1] for a in range(len(spec.entries)))
         for c in range(1 << spec.n_colors)
@@ -386,28 +384,6 @@ def verify_presentation(
         failures=tuple(failures),
         rederived_matches_image=matches,
     )
-
-
-def _mismatches(build: _Build, given: Sequence[Constraint]) -> list[str]:
-    out = []
-    if len(given) != len(build.equations):
-        out.append(f"{len(given)} equations given, the battery has {len(build.equations)}")
-    for i, (eq, want) in enumerate(zip(given, build.equations)):
-        if eq == want:
-            continue
-        diffs = [
-            f"{f.name} {getattr(eq, f.name)} differs from the rebuilt {getattr(want, f.name)}"
-            for f in fields(Constraint)
-            if getattr(eq, f.name) != getattr(want, f.name)
-        ]
-        msg = f"equation {i}: " + ", ".join(diffs)
-        in_range = all((eq.component, x) in build.projections for x in (eq.alpha, eq.beta))
-        if in_range and eq.gap >= 0:
-            residual = expr_sub(*_sides(build.projections, eq))
-            if not residual.is_zero():
-                msg += f"; residual {residual}"
-        out.append(msg)
-    return out
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from .core import BOSON, FERMION, Adinkra, AdinkraError, Topology, _check_height
 from .cube import MAX_CUBE_COLORS, SCALAR, SPINOR
 
 if TYPE_CHECKING:
-    from .constraints import Constraint, ConstraintSystem
+    from .constraints import ConstraintSystem
     from .mutation import FamilyGraph, SequenceTrace
 
     Payload = Topology | Adinkra | FamilyGraph | SequenceTrace | ConstraintSystem
@@ -310,6 +310,7 @@ def _decode_edges(data: dict, path: str, with_parity: bool):
 
 
 def _decode_topology(data: dict, path: str) -> Topology:
+    _only_keys(data, ("n_colors", "vertices", "edges"), path)
     n = _int(data, "n_colors", path)
     stats, _ = _decode_vertices(data, path, with_heights=False)
     edges, _ = _decode_edges(data, path, with_parity=False)
@@ -317,6 +318,7 @@ def _decode_topology(data: dict, path: str) -> Topology:
 
 
 def _decode_adinkra(data: dict, path: str) -> Adinkra:
+    _only_keys(data, ("n_colors", "vertices", "edges"), path)
     n = _int(data, "n_colors", path)
     stats, heights = _decode_vertices(data, path, with_heights=True)
     edges, parity = _decode_edges(data, path, with_parity=True)
@@ -362,6 +364,7 @@ def _decode_family(data: dict, path: str) -> FamilyGraph:
     """Require the listed members and moves to be the family recomputed from topology and parity."""
     from .mutation import FamilyGraph, _singles, _walk
 
+    _only_keys(data, ("topology", "parity", "members", "moves"), path)
     topo = _decode_topology(_get(data, "topology", dict, path), f"{path}.topology")
     parity = _shared_parity(data, topo, path)
     listed = [
@@ -373,6 +376,7 @@ def _decode_family(data: dict, path: str) -> FamilyGraph:
         mp = f"{path}.moves[{i}]"
         if not isinstance(item, dict):
             raise _fail(mp, f"expected object, got {type(item).__name__}")
+        _only_keys(item, ("from", "kind", "vertex", "to"), mp)
         kind = _get(item, "kind", str, mp)
         src = _heights_tuple(_get(item, "from", list, mp), topo, f"{mp}.from")
         dst = _heights_tuple(_get(item, "to", list, mp), topo, f"{mp}.to")
@@ -429,6 +433,7 @@ def _decode_trace(data: dict, path: str) -> SequenceTrace:
     """
     from .mutation import _check_orbit, _sequence, _trace
 
+    _only_keys(data, ("topology", "parity", "steps", "cycle_closure"), path)
     topo = _decode_topology(_get(data, "topology", dict, path), f"{path}.topology")
     parity = _shared_parity(data, topo, path)
     listed = _list(data, "steps", path)
@@ -465,11 +470,15 @@ def _decode_trace(data: dict, path: str) -> SequenceTrace:
     return trace
 
 
-def _decode_constraints(data: dict, path: str, check_equations: bool = True) -> ConstraintSystem:
-    from .constraints import Constraint, ConstraintSystem, SourceSpec
-    from .superspace import Phase
+def _decode_constraints(data: dict, path: str) -> ConstraintSystem:
+    """Require the listed equations to be emit_constraints recomputed from the battery.
 
-    phases = {str(Phase(k)): Phase(k) for k in range(4)}
+    The count is compared first, so a document cut short is refused before
+    anything is projected.
+    """
+    from .constraints import SourceSpec, emit_constraints
+
+    _only_keys(data, ("n_colors", "kind", "entries", "equations"), path)
     n = _int(data, "n_colors", path)
     if not 1 <= n <= MAX_CUBE_COLORS:
         raise _fail(f"{path}.n_colors", f"expected a positive int up to the cube cap {MAX_CUBE_COLORS}, got {n}")
@@ -481,40 +490,16 @@ def _decode_constraints(data: dict, path: str, check_equations: bool = True) -> 
         ep = f"{path}.entries[{i}]"
         if not isinstance(item, dict):
             raise _fail(ep, f"expected object, got {type(item).__name__}")
+        _only_keys(item, ("subset", "shift"), ep)
         entries.append((_int(item, "subset", ep), _int(item, "shift", ep)))
     spec = _at(f"{path}.entries", SourceSpec, n, tuple(entries))
-    equations = []
-    for i, item in enumerate(_list(data, "equations", path)):
-        ep = f"{path}.equations[{i}]"
-        if not isinstance(item, dict):
-            raise _fail(ep, f"expected object, got {type(item).__name__}")
-        phase_txt = _get(item, "phase", str, ep)
-        if phase_txt not in phases:
-            raise _fail(f"{ep}.phase", f"expected one of {sorted(phases)}, got {phase_txt!r}")
-        eq = Constraint(
-            component=_int(item, "component", ep),
-            alpha=_int(item, "alpha", ep),
-            beta=_int(item, "beta", ep),
-            gap=_int(item, "gap", ep),
-            phase=phases[phase_txt],
-            redundant=bool(_get(item, "redundant", bool, ep)),
-        )
-        if check_equations:
-            _check_equation_ranges(eq, n, len(entries), ep)
-        equations.append(eq)
-    return ConstraintSystem(spec, kind, tuple(equations))
-
-
-def _check_equation_ranges(eq: Constraint, n: int, m: int, path: str) -> None:
-    if not 0 <= eq.component < 1 << n:
-        raise _fail(f"{path}.component", f"expected 0..{(1 << n) - 1}, got {eq.component}")
-    for key in ("alpha", "beta"):
-        if not 0 <= getattr(eq, key) < m:
-            raise _fail(f"{path}.{key}", f"expected an entry index 0..{m - 1}, got {getattr(eq, key)}")
-    if eq.alpha == eq.beta:
-        raise _fail(f"{path}.beta", f"expected an entry other than alpha {eq.alpha}")
-    if eq.gap < 0:
-        raise _fail(f"{path}.gap", f"expected a non-negative int, got {eq.gap}")
+    listed = _list(data, "equations", path)
+    count = (1 << n) * len(entries) * (len(entries) - 1) // 2
+    if len(listed) != count:
+        raise _fail(f"{path}.equations", f"expected {count} entries, got {len(listed)}")
+    system = _at(path, emit_constraints, spec, kind)
+    _same(listed, _constraints_data(system)["equations"], f"{path}.equations")
+    return system
 
 
 _DECODERS = {
@@ -526,13 +511,8 @@ _DECODERS = {
 }
 
 
-def deserialize(text: str, check_equations: bool = True) -> Document:
-    """Parse document text back into a Document with a live payload.
-
-    check_equations=False keeps the index-range checks off the equations of
-    a constraints document, for a caller that compares every given equation
-    with the rebuilt system and reports the field that differs.
-    """
+def deserialize(text: str) -> Document:
+    """Parse document text back into a Document with a live payload."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -552,10 +532,7 @@ def deserialize(text: str, check_equations: bool = True) -> Document:
     if not isinstance(annotations, dict):
         raise _fail("$.annotations", f"expected object, got {type(annotations).__name__}")
     body = _get(data, "payload", dict, "$")
-    if kind == "constraints":
-        payload = _decode_constraints(body, "$.payload", check_equations)
-    else:
-        payload = _DECODERS[kind](body, "$.payload")
+    payload = _DECODERS[kind](body, "$.payload")
     return Document(kind, payload, annotations)
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .core import BOSON, FERMION, Adinkra, AdinkraError
-from .cube import SCALAR, SPINOR, cube_statistics, cube_topology, hgt0, standard_parity
+from .cube import SCALAR, SPINOR, cube_topology, hgt0, standard_parity
 
 __all__ = [
     "Phase",

@@ -14,7 +14,7 @@ import pytest
 
 import adinkra
 from adinkra.cli import main
-from adinkra.constraints import MAX_BATTERY_TERMS
+from adinkra.constraints import MAX_BATTERY_TERMS, ConstraintSystem, SourceSpec
 from adinkra.cube import MAX_CUBE_COLORS, cube_topology
 from adinkra.document import serialize
 from adinkra.mutation import base_adinkra, main_sequence
@@ -174,23 +174,68 @@ def test_verify_constraints_round_trip(run) -> None:
 
 
 @pytest.mark.parametrize(
-    "field, value, evidence",
+    "field, value, error",
     [
-        ("component", 99, "component 99 differs from the rebuilt 0"),
-        ("alpha", 7, "alpha 7 differs from the rebuilt 1"),
-        ("phase", "-1", "phase -1 differs from the rebuilt +1; residual +i*U' +i*U'"),
+        ("component", 99, "component: expected 0, got 99"),
+        ("alpha", 7, "alpha: expected 1, got 7"),
+        ("phase", "-1", 'phase: expected "+1", got "-1"'),
     ],
+    ids=["component", "alpha", "phase"],
 )
-def test_verify_constraints_rejects_a_tampered_equation(run, field, value, evidence) -> None:
+def test_verify_constraints_rejects_a_tampered_equation(run, field, value, error) -> None:
     _, text, _ = run(["constraints", "-n", "2", "--entry", "1", "--entry", "2"])
     doc = json.loads(text)
     doc["payload"]["equations"][0][field] = value
-    code, out, _ = run(["verify-constraints"], stdin=json.dumps(doc))
+    code, out, err = run(["verify-constraints"], stdin=json.dumps(doc))
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == f"$.payload.equations[0].{error}"
+
+
+@pytest.mark.parametrize(
+    "tamper, error",
+    [
+        (lambda eqs: eqs.pop(), "equations: expected 4 entries, got 3"),
+        (lambda eqs: eqs.append(dict(eqs[1])), "equations: expected 4 entries, got 5"),
+        (lambda eqs: eqs.clear(), "equations: expected 4 entries, got 0"),
+        (lambda eqs: eqs[0].update(gap=1), "equations[0].gap: expected 0, got 1"),
+        (lambda eqs: eqs[1].update(phase="+i"), 'equations[1].phase: expected "-i", got "+i"'),
+        (lambda eqs: eqs[2].update(redundant=False), "equations[2].redundant: expected true, got false"),
+        (lambda eqs: eqs[3].update(alpha=0, beta=1), "equations[3].alpha: expected 1, got 0"),
+    ],
+    ids=["dropped", "duplicated", "emptied", "gap", "phase", "redundant", "swapped"],
+)
+def test_validate_and_verify_constraints_refuse_a_tampered_system(run, tamper, error) -> None:
+    _, text, _ = run(["constraints", "-n", "2", "--entry", "1", "--entry", "2"])
+    doc = json.loads(text)
+    tamper(doc["payload"]["equations"])
+    code, out, _ = run(["validate"], stdin=json.dumps(doc))
+    assert code == 1 and json.loads(out) == {"ok": False, "violations": [f"$.payload.{error}"]}
+    code, out, err = run(["verify-constraints"], stdin=json.dumps(doc))
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == f"$.payload.{error}"
+
+
+@pytest.mark.parametrize(
+    "spec, terms",
+    [
+        (SourceSpec(10, ((0, 0),)), 1_048_576),
+        (SourceSpec(6, tuple((s, 0) for s in range(64) if bin(s).count("1") == 2)), 491_520),
+    ],
+    ids=["n10-one-entry", "n6-pairs"],
+)
+def test_validate_refuses_a_battery_over_the_term_cap_at_the_payload(run, spec, terms) -> None:
+    # as many equations as the battery has, so only the recompute can refuse it
+    m = len(spec.entries)
+    equation = {"component": 0, "alpha": 1, "beta": 0, "gap": 0, "phase": "+1", "redundant": False}
+    doc = json.loads(serialize(ConstraintSystem(spec, "scalar", ())))
+    doc["payload"]["equations"] = [equation] * (2**spec.n_colors * m * (m - 1) // 2)
+    start = time.perf_counter()
+    code, out, _ = run(["validate"], stdin=json.dumps(doc))
+    assert time.perf_counter() - start < 2
     assert code == 1
-    report = json.loads(out)
-    assert report["ok"] is False
-    [failure] = report["failures"]
-    assert failure.startswith(f"equation 0: {evidence}")
+    assert json.loads(out)["violations"] == [
+        f"$.payload: the battery would hold {terms} superfield terms, over the cap of {MAX_BATTERY_TERMS}"
+    ]
 
 
 @pytest.mark.parametrize("field, value", [("component", 99), ("gap", -3)])

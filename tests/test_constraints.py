@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import tracemalloc
 from dataclasses import replace
 
 import pytest
 
+from adinkra import constraints
 from adinkra.core import Adinkra, AdinkraError
 from adinkra.cube import (
     SCALAR,
@@ -37,7 +39,7 @@ from adinkra.constraints import (
     projector,
     verify_presentation,
 )
-from adinkra.document import serialize
+from adinkra.document import DocumentError, deserialize, serialize
 from adinkra.mutation import base_adinkra, enumerate_family, lower_vertex, targets
 from adinkra.superspace import (
     MINUS_ONE,
@@ -239,30 +241,40 @@ def test_verify_counts_all_pairs() -> None:
 
 def test_verify_accepts_the_emitted_equations() -> None:
     system = emit_constraints(TRIPLE_SPEC)
-    report = verify_presentation(TRIPLE_SPEC, SCALAR, system.equations)
+    assert deserialize(serialize(system)).payload == system
+    report = verify_presentation(TRIPLE_SPEC, SCALAR)
     assert report.ok and report.failures == ()
 
 
+def _x_document() -> dict:
+    return json.loads(serialize(emit_constraints(X_SPEC)))
+
+
 def test_verify_names_each_given_mismatch() -> None:
-    given = list(emit_constraints(X_SPEC).equations)
-    flipped = replace(given[1], redundant=not given[1].redundant)
-    given[1] = flipped
-    report = verify_presentation(X_SPEC, SCALAR, given)
-    assert not report.ok
-    # the flag is not part of the relation, so there is no residual to show
-    assert report.failures == (
-        f"equation 1: redundant {flipped.redundant} differs from the rebuilt {not flipped.redundant}",
+    data = _x_document()
+    equations = data["payload"]["equations"]
+    equations[1]["redundant"] = not equations[1]["redundant"]
+    with pytest.raises(DocumentError, match=r"^\$\.payload\.equations\[1\]\.redundant: expected true, got false$"):
+        deserialize(json.dumps(data))
+    del equations[2:]
+    with pytest.raises(DocumentError, match=r"^\$\.payload\.equations: expected 4 entries, got 2$"):
+        deserialize(json.dumps(data))
+
+
+def test_verify_reports_the_residual_of_a_wrong_gap(monkeypatch) -> None:
+    data = _x_document()
+    data["payload"]["equations"][0]["gap"] += 1
+    with pytest.raises(DocumentError, match=r"^\$\.payload\.equations\[0\]\.gap: expected 0, got 1$"):
+        deserialize(json.dumps(data))
+    # an equation that fails substitution is reported with the residual it leaves
+    sides = constraints._sides
+    monkeypatch.setattr(
+        "adinkra.constraints._sides",
+        lambda projections, eq: sides(projections, replace(eq, gap=eq.gap + (eq.component == 0))),
     )
-    report = verify_presentation(X_SPEC, SCALAR, given[:2])
-    assert report.failures[0] == "2 equations given, the battery has 4"
-
-
-def test_verify_reports_the_residual_of_a_wrong_gap() -> None:
-    given = list(emit_constraints(X_SPEC).equations)
-    given[0] = replace(given[0], gap=given[0].gap + 1)
-    [failure] = verify_presentation(X_SPEC, SCALAR, given).failures
+    [failure] = verify_presentation(X_SPEC).failures
     assert failure == (
-        "equation 0: gap 1 differs from the rebuilt 0; residual +i*U' -i*U''"
+        "component {}: entries 1/0 do not satisfy the emitted relation; residual +i*U' -i*U''"
         " -1*th1*U1' +1*th1*U1'' -1*th2*U2' +1*th2*U2'' -1*th1th2*U12' +1*th1th2*U12''"
     )
 

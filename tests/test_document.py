@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import json
 import re
+import time
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adinkra.constraints import SourceSpec, emit_constraints
+from adinkra.constraints import ConstraintSystem, SourceSpec, emit_constraints, identify
 from adinkra.core import BOSON, FERMION, Topology
 from adinkra.cube import MAX_CUBE_COLORS, SCALAR, SPINOR, antipodal_quotient, cube_topology, standard_parity
 from adinkra.document import (
@@ -197,8 +198,6 @@ def test_constraints_decode_checks_index_ranges(field, value, where) -> None:
     eq[field] = eq[value] if value == "alpha" else value
     with pytest.raises(DocumentError, match=rf"equations\[0\]\.{where}: expected"):
         deserialize(json.dumps(data))
-    # a caller comparing the equations itself can still read them
-    assert deserialize(json.dumps(data), check_equations=False).payload.equations[0] is not None
 
 
 def test_constraints_decode_checks_the_color_count() -> None:
@@ -524,6 +523,53 @@ def test_topology_decode_rejects_an_adinkras_vertex_and_edge_fields() -> None:
         del v["height"]
     with pytest.raises(DocumentError, match=r"^\$\.payload\.edges\[0\]: unexpected key 'parity'"):
         deserialize(json.dumps(data))
+
+
+@pytest.mark.parametrize("obj", sample_objects()[:5], ids=lambda o: type(o).__name__)
+def test_each_kind_rejects_a_payload_key_it_does_not_define(obj) -> None:
+    data = json.loads(serialize(obj))
+    data["payload"]["extra"] = 0
+    with pytest.raises(DocumentError, match=r"^\$\.payload: unexpected key 'extra'$"):
+        deserialize(json.dumps(data))
+
+
+def test_constraints_decode_rejects_an_entry_key_it_does_not_define() -> None:
+    data = json.loads(serialize(emit_constraints(SourceSpec(2, ((1, 0), (2, 0))))))
+    data["payload"]["entries"][1]["kind"] = "scalar"
+    with pytest.raises(DocumentError, match=r"^\$\.payload\.entries\[1\]: unexpected key 'kind'$"):
+        deserialize(json.dumps(data))
+
+
+def test_family_decode_rejects_a_move_key_it_does_not_define() -> None:
+    data = json.loads(serialize(enumerate_family(cube_topology(2))))
+    data["payload"]["moves"][2]["extra"] = None
+    with pytest.raises(DocumentError, match=r"^\$\.payload\.moves\[2\]: unexpected key 'extra'$"):
+        deserialize(json.dumps(data))
+
+
+def test_a_constraints_document_cut_short_is_refused_before_projecting(monkeypatch) -> None:
+    # emit_constraints on this battery takes seconds; the count alone refuses it
+    text = serialize(ConstraintSystem(SourceSpec(8, ((0, 0), (255, 0))), SCALAR, ()))
+
+    def never(*args):
+        raise AssertionError("the battery was built")
+
+    monkeypatch.setattr("adinkra.constraints._build", never)
+    start = time.perf_counter()
+    with pytest.raises(DocumentError, match=r"^\$\.payload\.equations: expected 256 entries, got 0$"):
+        deserialize(text)
+    assert time.perf_counter() - start < 0.5
+
+
+_CUBE_MEMBERS = [m for name, members in _FAMILY_MEMBERS.items() if name != "quotient" for m in members]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_CUBE_MEMBERS))
+def test_the_constraints_of_any_cube_member_round_trip(member) -> None:
+    ident = identify(member)
+    text = serialize(emit_constraints(ident.spec, ident.kind))
+    assert serialize(deserialize(text)) == text
 
 
 def test_topology_decode_refuses_a_huge_color_count_at_once() -> None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import os
 import subprocess
@@ -50,3 +51,25 @@ def test_each_name_is_the_object_its_submodule_defines() -> None:
     assert adinkra.verify_presentation is adinkra.constraints.verify_presentation
     for name, module in adinkra._EXPORTS.items():
         assert getattr(adinkra, name) is getattr(importlib.import_module(f"adinkra.{module}"), name), name
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names bound by an import that the module never reads as a name or an attribute base."""
+    tree = ast.parse(source)
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(set(bound) - used)
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in Path(adinkra.__file__).parent.glob("*.py") if p.name != "__init__.py"),
+    ids=lambda p: p.name,
+)
+def test_every_imported_name_is_used(path) -> None:
+    assert _unused_imports(path.read_text(encoding="utf-8")) == []
