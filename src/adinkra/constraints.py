@@ -9,6 +9,14 @@ F_alpha = d_tau^l_alpha D_{I_alpha} U.  The battery determines
 * a redundant system of first-order constraints tying the F_alpha together,
   with phases computed by the symbolic engine rather than guessed.
 
+Every projection P_(c,alpha) F_alpha is a unit phase times d_tau^m D_c U with
+m = m_alpha(c) = l_alpha + |I_alpha \\ c|, so whether D_k carries one equation
+onto another up to a phase is decided by derivative orders alone: the
+equation of a pair at c is redundant exactly when some color k in c leaves
+the pair's larger m_alpha unchanged at c - 2^(k-1).  The battery's entries
+must be mutually extreme (see ehgt_violations); emit_constraints,
+verify_presentation and image_adinkra all refuse one that is not.
+
 identify() inverts the construction: given a cube Adinkra it recovers a
 battery presenting it, by lowering onto the all-colors vertex and counting
 how often each source vertex descends.
@@ -17,7 +25,7 @@ how often each source vertex descends.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .core import Adinkra, AdinkraError
 from .cube import (
@@ -73,7 +81,8 @@ __all__ = [
 ]
 
 
-# _build holds 2^n components x (m projections + m(m-1)/2 equation sides) x 2^n terms
+# _build holds 2^n components x m projections x 2^n terms, and verify_presentation
+# builds m(m-1)/2 equation sides per component on top
 MAX_BATTERY_TERMS = 1 << 18
 
 
@@ -119,6 +128,12 @@ def ehgt_violations(spec: SourceSpec) -> list[str]:
     return out
 
 
+def _require_extreme(spec: SourceSpec) -> None:
+    bad = ehgt_violations(spec)
+    if bad:
+        raise AdinkraError("spec entries not mutually extreme: " + "; ".join(bad))
+
+
 def mu(spec: SourceSpec, component: int) -> int:
     """Least time-derivative order at which the component survives in the image."""
     best = None
@@ -142,9 +157,7 @@ def image_adinkra(spec: SourceSpec, kind: str = SCALAR) -> Adinkra:
     :func:`ehgt_violations`).  The battery entries come out as the sources,
     at heights hgt0(I_alpha) + 2 l_alpha.
     """
-    bad = ehgt_violations(spec)
-    if bad:
-        raise AdinkraError("spec entries not mutually extreme: " + "; ".join(bad))
+    _require_extreme(spec)
     topo = cube_topology(spec.n_colors, kind)
     heights = {c: hgt0(c) + 2 * mu(spec, c) for c in topo.vertex_ids}
     return Adinkra.from_maps(topo, heights, standard_parity(topo))
@@ -253,26 +266,27 @@ def _sides(projections: Projections, eq: Constraint) -> Sides:
 
 @dataclass(frozen=True)
 class _Build:
-    """One battery's lowest components, unflagged equations and equation sides."""
+    """One battery's projections, their lowest components and its unflagged equations."""
 
+    projections: Projections
     lowest: dict[tuple[int, int], tuple[int, int]]  # (component, alpha) -> phase k, order
     equations: tuple[Constraint, ...]
-    sides: tuple[Sides, ...]
 
 
 def _build(spec: SourceSpec, kind: str) -> _Build:
     """Project the battery onto every component and relate each entry pair there.
 
-    Each projection P_(c,alpha) F_alpha is computed once, and each equation's
-    two sides once.  For every component c and entry pair, the side with more
-    derivatives is expressed through the other; the relating phase is read
-    off the lowest components of the two projections.  A battery over
-    MAX_BATTERY_TERMS is refused before any of this.
+    Each projection P_(c,alpha) F_alpha is computed once.  For every
+    component c and entry pair, the side with more derivatives is expressed
+    through the other; the relating phase is read off the lowest components
+    of the two projections.  A battery over MAX_BATTERY_TERMS, or one whose
+    entries are not mutually extreme, is refused before any of this.
     """
     m = len(spec.entries)
     terms = 4**spec.n_colors * m * (m + 1) // 2
     if terms > MAX_BATTERY_TERMS:
         raise AdinkraError(f"the battery would hold {terms} superfield terms, over the cap of {MAX_BATTERY_TERMS}")
+    _require_extreme(spec)
     fs = _battery(spec, kind)
     projections = {
         (c, a): apply_op(projector(spec, c, a), fs[a])
@@ -290,8 +304,7 @@ def _build(spec: SourceSpec, kind: str) -> _Build:
                 kb, db = lowest[(c, lo)]
                 assert (da, db) == (m_alpha(spec, c, hi), m_alpha(spec, c, lo))
                 equations.append(Constraint(c, hi, lo, da - db, Phase(ka - kb), False))
-    sides = tuple(_sides(projections, eq) for eq in equations)
-    return _Build(lowest, tuple(equations), sides)
+    return _Build(projections, lowest, tuple(equations))
 
 
 def emit_constraints(spec: SourceSpec, kind: str = SCALAR) -> ConstraintSystem:
@@ -299,52 +312,24 @@ def emit_constraints(spec: SourceSpec, kind: str = SCALAR) -> ConstraintSystem:
 
     For every component c and entry pair, the side with more derivatives is
     expressed through the other; the relating phase is computed by projecting
-    both sides with the engine.  Equations derivable from an earlier one by a
-    single left D multiplication are flagged redundant (but kept).
+    both sides with the engine.  An equation is flagged redundant (but kept)
+    when, for some color k in c, D_k maps the same pair's equation at
+    c - 2^(k-1) onto it up to a phase.  Both sides at any component d are a
+    unit times d_tau^M D_d U, with M the pair's larger m_alpha at d, so this
+    holds exactly when M is the same at both components.  A battery whose
+    entries are not mutually extreme is refused, as :func:`image_adinkra`
+    refuses it.
     """
-    build = _build(spec, kind)
-    return ConstraintSystem(spec, kind, _flag_redundant(spec.n_colors, build.equations, build.sides))
 
+    def order(c: int, eq: Constraint) -> int:
+        return max(m_alpha(spec, c, eq.alpha), m_alpha(spec, c, eq.beta))
 
-def _pair(eq: Constraint) -> tuple[int, int]:
-    return min(eq.alpha, eq.beta), max(eq.alpha, eq.beta)
-
-
-def _flag_redundant(
-    n_colors: int, equations: tuple[Constraint, ...], sides: tuple[Sides, ...]
-) -> tuple[Constraint, ...]:
-    """Flag equations that D_k maps an earlier equation onto, up to a phase.
-
-    Each component has one equation per entry pair, emitted by ascending
-    component, so the only candidates are the same pair's equations at the
-    one-color neighbours c - 2^(k-1), found through an index.
-    """
-    index = {(eq.component, _pair(eq)): i for i, eq in enumerate(equations)}
-    out: list[Constraint] = []
-    for i, eq in enumerate(equations):
-        redundant = False
-        for k in range(1, n_colors + 1):
-            bit = 1 << (k - 1)
-            if not eq.component & bit:
-                continue
-            j = index[(eq.component ^ bit, _pair(eq))]
-            dl = apply_op(D(k), sides[j][0])
-            dr = apply_op(D(k), sides[j][1])
-            # the higher-derivative entry can differ between the two
-            # components, so try both side orientations
-            lhs, rhs = sides[i]
-            if any(
-                dl == expr_scale(x, lam) and dr == expr_scale(y, lam)
-                for x, y in ((lhs, rhs), (rhs, lhs))
-                for lam in _PHASES
-            ):
-                redundant = True
-                break
-        out.append(Constraint(eq.component, eq.alpha, eq.beta, eq.gap, eq.phase, redundant))
-    return tuple(out)
-
-
-_PHASES = tuple(Phase(k) for k in range(4))
+    equations = []
+    for eq in _build(spec, kind).equations:
+        c = eq.component
+        redundant = any(c >> k & 1 and order(c ^ 1 << k, eq) == order(c, eq) for k in range(spec.n_colors))
+        equations.append(replace(eq, redundant=redundant))
+    return ConstraintSystem(spec, kind, tuple(equations))
 
 
 @dataclass(frozen=True)
@@ -365,7 +350,8 @@ def verify_presentation(spec: SourceSpec, kind: str = SCALAR) -> VerificationRep
     """
     build = _build(spec, kind)
     failures = []
-    for eq, (lhs, rhs) in zip(build.equations, build.sides):
+    for eq in build.equations:
+        lhs, rhs = _sides(build.projections, eq)
         residual = expr_sub(lhs, rhs)
         if not residual.is_zero():
             failures.append(

@@ -517,8 +517,11 @@ def deserialize(text: str) -> Document:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise _fail("$", "nested too deeply to decode") from None
     if not isinstance(data, dict):
         raise _fail("$", f"expected object, got {type(data).__name__}")
+    _only_keys(data, ("format", "version", "kind", "annotations", "payload"), "$")
     fmt = _get(data, "format", str, "$")
     if fmt != FORMAT_NAME:
         raise _fail("$.format", f"expected {FORMAT_NAME!r}, got {fmt!r}")

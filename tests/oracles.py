@@ -8,8 +8,11 @@ vertex matching and a Burnside count instead of canonical isomorphism keys,
 a superspace engine that keeps coefficients as repeated unit-phase
 summands instead of Gaussian integers, and a closure check by the walks of
 {Q_a, Q_b} instead of an epsilon-Grassmann algebra, and an odd-square
-parity solve that eliminates column by column, and the doubly-even-code
-theorem for which cube quotients carry an odd-square parity at all.
+parity solve that eliminates column by column, the doubly-even-code
+theorem for which cube quotients carry an odd-square parity at all, and a
+search that applies D_k to each equation's neighbour and compares it with
+the equation under every phase instead of reading redundancy off derivative
+orders.
 """
 
 from __future__ import annotations
@@ -18,17 +21,21 @@ from collections import Counter, deque
 from itertools import permutations, product
 from typing import Iterable
 
+from adinkra.constraints import Constraint, Sides, SourceSpec, _build, _sides
 from adinkra.core import BOSON, Adinkra, Edge, ParityResult, Topology
 from adinkra.cube import cube_statistics
 from adinkra.superspace import (
     I_PHASE,
     MINUS_ONE,
     ONE,
+    D,
     FieldSymbol,
     Phase,
     RuleSet,
     _accumulate,
     _rot,
+    apply_op,
+    expr_scale,
 )
 
 
@@ -492,3 +499,51 @@ def doubly_even(word: int) -> bool:
     (Doran, Faux, Gates, Hubsch, Iga, Landweber, arXiv:1108.4124).
     """
     return bin(word).count("1") % 4 == 0
+
+
+def searched_redundant_flags(spec: SourceSpec, kind: str) -> list[bool]:
+    """The redundant flag of each emitted equation, found by applying D_k and comparing."""
+    build = _build(spec, kind)
+    sides = tuple(_sides(build.projections, eq) for eq in build.equations)
+    return [eq.redundant for eq in _flag_redundant(spec.n_colors, build.equations, sides)]
+
+
+def _pair(eq: Constraint) -> tuple[int, int]:
+    return min(eq.alpha, eq.beta), max(eq.alpha, eq.beta)
+
+
+def _flag_redundant(
+    n_colors: int, equations: tuple[Constraint, ...], sides: tuple[Sides, ...]
+) -> tuple[Constraint, ...]:
+    """Flag equations that D_k maps an earlier equation onto, up to a phase.
+
+    Each component has one equation per entry pair, emitted by ascending
+    component, so the only candidates are the same pair's equations at the
+    one-color neighbours c - 2^(k-1), found through an index.
+    """
+    index = {(eq.component, _pair(eq)): i for i, eq in enumerate(equations)}
+    out: list[Constraint] = []
+    for i, eq in enumerate(equations):
+        redundant = False
+        for k in range(1, n_colors + 1):
+            bit = 1 << (k - 1)
+            if not eq.component & bit:
+                continue
+            j = index[(eq.component ^ bit, _pair(eq))]
+            dl = apply_op(D(k), sides[j][0])
+            dr = apply_op(D(k), sides[j][1])
+            # the higher-derivative entry can differ between the two
+            # components, so try both side orientations
+            lhs, rhs = sides[i]
+            if any(
+                dl == expr_scale(x, lam) and dr == expr_scale(y, lam)
+                for x, y in ((lhs, rhs), (rhs, lhs))
+                for lam in _PHASES
+            ):
+                redundant = True
+                break
+        out.append(Constraint(eq.component, eq.alpha, eq.beta, eq.gap, eq.phase, redundant))
+    return tuple(out)
+
+
+_PHASES = tuple(Phase(k) for k in range(4))

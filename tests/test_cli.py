@@ -250,6 +250,45 @@ def test_validate_rejects_an_out_of_range_equation(run, field, value) -> None:
     assert report["violations"][0].startswith(f"$.payload.equations[0].{field}: expected")
 
 
+_NOT_EXTREME = (
+    "spec entries not mutually extreme: entries {} and {1}: height gap 3 reaches distance 1;"
+    " entries {} and {2}: height gap 3 reaches distance 1"
+)
+
+
+def test_constraints_and_verify_constraints_refuse_a_battery_that_is_not_mutually_extreme(run) -> None:
+    for command in ("constraints", "verify-constraints"):
+        code, out, err = run([command, "-n", "2", "--entry", "0:2", "--entry", "1", "--entry", "2"])
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == _NOT_EXTREME
+
+
+def test_validate_refuses_a_battery_that_is_not_mutually_extreme_at_the_payload(run) -> None:
+    # as many equations as the battery has, so only the recompute can refuse it
+    spec = SourceSpec(2, ((0, 2), (1, 0), (2, 0)))
+    equation = {"component": 0, "alpha": 1, "beta": 0, "gap": 0, "phase": "+1", "redundant": False}
+    doc = json.loads(serialize(ConstraintSystem(spec, "scalar", ())))
+    doc["payload"]["equations"] = [equation] * 12
+    code, out, _ = run(["validate"], stdin=json.dumps(doc))
+    assert code == 1 and json.loads(out) == {"ok": False, "violations": [f"$.payload: {_NOT_EXTREME}"]}
+    code, out, err = run(["verify-constraints"], stdin=json.dumps(doc))
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == f"$.payload: {_NOT_EXTREME}"
+
+
+def test_validate_rejects_an_unknown_envelope_key(run) -> None:
+    _, cube, _ = run(["cube", "1"])
+    doc = json.loads(cube)
+    doc["extra"] = 1
+    code, out, _ = run(["validate"], stdin=json.dumps(doc))
+    assert code == 1 and json.loads(out) == {"ok": False, "violations": ["$: unexpected key 'extra'"]}
+
+
+def test_validate_reports_deep_nesting_as_a_violation(run) -> None:
+    code, out, _ = run(["validate"], stdin="[" * 100_000 + "]" * 100_000)
+    assert code == 1 and json.loads(out) == {"ok": False, "violations": ["$: nested too deeply to decode"]}
+
+
 def test_verify_constraints_from_adinkra_document(run) -> None:
     _, cube, _ = run(["cube", "2"])
     _, hung, _ = run(

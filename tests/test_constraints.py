@@ -6,6 +6,8 @@ import tracemalloc
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adinkra import constraints
 from adinkra.core import Adinkra, AdinkraError
@@ -52,6 +54,8 @@ from adinkra.superspace import (
     expr_sub,
     generic_superfield,
 )
+
+from oracles import searched_redundant_flags
 
 
 X_SPEC = SourceSpec(2, ((1, 0), (2, 0)))
@@ -313,6 +317,59 @@ def test_valise_constraint_document_is_frozen() -> None:
     ident = identify(valise)
     assert len(ident.spec.entries) == 8
     assert _sha256(serialize(emit_constraints(ident.spec, ident.kind))) == FROZEN_VALISE_DIGEST
+
+
+def _flags(spec: SourceSpec, kind: str) -> list[bool]:
+    return [eq.redundant for eq in emit_constraints(spec, kind).equations]
+
+
+@pytest.mark.parametrize("n, kind", sorted(FROZEN_FAMILY_DIGESTS))
+def test_redundant_flags_match_the_search_on_every_identified_battery(n: int, kind: str) -> None:
+    for member in enumerate_family(cube_topology(n, kind)).members.values():
+        ident = identify(member)
+        assert _flags(ident.spec, ident.kind) == searched_redundant_flags(ident.spec, ident.kind)
+
+
+def test_redundant_flags_match_the_search_on_the_valise() -> None:
+    t = cube_topology(4)
+    ident = identify(Adinkra.from_maps(t, {v: hgt0(v) % 2 for v in t.vertex_ids}, standard_parity(t)))
+    assert _flags(ident.spec, ident.kind) == searched_redundant_flags(ident.spec, ident.kind)
+
+
+@st.composite
+def _extreme_batteries(draw) -> SourceSpec:
+    """Up to eight entries on at most 4 colors with shifts up to 3, kept while mutually extreme.
+
+    Entries of independent shifts are rarely extreme, so each shift lifts
+    its entry to height hgt0(I) + 2 l at or just above one drawn level,
+    then raises it one more step when its drawn bump is 1.
+    """
+    n = draw(st.integers(1, 4))
+    level = draw(st.integers(0, n + 1))
+    masks = st.lists(st.integers(0, (1 << n) - 1), min_size=2, max_size=8, unique=True)
+    entries: list[tuple[int, int]] = []
+    for mask in draw(masks):
+        shift = min(3, max(0, (level - hgt0(mask) + 1) // 2) + draw(st.integers(0, 1)))
+        if not ehgt_violations(SourceSpec(n, (*entries, (mask, shift)))):
+            entries.append((mask, shift))
+    return SourceSpec(n, tuple(entries))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_extreme_batteries(), st.sampled_from((SCALAR, SPINOR)))
+def test_redundant_flags_match_the_search_on_random_batteries(spec: SourceSpec, kind: str) -> None:
+    assert _flags(spec, kind) == searched_redundant_flags(spec, kind)
+
+
+@pytest.mark.parametrize("kind", [SCALAR, SPINOR])
+def test_batteries_that_are_not_mutually_extreme_are_refused_before_projecting(kind: str, monkeypatch) -> None:
+    spec = SourceSpec(2, ((0, 2), (1, 0), (2, 0)))
+    message = "spec entries not mutually extreme: " + "; ".join(ehgt_violations(spec))
+    monkeypatch.setattr("adinkra.constraints._battery", None)
+    for build in (emit_constraints, verify_presentation, image_adinkra):
+        with pytest.raises(AdinkraError) as info:
+            build(spec, kind)
+        assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------

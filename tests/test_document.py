@@ -623,9 +623,9 @@ def _mutation_documents() -> list[str]:
         docs += [serialize(t), serialize(base_adinkra(t)), serialize(enumerate_family(t))]
         docs.append(serialize(main_sequence(base_adinkra(t))))
     docs.append(serialize(base_adinkra(cube_topology(2, SPINOR))))
-    docs.append(serialize(emit_constraints(SourceSpec(1, ((0, 0), (1, 1))))))
+    docs.append(serialize(emit_constraints(SourceSpec(1, ((1, 1),)))))
     docs.append(serialize(emit_constraints(SourceSpec(2, ((1, 0), (2, 0))))))
-    docs.append(serialize(emit_constraints(SourceSpec(2, ((0, 0), (3, 0))), SPINOR)))
+    docs.append(serialize(emit_constraints(SourceSpec(2, ((0, 1), (3, 0))), SPINOR)))
     return docs
 
 

@@ -53,8 +53,8 @@ def test_each_name_is_the_object_its_submodule_defines() -> None:
         assert getattr(adinkra, name) is getattr(importlib.import_module(f"adinkra.{module}"), name), name
 
 
-def _unused_imports(source: str) -> list[str]:
-    """Names bound by an import that the module never reads as a name or an attribute base."""
+def _unused_names(source: str) -> list[str]:
+    """Names bound by an import, and module-level _names, that the module never reads as a name or an attribute base."""
     tree = ast.parse(source)
     bound = []
     for node in ast.walk(tree):
@@ -62,8 +62,28 @@ def _unused_imports(source: str) -> list[str]:
             bound += [alias.asname or alias.name.partition(".")[0] for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             bound += [alias.asname or alias.name for alias in node.names]
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined = [node.name]
+        elif isinstance(node, ast.Assign):
+            defined = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            defined = [node.target.id]
+        else:
+            continue
+        bound += [name for name in defined if name.startswith("_") and not name.startswith("__")]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     return sorted(set(bound) - used)
+
+
+def _imported_by_siblings(module: str) -> set[str]:
+    """Names the package's modules import from the given module, such as core's _solved_parity."""
+    names = set()
+    for path in Path(adinkra.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == module:
+                names.update(alias.name for alias in node.names)
+    return names
 
 
 @pytest.mark.parametrize(
@@ -72,4 +92,10 @@ def _unused_imports(source: str) -> list[str]:
     ids=lambda p: p.name,
 )
 def test_every_imported_name_is_used(path) -> None:
-    assert _unused_imports(path.read_text(encoding="utf-8")) == []
+    unused = set(_unused_names(path.read_text(encoding="utf-8"))) - _imported_by_siblings(path.stem)
+    assert sorted(unused) == []
+
+
+def test_an_unread_module_level_private_name_is_caught() -> None:
+    source = "import os\n_PHASES = (1,)\n_SEP = os.sep\ndef _pair():\n    return _SEP\nclass _Build:\n    x: int\n"
+    assert _unused_names(source) == ["_Build", "_PHASES", "_pair"]
