@@ -25,7 +25,7 @@ how often each source vertex descends.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .core import Adinkra, AdinkraError
 from .cube import (
@@ -81,8 +81,9 @@ __all__ = [
 ]
 
 
-# _build holds 2^n components x m projections x 2^n terms, and verify_presentation
-# builds m(m-1)/2 equation sides per component on top
+# bounds the battery verify_presentation projects: 2^n components x m projections x
+# 2^n terms, plus m(m-1)/2 equation sides per component.  emit_constraints walks one
+# term per projection but keeps the same refusal, so both refuse the same batteries
 MAX_BATTERY_TERMS = 1 << 18
 
 
@@ -212,8 +213,16 @@ def m_alpha(spec: SourceSpec, component: int, alpha: int) -> int:
     return shift + hgt0(mask & ~component)
 
 
-def _battery(spec: SourceSpec, kind: str) -> list[SuperfieldExpr]:
-    u = generic_superfield(spec.n_colors, kind)
+def _check_battery(spec: SourceSpec) -> None:
+    """Refuse a battery over MAX_BATTERY_TERMS, then one whose entries are not mutually extreme."""
+    m = len(spec.entries)
+    terms = 4**spec.n_colors * m * (m + 1) // 2
+    if terms > MAX_BATTERY_TERMS:
+        raise AdinkraError(f"the battery would hold {terms} superfield terms, over the cap of {MAX_BATTERY_TERMS}")
+    _require_extreme(spec)
+
+
+def _battery(spec: SourceSpec, u: SuperfieldExpr) -> list[SuperfieldExpr]:
     fs = []
     for mask, shift in spec.entries:
         colors = [c + 1 for c in range(spec.n_colors) if mask >> c & 1]
@@ -254,46 +263,14 @@ class ConstraintSystem:
     equations: tuple[Constraint, ...]
 
 
+Lowest = dict[tuple[int, int], tuple[int, int]]  # (component, alpha) -> phase k, order
 Projections = dict[tuple[int, int], SuperfieldExpr]  # (component, alpha) -> P F_alpha
 Sides = tuple[SuperfieldExpr, SuperfieldExpr]
 
 
-def _sides(projections: Projections, eq: Constraint) -> Sides:
-    lhs = projections[(eq.component, eq.alpha)]
-    rhs = expr_scale(dtau_expr(projections[(eq.component, eq.beta)], eq.gap), eq.phase)
-    return lhs, rhs
-
-
-@dataclass(frozen=True)
-class _Build:
-    """One battery's projections, their lowest components and its unflagged equations."""
-
-    projections: Projections
-    lowest: dict[tuple[int, int], tuple[int, int]]  # (component, alpha) -> phase k, order
-    equations: tuple[Constraint, ...]
-
-
-def _build(spec: SourceSpec, kind: str) -> _Build:
-    """Project the battery onto every component and relate each entry pair there.
-
-    Each projection P_(c,alpha) F_alpha is computed once.  For every
-    component c and entry pair, the side with more derivatives is expressed
-    through the other; the relating phase is read off the lowest components
-    of the two projections.  A battery over MAX_BATTERY_TERMS, or one whose
-    entries are not mutually extreme, is refused before any of this.
-    """
+def _equations(spec: SourceSpec, lowest: Lowest) -> tuple[Constraint, ...]:
+    """Relate each entry pair at every component, with phases and gaps read off the lowest components."""
     m = len(spec.entries)
-    terms = 4**spec.n_colors * m * (m + 1) // 2
-    if terms > MAX_BATTERY_TERMS:
-        raise AdinkraError(f"the battery would hold {terms} superfield terms, over the cap of {MAX_BATTERY_TERMS}")
-    _require_extreme(spec)
-    fs = _battery(spec, kind)
-    projections = {
-        (c, a): apply_op(projector(spec, c, a), fs[a])
-        for c in range(1 << spec.n_colors)
-        for a in range(m)
-    }
-    lowest = {key: _lowest(p, *key) for key, p in projections.items()}
     equations = []
     for c in range(1 << spec.n_colors):
         for a in range(m):
@@ -303,33 +280,46 @@ def _build(spec: SourceSpec, kind: str) -> _Build:
                 ka, da = lowest[(c, hi)]
                 kb, db = lowest[(c, lo)]
                 assert (da, db) == (m_alpha(spec, c, hi), m_alpha(spec, c, lo))
-                equations.append(Constraint(c, hi, lo, da - db, Phase(ka - kb), False))
-    return _Build(projections, lowest, tuple(equations))
+                redundant = any(
+                    c >> k & 1 and max(m_alpha(spec, c ^ 1 << k, a), m_alpha(spec, c ^ 1 << k, b)) == max(ma, mb)
+                    for k in range(spec.n_colors)
+                )
+                equations.append(Constraint(c, hi, lo, da - db, Phase(ka - kb), redundant))
+    return tuple(equations)
+
+
+def _term_lowest(spec: SourceSpec, kind: str) -> Lowest:
+    """The lowest component of every projection, walked from the one term of U that reaches theta = 0, at c."""
+    u = generic_superfield(spec.n_colors, kind)
+    lowest = {}
+    for c, summands in u.terms:
+        fs = _battery(spec, SuperfieldExpr(spec.n_colors, u.statistics, [(c, summands)]))
+        for a, f in enumerate(fs):
+            lowest[(c, a)] = _lowest(apply_op(projector(spec, c, a), f), c, a)
+    return lowest
 
 
 def emit_constraints(spec: SourceSpec, kind: str = SCALAR) -> ConstraintSystem:
     """The full (redundant) first-order system tying the battery together.
 
     For every component c and entry pair, the side with more derivatives is
-    expressed through the other; the relating phase is computed by projecting
-    both sides with the engine.  An equation is flagged redundant (but kept)
-    when, for some color k in c, D_k maps the same pair's equation at
-    c - 2^(k-1) onto it up to a phase.  Both sides at any component d are a
-    unit times d_tau^M D_d U, with M the pair's larger m_alpha at d, so this
-    holds exactly when M is the same at both components.  A battery whose
-    entries are not mutually extreme is refused, as :func:`image_adinkra`
-    refuses it.
+    expressed through the other; the relating phase is computed by walking
+    one term of U per projection with the engine.  An equation is flagged
+    redundant (but kept) when, for some color k in c, D_k maps the same
+    pair's equation at c - 2^(k-1) onto it up to a phase.  Both sides at any
+    component d are a unit times d_tau^M D_d U, with M the pair's larger
+    m_alpha at d, so this holds exactly when M is the same at both
+    components.  A battery whose entries are not mutually extreme is refused,
+    as :func:`image_adinkra` refuses it.
     """
+    _check_battery(spec)
+    return ConstraintSystem(spec, kind, _equations(spec, _term_lowest(spec, kind)))
 
-    def order(c: int, eq: Constraint) -> int:
-        return max(m_alpha(spec, c, eq.alpha), m_alpha(spec, c, eq.beta))
 
-    equations = []
-    for eq in _build(spec, kind).equations:
-        c = eq.component
-        redundant = any(c >> k & 1 and order(c ^ 1 << k, eq) == order(c, eq) for k in range(spec.n_colors))
-        equations.append(replace(eq, redundant=redundant))
-    return ConstraintSystem(spec, kind, tuple(equations))
+def _sides(projections: Projections, eq: Constraint) -> Sides:
+    lhs = projections[(eq.component, eq.alpha)]
+    rhs = expr_scale(dtau_expr(projections[(eq.component, eq.beta)], eq.gap), eq.phase)
+    return lhs, rhs
 
 
 @dataclass(frozen=True)
@@ -348,25 +338,34 @@ def verify_presentation(spec: SourceSpec, kind: str = SCALAR) -> VerificationRep
     the formula-based one.  Each equation that does not vanish is a failure
     naming the nonzero residual lhs - rhs it leaves.
     """
-    build = _build(spec, kind)
+    _check_battery(spec)
+    m = len(spec.entries)
+    fs = _battery(spec, generic_superfield(spec.n_colors, kind))
+    projections = {
+        (c, a): apply_op(projector(spec, c, a), fs[a])
+        for c in range(1 << spec.n_colors)
+        for a in range(m)
+    }
+    lowest = {key: _lowest(p, *key) for key, p in projections.items()}
+    equations = _equations(spec, lowest)
     failures = []
-    for eq in build.equations:
-        lhs, rhs = _sides(build.projections, eq)
-        residual = expr_sub(lhs, rhs)
-        if not residual.is_zero():
+    for eq in equations:
+        # both sides carry U's statistics flipped by |c|, so lhs == rhs exactly when lhs - rhs is zero
+        lhs, rhs = _sides(projections, eq)
+        if lhs != rhs:
             failures.append(
                 f"component {subset_label(eq.component)}: entries {eq.alpha}/{eq.beta}"
-                f" do not satisfy the emitted relation; residual {residual}"
+                f" do not satisfy the emitted relation; residual {expr_sub(lhs, rhs)}"
             )
     rederived = {
-        c: hgt0(c) + 2 * min(build.lowest[(c, a)][1] for a in range(len(spec.entries)))
+        c: hgt0(c) + 2 * min(lowest[(c, a)][1] for a in range(m))
         for c in range(1 << spec.n_colors)
     }
     image = image_adinkra(spec, kind)
     matches = rederived == image.heights_by_vertex()
     return VerificationReport(
         ok=not failures and matches,
-        checked_equations=len(build.equations),
+        checked_equations=len(equations),
         failures=tuple(failures),
         rederived_matches_image=matches,
     )

@@ -519,6 +519,8 @@ def deserialize(text: str) -> Document:
         raise DocumentError(f"not valid JSON: {exc}") from None
     except RecursionError:
         raise _fail("$", "nested too deeply to decode") from None
+    except ValueError:  # an integer over Python's digit limit for int(str)
+        raise _fail("$", "an integer has too many digits to decode") from None
     if not isinstance(data, dict):
         raise _fail("$", f"expected object, got {type(data).__name__}")
     _only_keys(data, ("format", "version", "kind", "annotations", "payload"), "$")

@@ -12,7 +12,8 @@ parity solve that eliminates column by column, the doubly-even-code
 theorem for which cube quotients carry an odd-square parity at all, and a
 search that applies D_k to each equation's neighbour and compares it with
 the equation under every phase instead of reading redundancy off derivative
-orders.
+orders, and the lowest component of every projection read off the whole
+projected battery instead of the one term of U that reaches theta = 0.
 """
 
 from __future__ import annotations
@@ -21,7 +22,18 @@ from collections import Counter, deque
 from itertools import permutations, product
 from typing import Iterable
 
-from adinkra.constraints import Constraint, Sides, SourceSpec, _build, _sides
+from adinkra.constraints import (
+    Constraint,
+    Lowest,
+    Projections,
+    Sides,
+    SourceSpec,
+    _battery,
+    _lowest,
+    _sides,
+    emit_constraints,
+    projector,
+)
 from adinkra.core import BOSON, Adinkra, Edge, ParityResult, Topology
 from adinkra.cube import cube_statistics
 from adinkra.superspace import (
@@ -36,6 +48,7 @@ from adinkra.superspace import (
     _rot,
     apply_op,
     expr_scale,
+    generic_superfield,
 )
 
 
@@ -501,11 +514,27 @@ def doubly_even(word: int) -> bool:
     return bin(word).count("1") % 4 == 0
 
 
+def _projections(spec: SourceSpec, kind: str) -> Projections:
+    """Every projection P_(c,alpha) F_alpha of the whole battery, all 2^n terms of U carried through."""
+    fs = _battery(spec, generic_superfield(spec.n_colors, kind))
+    return {
+        (c, a): apply_op(projector(spec, c, a), fs[a])
+        for c in range(1 << spec.n_colors)
+        for a in range(len(spec.entries))
+    }
+
+
+def projected_lowest(spec: SourceSpec, kind: str) -> Lowest:
+    """(phase exponent, derivative order) of every projection, read off the fully projected battery."""
+    return {key: _lowest(p, *key) for key, p in _projections(spec, kind).items()}
+
+
 def searched_redundant_flags(spec: SourceSpec, kind: str) -> list[bool]:
     """The redundant flag of each emitted equation, found by applying D_k and comparing."""
-    build = _build(spec, kind)
-    sides = tuple(_sides(build.projections, eq) for eq in build.equations)
-    return [eq.redundant for eq in _flag_redundant(spec.n_colors, build.equations, sides)]
+    equations = emit_constraints(spec, kind).equations
+    projections = _projections(spec, kind)
+    sides = tuple(_sides(projections, eq) for eq in equations)
+    return [eq.redundant for eq in _flag_redundant(spec.n_colors, equations, sides)]
 
 
 def _pair(eq: Constraint) -> tuple[int, int]:

@@ -13,8 +13,9 @@ from pathlib import Path
 import pytest
 
 import adinkra
+from adinkra import constraints
 from adinkra.cli import main
-from adinkra.constraints import MAX_BATTERY_TERMS, ConstraintSystem, SourceSpec
+from adinkra.constraints import MAX_BATTERY_TERMS, ConstraintSystem, SourceSpec, emit_constraints
 from adinkra.cube import MAX_CUBE_COLORS, cube_topology
 from adinkra.document import serialize
 from adinkra.mutation import base_adinkra, main_sequence
@@ -173,6 +174,25 @@ def test_verify_constraints_round_trip(run) -> None:
     assert report["rederived_matches_image"] is True
 
 
+def test_verify_constraints_projects_a_constraints_document_once(run, monkeypatch, tmp_path) -> None:
+    # the three single-color entries on three colors
+    spec = SourceSpec(3, ((1, 0), (2, 0), (4, 0)))
+    path = tmp_path / "triple.json"
+    path.write_text(serialize(emit_constraints(spec)), encoding="utf-8")
+    apply_op = constraints.apply_op
+    whole = []
+
+    def counting(op, expr):
+        whole.append(len(expr.coeffs) == 1 << expr.n_colors)
+        return apply_op(op, expr)
+
+    monkeypatch.setattr("adinkra.constraints.apply_op", counting)
+    code, out, _ = run(["verify-constraints", str(path)])
+    assert code == 0 and json.loads(out)["ok"] is True
+    # the battery once (m calls on U), then each of its 2^n * m projections once
+    assert sum(whole) == 3 * (2**3 + 1)
+
+
 @pytest.mark.parametrize(
     "field, value, error",
     [
@@ -287,6 +307,32 @@ def test_validate_rejects_an_unknown_envelope_key(run) -> None:
 def test_validate_reports_deep_nesting_as_a_violation(run) -> None:
     code, out, _ = run(["validate"], stdin="[" * 100_000 + "]" * 100_000)
     assert code == 1 and json.loads(out) == {"ok": False, "violations": ["$: nested too deeply to decode"]}
+
+
+# each subcommand that reads an Adinkra document, with the arguments it needs
+_ADINKRA_READERS = [
+    ["validate"],
+    ["verify-susy"],
+    ["identify"],
+    ["dims"],
+    ["raise", "0"],
+    ["family"],
+    ["export"],
+    ["hang", "--mode", "targets", "--hook", "0=2"],
+    ["main-seq"],
+]
+
+
+@pytest.mark.parametrize("argv", _ADINKRA_READERS, ids=lambda argv: argv[0])
+def test_an_integer_too_long_to_decode_is_a_document_error(run, argv) -> None:
+    _, cube, _ = run(["cube", "1"])
+    doc = cube.replace('"n_colors": 1', '"n_colors": ' + "1" * 5000, 1)
+    code, out, err = run(argv, stdin=doc)
+    assert code == 1 and "Traceback" not in out + err
+    if argv[0] == "validate":
+        assert json.loads(out) == {"ok": False, "violations": ["$: an integer has too many digits to decode"]}
+    else:
+        assert json.loads(err) == {"error": "$: an integer has too many digits to decode", "type": "DocumentError"}
 
 
 def test_verify_constraints_from_adinkra_document(run) -> None:

@@ -55,7 +55,7 @@ from adinkra.superspace import (
     generic_superfield,
 )
 
-from oracles import searched_redundant_flags
+from oracles import projected_lowest, searched_redundant_flags
 
 
 X_SPEC = SourceSpec(2, ((1, 0), (2, 0)))
@@ -336,6 +336,19 @@ def test_redundant_flags_match_the_search_on_the_valise() -> None:
     assert _flags(ident.spec, ident.kind) == searched_redundant_flags(ident.spec, ident.kind)
 
 
+@pytest.mark.parametrize("n, kind", sorted(FROZEN_FAMILY_DIGESTS))
+def test_one_term_lowest_matches_the_projections_on_every_identified_battery(n: int, kind: str) -> None:
+    for member in enumerate_family(cube_topology(n, kind)).members.values():
+        ident = identify(member)
+        assert constraints._term_lowest(ident.spec, ident.kind) == projected_lowest(ident.spec, ident.kind)
+
+
+def test_one_term_lowest_matches_the_projections_on_the_valise() -> None:
+    t = cube_topology(4)
+    ident = identify(Adinkra.from_maps(t, {v: hgt0(v) % 2 for v in t.vertex_ids}, standard_parity(t)))
+    assert constraints._term_lowest(ident.spec, ident.kind) == projected_lowest(ident.spec, ident.kind)
+
+
 @st.composite
 def _extreme_batteries(draw) -> SourceSpec:
     """Up to eight entries on at most 4 colors with shifts up to 3, kept while mutually extreme.
@@ -359,6 +372,8 @@ def _extreme_batteries(draw) -> SourceSpec:
 @given(_extreme_batteries(), st.sampled_from((SCALAR, SPINOR)))
 def test_redundant_flags_match_the_search_on_random_batteries(spec: SourceSpec, kind: str) -> None:
     assert _flags(spec, kind) == searched_redundant_flags(spec, kind)
+    assert constraints._term_lowest(spec, kind) == projected_lowest(spec, kind)
+    assert verify_presentation(spec, kind).ok
 
 
 @pytest.mark.parametrize("kind", [SCALAR, SPINOR])

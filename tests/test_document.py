@@ -554,7 +554,7 @@ def test_a_constraints_document_cut_short_is_refused_before_projecting(monkeypat
     def never(*args):
         raise AssertionError("the battery was built")
 
-    monkeypatch.setattr("adinkra.constraints._build", never)
+    monkeypatch.setattr("adinkra.constraints.emit_constraints", never)
     start = time.perf_counter()
     with pytest.raises(DocumentError, match=r"^\$\.payload\.equations: expected 256 entries, got 0$"):
         deserialize(text)

@@ -88,7 +88,10 @@ def _imported_by_siblings(module: str) -> set[str]:
 
 @pytest.mark.parametrize(
     "path",
-    sorted(p for p in Path(adinkra.__file__).parent.glob("*.py") if p.name != "__init__.py"),
+    [
+        *sorted(p for p in Path(adinkra.__file__).parent.glob("*.py") if p.name != "__init__.py"),
+        Path(__file__).with_name("oracles.py"),
+    ],
     ids=lambda p: p.name,
 )
 def test_every_imported_name_is_used(path) -> None:
