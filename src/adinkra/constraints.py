@@ -17,6 +17,12 @@ the pair's larger m_alpha unchanged at c - 2^(k-1).  The battery's entries
 must be mutually extreme (see ehgt_violations); emit_constraints,
 verify_presentation and image_adinkra all refuse one that is not.
 
+P_(c,alpha) F_alpha is the one word D_{c xor I_alpha} d_tau^l_alpha D_{I_alpha},
+so it sends each term U_d of U to one term at monomial d xor c.  No two terms
+share a key and nothing cancels, so verify_presentation walks each U_d through
+each projection once and compares the two sides of an equation term by term;
+emit_constraints walks only U_c, the one term that reaches theta = 0.
+
 identify() inverts the construction: given a cube Adinkra it recovers a
 battery presenting it, by lowering onto the all-colors vertex and counting
 how often each source vertex descends.
@@ -41,16 +47,17 @@ from .cube import (
 )
 from .mutation import lowering_sequence_to_one_hooked, sources
 from .superspace import (
+    ONE,
     D,
+    FieldSymbol,
     Phase,
     SuperOp,
     SuperfieldExpr,
+    Word,
+    _walk,
+    _word_steps,
     apply_op,
-    descending_product,
-    dtau_expr,
     expr_add,
-    expr_scale,
-    expr_sub,
     generic_superfield,
 )
 
@@ -81,9 +88,9 @@ __all__ = [
 ]
 
 
-# bounds the battery verify_presentation projects: 2^n components x m projections x
-# 2^n terms, plus m(m-1)/2 equation sides per component.  emit_constraints walks one
-# term per projection but keeps the same refusal, so both refuse the same batteries
+# bounds verify_presentation's walks of the 2^n terms of U through 2^n x m projections and
+# its m(m-1)/2 equation sides per component, with the value and messages it had as a cap on
+# superfield terms.  emit_constraints walks one term per projection but refuses the same batteries
 MAX_BATTERY_TERMS = 1 << 18
 
 
@@ -101,7 +108,10 @@ class SourceSpec:
         if not self.entries:
             raise AdinkraError("a source spec needs at least one entry")
         seen = set()
-        for mask, shift in self.entries:
+        for entry in self.entries:
+            if not (isinstance(entry, tuple) and len(entry) == 2 and all(type(x) is int for x in entry)):
+                raise AdinkraError(f"a source spec entry must be a (subset, shift) pair of ints, got {entry!r}")
+            mask, shift = entry
             if not 0 <= mask < 1 << self.n_colors:
                 raise AdinkraError(f"subset {mask:#b} outside color range")
             if shift < 0:
@@ -200,11 +210,15 @@ def identify(adinkra: Adinkra) -> Identification:
     return Identification(spec, convention, tuple(moves))
 
 
+def _descending_word(mask: int, n_colors: int) -> Word:
+    """D_{c_k} ... D_{c_1} over the colors c_1 < ... < c_k of mask, as one word."""
+    return tuple(("D", c + 1) for c in reversed(range(n_colors)) if mask >> c & 1)
+
+
 def projector(spec: SourceSpec, component: int, alpha: int) -> SuperOp:
     """The descending D word mapping entry alpha onto the given component."""
     mask, _ = spec.entries[alpha]
-    k = component ^ mask
-    return descending_product([c + 1 for c in range(spec.n_colors) if k >> c & 1])
+    return SuperOp([(ONE, _descending_word(component ^ mask, spec.n_colors))])
 
 
 def m_alpha(spec: SourceSpec, component: int, alpha: int) -> int:
@@ -220,28 +234,6 @@ def _check_battery(spec: SourceSpec) -> None:
     if terms > MAX_BATTERY_TERMS:
         raise AdinkraError(f"the battery would hold {terms} superfield terms, over the cap of {MAX_BATTERY_TERMS}")
     _require_extreme(spec)
-
-
-def _battery(spec: SourceSpec, u: SuperfieldExpr) -> list[SuperfieldExpr]:
-    fs = []
-    for mask, shift in spec.entries:
-        colors = [c + 1 for c in range(spec.n_colors) if mask >> c & 1]
-        fs.append(dtau_expr(apply_op(descending_product(colors), u), shift))
-    return fs
-
-
-def _lowest(projection: SuperfieldExpr, component: int, alpha: int) -> tuple[int, int]:
-    """Lowest component of P_(c,alpha) F_alpha: a single phased derivative of U_c.
-
-    Returns the phase as an exponent of i and the derivative order.
-    """
-    low = projection.component(0)
-    if len(low) != 1:
-        raise AdinkraError(
-            f"projection of entry {alpha} onto {subset_label(component)} is not a single term"
-        )
-    phase, sym = low[0]
-    return phase.k, sym.derivative_order
 
 
 @dataclass(frozen=True)
@@ -264,8 +256,8 @@ class ConstraintSystem:
 
 
 Lowest = dict[tuple[int, int], tuple[int, int]]  # (component, alpha) -> phase k, order
-Projections = dict[tuple[int, int], SuperfieldExpr]  # (component, alpha) -> P F_alpha
-Sides = tuple[SuperfieldExpr, SuperfieldExpr]
+Walked = tuple[int, int, int]  # one term of U under a projection: monomial, time derivatives, phase k mod 4
+Walks = dict[tuple[int, int], list[Walked]]  # (component, alpha) -> each U_d walked, by d
 
 
 def _equations(spec: SourceSpec, lowest: Lowest) -> tuple[Constraint, ...]:
@@ -288,15 +280,30 @@ def _equations(spec: SourceSpec, lowest: Lowest) -> tuple[Constraint, ...]:
     return tuple(equations)
 
 
-def _term_lowest(spec: SourceSpec, kind: str) -> Lowest:
-    """The lowest component of every projection, walked from the one term of U that reaches theta = 0, at c."""
-    u = generic_superfield(spec.n_colors, kind)
-    lowest = {}
-    for c, summands in u.terms:
-        fs = _battery(spec, SuperfieldExpr(spec.n_colors, u.statistics, [(c, summands)]))
-        for a, f in enumerate(fs):
-            lowest[(c, a)] = _lowest(apply_op(projector(spec, c, a), f), c, a)
-    return lowest
+def _project(spec: SourceSpec, kind: str, every_term: bool) -> tuple[list[FieldSymbol], Walks, Lowest]:
+    """Walk each U_d (or only U_c) from its phase in generic_superfield through each projection's word.
+
+    Returns the fields U_d, the walked projections and their lowest components.
+    """
+    n = spec.n_colors
+    syms, phases = [], []
+    for (_, sym), (a, b) in sorted(generic_superfield(n, kind).coeffs.items()):
+        syms.append(sym)
+        phases.append(1 - a if b == 0 else 2 - b)  # the unit a + b i is i^k
+    projections, lowest = {}, {}
+    for c in range(1 << n):
+        for alpha, (mask, shift) in enumerate(spec.entries):
+            steps = _word_steps(_descending_word(c ^ mask, n) + (("dt",),) * shift + _descending_word(mask, n), n)
+            walked = []
+            for d in range(1 << n) if every_term else (c,):
+                landed, dots, k = _walk(steps, d)
+                walked.append((landed, dots, (k + phases[d]) & 3))
+            # the word toggles every theta in c once, so U_d lands on d xor c and only U_c reaches theta = 0
+            landed, dots, k = walked[c if every_term else 0]
+            if landed:
+                raise AdinkraError(f"projection of entry {alpha} onto {subset_label(c)} is not a single term")
+            projections[(c, alpha)], lowest[(c, alpha)] = walked, (k, dots)
+    return syms, projections, lowest
 
 
 def emit_constraints(spec: SourceSpec, kind: str = SCALAR) -> ConstraintSystem:
@@ -304,22 +311,17 @@ def emit_constraints(spec: SourceSpec, kind: str = SCALAR) -> ConstraintSystem:
 
     For every component c and entry pair, the side with more derivatives is
     expressed through the other; the relating phase is computed by walking
-    one term of U per projection with the engine.  An equation is flagged
-    redundant (but kept) when, for some color k in c, D_k maps the same
-    pair's equation at c - 2^(k-1) onto it up to a phase.  Both sides at any
-    component d are a unit times d_tau^M D_d U, with M the pair's larger
-    m_alpha at d, so this holds exactly when M is the same at both
-    components.  A battery whose entries are not mutually extreme is refused,
-    as :func:`image_adinkra` refuses it.
+    the one term of U that reaches theta = 0 through each projection's word.
+    An equation is flagged redundant (but kept) when, for some color k in c,
+    D_k maps the same pair's equation at c - 2^(k-1) onto it up to a phase.
+    Both sides at any component d are a unit times d_tau^M D_d U, with M the
+    pair's larger m_alpha at d, so this holds exactly when M is the same at
+    both components.  A battery whose entries are not mutually extreme is
+    refused, as :func:`image_adinkra` refuses it.
     """
     _check_battery(spec)
-    return ConstraintSystem(spec, kind, _equations(spec, _term_lowest(spec, kind)))
-
-
-def _sides(projections: Projections, eq: Constraint) -> Sides:
-    lhs = projections[(eq.component, eq.alpha)]
-    rhs = expr_scale(dtau_expr(projections[(eq.component, eq.beta)], eq.gap), eq.phase)
-    return lhs, rhs
+    _, _, lowest = _project(spec, kind, every_term=False)
+    return ConstraintSystem(spec, kind, _equations(spec, lowest))
 
 
 @dataclass(frozen=True)
@@ -335,40 +337,34 @@ def verify_presentation(spec: SourceSpec, kind: str = SCALAR) -> VerificationRep
 
     All equations must vanish identically on a generic superfield, and the
     image Adinkra recomputed from the engine's derivative orders must equal
-    the formula-based one.  Each equation that does not vanish is a failure
-    naming the nonzero residual lhs - rhs it leaves.
+    the formula-based one.  Each term of U is walked through each projection
+    once.  Each equation that does not vanish is a failure naming the
+    nonzero residual lhs - rhs it leaves.
     """
     _check_battery(spec)
-    m = len(spec.entries)
-    fs = _battery(spec, generic_superfield(spec.n_colors, kind))
-    projections = {
-        (c, a): apply_op(projector(spec, c, a), fs[a])
-        for c in range(1 << spec.n_colors)
-        for a in range(m)
-    }
-    lowest = {key: _lowest(p, *key) for key, p in projections.items()}
+    n, m = spec.n_colors, len(spec.entries)
+    syms, projections, lowest = _project(spec, kind, every_term=True)
     equations = _equations(spec, lowest)
     failures = []
     for eq in equations:
-        # both sides carry U's statistics flipped by |c|, so lhs == rhs exactly when lhs - rhs is zero
-        lhs, rhs = _sides(projections, eq)
-        if lhs != rhs:
+        c, gap, k = eq.component, eq.gap, eq.phase.k
+        lhs, rhs = projections[(c, eq.alpha)], projections[(c, eq.beta)]
+        # each side holds U_d once, at monomial d xor c with a unit coefficient, so no two
+        # terms share a key and the sides are equal maps exactly when they agree at every d
+        if any(l != (landed, dots + gap, (t + k) & 3) for l, (landed, dots, t) in zip(lhs, rhs)):
+            # lhs - i^k d_tau^gap rhs; U_c lands at theta = 0, so its statistics are both sides'
+            residual = SuperfieldExpr(n, syms[c].statistics, [
+                (landed, ((Phase(t + side_k), sym.dot(dots + side_gap)),))
+                for side, side_gap, side_k in ((lhs, 0, 0), (rhs, gap, k + 2))
+                for sym, (landed, dots, t) in zip(syms, side)
+            ])
             failures.append(
-                f"component {subset_label(eq.component)}: entries {eq.alpha}/{eq.beta}"
-                f" do not satisfy the emitted relation; residual {expr_sub(lhs, rhs)}"
+                f"component {subset_label(c)}: entries {eq.alpha}/{eq.beta}"
+                f" do not satisfy the emitted relation; residual {residual}"
             )
-    rederived = {
-        c: hgt0(c) + 2 * min(lowest[(c, a)][1] for a in range(m))
-        for c in range(1 << spec.n_colors)
-    }
-    image = image_adinkra(spec, kind)
-    matches = rederived == image.heights_by_vertex()
-    return VerificationReport(
-        ok=not failures and matches,
-        checked_equations=len(equations),
-        failures=tuple(failures),
-        rederived_matches_image=matches,
-    )
+    rederived = {c: hgt0(c) + 2 * min(lowest[(c, a)][1] for a in range(m)) for c in range(1 << n)}
+    matches = rederived == image_adinkra(spec, kind).heights_by_vertex()
+    return VerificationReport(not failures and matches, len(equations), tuple(failures), matches)
 
 
 @dataclass(frozen=True)

@@ -433,6 +433,24 @@ def _word_steps(word: Word, n_colors: int) -> list[tuple[int, int, int]]:
     return steps
 
 
+def _walk(steps: list[tuple[int, int, int]], mask: int) -> tuple[int, int, int]:
+    """One term's theta monomial through a word's steps: the monomial, time derivatives and i-power k it ends with."""
+    k = dots = 0
+    for bit, below, add_k in steps:
+        if not bit:
+            dots += 1
+            continue
+        k += 2 * (mask & below).bit_count()
+        if mask & bit:
+            mask ^= bit
+            k += 1 - add_k
+        else:
+            mask |= bit
+            dots += 1
+            k += add_k
+    return mask, dots, k
+
+
 def apply_op(op: SuperOp, expr: SuperfieldExpr) -> SuperfieldExpr:
     """Apply a formal operator to an expression, rightmost word atom first.
 
@@ -448,19 +466,7 @@ def apply_op(op: SuperOp, expr: SuperfieldExpr) -> SuperfieldExpr:
     for word, g_op in op.coeffs.items():
         steps = _word_steps(word, expr.n_colors)
         for (mask, sym), g in expr.coeffs.items():
-            k = dots = 0
-            for bit, below, add_k in steps:
-                if not bit:
-                    dots += 1
-                    continue
-                k += 2 * (mask & below).bit_count()
-                if mask & bit:
-                    mask ^= bit
-                    k += 1 - add_k
-                else:
-                    mask |= bit
-                    dots += 1
-                    k += add_k
+            mask, dots, k = _walk(steps, mask)
             if g_op != (1, 0):
                 g = _times(g_op, g)
             _accumulate(out, (mask, sym.dot(dots) if dots else sym), _rot(g, k))
@@ -506,10 +512,7 @@ def generic_superfield(n_colors: int, kind: str = SCALAR, prefix: str = "U") -> 
 
 def descending_product(colors: Sequence[int]) -> SuperOp:
     """D_{c_k} ... D_{c_1} for ascending input colors c_1 < ... < c_k."""
-    op = SuperOp.identity()
-    for c in colors:  # ascending colors applied first = rightmost
-        op = D(c) * op
-    return op
+    return SuperOp._of({tuple(("D", c) for c in reversed(colors)): (1, 0)})
 
 
 def project(expr: SuperfieldExpr, mask: int) -> tuple[Summand, ...]:

@@ -12,8 +12,10 @@ parity solve that eliminates column by column, the doubly-even-code
 theorem for which cube quotients carry an odd-square parity at all, and a
 search that applies D_k to each equation's neighbour and compares it with
 the equation under every phase instead of reading redundancy off derivative
-orders, and the lowest component of every projection read off the whole
-projected battery instead of the one term of U that reaches theta = 0.
+orders, and presentations verified by substitution: the whole battery
+projected as expressions, each equation's sides built and compared as maps,
+instead of each term of U walked once through each projection and the sides
+compared term by term.
 """
 
 from __future__ import annotations
@@ -25,17 +27,13 @@ from typing import Iterable
 from adinkra.constraints import (
     Constraint,
     Lowest,
-    Projections,
-    Sides,
     SourceSpec,
-    _battery,
-    _lowest,
-    _sides,
+    VerificationReport,
     emit_constraints,
-    projector,
+    image_adinkra,
 )
-from adinkra.core import BOSON, Adinkra, Edge, ParityResult, Topology
-from adinkra.cube import cube_statistics
+from adinkra.core import BOSON, Adinkra, AdinkraError, Edge, ParityResult, Topology
+from adinkra.cube import cube_statistics, hgt0, subset_label
 from adinkra.superspace import (
     I_PHASE,
     MINUS_ONE,
@@ -44,10 +42,14 @@ from adinkra.superspace import (
     FieldSymbol,
     Phase,
     RuleSet,
+    SuperfieldExpr,
     _accumulate,
     _rot,
     apply_op,
+    descending_product,
+    dtau_expr,
     expr_scale,
+    expr_sub,
     generic_superfield,
 )
 
@@ -514,19 +516,65 @@ def doubly_even(word: int) -> bool:
     return bin(word).count("1") % 4 == 0
 
 
+Projections = dict[tuple[int, int], SuperfieldExpr]  # (component, alpha) -> P F_alpha
+Sides = tuple[SuperfieldExpr, SuperfieldExpr]
+
+
 def _projections(spec: SourceSpec, kind: str) -> Projections:
     """Every projection P_(c,alpha) F_alpha of the whole battery, all 2^n terms of U carried through."""
-    fs = _battery(spec, generic_superfield(spec.n_colors, kind))
+    n = spec.n_colors
+    u = generic_superfield(n, kind)
+    d_word = lambda mask: descending_product([c + 1 for c in range(n) if mask >> c & 1])
+    fs = [dtau_expr(apply_op(d_word(mask), u), shift) for mask, shift in spec.entries]
     return {
-        (c, a): apply_op(projector(spec, c, a), fs[a])
-        for c in range(1 << spec.n_colors)
-        for a in range(len(spec.entries))
+        (c, a): apply_op(d_word(c ^ mask), fs[a])
+        for c in range(1 << n)
+        for a, (mask, _) in enumerate(spec.entries)
     }
+
+
+def _lowest(projection: SuperfieldExpr, component: int, alpha: int) -> tuple[int, int]:
+    """The theta = 0 component of a projection, a single phased derivative of U_c, as (phase k, order)."""
+    low = projection.component(0)
+    if len(low) != 1:
+        raise AdinkraError(f"projection of entry {alpha} onto {subset_label(component)} is not a single term")
+    phase, sym = low[0]
+    return phase.k, sym.derivative_order
+
+
+def _sides(projections: Projections, eq: Constraint) -> Sides:
+    lhs = projections[(eq.component, eq.alpha)]
+    rhs = expr_scale(dtau_expr(projections[(eq.component, eq.beta)], eq.gap), eq.phase)
+    return lhs, rhs
 
 
 def projected_lowest(spec: SourceSpec, kind: str) -> Lowest:
     """(phase exponent, derivative order) of every projection, read off the fully projected battery."""
     return {key: _lowest(p, *key) for key, p in _projections(spec, kind).items()}
+
+
+def substituted_report(spec: SourceSpec, kind: str, equations: tuple[Constraint, ...]) -> VerificationReport:
+    """verify_presentation by substitution: the given equations' sides built as expressions and compared.
+
+    Each failure names lhs - rhs, and the heights are re-derived from the
+    lowest components of the fully projected battery.
+    """
+    projections = _projections(spec, kind)
+    failures = []
+    for eq in equations:
+        lhs, rhs = _sides(projections, eq)
+        if lhs != rhs:
+            failures.append(
+                f"component {subset_label(eq.component)}: entries {eq.alpha}/{eq.beta}"
+                f" do not satisfy the emitted relation; residual {expr_sub(lhs, rhs)}"
+            )
+    lowest = {key: _lowest(p, *key) for key, p in projections.items()}
+    rederived = {
+        c: hgt0(c) + 2 * min(lowest[(c, a)][1] for a in range(len(spec.entries)))
+        for c in range(1 << spec.n_colors)
+    }
+    matches = rederived == image_adinkra(spec, kind).heights_by_vertex()
+    return VerificationReport(not failures and matches, len(equations), tuple(failures), matches)
 
 
 def searched_redundant_flags(spec: SourceSpec, kind: str) -> list[bool]:

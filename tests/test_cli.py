@@ -179,18 +179,19 @@ def test_verify_constraints_projects_a_constraints_document_once(run, monkeypatc
     spec = SourceSpec(3, ((1, 0), (2, 0), (4, 0)))
     path = tmp_path / "triple.json"
     path.write_text(serialize(emit_constraints(spec)), encoding="utf-8")
-    apply_op = constraints.apply_op
-    whole = []
+    walk = constraints._walk
+    walks = []
 
-    def counting(op, expr):
-        whole.append(len(expr.coeffs) == 1 << expr.n_colors)
-        return apply_op(op, expr)
+    def counting(steps, mask):
+        walks.append(mask)
+        return walk(steps, mask)
 
-    monkeypatch.setattr("adinkra.constraints.apply_op", counting)
+    monkeypatch.setattr("adinkra.constraints._walk", counting)
     code, out, _ = run(["verify-constraints", str(path)])
     assert code == 0 and json.loads(out)["ok"] is True
-    # the battery once (m calls on U), then each of its 2^n * m projections once
-    assert sum(whole) == 3 * (2**3 + 1)
+    # the decoder walks the one term of U that reaches theta = 0 through each of the
+    # 2^n * m projections, then verify_presentation walks all 2^n terms through each once
+    assert len(walks) == 2**3 * 3 + 2**3 * 3 * 2**3
 
 
 @pytest.mark.parametrize(

@@ -4,12 +4,13 @@ import hashlib
 import json
 import tracemalloc
 from dataclasses import replace
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adinkra import constraints
+from adinkra import constraints, superspace
 from adinkra.core import Adinkra, AdinkraError
 from adinkra.cube import (
     SCALAR,
@@ -23,6 +24,8 @@ from adinkra.cube import (
 )
 from adinkra.constraints import (
     MAX_BATTERY_TERMS,
+    Identification,
+    Lowest,
     N2_DOUBLET_ANNIHILATOR,
     N3_QUINTET_ANNIHILATOR,
     N3_TRIPLET_ANNIHILATOR,
@@ -46,6 +49,7 @@ from adinkra.mutation import base_adinkra, enumerate_family, lower_vertex, targe
 from adinkra.superspace import (
     MINUS_ONE,
     D,
+    Phase,
     SuperOp,
     apply_op,
     descending_product,
@@ -55,7 +59,7 @@ from adinkra.superspace import (
     generic_superfield,
 )
 
-from oracles import projected_lowest, searched_redundant_flags
+from oracles import projected_lowest, searched_redundant_flags, substituted_report
 
 
 X_SPEC = SourceSpec(2, ((1, 0), (2, 0)))
@@ -75,6 +79,26 @@ def test_spec_validation() -> None:
         SourceSpec(2, ((1, -1),))
     with pytest.raises(AdinkraError, match="outside"):
         SourceSpec(2, ((4, 0),))
+
+
+@pytest.mark.parametrize(
+    "entries, bad",
+    [
+        (((1, 0.5), (2, 0)), (1, 0.5)),
+        (((1.0, 0),), (1.0, 0)),
+        ((("1", 0),), ("1", 0)),
+        (((1,),), (1,)),
+        (((1, 0, 0),), (1, 0, 0)),
+        (((True, 0),), (True, 0)),
+        (((1, False),), (1, False)),
+        (([1, 0],), [1, 0]),
+        ((None,), None),
+    ],
+)
+def test_spec_entries_must_be_pairs_of_ints(entries, bad) -> None:
+    with pytest.raises(AdinkraError) as info:
+        SourceSpec(2, entries)
+    assert str(info.value) == f"a source spec entry must be a (subset, shift) pair of ints, got {bad!r}"
 
 
 @pytest.mark.parametrize("n", [0, MAX_CUBE_COLORS + 1, 10_000_000, True, 2.0])
@@ -271,16 +295,32 @@ def test_verify_reports_the_residual_of_a_wrong_gap(monkeypatch) -> None:
     with pytest.raises(DocumentError, match=r"^\$\.payload\.equations\[0\]\.gap: expected 0, got 1$"):
         deserialize(json.dumps(data))
     # an equation that fails substitution is reported with the residual it leaves
-    sides = constraints._sides
+    equations = constraints._equations
     monkeypatch.setattr(
-        "adinkra.constraints._sides",
-        lambda projections, eq: sides(projections, replace(eq, gap=eq.gap + (eq.component == 0))),
+        "adinkra.constraints._equations",
+        lambda spec, lowest: tuple(replace(eq, gap=eq.gap + (eq.component == 0)) for eq in equations(spec, lowest)),
     )
     [failure] = verify_presentation(X_SPEC).failures
     assert failure == (
         "component {}: entries 1/0 do not satisfy the emitted relation; residual +i*U' -i*U''"
         " -1*th1*U1' +1*th1*U1'' -1*th2*U2' +1*th2*U2'' -1*th1th2*U12' +1*th1th2*U12''"
     )
+
+
+def test_a_passing_verification_builds_no_expression_beyond_the_generic_superfield(monkeypatch) -> None:
+    init = superspace._init_expr
+    built = []
+    monkeypatch.setattr("adinkra.superspace._init_expr", lambda self, *args: built.append(args) or init(self, *args))
+    for spec in (TRIPLE_SPEC, _valise().spec):
+        built.clear()
+        assert verify_presentation(spec).ok
+        assert len(built) == 1
+    # a failing equation is reported through expressions, which the count sees
+    wrong = tuple(replace(eq, gap=eq.gap + 1) for eq in emit_constraints(X_SPEC).equations)
+    monkeypatch.setattr("adinkra.constraints._equations", lambda spec, lowest: wrong)
+    built.clear()
+    assert not verify_presentation(X_SPEC).ok
+    assert len(built) > 1
 
 
 # sha256 of the sorted, concatenated constraint documents of every battery
@@ -302,19 +342,25 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+@cache
+def _identified(n: int, kind: str) -> tuple[Identification, ...]:
+    """The battery identify() finds for each member of the n-cube's family."""
+    return tuple(identify(member) for member in enumerate_family(cube_topology(n, kind)).members.values())
+
+
+def _valise() -> Identification:
+    t = cube_topology(4)
+    return identify(Adinkra.from_maps(t, {v: hgt0(v) % 2 for v in t.vertex_ids}, standard_parity(t)))
+
+
 @pytest.mark.parametrize("n, kind", sorted(FROZEN_FAMILY_DIGESTS))
 def test_constraint_documents_are_frozen(n: int, kind: str) -> None:
-    docs = set()
-    for member in enumerate_family(cube_topology(n, kind)).members.values():
-        ident = identify(member)
-        docs.add(serialize(emit_constraints(ident.spec, ident.kind)))
+    docs = {serialize(emit_constraints(ident.spec, ident.kind)) for ident in _identified(n, kind)}
     assert (len(docs), _sha256("".join(sorted(docs)))) == FROZEN_FAMILY_DIGESTS[(n, kind)]
 
 
 def test_valise_constraint_document_is_frozen() -> None:
-    t = cube_topology(4)
-    valise = Adinkra.from_maps(t, {v: hgt0(v) % 2 for v in t.vertex_ids}, standard_parity(t))
-    ident = identify(valise)
+    ident = _valise()
     assert len(ident.spec.entries) == 8
     assert _sha256(serialize(emit_constraints(ident.spec, ident.kind))) == FROZEN_VALISE_DIGEST
 
@@ -323,30 +369,61 @@ def _flags(spec: SourceSpec, kind: str) -> list[bool]:
     return [eq.redundant for eq in emit_constraints(spec, kind).equations]
 
 
+def _lowest_read_by(build, spec: SourceSpec, kind: str) -> Lowest:
+    """The lowest components that build(spec, kind) relates its equations by."""
+    seen = []
+    equations = constraints._equations
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("adinkra.constraints._equations", lambda spec, lowest: seen.append(lowest) or equations(spec, lowest))
+        build(spec, kind)
+    [lowest] = seen
+    return lowest
+
+
+def _check_lowest(spec: SourceSpec, kind: str) -> None:
+    projected = projected_lowest(spec, kind)
+    assert _lowest_read_by(emit_constraints, spec, kind) == projected
+    assert _lowest_read_by(verify_presentation, spec, kind) == projected
+
+
 @pytest.mark.parametrize("n, kind", sorted(FROZEN_FAMILY_DIGESTS))
 def test_redundant_flags_match_the_search_on_every_identified_battery(n: int, kind: str) -> None:
-    for member in enumerate_family(cube_topology(n, kind)).members.values():
-        ident = identify(member)
+    for ident in _identified(n, kind):
         assert _flags(ident.spec, ident.kind) == searched_redundant_flags(ident.spec, ident.kind)
 
 
 def test_redundant_flags_match_the_search_on_the_valise() -> None:
-    t = cube_topology(4)
-    ident = identify(Adinkra.from_maps(t, {v: hgt0(v) % 2 for v in t.vertex_ids}, standard_parity(t)))
+    ident = _valise()
     assert _flags(ident.spec, ident.kind) == searched_redundant_flags(ident.spec, ident.kind)
 
 
 @pytest.mark.parametrize("n, kind", sorted(FROZEN_FAMILY_DIGESTS))
 def test_one_term_lowest_matches_the_projections_on_every_identified_battery(n: int, kind: str) -> None:
-    for member in enumerate_family(cube_topology(n, kind)).members.values():
-        ident = identify(member)
-        assert constraints._term_lowest(ident.spec, ident.kind) == projected_lowest(ident.spec, ident.kind)
+    for ident in _identified(n, kind):
+        _check_lowest(ident.spec, ident.kind)
 
 
 def test_one_term_lowest_matches_the_projections_on_the_valise() -> None:
-    t = cube_topology(4)
-    ident = identify(Adinkra.from_maps(t, {v: hgt0(v) % 2 for v in t.vertex_ids}, standard_parity(t)))
-    assert constraints._term_lowest(ident.spec, ident.kind) == projected_lowest(ident.spec, ident.kind)
+    ident = _valise()
+    _check_lowest(ident.spec, ident.kind)
+
+
+def _check_report(spec: SourceSpec, kind: str) -> None:
+    expected = substituted_report(spec, kind, emit_constraints(spec, kind).equations)
+    assert verify_presentation(spec, kind) == expected
+
+
+@pytest.mark.parametrize("n, kind", [(n, kind) for n in (1, 2, 3, 4) for kind in (SCALAR, SPINOR)])
+def test_term_wise_reports_match_the_substitution_on_every_identified_battery(n: int, kind: str) -> None:
+    idents = _identified(n, kind)
+    assert len(idents) == {1: 2, 2: 6, 3: 38, 4: 990}[n]
+    for ident in idents:
+        _check_report(ident.spec, ident.kind)
+
+
+def test_term_wise_report_matches_the_substitution_on_the_valise() -> None:
+    ident = _valise()
+    _check_report(ident.spec, ident.kind)
 
 
 @st.composite
@@ -372,15 +449,30 @@ def _extreme_batteries(draw) -> SourceSpec:
 @given(_extreme_batteries(), st.sampled_from((SCALAR, SPINOR)))
 def test_redundant_flags_match_the_search_on_random_batteries(spec: SourceSpec, kind: str) -> None:
     assert _flags(spec, kind) == searched_redundant_flags(spec, kind)
-    assert constraints._term_lowest(spec, kind) == projected_lowest(spec, kind)
+    _check_lowest(spec, kind)
     assert verify_presentation(spec, kind).ok
+
+
+@settings(max_examples=200, deadline=None)
+@given(_extreme_batteries(), st.sampled_from((SCALAR, SPINOR)), st.data())
+def test_term_wise_reports_match_the_substitution_on_tampered_batteries(spec: SourceSpec, kind: str, data) -> None:
+    equations = emit_constraints(spec, kind).equations
+    if equations:
+        i = data.draw(st.integers(0, len(equations) - 1), label="equation")
+        gap = equations[i].gap + data.draw(st.integers(-1, 2), label="gap shift")
+        phase = equations[i].phase * Phase(data.draw(st.integers(0, 3), label="phase shift"))
+        equations = (*equations[:i], replace(equations[i], gap=gap, phase=phase), *equations[i + 1 :])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("adinkra.constraints._equations", lambda spec, lowest: equations)
+        report = verify_presentation(spec, kind)
+    assert report == substituted_report(spec, kind, equations)
 
 
 @pytest.mark.parametrize("kind", [SCALAR, SPINOR])
 def test_batteries_that_are_not_mutually_extreme_are_refused_before_projecting(kind: str, monkeypatch) -> None:
     spec = SourceSpec(2, ((0, 2), (1, 0), (2, 0)))
     message = "spec entries not mutually extreme: " + "; ".join(ehgt_violations(spec))
-    monkeypatch.setattr("adinkra.constraints._battery", None)
+    monkeypatch.setattr("adinkra.constraints._project", None)
     for build in (emit_constraints, verify_presentation, image_adinkra):
         with pytest.raises(AdinkraError) as info:
             build(spec, kind)
