@@ -47,16 +47,17 @@ from .cube import (
 )
 from .mutation import lowering_sequence_to_one_hooked, sources
 from .superspace import (
-    ONE,
     D,
     FieldSymbol,
     Phase,
     SuperOp,
     SuperfieldExpr,
     Word,
+    _unit_phases,
     _walk,
     _word_steps,
     apply_op,
+    descending_product,
     expr_add,
     generic_superfield,
 )
@@ -88,9 +89,8 @@ __all__ = [
 ]
 
 
-# bounds verify_presentation's walks of the 2^n terms of U through 2^n x m projections and
-# its m(m-1)/2 equation sides per component, with the value and messages it had as a cap on
-# superfield terms.  emit_constraints walks one term per projection but refuses the same batteries
+# bounds verify_presentation's walks of U's 2^n terms through 2^n x m projections and its m(m-1)/2
+# equation sides per component; emit_constraints walks one term per projection but refuses the same batteries
 MAX_BATTERY_TERMS = 1 << 18
 
 
@@ -218,7 +218,8 @@ def _descending_word(mask: int, n_colors: int) -> Word:
 def projector(spec: SourceSpec, component: int, alpha: int) -> SuperOp:
     """The descending D word mapping entry alpha onto the given component."""
     mask, _ = spec.entries[alpha]
-    return SuperOp([(ONE, _descending_word(component ^ mask, spec.n_colors))])
+    k = component ^ mask
+    return descending_product([c + 1 for c in range(spec.n_colors) if k >> c & 1])
 
 
 def m_alpha(spec: SourceSpec, component: int, alpha: int) -> int:
@@ -256,8 +257,8 @@ class ConstraintSystem:
 
 
 Lowest = dict[tuple[int, int], tuple[int, int]]  # (component, alpha) -> phase k, order
-Walked = tuple[int, int, int]  # one term of U under a projection: monomial, time derivatives, phase k mod 4
-Walks = dict[tuple[int, int], list[Walked]]  # (component, alpha) -> each U_d walked, by d
+# (component, alpha) -> each U_d walked, by d: monomial, time derivatives, phase k mod 4
+Walks = dict[tuple[int, int], list[tuple[int, int, int]]]
 
 
 def _equations(spec: SourceSpec, lowest: Lowest) -> tuple[Constraint, ...]:
@@ -281,23 +282,20 @@ def _equations(spec: SourceSpec, lowest: Lowest) -> tuple[Constraint, ...]:
 
 
 def _project(spec: SourceSpec, kind: str, every_term: bool) -> tuple[list[FieldSymbol], Walks, Lowest]:
-    """Walk each U_d (or only U_c) from its phase in generic_superfield through each projection's word.
-
-    Returns the fields U_d, the walked projections and their lowest components.
-    """
+    """U's fields U_d, each U_d (or only U_c) walked from its phase through each projection, and the lowest terms."""
     n = spec.n_colors
-    syms, phases = [], []
-    for (_, sym), (a, b) in sorted(generic_superfield(n, kind).coeffs.items()):
-        syms.append(sym)
-        phases.append(1 - a if b == 0 else 2 - b)  # the unit a + b i is i^k
+    terms = sorted(generic_superfield(n, kind).coeffs.items())
+    syms = [sym for (_, sym), _ in terms]
+    phases = [_unit_phases(g)[0].k for _, g in terms]
     projections, lowest = {}, {}
     for c in range(1 << n):
         for alpha, (mask, shift) in enumerate(spec.entries):
-            steps = _word_steps(_descending_word(c ^ mask, n) + (("dt",),) * shift + _descending_word(mask, n), n)
+            # d_tau^l_alpha commutes with every D and only adds l_alpha time derivatives
+            steps = _word_steps(_descending_word(c ^ mask, n) + _descending_word(mask, n), n)
             walked = []
             for d in range(1 << n) if every_term else (c,):
                 landed, dots, k = _walk(steps, d)
-                walked.append((landed, dots, (k + phases[d]) & 3))
+                walked.append((landed, dots + shift, (k + phases[d]) & 3))
             # the word toggles every theta in c once, so U_d lands on d xor c and only U_c reaches theta = 0
             landed, dots, k = walked[c if every_term else 0]
             if landed:
@@ -338,8 +336,7 @@ def verify_presentation(spec: SourceSpec, kind: str = SCALAR) -> VerificationRep
     All equations must vanish identically on a generic superfield, and the
     image Adinkra recomputed from the engine's derivative orders must equal
     the formula-based one.  Each term of U is walked through each projection
-    once.  Each equation that does not vanish is a failure naming the
-    nonzero residual lhs - rhs it leaves.
+    once; an equation that does not vanish is a failure naming its residual lhs - rhs.
     """
     _check_battery(spec)
     n, m = spec.n_colors, len(spec.entries)

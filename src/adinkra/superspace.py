@@ -512,7 +512,10 @@ def generic_superfield(n_colors: int, kind: str = SCALAR, prefix: str = "U") -> 
 
 def descending_product(colors: Sequence[int]) -> SuperOp:
     """D_{c_k} ... D_{c_1} for ascending input colors c_1 < ... < c_k."""
-    return SuperOp._of({tuple(("D", c) for c in reversed(colors)): (1, 0)})
+    op = SuperOp.identity()
+    for c in colors:  # ascending colors applied first = rightmost
+        op = D(c) * op
+    return op
 
 
 def project(expr: SuperfieldExpr, mask: int) -> tuple[Summand, ...]:

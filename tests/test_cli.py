@@ -194,6 +194,29 @@ def test_verify_constraints_projects_a_constraints_document_once(run, monkeypatc
     assert len(walks) == 2**3 * 3 + 2**3 * 3 * 2**3
 
 
+def test_a_huge_shared_shift_costs_no_more_than_none(run, monkeypatch) -> None:
+    # d_tau^l commutes with every D, so a shift shared by every entry leaves each equation as it was
+    huge = 10**20
+    _, plain, _ = run(["constraints", "-n", "2", "--entry", "1", "--entry", "2"])
+    code, shifted, err = run(["constraints", "-n", "2", "--entry", f"1:{huge}", "--entry", f"2:{huge}"])
+    assert code == 0 and err == ""
+    payload = json.loads(shifted)["payload"]
+    assert payload["entries"] == [{"subset": 1, "shift": huge}, {"subset": 2, "shift": huge}]
+    assert payload["equations"] == json.loads(plain)["payload"]["equations"]
+    walk = constraints._walk
+    lengths = []
+
+    def counting(steps, mask):
+        lengths.append(len(steps))
+        return walk(steps, mask)
+
+    monkeypatch.setattr("adinkra.constraints._walk", counting)
+    code, out, err = run(["verify-constraints"], stdin=shifted)
+    assert code == 0 and err == "" and json.loads(out)["ok"] is True
+    # each walk steps through the D atoms alone, never through the shift
+    assert len(lengths) == 2**2 * 2 + 2**2 * 2 * 2**2 and max(lengths) <= 2 * 2
+
+
 @pytest.mark.parametrize(
     "field, value, error",
     [
