@@ -25,7 +25,9 @@ emit_constraints walks only U_c, the one term that reaches theta = 0.
 
 identify() inverts the construction: given a cube Adinkra it recovers a
 battery presenting it, by lowering onto the all-colors vertex and counting
-how often each source vertex descends.
+how often each source vertex descends.  Neither it nor verify_presentation
+builds the image Adinkra: its heights are hgt0 + 2 mu on an already checked
+cube, so they compare those heights, or the orders behind them, directly.
 """
 
 from __future__ import annotations
@@ -105,6 +107,8 @@ class SourceSpec:
         n = self.n_colors  # the battery lives on the n-cube, so the cube cap applies
         if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_CUBE_COLORS:
             raise AdinkraError(f"a source spec needs 1..{MAX_CUBE_COLORS} colors (the cube cap), got {n!r}")
+        if not isinstance(self.entries, tuple):  # a frozen spec hashes its entries
+            raise AdinkraError(f"a source spec needs a tuple of entries, got {type(self.entries).__name__}")
         if not self.entries:
             raise AdinkraError("a source spec needs at least one entry")
         seen = set()
@@ -145,15 +149,15 @@ def _require_extreme(spec: SourceSpec) -> None:
         raise AdinkraError("spec entries not mutually extreme: " + "; ".join(bad))
 
 
+def m_alpha(spec: SourceSpec, component: int, alpha: int) -> int:
+    """Derivative order of the component as seen through entry alpha."""
+    mask, shift = spec.entries[alpha]
+    return shift + hgt0(mask & ~component)
+
+
 def mu(spec: SourceSpec, component: int) -> int:
     """Least time-derivative order at which the component survives in the image."""
-    best = None
-    for mask, shift in spec.entries:
-        num = dist0(mask, component) - hgt0(component) + hgt0(mask)
-        assert num % 2 == 0  # subset-size parity makes this even
-        val = num // 2 + shift
-        best = val if best is None or val < best else best
-    return best
+    return min(m_alpha(spec, component, a) for a in range(len(spec.entries)))
 
 
 def kernel_orders(spec: SourceSpec) -> dict[int, int]:
@@ -189,9 +193,10 @@ def identify(adinkra: Adinkra) -> Identification:
     Works on full color cubes only (quotients and other topologies are
     rejected; their components do not correspond to subsets of one
     superfield).  The Adinkra is lowered onto the all-colors vertex; each
-    source vertex v becomes an entry (v, times v was lowered).  The result is
-    checked against :func:`image_adinkra` on normalized heights (parity does
-    not enter the identification); a mismatch is a hard error.
+    source vertex v becomes an entry (v, times v was lowered).  The battery
+    must be mutually extreme, and its image heights hgt0 + 2 mu, set on the
+    input's own (already validated) topology, must normalize to the input's
+    (parity does not enter the identification); a mismatch is a hard error.
     """
     sig = cube_signature(adinkra.topology)
     if sig is None:
@@ -202,8 +207,10 @@ def identify(adinkra: Adinkra) -> Identification:
     counts = Counter(moves)
     entries = tuple((v, counts[v]) for v in sources(adinkra))
     spec = SourceSpec(n, entries)
-    image = image_adinkra(spec, convention)
-    if image.normalized().heights != adinkra.normalized().heights:
+    _require_extreme(spec)
+    # the unchecked image never escapes: if it normalizes to the checked input, it meets every gap
+    image = tuple(hgt0(v) + 2 * mu(spec, v) for v in adinkra.topology.vertex_ids)
+    if Adinkra._trusted(adinkra.topology, image, adinkra.parity).normalized().heights != adinkra.normalized().heights:
         raise AdinkraError(
             "identification failed: battery image does not reproduce the input heights"
         )
@@ -220,12 +227,6 @@ def projector(spec: SourceSpec, component: int, alpha: int) -> SuperOp:
     mask, _ = spec.entries[alpha]
     k = component ^ mask
     return descending_product([c + 1 for c in range(spec.n_colors) if k >> c & 1])
-
-
-def m_alpha(spec: SourceSpec, component: int, alpha: int) -> int:
-    """Derivative order of the component as seen through entry alpha."""
-    mask, shift = spec.entries[alpha]
-    return shift + hgt0(mask & ~component)
 
 
 def _check_battery(spec: SourceSpec) -> None:
@@ -334,9 +335,9 @@ def verify_presentation(spec: SourceSpec, kind: str = SCALAR) -> VerificationRep
     """Substitute the battery into every emitted constraint and re-derive heights.
 
     All equations must vanish identically on a generic superfield, and the
-    image Adinkra recomputed from the engine's derivative orders must equal
-    the formula-based one.  Each term of U is walked through each projection
-    once; an equation that does not vanish is a failure naming its residual lhs - rhs.
+    engine's least order at each component must be mu (the image heights are
+    hgt0 + 2 mu).  Each term of U is walked through each projection once; an
+    equation that does not vanish is a failure naming its residual lhs - rhs.
     """
     _check_battery(spec)
     n, m = spec.n_colors, len(spec.entries)
@@ -359,8 +360,7 @@ def verify_presentation(spec: SourceSpec, kind: str = SCALAR) -> VerificationRep
                 f"component {subset_label(c)}: entries {eq.alpha}/{eq.beta}"
                 f" do not satisfy the emitted relation; residual {residual}"
             )
-    rederived = {c: hgt0(c) + 2 * min(lowest[(c, a)][1] for a in range(m)) for c in range(1 << n)}
-    matches = rederived == image_adinkra(spec, kind).heights_by_vertex()
+    matches = all(min(lowest[(c, a)][1] for a in range(m)) == mu(spec, c) for c in range(1 << n))
     return VerificationReport(not failures and matches, len(equations), tuple(failures), matches)
 
 

@@ -64,32 +64,31 @@ def _shift(adinkra: Adinkra, vertices: Iterable[int], delta: int) -> Adinkra:
     return Adinkra._trusted(adinkra.topology, tuple(heights), adinkra.parity)
 
 
-def lower_vertex(adinkra: Adinkra, vertex: int) -> Adinkra:
-    """Drop a target by 2; topology and parity are untouched."""
+def _move(adinkra: Adinkra, vertex: int, delta: int) -> Adinkra:
+    """Move a source up (delta 2) or a target down (delta -2), refusing any other vertex."""
     t = adinkra.topology
     if vertex not in t._vindex:
         raise AdinkraError(f"unknown vertex {vertex}")
     hv = adinkra.height_of(vertex)
     for w, color in t.neighbors(vertex):
-        if adinkra.height_of(w) > hv:
+        if (adinkra.height_of(w) - hv) * delta < 0:
+            edge = (vertex, w, color)
             raise AdinkraError(
-                f"cannot lower {vertex}: edge {(vertex, w, color)} points into {w} above it"
+                f"cannot raise {vertex}: edge {edge} comes up from {w} below it"
+                if delta > 0
+                else f"cannot lower {vertex}: edge {edge} points into {w} above it"
             )
-    return _shift(adinkra, (vertex,), -2)
+    return _shift(adinkra, (vertex,), delta)
+
+
+def lower_vertex(adinkra: Adinkra, vertex: int) -> Adinkra:
+    """Drop a target by 2; topology and parity are untouched."""
+    return _move(adinkra, vertex, -2)
 
 
 def raise_vertex(adinkra: Adinkra, vertex: int) -> Adinkra:
     """Lift a source by 2; inverse of :func:`lower_vertex`."""
-    t = adinkra.topology
-    if vertex not in t._vindex:
-        raise AdinkraError(f"unknown vertex {vertex}")
-    hv = adinkra.height_of(vertex)
-    for w, color in t.neighbors(vertex):
-        if adinkra.height_of(w) < hv:
-            raise AdinkraError(
-                f"cannot raise {vertex}: edge {(vertex, w, color)} comes up from {w} below it"
-            )
-    return _shift(adinkra, (vertex,), 2)
+    return _move(adinkra, vertex, 2)
 
 
 def _moves(
@@ -141,9 +140,8 @@ def base_adinkra(topology: Topology, parity=None) -> Adinkra:
 
 def automorphic_dual(adinkra: Adinkra) -> Adinkra:
     """Flip the Adinkra upside down: negate heights, then normalize."""
-    t = adinkra.topology
-    flipped = Adinkra(t, tuple(-h for h in adinkra.heights), adinkra.parity)
-    return flipped.normalized()
+    # negating keeps every gap at +-1 and leaves the parity alone
+    return Adinkra._trusted(adinkra.topology, tuple(-h for h in adinkra.heights), adinkra.parity).normalized()
 
 
 def lowering_sequence_to_one_hooked(adinkra: Adinkra, vertex: int) -> list[int]:
@@ -170,9 +168,10 @@ def lowering_sequence_to_one_hooked(adinkra: Adinkra, vertex: int) -> list[int]:
         if not others:
             break
         top = max(current.height_of(v) for v in others)
-        for v in sorted(v for v in others if current.height_of(v) == top):
-            current = lower_vertex(current, v)
-            moves.append(v)
+        # targets at one height are never adjacent, so the whole level drops at once
+        level = sorted(v for v in others if current.height_of(v) == top)
+        current = _shift(current, level, -2)
+        moves.extend(level)
         if len(moves) > total:  # pragma: no cover
             raise AdinkraError("descent exceeded its move budget; data is inconsistent")
     assert current.height_of(vertex) == adinkra.height_of(vertex)

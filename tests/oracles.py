@@ -15,7 +15,9 @@ the equation under every phase instead of reading redundancy off derivative
 orders, and presentations verified by substitution: the whole battery
 projected as expressions, each equation's sides built and compared as maps,
 instead of each term of U walked once through each projection and the sides
-compared term by term.
+compared term by term, the one-hooked descent lowered one checked vertex at
+a time instead of one level at once, and mu as half a cube distance instead
+of the least m_alpha.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ from adinkra.constraints import (
     image_adinkra,
 )
 from adinkra.core import BOSON, Adinkra, AdinkraError, Edge, ParityResult, Topology
-from adinkra.cube import cube_statistics, hgt0, subset_label
+from adinkra.cube import cube_statistics, dist0, hgt0, subset_label
+from adinkra.mutation import lower_vertex, targets
 from adinkra.superspace import (
     I_PHASE,
     MINUS_ONE,
@@ -514,6 +517,33 @@ def doubly_even(word: int) -> bool:
     (Doran, Faux, Gates, Hubsch, Iga, Landweber, arXiv:1108.4124).
     """
     return bin(word).count("1") % 4 == 0
+
+
+def stepwise_lowering_sequence(adinkra: Adinkra, vertex: int) -> list[int]:
+    """lowering_sequence_to_one_hooked by lower_vertex, one checked vertex at a time.
+
+    Each round lowers the highest targets other than vertex in ascending id,
+    rescanning each one's neighbours, until vertex is the only target.
+    """
+    moves: list[int] = []
+    current = adinkra
+    while others := [v for v in targets(current) if v != vertex]:
+        top = max(current.height_of(v) for v in others)
+        for v in sorted(v for v in others if current.height_of(v) == top):
+            current = lower_vertex(current, v)
+            moves.append(v)
+    return moves
+
+
+def half_distance_mu(spec: SourceSpec, component: int) -> int:
+    """mu as the least (dist0(I, c) - hgt0(c) + hgt0(I)) / 2 + l over the entries."""
+    best = None
+    for mask, shift in spec.entries:
+        num = dist0(mask, component) - hgt0(component) + hgt0(mask)
+        assert num % 2 == 0  # subset-size parity makes this even
+        val = num // 2 + shift
+        best = val if best is None or val < best else best
+    return best
 
 
 Projections = dict[tuple[int, int], SuperfieldExpr]  # (component, alpha) -> P F_alpha

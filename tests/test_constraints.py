@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adinkra import constraints, superspace
+from adinkra import constraints, core, mutation, superspace
 from adinkra.core import Adinkra, AdinkraError
 from adinkra.cube import (
     SCALAR,
@@ -18,7 +18,6 @@ from adinkra.cube import (
     SPINOR,
     antipodal_quotient,
     cube_topology,
-    dist0,
     hgt0,
     standard_parity,
 )
@@ -30,6 +29,7 @@ from adinkra.constraints import (
     N3_QUINTET_ANNIHILATOR,
     N3_TRIPLET_ANNIHILATOR,
     SourceSpec,
+    VerificationReport,
     check_annihilation,
     dimension_vector,
     ehgt_violations,
@@ -59,7 +59,7 @@ from adinkra.superspace import (
     generic_superfield,
 )
 
-from oracles import projected_lowest, searched_redundant_flags, substituted_report
+from oracles import half_distance_mu, projected_lowest, searched_redundant_flags, substituted_report
 
 
 X_SPEC = SourceSpec(2, ((1, 0), (2, 0)))
@@ -101,6 +101,13 @@ def test_spec_entries_must_be_pairs_of_ints(entries, bad) -> None:
     assert str(info.value) == f"a source spec entry must be a (subset, shift) pair of ints, got {bad!r}"
 
 
+@pytest.mark.parametrize("entries, name", [(5, "int"), ([(1, 0), (2, 0)], "list")])
+def test_spec_entries_must_be_a_tuple(entries, name) -> None:
+    with pytest.raises(AdinkraError) as info:
+        SourceSpec(2, entries)
+    assert str(info.value) == f"a source spec needs a tuple of entries, got {name}"
+
+
 @pytest.mark.parametrize("n", [0, MAX_CUBE_COLORS + 1, 10_000_000, True, 2.0])
 def test_spec_color_count_is_capped_before_building(n) -> None:
     tracemalloc.start()
@@ -128,13 +135,19 @@ def test_mu_of_x_spec() -> None:
     assert kernel_orders(X_SPEC) == {0: 1, 1: 0, 2: 0, 3: 0}
 
 
-def test_mu_matches_half_distance_formula() -> None:
-    for c in range(8):
-        expected = min(
-            (dist0(mask, c) - hgt0(c) + hgt0(mask)) // 2 + shift
-            for mask, shift in TRIPLE_SPEC.entries
-        )
-        assert mu(TRIPLE_SPEC, c) == expected
+@st.composite
+def _batteries(draw) -> SourceSpec:
+    """One to eight distinct subsets of at most 4 colors, each with a shift up to 3, extreme or not."""
+    n = draw(st.integers(1, 4))
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=8, unique=True))
+    return SourceSpec(n, tuple((mask, draw(st.integers(0, 3))) for mask in masks))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_batteries())
+def test_mu_matches_half_distance_formula(spec: SourceSpec) -> None:
+    for c in range(1 << spec.n_colors):
+        assert mu(spec, c) == half_distance_mu(spec, c)
 
 
 def test_image_of_x_spec_is_the_x() -> None:
@@ -188,6 +201,18 @@ def test_identify_moves_replay_to_one_hooked() -> None:
     for v in ident.moves:
         current = lower_vertex(current, v)
     assert targets(current) == (7,)
+
+
+def test_identify_then_verify_builds_no_cube_checks_no_parity_and_lowers_no_single_vertex(monkeypatch) -> None:
+    member = image_adinkra(TRIPLE_SPEC)  # an N=3 member, built before the count starts
+    calls = []
+    for module, name in ((constraints, "cube_topology"), (core, "_check_parity"), (mutation, "lower_vertex")):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, _f=original, _name=name: calls.append(_name) or _f(*args))
+    ident = identify(member)
+    assert ident.moves == (0,)
+    assert verify_presentation(ident.spec, ident.kind).ok
+    assert calls == []
 
 
 def test_identify_rejects_non_cube() -> None:
@@ -259,6 +284,25 @@ def test_verify_presentation_on_worked_specs(kind: str) -> None:
         assert report.ok
         assert report.failures == ()
         assert report.rederived_matches_image
+
+
+def test_a_wrong_engine_order_fails_the_rederived_heights(monkeypatch) -> None:
+    # one entry makes no pairs, so no equation ties the engine's orders to m_alpha
+    spec = SourceSpec(2, ((0, 0),))
+    project = constraints._project
+
+    def late_top_component(spec, kind, every_term):
+        syms, projections, lowest = project(spec, kind, every_term)
+        k, dots = lowest[(3, 0)]
+        lowest[(3, 0)] = (k, dots + 1)
+        return syms, projections, lowest
+
+    assert verify_presentation(spec) == VerificationReport(True, 0, (), True)
+    monkeypatch.setattr("adinkra.constraints._project", late_top_component)
+    report = verify_presentation(spec)
+    assert report.rederived_matches_image is False
+    assert report.ok is False
+    assert report == VerificationReport(False, 0, (), False)
 
 
 def test_verify_counts_all_pairs() -> None:

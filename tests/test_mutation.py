@@ -27,6 +27,7 @@ from oracles import (
     burnside_class_count,
     equivariant_ladder_patterns,
     matched_isomorphism_classes,
+    stepwise_lowering_sequence,
 )
 
 
@@ -59,16 +60,18 @@ def test_raise_then_lower_is_identity() -> None:
 
 def test_raise_rejects_non_source() -> None:
     a = base_adinkra(cube_topology(2))
-    with pytest.raises(AdinkraError, match="cannot raise"):
+    with pytest.raises(AdinkraError, match=r"^cannot raise 1: edge \(1, 0, 1\) comes up from 0 below it$"):
         raise_vertex(a, 1)
-    with pytest.raises(AdinkraError, match="unknown"):
+    with pytest.raises(AdinkraError, match="^unknown vertex 9$"):
         raise_vertex(a, 9)
 
 
 def test_lower_rejects_non_target() -> None:
     a = base_adinkra(cube_topology(2))
-    with pytest.raises(AdinkraError, match="cannot lower"):
+    with pytest.raises(AdinkraError, match=r"^cannot lower 0: edge \(0, 1, 1\) points into 1 above it$"):
         lower_vertex(a, 0)
+    with pytest.raises(AdinkraError, match="^unknown vertex 9$"):
+        lower_vertex(a, 9)
 
 
 def test_base_adinkra_heights() -> None:
@@ -177,6 +180,21 @@ def test_descent_moves_are_replayable_and_minimal() -> None:
         current = lower_vertex(current, v)
     assert targets(current) == (7,)
     assert current.height_of(7) == a.height_of(7)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("kind", [SCALAR, SPINOR])
+def test_level_descent_matches_the_stepwise_descent_from_every_vertex(n: int, kind: str) -> None:
+    for member in enumerate_family(cube_topology(n, kind)).members.values():
+        for v in member.topology.vertex_ids:
+            assert lowering_sequence_to_one_hooked(member, v) == stepwise_lowering_sequence(member, v)
+
+
+def test_level_descent_matches_the_stepwise_descent_onto_the_all_colors_vertex() -> None:
+    members = enumerate_family(cube_topology(4)).members.values()
+    assert len(members) == 990
+    for member in members:
+        assert lowering_sequence_to_one_hooked(member, 15) == stepwise_lowering_sequence(member, 15)
 
 
 def hang_all_up(t):
