@@ -263,19 +263,17 @@ Walks = dict[tuple[int, int], list[tuple[int, int, int]]]
 
 
 def _equations(spec: SourceSpec, lowest: Lowest) -> tuple[Constraint, ...]:
-    """Relate each entry pair at every component, with phases and gaps read off the lowest components."""
+    """Relate each entry pair at every component, with phases and orders read off the lowest components."""
     m = len(spec.entries)
     equations = []
     for c in range(1 << spec.n_colors):
         for a in range(m):
             for b in range(a + 1, m):
-                ma, mb = m_alpha(spec, c, a), m_alpha(spec, c, b)
+                ma, mb = lowest[(c, a)][1], lowest[(c, b)][1]
                 hi, lo = (a, b) if (ma, a) >= (mb, b) else (b, a)
-                ka, da = lowest[(c, hi)]
-                kb, db = lowest[(c, lo)]
-                assert (da, db) == (m_alpha(spec, c, hi), m_alpha(spec, c, lo))
+                (ka, da), (kb, db) = lowest[(c, hi)], lowest[(c, lo)]
                 redundant = any(
-                    c >> k & 1 and max(m_alpha(spec, c ^ 1 << k, a), m_alpha(spec, c ^ 1 << k, b)) == max(ma, mb)
+                    c >> k & 1 and max(lowest[(c ^ 1 << k, a)][1], lowest[(c ^ 1 << k, b)][1]) == max(ma, mb)
                     for k in range(spec.n_colors)
                 )
                 equations.append(Constraint(c, hi, lo, da - db, Phase(ka - kb), redundant))
@@ -301,6 +299,7 @@ def _project(spec: SourceSpec, kind: str, every_term: bool) -> tuple[list[FieldS
             landed, dots, k = walked[c if every_term else 0]
             if landed:
                 raise AdinkraError(f"projection of entry {alpha} onto {subset_label(c)} is not a single term")
+            assert dots == m_alpha(spec, c, alpha)
             projections[(c, alpha)], lowest[(c, alpha)] = walked, (k, dots)
     return syms, projections, lowest
 

@@ -141,8 +141,8 @@ class Topology:
 
     Use :meth:`build` to construct from raw data: it validates.  The bare
     constructor only indexes already-canonical tuples and checks nothing.
-    Indexes, components, a spanning forest and two-color squares are computed
-    once per instance.
+    Indexes, components, a spanning forest, the valise heights (bosons at 0,
+    fermions at 1) and two-color squares are computed once per instance.
     """
 
     n_colors: int
@@ -168,6 +168,7 @@ class Topology:
         default=(), compare=False, repr=False, hash=False
     )
     _forest: tuple[int, ...] = field(default=(), compare=False, repr=False, hash=False)
+    _valise: tuple[int, ...] = field(default=(), compare=False, repr=False, hash=False)
     _around: tuple[tuple[tuple[int, int], ...], ...] = field(
         default=(), compare=False, repr=False, hash=False
     )
@@ -193,6 +194,8 @@ class Topology:
     def __post_init__(self) -> None:
         vindex = {v: i for i, v in enumerate(self.vertex_ids)}
         object.__setattr__(self, "_vindex", vindex)
+        # the one place statistics fix a height parity: bosons at 0, fermions at 1
+        object.__setattr__(self, "_valise", tuple(int(s != BOSON) for s in self.statistics))
         object.__setattr__(self, "_eindex", {e: i for i, e in enumerate(self.edges)})
         nbr: dict[tuple[int, int], int] = {}
         for u, v, color in self.edges:
@@ -329,11 +332,22 @@ def orientation_from_heights(
     topology: Topology, heights: Mapping[int, int]
 ) -> dict[Edge, tuple[int, int]]:
     """Arrow (tail, head) per edge, pointing from the lower to the higher end."""
-    _check_heights(topology, [heights[v] for v in topology.vertex_ids])
+    h = _aligned(heights, topology.vertex_ids, "height for vertex")
+    _check_heights(topology, h)
+    vindex = topology._vindex
     out: dict[Edge, tuple[int, int]] = {}
     for u, v, color in topology.edges:
-        out[(u, v, color)] = (u, v) if heights[u] < heights[v] else (v, u)
+        out[(u, v, color)] = (u, v) if h[vindex[u]] < h[vindex[v]] else (v, u)
     return out
+
+
+def _aligned(values: Mapping, keys: Sequence, what: str) -> tuple:
+    """The values of a map in the order of keys; a missing key is an AdinkraError naming it."""
+    try:
+        return tuple([values[k] for k in keys])
+    except KeyError:
+        missing = next(k for k in keys if k not in values)
+        raise AdinkraError(f"no {what} {missing}") from None
 
 
 @dataclass(frozen=True)
@@ -374,8 +388,8 @@ class Adinkra:
         heights: Mapping[int, int],
         parity: Mapping[Edge, int],
     ) -> "Adinkra":
-        h = tuple(heights[v] for v in topology.vertex_ids)
-        p = tuple(parity[e] for e in topology.edges)
+        h = _aligned(heights, topology.vertex_ids, "height for vertex")
+        p = _aligned(parity, topology.edges, "parity for edge")
         return cls(topology, h, p)
 
     def height_of(self, v: int) -> int:
@@ -412,22 +426,28 @@ class Adinkra:
         return tuple(sources), tuple(targets)
 
     def normalized(self) -> "Adinkra":
-        """The even translate per component into normal form (see normalize_heights)."""
-        t = self.topology
-        h = self.heights
-        out: list[int] | None = None
-        for slots in t._component_slots:
-            low = min(map(h.__getitem__, slots))
-            first = slots[0]
-            # across an edge both the height and the statistics flip
-            boson_parity = (h[first] + (t.statistics[first] != BOSON)) % 2
-            shift = _normal_shift(low, boson_parity)
-            if shift:
-                if out is None:
-                    out = list(h)
-                for i in slots:
-                    out[i] += shift
-        return self if out is None else Adinkra._trusted(t, tuple(out), self.parity)
+        """Each component translated into normal form (see normalize_heights); self when already there."""
+        h = _normal_heights(self.topology, self.heights)
+        return self if h is self.heights else Adinkra._trusted(self.topology, h, self.parity)
+
+
+def _normal_heights(topology: Topology, h: tuple[int, ...]) -> tuple[int, ...]:
+    """h (with a +-1 gap on every edge) moved per component into normal form; h itself if none moves.
+
+    Across an edge both height and statistics flip, so the first vertex fixes the shift's parity.
+    """
+    valise = topology._valise
+    out: list[int] | None = None
+    for slots in topology._component_slots:
+        low = min(map(h.__getitem__, slots))
+        first = slots[0]
+        shift = (valise[first] - h[first] + low) % 2 - low
+        if shift:
+            if out is None:
+                out = list(h)
+            for i in slots:
+                out[i] += shift
+    return h if out is None else tuple(out)
 
 
 def _check_heights(topology: Topology, heights: Sequence[int]) -> None:
@@ -534,7 +554,7 @@ def engineerable(
     parent: dict[int, Step] = {}
     for comp in topology.components():
         root = comp[0]
-        heights[root] = 0 if topology.statistics_of(root) == BOSON else 1
+        heights[root] = 0  # normalize_heights sets each component's level
         queue = deque([root])
         while queue:
             u = queue.popleft()
@@ -566,35 +586,17 @@ def engineerable(
     return EngineerResult(ok=True, heights=normalize_heights(topology, heights))
 
 
-def _normal_shift(low: int, boson_parity: int) -> int:
-    """The unique translation putting a component's minimum at 0 or 1 with bosons even."""
-    return -low if (low + boson_parity) % 2 == 0 else 1 - low
-
-
 def normalize_heights(topology: Topology, heights: Mapping[int, int]) -> dict[int, int]:
     """Translate each component to the normal form; idempotent.
 
-    Normal form: bosons on even heights, fermions on odd heights, and each
-    component's minimum height is 0 (when a boson) or 1 (when a fermion).
-    Requires the +-1 gap rule on every edge.  A component whose bosons and
-    fermions share a height parity cannot be normalized and is rejected.
+    Normal form: bosons on even heights, fermions on odd heights (the
+    valise's parities), and each component's minimum height is 0 (when a
+    boson) or 1 (when a fermion).  Requires the +-1 gap rule on every edge;
+    the result lists the vertices in order.
     """
-    _check_heights(topology, [heights[v] for v in topology.vertex_ids])
-    out: dict[int, int] = {}
-    for comp in topology.components():
-        boson_par = {heights[v] % 2 for v in comp if topology.statistics_of(v) == BOSON}
-        fermi_par = {heights[v] % 2 for v in comp if topology.statistics_of(v) == FERMION}
-        if len(boson_par) > 1 or len(fermi_par) > 1 or boson_par & fermi_par:
-            raise AdinkraError(
-                f"component containing vertex {comp[0]} mixes boson and fermion height parities"
-            )
-        m = min(heights[v] for v in comp)
-        # valid topologies have no isolated vertices, so both sets are nonempty
-        bp = next(iter(boson_par), (m + 1) % 2)
-        t = _normal_shift(m, bp)
-        for v in comp:
-            out[v] = heights[v] + t
-    return out
+    h = _aligned(heights, topology.vertex_ids, "height for vertex")
+    _check_heights(topology, h)
+    return dict(zip(topology.vertex_ids, _normal_heights(topology, h)))
 
 
 @dataclass(frozen=True)

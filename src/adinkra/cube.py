@@ -35,12 +35,12 @@ MAX_CUBE_COLORS = 10
 
 def hgt0(subset: int) -> int:
     """Number of colors in the subset; the cube's base height grading."""
-    return bin(subset).count("1")
+    return subset.bit_count()
 
 
 def dist0(a: int, b: int) -> int:
     """Hamming distance between two subsets; equals cube graph distance."""
-    return bin(a ^ b).count("1")
+    return (a ^ b).bit_count()
 
 
 def subset_label(subset: int) -> str:

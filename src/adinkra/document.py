@@ -82,6 +82,11 @@ def document_kind(obj: Payload) -> str:
 # encoding
 
 
+def _edge_order(t: Topology) -> list[tuple[int, int, int]]:
+    """The edges as (color, u, v), the order every document and DOT graph lists them in."""
+    return sorted((c, u, v) for u, v, c in t.edges)
+
+
 def _topology_data(t: Topology) -> dict:
     return {
         "n_colors": t.n_colors,
@@ -90,7 +95,7 @@ def _topology_data(t: Topology) -> dict:
         ],
         "edges": [
             {"color": c, "ends": [u, v]}
-            for c, u, v in sorted((c, u, v) for u, v, c in t.edges)
+            for c, u, v in _edge_order(t)
         ],
     }
 
@@ -107,7 +112,7 @@ def _adinkra_data(a: Adinkra) -> dict:
         ],
         "edges": [
             {"color": c, "ends": [u, v], "parity": parity[(u, v, c)]}
-            for c, u, v in sorted((c, u, v) for u, v, c in t.edges)
+            for c, u, v in _edge_order(t)
         ],
     }
 
@@ -127,10 +132,7 @@ def _family_data(f: FamilyGraph) -> dict:
 
 def _parity_list(a: Adinkra) -> list[int]:
     parity = a.parity_by_edge()
-    return [
-        parity[(u, v, c)]
-        for c, u, v in sorted((c, u, v) for u, v, c in a.topology.edges)
-    ]
+    return [parity[(u, v, c)] for c, u, v in _edge_order(a.topology)]
 
 
 def _trace_data(tr: SequenceTrace) -> dict:
@@ -347,7 +349,7 @@ def _at(path: str, check, *args):
 def _shared_parity(data: dict, topo: Topology, path: str) -> tuple[int, ...]:
     """The parity every member or step shares, aligned with topo.edges and checked once."""
     raw = _list(data, "parity", path)
-    order = sorted((c, u, v) for u, v, c in topo.edges)
+    order = _edge_order(topo)
     if len(raw) != len(order):
         raise _fail(f"{path}.parity", f"expected {len(order)} entries")
     out = {}
@@ -382,7 +384,7 @@ def _decode_family(data: dict, path: str) -> FamilyGraph:
         dst = _heights_tuple(_get(item, "to", list, mp), topo, f"{mp}.to")
         moves.append((src, kind, _int(item, "vertex", mp), dst))
     # the walk starts at the valise, which is already in normal form
-    start = Adinkra._trusted(topo, tuple(int(s != BOSON) for s in topo.statistics), parity)
+    start = Adinkra._trusted(topo, topo._valise, parity)
     members = {start.heights: start}
     walked = []
     for src, kind, (v,), nxt in _walk(start, _singles(topo), ("raise", "lower")):
@@ -585,7 +587,7 @@ def export_dot(obj: Topology | Adinkra | Document, name: str = "adinkra") -> str
         for level in sorted(set(heights.values())):
             same = " ".join(f"v{v}" for v in sorted(topo.vertex_ids) if heights[v] == level)
             lines.append(f"  {{ rank=same; {same} }}")
-    for c, u, v in sorted((c, u, v) for u, v, c in topo.edges):
+    for c, u, v in _edge_order(topo):
         color = _PALETTE[(c - 1) % len(_PALETTE)]
         attrs = [f"color={color}"]
         if parity is not None and parity[(u, v, c)] == 1:

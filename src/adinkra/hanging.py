@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .core import (
-    BOSON,
     Adinkra,
     AdinkraError,
     Edge,
@@ -66,7 +65,7 @@ def check_hooks(topology: Topology, hookset: HookSet) -> list[str]:
         if not any(v in hooks for v in comp):
             report.append(f"component containing vertex {comp[0]} has no hook")
     for v, h in sorted(hooks.items()):
-        want = 0 if topology.statistics_of(v) == BOSON else 1
+        want = topology._valise[topology._vindex[v]]
         if h % 2 != want:
             report.append(
                 f"hook {v} has height {h}, but a {topology.statistics_of(v)} needs parity {want}"
@@ -140,8 +139,7 @@ def one_hooked(
         raise AdinkraError("one-hooked hanging needs a connected topology")
     if vertex not in topology._vindex:
         raise AdinkraError(f"hook references unknown vertex {vertex}")
-    want = 0 if topology.statistics_of(vertex) == BOSON else 1
-    if height % 2 != want:
+    if height % 2 != topology._valise[topology._vindex[vertex]]:
         raise AdinkraError(
             f"hook height {height} does not match the statistics parity of vertex {vertex}"
         )

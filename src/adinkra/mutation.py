@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .core import BOSON, Adinkra, AdinkraError, Topology, _solved_parity
+from .core import Adinkra, AdinkraError, Topology, _aligned, _solved_parity
 
 __all__ = [
     "sources",
@@ -130,12 +130,9 @@ def _walk(
 
 def base_adinkra(topology: Topology, parity=None) -> Adinkra:
     """The valise: every boson at height 0, every fermion at height 1."""
-    heights = {
-        v: 0 if topology.statistics_of(v) == BOSON else 1 for v in topology.vertex_ids
-    }
     if parity is None:
         parity = _solved_parity(topology)
-    return Adinkra.from_maps(topology, heights, parity)
+    return Adinkra(topology, topology._valise, _aligned(parity, topology.edges, "parity for edge"))
 
 
 def automorphic_dual(adinkra: Adinkra) -> Adinkra:

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import functools
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,9 +21,9 @@ from adinkra.core import (
     solve_edge_parity,
     validate_topology,
 )
-from adinkra.cube import SPINOR, antipodal_quotient, cube_topology, standard_parity
-from adinkra.hanging import SOURCES, HookSet, hang
-from adinkra.mutation import base_adinkra
+from adinkra.cube import SCALAR, SPINOR, antipodal_quotient, cube_topology, standard_parity
+from adinkra.hanging import SOURCES, TARGETS, HookSet, hang
+from adinkra.mutation import base_adinkra, lower_vertex, raise_vertex
 
 from oracles import (
     all_orientations,
@@ -258,6 +261,57 @@ def test_normalize_per_component() -> None:
         10: 2,
         11: 1,
     }
+
+
+def _interleaved() -> Topology:
+    """Two components whose vertex ids interleave: {0, 2} and {1, 3}, the second led by a fermion."""
+    return Topology.build(1, {0: BOSON, 1: FERMION, 2: FERMION, 3: BOSON}, [(0, 2, 1), (1, 3, 1)])
+
+
+@functools.cache
+def _rule_bases() -> tuple[Adinkra, ...]:
+    tops = [cube_topology(n, kind) for n in (1, 2, 3, 4) for kind in (SCALAR, SPINOR)]
+    return tuple(base_adinkra(t) for t in tops + [antipodal_quotient(), _interleaved()])
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_one_normal_form_rule(data) -> None:
+    """normalize_heights, Adinkra.normalized and engineerable agree after any walk and any shift per component."""
+    a = data.draw(st.sampled_from(_rule_bases()), label="valise")
+    t = a.topology
+    for pick in data.draw(st.lists(st.integers(0, 1 << 16), max_size=12), label="moves"):
+        sources, targets = a.extremes()
+        moves = [(raise_vertex, v) for v in sources] + [(lower_vertex, v) for v in targets]
+        move, v = moves[pick % len(moves)]
+        a = move(a, v)
+    shifts = data.draw(st.lists(st.integers(-7, 7), min_size=len(t.components()), max_size=len(t.components())))
+    h = {v: a.height_of(v) + k for comp, k in zip(t.components(), shifts) for v in comp}
+    normal = Adinkra.from_maps(t, h, a.parity_by_edge()).normalized().heights_by_vertex()
+    assert normalize_heights(t, h) == normal
+    assert engineerable(t, orientation_from_heights(t, h)).heights == normal
+    normal_a = a.normalized()
+    assert normal_a.heights_by_vertex() == normal  # no shift, odd or even, changes the normal form
+    assert normal_a.normalized() is normal_a
+    assert all(normal[v] % 2 == (t.statistics_of(v) == FERMION) for v in t.vertex_ids)
+    assert all(min(normal[v] for v in comp) in (0, 1) for comp in t.components())
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda t: Adinkra.from_maps(t, {0: 0}, standard_parity(t)), "no height for vertex 1"),
+        (lambda t: Adinkra.from_maps(t, {0: 0, 1: 1, 2: 1, 3: 2}, {}), "no parity for edge (0, 1, 1)"),
+        (lambda t: normalize_heights(t, {0: 0}), "no height for vertex 1"),
+        (lambda t: orientation_from_heights(t, {0: 0}), "no height for vertex 1"),
+        (lambda t: base_adinkra(t, {}), "no parity for edge (0, 1, 1)"),
+        (lambda t: hang(t, HookSet.from_map(TARGETS, {3: 2}), {}), "no parity for edge (0, 1, 1)"),
+    ],
+    ids=["from_maps-heights", "from_maps-parity", "normalize_heights", "orientation_from_heights", "base_adinkra", "hang"],
+)
+def test_map_constructors_name_the_missing_key(build, message: str) -> None:
+    with pytest.raises(AdinkraError, match=f"^{re.escape(message)}$"):
+        build(cube_topology(2))
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,24 @@ def test_check_hooks_flags_statistics_parity() -> None:
     assert any("parity" in line for line in report)
 
 
+def test_check_hooks_names_the_parity_each_statistics_needs() -> None:
+    t = cube_topology(2)
+    report = check_hooks(t, HookSet.from_map(TARGETS, {0: 1, 1: 2, 2: 1, 3: 3}))
+    assert report[:3] == [
+        "hook 0 has height 1, but a boson needs parity 0",
+        "hook 1 has height 2, but a fermion needs parity 1",
+        "hook 3 has height 3, but a boson needs parity 0",
+    ]
+
+
+def test_one_hooked_names_the_hook_of_the_wrong_parity() -> None:
+    t = cube_topology(2)
+    with pytest.raises(AdinkraError, match=r"^hook height 1 does not match the statistics parity of vertex 3$"):
+        one_hooked(t, 3, 1)
+    with pytest.raises(AdinkraError, match=r"^hook height 2 does not match the statistics parity of vertex 1$"):
+        one_hooked(t, 1, 2)
+
+
 def test_check_hooks_flags_too_close_pair() -> None:
     t = cube_topology(2)
     report = check_hooks(t, HookSet.from_map(TARGETS, {0: 0, 3: 2}))
