@@ -104,9 +104,12 @@ def _parse_hooks(pairs: list[str]) -> dict[int, int]:
         if not sep:
             raise AdinkraError(f"hook {item!r} is not of the form VERTEX=HEIGHT")
         try:
-            hooks[int(vertex)] = int(height)
+            v, h = int(vertex), int(height)
         except ValueError:
             raise AdinkraError(f"hook {item!r} is not of the form VERTEX=HEIGHT") from None
+        if v in hooks:
+            raise AdinkraError(f"vertex {v} is hooked twice")
+        hooks[v] = h
     return hooks
 
 

@@ -12,7 +12,9 @@ respect to statistics.  On top of a valid topology live three decorations:
 * the derived orientation, used for source/target bookkeeping downstream.
 
 Vertices are plain ints, edges are canonical triples (u, v, color) with u < v,
-and all public containers are immutable so Adinkras can be dict keys.
+and all public containers are immutable so Adinkras can be dict keys.  A
+topology keeps one adjacency table over vertex positions (indices into
+vertex_ids): row i, column c - 1 is the position of vertex i's color-c neighbour.
 """
 
 from __future__ import annotations
@@ -140,9 +142,9 @@ class Topology:
     """A validated statistics-graded, edge-colored graph.
 
     Use :meth:`build` to construct from raw data: it validates.  The bare
-    constructor only indexes already-canonical tuples and checks nothing.
-    Indexes, components, a spanning forest, the valise heights (bosons at 0,
-    fermions at 1) and two-color squares are computed once per instance.
+    constructor only indexes tuples build would accept and checks nothing.
+    The adjacency table, components, a spanning forest, the valise heights
+    (bosons at 0, fermions at 1) and two-color squares are computed once.
     """
 
     n_colors: int
@@ -155,13 +157,7 @@ class Topology:
     _eindex: dict[Edge, int] = field(
         default_factory=dict, compare=False, repr=False, hash=False
     )
-    _neighbor: dict[tuple[int, int], int] = field(
-        default_factory=dict, compare=False, repr=False, hash=False
-    )
     _adjacent: tuple[tuple[int, ...], ...] = field(
-        default=(), compare=False, repr=False, hash=False
-    )
-    _components: tuple[tuple[int, ...], ...] = field(
         default=(), compare=False, repr=False, hash=False
     )
     _component_slots: tuple[tuple[int, ...], ...] = field(
@@ -169,9 +165,6 @@ class Topology:
     )
     _forest: tuple[int, ...] = field(default=(), compare=False, repr=False, hash=False)
     _valise: tuple[int, ...] = field(default=(), compare=False, repr=False, hash=False)
-    _around: tuple[tuple[tuple[int, int], ...], ...] = field(
-        default=(), compare=False, repr=False, hash=False
-    )
     _dist_cache: dict[int, dict[int, int]] = field(
         default_factory=dict, compare=False, repr=False, hash=False
     )
@@ -196,43 +189,33 @@ class Topology:
         object.__setattr__(self, "_vindex", vindex)
         # the one place statistics fix a height parity: bosons at 0, fermions at 1
         object.__setattr__(self, "_valise", tuple(int(s != BOSON) for s in self.statistics))
-        object.__setattr__(self, "_eindex", {e: i for i, e in enumerate(self.edges)})
-        nbr: dict[tuple[int, int], int] = {}
+        eindex = {e: i for i, e in enumerate(self.edges)}
+        object.__setattr__(self, "_eindex", eindex)
+        # the one adjacency table: adjacent[i][c - 1] is the position of vertex i's color-c neighbour
+        adjacent = [[0] * self.n_colors for _ in self.vertex_ids]
         for u, v, color in self.edges:
-            nbr[u, color] = v
-            nbr[v, color] = u
-        object.__setattr__(self, "_neighbor", nbr)
-        # (neighbour, color) pairs and neighbour positions per vertex position, in color order
-        around = tuple(
-            tuple((nbr[v, c], c) for c in range(1, self.n_colors + 1) if (v, c) in nbr)
-            for v in self.vertex_ids
-        )
-        object.__setattr__(self, "_around", around)
-        adjacent = tuple(tuple(vindex[w] for w, _ in pairs) for pairs in around)
-        object.__setattr__(self, "_adjacent", adjacent)
+            adjacent[vindex[u]][color - 1] = vindex[v]
+            adjacent[vindex[v]][color - 1] = vindex[u]
+        object.__setattr__(self, "_adjacent", tuple(map(tuple, adjacent)))
         # BFS from the lowest roots; its tree edges are the forest solve_edge_parity gauges
+        vids = self.vertex_ids
         slots: list[tuple[int, ...]] = []
         forest: list[int] = []
         seen: set[int] = set()
-        for root in range(len(self.vertex_ids)):
+        for root in range(len(vids)):
             if root in seen:
                 continue
             seen.add(root)
             comp = [root]
             for i in comp:
-                for j, (w, color) in zip(adjacent[i], around[i]):
+                for color, j in enumerate(adjacent[i], 1):
                     if j not in seen:
                         seen.add(j)
                         comp.append(j)
-                        forest.append(self._eindex[_canon_edge(self.vertex_ids[i], w, color)])
+                        forest.append(eindex[_canon_edge(vids[i], vids[j], color)])
             slots.append(tuple(sorted(comp)))
         object.__setattr__(self, "_forest", tuple(forest))
         object.__setattr__(self, "_component_slots", tuple(slots))
-        object.__setattr__(
-            self,
-            "_components",
-            tuple(tuple(self.vertex_ids[i] for i in comp) for comp in slots),
-        )
 
     # -- basic queries ----------------------------------------------------
 
@@ -244,10 +227,10 @@ class Topology:
 
     def neighbor(self, v: int, color: int) -> int:
         """The unique vertex joined to v by the color-colored edge."""
-        try:
-            return self._neighbor[v, color]
-        except KeyError:
-            raise AdinkraError(f"vertex {v} has no edge of color {color}") from None
+        i = self._vindex.get(v)
+        if i is None or color not in range(1, self.n_colors + 1):
+            raise AdinkraError(f"vertex {v} has no edge of color {color}")
+        return self.vertex_ids[self._adjacent[i][color - 1]]
 
     def edge_index(self, u: int, v: int, color: int) -> int:
         try:
@@ -258,11 +241,11 @@ class Topology:
     def neighbors(self, v: int) -> list[tuple[int, int]]:
         """All (neighbor, color) pairs at v, in color order."""
         i = self._vindex.get(v)
-        return [] if i is None else list(self._around[i])
+        return [] if i is None else [(self.vertex_ids[j], c) for c, j in enumerate(self._adjacent[i], 1)]
 
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Connected components as sorted vertex tuples, ordered by minimum id."""
-        return self._components
+        return tuple(tuple(map(self.vertex_ids.__getitem__, slots)) for slots in self._component_slots)
 
     def distances_from(self, v: int) -> dict[int, int]:
         """BFS distances from v to every vertex in its component (cached)."""
@@ -271,14 +254,15 @@ class Topology:
             return cached
         if v not in self._vindex:
             raise AdinkraError(f"unknown vertex {v}")
-        dist = {v: 0}
-        queue = deque([v])
-        while queue:
-            u = queue.popleft()
-            for w, _ in self.neighbors(u):
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
+        adj = self._adjacent
+        order = [self._vindex[v]]
+        reached = {order[0]: 0}
+        for i in order:
+            for j in adj[i]:
+                if j not in reached:
+                    reached[j] = reached[i] + 1
+                    order.append(j)
+        dist = {self.vertex_ids[i]: d for i, d in reached.items()}
         self._dist_cache[v] = dist
         return dist
 
@@ -286,53 +270,35 @@ class Topology:
         """Graph distance, or None when u and v lie in different components."""
         return self.distances_from(u).get(v)
 
-    def bichromatic_cycles(self, c1: int, c2: int) -> list[list[Edge]]:
-        """Closed walks alternating colors c1, c2; each is a simple even cycle.
-
-        Every vertex has exactly one edge of each color, so the {c1, c2}
-        subgraph is a disjoint union of even cycles.  Returned in order of
-        their minimum vertex, each starting at that vertex along c1.
-        """
-        cycles = []
-        visited: set[int] = set()
-        for start in self.vertex_ids:
-            if start in visited:
-                continue
-            cyc: list[Edge] = []
-            v = start
-            color = c1
-            while True:
-                visited.add(v)
-                w = self.neighbor(v, color)
-                cyc.append(_canon_edge(v, w, color))
-                v = w
-                color = c2 if color == c1 else c1
-                if v == start and color == c1:
-                    break
-            cycles.append(cyc)
-        return cycles
-
     @cached_property
     def squares(self) -> tuple[tuple[int, int, tuple[int, int, int, int]], ...]:
         """Every two-color square as (c1, c2, edge indices in walk order).
 
-        Ordered by color pair, then as :meth:`bichromatic_cycles` lists them;
-        longer two-colored cycles are left out.  Computed on first use.
+        Ordered by color pair, then by lowest vertex, each walked from that
+        vertex along c1, c2, c1, c2.  Two edges of colors c1 and c2 joining the
+        same pair of vertices, and longer two-colored cycles, are not squares.
+        Computed on first use.
         """
-        return tuple(
-            (c1, c2, tuple(self._eindex[e] for e in cyc))
-            for c1 in range(1, self.n_colors + 1)
-            for c2 in range(c1 + 1, self.n_colors + 1)
-            for cyc in self.bichromatic_cycles(c1, c2)
-            if len(cyc) == 4
-        )
+        adj, vids, eindex = self._adjacent, self.vertex_ids, self._eindex
+        out = []
+        for c1 in range(1, self.n_colors + 1):
+            for c2 in range(c1 + 1, self.n_colors + 1):
+                for i, row in enumerate(adj):
+                    a = row[c1 - 1]
+                    b = adj[a][c2 - 1]
+                    d = adj[b][c1 - 1]
+                    # a doubled edge closes with b == i, which the strict minimum rules out
+                    if adj[d][c2 - 1] == i and i < min(a, b, d):
+                        walk = ((i, a, c1), (a, b, c2), (b, d, c1), (d, i, c2))
+                        out.append((c1, c2, tuple(eindex[_canon_edge(vids[x], vids[y], c)] for x, y, c in walk)))
+        return tuple(out)
 
 
 def orientation_from_heights(
     topology: Topology, heights: Mapping[int, int]
 ) -> dict[Edge, tuple[int, int]]:
     """Arrow (tail, head) per edge, pointing from the lower to the higher end."""
-    h = _aligned(heights, topology.vertex_ids, "height for vertex")
+    h = _aligned(heights, topology._vindex, "height for vertex")
     _check_heights(topology, h)
     vindex = topology._vindex
     out: dict[Edge, tuple[int, int]] = {}
@@ -341,13 +307,17 @@ def orientation_from_heights(
     return out
 
 
-def _aligned(values: Mapping, keys: Sequence, what: str) -> tuple:
-    """The values of a map in the order of keys; a missing key is an AdinkraError naming it."""
+def _aligned(values: Mapping, index: Mapping, what: str) -> tuple:
+    """The values of a map in the order of index's keys; a missing or unknown key is an AdinkraError naming it."""
     try:
-        return tuple([values[k] for k in keys])
+        out = tuple([values[k] for k in index])
     except KeyError:
-        missing = next(k for k in keys if k not in values)
+        missing = next(k for k in index if k not in values)
         raise AdinkraError(f"no {what} {missing}") from None
+    if len(values) != len(out):
+        unknown = next(k for k in values if k not in index)
+        raise AdinkraError(f"{what} {unknown}: not in the topology")
+    return out
 
 
 @dataclass(frozen=True)
@@ -388,8 +358,8 @@ class Adinkra:
         heights: Mapping[int, int],
         parity: Mapping[Edge, int],
     ) -> "Adinkra":
-        h = _aligned(heights, topology.vertex_ids, "height for vertex")
-        p = _aligned(parity, topology.edges, "parity for edge")
+        h = _aligned(heights, topology._vindex, "height for vertex")
+        p = _aligned(parity, topology._eindex, "parity for edge")
         return cls(topology, h, p)
 
     def height_of(self, v: int) -> int:
@@ -594,7 +564,7 @@ def normalize_heights(topology: Topology, heights: Mapping[int, int]) -> dict[in
     boson) or 1 (when a fermion).  Requires the +-1 gap rule on every edge;
     the result lists the vertices in order.
     """
-    h = _aligned(heights, topology.vertex_ids, "height for vertex")
+    h = _aligned(heights, topology._vindex, "height for vertex")
     _check_heights(topology, h)
     return dict(zip(topology.vertex_ids, _normal_heights(topology, h)))
 

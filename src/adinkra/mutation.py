@@ -132,7 +132,7 @@ def base_adinkra(topology: Topology, parity=None) -> Adinkra:
     """The valise: every boson at height 0, every fermion at height 1."""
     if parity is None:
         parity = _solved_parity(topology)
-    return Adinkra(topology, topology._valise, _aligned(parity, topology.edges, "parity for edge"))
+    return Adinkra(topology, topology._valise, _aligned(parity, topology._eindex, "parity for edge"))
 
 
 def automorphic_dual(adinkra: Adinkra) -> Adinkra:
@@ -239,24 +239,24 @@ def _anchorings(topology: Topology, colors: Sequence[int]) -> list[list[_Anchori
     The statistics and neighbour ranks depend on the topology alone, so they
     are computed once per topology and color order.
     """
-    nbr = topology._neighbor
+    # each position's neighbour positions, columns in the searched color order
+    adj = [[row[c - 1] for c in colors] for row in topology._adjacent]
     out = []
-    for comp in topology.components():
+    for slots in topology._component_slots:
         per_anchor = []
-        for anchor in comp:
+        for anchor in slots:
             rank = {anchor: 0}
             order = [anchor]
-            for v in order:
-                for c in colors:
-                    w = nbr[v, c]
-                    if w not in rank:
-                        rank[w] = len(order)
-                        order.append(w)
+            for i in order:
+                for j in adj[i]:
+                    if j not in rank:
+                        rank[j] = len(order)
+                        order.append(j)
             per_anchor.append(
                 (
-                    tuple(topology._vindex[v] for v in order),
-                    tuple(topology.statistics_of(v) for v in order),
-                    tuple(tuple(rank[nbr[v, c]] for c in colors) for v in order),
+                    tuple(order),
+                    tuple(topology.statistics[i] for i in order),
+                    tuple(tuple(rank[j] for j in adj[i]) for i in order),
                 )
             )
         out.append(per_anchor)

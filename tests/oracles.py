@@ -17,7 +17,8 @@ projected as expressions, each equation's sides built and compared as maps,
 instead of each term of U walked once through each projection and the sides
 compared term by term, the one-hooked descent lowered one checked vertex at
 a time instead of one level at once, and mu as half a cube distance instead
-of the least m_alpha.
+of the least m_alpha, and the two-color squares by walking every two-colored
+cycle instead of closing four steps from each vertex.
 """
 
 from __future__ import annotations
@@ -494,6 +495,34 @@ def column_solve_edge_parity(topology: Topology) -> ParityResult:
         values[col] = acc
     parity = {e: values[i] for i, e in enumerate(edges)}
     return ParityResult(ok=True, parity=parity)
+
+
+def bichromatic_squares(topology: Topology) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """Topology.squares by walking every two-colored cycle and keeping those of length four.
+
+    For each color pair the {c1, c2} subgraph is a disjoint union of even
+    cycles; each is walked from its minimum vertex along c1, and the cycles
+    come in order of that vertex.
+    """
+    out = []
+    for c1 in range(1, topology.n_colors + 1):
+        for c2 in range(c1 + 1, topology.n_colors + 1):
+            visited: set[int] = set()
+            for start in topology.vertex_ids:
+                if start in visited:
+                    continue
+                cycle: list[int] = []
+                v, color = start, c1
+                while True:
+                    visited.add(v)
+                    w = topology.neighbor(v, color)
+                    cycle.append(topology.edge_index(v, w, color))
+                    v, color = w, c2 if color == c1 else c1
+                    if v == start and color == c1:
+                        break
+                if len(cycle) == 4:
+                    out.append((c1, c2, tuple(cycle)))
+    return tuple(out)
 
 
 def code_quotient(n: int, word: int) -> Topology:

@@ -8,20 +8,25 @@ import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import adinkra
 from adinkra import constraints
 from adinkra.cli import main
 from adinkra.constraints import MAX_BATTERY_TERMS, ConstraintSystem, SourceSpec, emit_constraints
 from adinkra.cube import MAX_CUBE_COLORS, cube_topology
-from adinkra.document import serialize
+from adinkra.document import deserialize, serialize
 from adinkra.mutation import base_adinkra, main_sequence
 from adinkra.superspace import RuleSet, RuleTerm, transformation_rules
 
 from oracles import code_quotient
+from test_document import _MUTATION_DOCUMENTS, _same_json_type, _scalars
 
 
 @pytest.fixture
@@ -109,6 +114,14 @@ def test_hang_reports_bad_hooks_as_violations(run) -> None:
     report = json.loads(out)
     assert report["ok"] is False
     assert "parity" in report["violations"][0]
+
+
+def test_a_vertex_hooked_twice_is_refused(run) -> None:
+    _, cube, _ = run(["cube", "2"])
+    code, out, err = run(["hang", "--mode", "targets", "--hook", "0=2", "--hook", "0=4"], stdin=cube)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "vertex 0 is hooked twice", "type": "AdinkraError"}
 
 
 def test_family_counts_members(run) -> None:
@@ -542,6 +555,55 @@ def test_export_rejects_a_name_that_is_not_a_dot_identifier(run) -> None:
     code, out, err = run(["export", "--name", 'a"b'], stdin=cube)
     assert code == 1 and out == ""
     assert "is not a DOT identifier" in json.loads(err)["error"]
+
+
+# ---------------------------------------------------------------------------
+# hostile documents
+
+
+# every subcommand that reads a document, with the flags it needs, and what it writes on success
+_DOCUMENT_COMMANDS = [
+    (["validate"], "report"),
+    (["hang", "--mode", "targets", "--hook", "0=2"], "document"),
+    (["hang", "--mode", "sources", "--hook", "0=0", "--hook", "3=2"], "document"),
+    (["raise", "0"], "document"),
+    (["lower", "1"], "document"),
+    (["family"], "document"),
+    (["main-seq"], "document"),
+    (["identify"], "report"),
+    (["constraints"], "document"),
+    (["verify-constraints"], "report"),
+    (["verify-susy"], "report"),
+    (["dims"], "report"),
+    (["export"], "dot"),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_every_document_command_answers_a_mutated_document_cleanly(data) -> None:
+    tree = json.loads(data.draw(st.sampled_from(_MUTATION_DOCUMENTS)))
+    path, value = data.draw(st.sampled_from(list(_scalars(tree))))
+    node = tree
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = data.draw(_same_json_type(value))
+    text = json.dumps(tree, indent=2) + "\n"
+    for argv, writes in _DOCUMENT_COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.object(sys, "stdin", io.StringIO(text)), redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1), argv
+        if err.getvalue():
+            assert err.getvalue().count("\n") == 1, (argv, err.getvalue())
+            assert set(json.loads(err.getvalue())) == {"error", "type"}, argv
+        if code == 0:
+            if writes == "document":
+                assert serialize(deserialize(out.getvalue())) == out.getvalue(), argv
+            elif writes == "report":
+                assert isinstance(json.loads(out.getvalue()), dict), argv
+            else:
+                assert out.getvalue().startswith("digraph adinkra {"), argv
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from adinkra.mutation import base_adinkra, lower_vertex, raise_vertex
 
 from oracles import (
     all_orientations,
+    bichromatic_squares,
     code_quotient,
     column_solve_edge_parity,
     cycle_space_engineerable,
@@ -103,6 +104,17 @@ def test_components_and_distances() -> None:
     assert two.components() == ((0, 1), (10, 11))
     assert two.distance(0, 1) == 1
     assert two.distance(0, 10) is None
+
+
+@pytest.mark.parametrize("v, color", [(0, 0), (0, 3), (0, -1), (7, 1), (-1, 2)])
+def test_neighbor_refuses_a_color_or_vertex_outside_the_topology(v: int, color: int) -> None:
+    with pytest.raises(AdinkraError, match=f"^vertex {v} has no edge of color {color}$"):
+        square().neighbor(v, color)
+
+
+def test_neighbors_of_an_unknown_vertex_are_empty() -> None:
+    assert square().neighbors(7) == []
+    assert square().neighbors(0) == [(1, 1), (2, 2)]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -314,6 +326,47 @@ def test_map_constructors_name_the_missing_key(build, message: str) -> None:
         build(cube_topology(2))
 
 
+_HEIGHTS2 = {0: 0, 1: 1, 2: 1, 3: 2}
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda t: Adinkra.from_maps(t, {**_HEIGHTS2, 99: 7}, standard_parity(t)), "height for vertex 99: not in the topology"),
+        (
+            lambda t: Adinkra.from_maps(t, _HEIGHTS2, {**standard_parity(t), (5, 6, 1): 3}),
+            "parity for edge (5, 6, 1): not in the topology",
+        ),
+        # a non-canonical triple names no edge either
+        (lambda t: base_adinkra(t, {**standard_parity(t), (1, 0, 1): 0}), "parity for edge (1, 0, 1): not in the topology"),
+        (lambda t: normalize_heights(t, {**_HEIGHTS2, 99: "x"}), "height for vertex 99: not in the topology"),
+        (lambda t: orientation_from_heights(t, {99: 0, **_HEIGHTS2}), "height for vertex 99: not in the topology"),
+        (lambda t: base_adinkra(t, {**standard_parity(t), (5, 6, 1): 3}), "parity for edge (5, 6, 1): not in the topology"),
+        (
+            lambda t: hang(t, HookSet.from_map(TARGETS, {3: 2}), {**standard_parity(t), (5, 6, 1): 0}),
+            "parity for edge (5, 6, 1): not in the topology",
+        ),
+    ],
+    ids=[
+        "from_maps-heights",
+        "from_maps-parity",
+        "base_adinkra-reversed",
+        "normalize_heights",
+        "orientation_from_heights",
+        "base_adinkra",
+        "hang",
+    ],
+)
+def test_map_constructors_name_the_unknown_key(build, message: str) -> None:
+    with pytest.raises(AdinkraError, match=f"^{re.escape(message)}$"):
+        build(cube_topology(2))
+
+
+def test_a_missing_key_is_named_before_an_unknown_one() -> None:
+    with pytest.raises(AdinkraError, match=r"^no height for vertex 3$"):
+        normalize_heights(cube_topology(2), {0: 0, 1: 1, 2: 1, 99: 2})
+
+
 # ---------------------------------------------------------------------------
 # edge parity solver
 
@@ -374,6 +427,37 @@ def _parity_cases():
 @pytest.mark.parametrize("t", _parity_cases(), ids=lambda t: f"{t.n_colors}c{len(t.vertex_ids)}v")
 def test_parity_solve_matches_column_elimination(t: Topology) -> None:
     assert solve_edge_parity(t) == column_solve_edge_parity(t)
+
+
+def _doubled_edges() -> Topology:
+    """Colors 1 and 2 both join 0-1 and 2-3; color 3 closes two (1, 3) and (2, 3) squares."""
+    stats = {0: BOSON, 1: FERMION, 2: BOSON, 3: FERMION}
+    return Topology.build(3, stats, [(0, 1, 1), (0, 1, 2), (2, 3, 1), (2, 3, 2), (0, 3, 3), (1, 2, 3)])
+
+
+def _square_cases():
+    cases = _parity_cases()
+    cases.append(Topology.build(2, {0: BOSON, 1: FERMION}, [(0, 1, 1), (0, 1, 2)]))
+    cases.append(_doubled_edges())
+    # two components, one with doubled edges, interleaved with a 3-cube on ids 10..17
+    c3 = cube_topology(3)
+    doubled = _doubled_edges()
+    stats = {**dict(zip(doubled.vertex_ids, doubled.statistics)), **{v + 10: s for v, s in zip(c3.vertex_ids, c3.statistics)}}
+    cases.append(Topology.build(3, stats, list(doubled.edges) + [(u + 10, v + 10, c) for u, v, c in c3.edges]))
+    return cases
+
+
+@pytest.mark.parametrize("t", _square_cases(), ids=lambda t: f"{t.n_colors}c{len(t.vertex_ids)}v")
+def test_squares_match_the_cycle_walk_in_order(t: Topology) -> None:
+    assert t.squares == bichromatic_squares(t)
+
+
+def test_doubled_edges_close_squares_only_through_a_third_color() -> None:
+    t = _doubled_edges()
+    assert [(c1, c2, [t.edges[i] for i in sq]) for c1, c2, sq in t.squares] == [
+        (1, 3, [(0, 1, 1), (1, 2, 3), (2, 3, 1), (0, 3, 3)]),
+        (2, 3, [(0, 1, 2), (1, 2, 3), (2, 3, 2), (0, 3, 3)]),
+    ]
 
 
 @pytest.mark.parametrize("n, word", SOLVABLE_CODES + UNSOLVABLE_CODES)
