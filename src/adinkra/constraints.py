@@ -19,8 +19,9 @@ verify_presentation and image_adinkra all refuse one that is not.
 
 P_(c,alpha) F_alpha is the one word D_{c xor I_alpha} d_tau^l_alpha D_{I_alpha},
 so it sends each term U_d of U to one term at monomial d xor c.  No two terms
-share a key and nothing cancels, so verify_presentation walks each U_d through
-each projection once and compares the two sides of an equation term by term;
+share a key and nothing cancels, so verify_presentation compares the two sides
+of an equation term by term.  It walks U once through each entry's own word and
+once through each D_w, and reads every projection off those two tables;
 emit_constraints walks only U_c, the one term that reaches theta = 0.
 
 identify() inverts the construction: given a cube Adinkra it recovers a
@@ -91,7 +92,7 @@ __all__ = [
 ]
 
 
-# bounds verify_presentation's walks of U's 2^n terms through 2^n x m projections and its m(m-1)/2
+# bounds the 2^n terms of U in each of verify_presentation's 2^n x m projections and its m(m-1)/2
 # equation sides per component; emit_constraints walks one term per projection but refuses the same batteries
 MAX_BATTERY_TERMS = 1 << 18
 
@@ -281,25 +282,52 @@ def _equations(spec: SourceSpec, lowest: Lowest) -> tuple[Constraint, ...]:
 
 
 def _project(spec: SourceSpec, kind: str, every_term: bool) -> tuple[list[FieldSymbol], Walks, Lowest]:
-    """U's fields U_d, each U_d (or only U_c) walked from its phase through each projection, and the lowest terms."""
+    """U's fields U_d, each U_d (or only U_c) walked from its phase through each projection, and the lowest terms.
+
+    P_(c,alpha) is D_w d_tau^l_alpha D_{I_alpha} with w = c xor I_alpha, and
+    each descending word is walked over each monomial at most once: the
+    entry's own word over U once per entry, then each D_w over every
+    monomial once, finishing the m projections with c = w xor I_alpha.  That
+    is m * 2^n + 4^n walks of at most n atoms.  The one-term path walks U_c
+    through D_{I_alpha} to theta^w, and D_w once from there: 2^n * (m + 1)
+    walks.
+    """
     n = spec.n_colors
     terms = sorted(generic_superfield(n, kind).coeffs.items())
     syms = [sym for (_, sym), _ in terms]
     phases = [_unit_phases(g)[0].k for _, g in terms]
+    domain = range(1 << n)
+    entry_words = [_word_steps(_descending_word(mask, n), n) for mask, _ in spec.entries]
+
+    def through_entry(alpha: int, d: int) -> tuple[int, int, int]:
+        # d_tau^l_alpha commutes with every D and only adds l_alpha time derivatives
+        mid, dots, k = _walk(entry_words[alpha], d)
+        return mid, dots + spec.entries[alpha][1], k + phases[d]
+
+    firsts = [[through_entry(alpha, d) for d in domain] for alpha in range(len(spec.entries))] if every_term else None
     projections, lowest = {}, {}
-    for c in range(1 << n):
-        for alpha, (mask, shift) in enumerate(spec.entries):
-            # d_tau^l_alpha commutes with every D and only adds l_alpha time derivatives
-            steps = _word_steps(_descending_word(c ^ mask, n) + _descending_word(mask, n), n)
-            walked = []
-            for d in range(1 << n) if every_term else (c,):
-                landed, dots, k = _walk(steps, d)
-                walked.append((landed, dots + shift, (k + phases[d]) & 3))
+    for w in domain:
+        # only one table of D_w is live at a time; U_c always meets it at theta^w
+        word = _word_steps(_descending_word(w, n), n)
+        second = [_walk(word, d) for d in domain] if every_term else {w: _walk(word, w)}
+        for alpha, (mask, _) in enumerate(spec.entries):
+            c = w ^ mask
+            first = firsts[alpha] if every_term else (through_entry(alpha, c),)
+            walked = [
+                (landed, dots + more, (k + more_k) & 3)
+                for mid, dots, k in first
+                for landed, more, more_k in (second[mid],)
+            ]
             # the word toggles every theta in c once, so U_d lands on d xor c and only U_c reaches theta = 0
             landed, dots, k = walked[c if every_term else 0]
             if landed:
                 raise AdinkraError(f"projection of entry {alpha} onto {subset_label(c)} is not a single term")
-            assert dots == m_alpha(spec, c, alpha)
+            order = m_alpha(spec, c, alpha)
+            if dots != order:
+                raise AdinkraError(
+                    f"projection of entry {alpha} onto {subset_label(c)} carries {dots} time derivatives,"
+                    f" not m_alpha = {order}"
+                )
             projections[(c, alpha)], lowest[(c, alpha)] = walked, (k, dots)
     return syms, projections, lowest
 
@@ -309,7 +337,8 @@ def emit_constraints(spec: SourceSpec, kind: str = SCALAR) -> ConstraintSystem:
 
     For every component c and entry pair, the side with more derivatives is
     expressed through the other; the relating phase is computed by walking
-    the one term of U that reaches theta = 0 through each projection's word.
+    the one term of U that reaches theta = 0 through each projection's two
+    words, each D_w once: 2^n * (m + 1) walks of at most n atoms.
     An equation is flagged redundant (but kept) when, for some color k in c,
     D_k maps the same pair's equation at c - 2^(k-1) onto it up to a phase.
     Both sides at any component d are a unit times d_tau^M D_d U, with M the
@@ -335,8 +364,10 @@ def verify_presentation(spec: SourceSpec, kind: str = SCALAR) -> VerificationRep
 
     All equations must vanish identically on a generic superfield, and the
     engine's least order at each component must be mu (the image heights are
-    hgt0 + 2 mu).  Each term of U is walked through each projection once; an
-    equation that does not vanish is a failure naming its residual lhs - rhs.
+    hgt0 + 2 mu).  Each term of U is walked once through each entry's own
+    word and once through each D_w, m * 2^n + 4^n walks of at most n atoms,
+    and every projection is read off those two tables; an equation that does
+    not vanish is a failure naming its residual lhs - rhs.
     """
     _check_battery(spec)
     n, m = spec.n_colors, len(spec.entries)

@@ -171,7 +171,10 @@ def lowering_sequence_to_one_hooked(adinkra: Adinkra, vertex: int) -> list[int]:
         moves.extend(level)
         if len(moves) > total:  # pragma: no cover
             raise AdinkraError("descent exceeded its move budget; data is inconsistent")
-    assert current.height_of(vertex) == adinkra.height_of(vertex)
+    if current.height_of(vertex) != hv:
+        raise AdinkraError(
+            f"descent moved vertex {vertex} from height {hv} to {current.height_of(vertex)}; data is inconsistent"
+        )
     return moves
 
 

@@ -17,8 +17,10 @@ projected as expressions, each equation's sides built and compared as maps,
 instead of each term of U walked once through each projection and the sides
 compared term by term, the one-hooked descent lowered one checked vertex at
 a time instead of one level at once, and mu as half a cube distance instead
-of the least m_alpha, and the two-color squares by walking every two-colored
-cycle instead of closing four steps from each vertex.
+of the least m_alpha, the two-color squares by walking every two-colored
+cycle instead of closing four steps from each vertex, and each term of U
+walked through the whole two-part word of each projection instead of each
+descending word walked once and every projection read from two tables.
 """
 
 from __future__ import annotations
@@ -32,8 +34,11 @@ from adinkra.constraints import (
     Lowest,
     SourceSpec,
     VerificationReport,
+    Walks,
+    _descending_word,
     emit_constraints,
     image_adinkra,
+    m_alpha,
 )
 from adinkra.core import BOSON, Adinkra, AdinkraError, Edge, ParityResult, Topology
 from adinkra.cube import cube_statistics, dist0, hgt0, subset_label
@@ -49,6 +54,9 @@ from adinkra.superspace import (
     SuperfieldExpr,
     _accumulate,
     _rot,
+    _unit_phases,
+    _walk,
+    _word_steps,
     apply_op,
     descending_product,
     dtau_expr,
@@ -573,6 +581,27 @@ def half_distance_mu(spec: SourceSpec, component: int) -> int:
         val = num // 2 + shift
         best = val if best is None or val < best else best
     return best
+
+
+def two_word_project(spec: SourceSpec, kind: str, every_term: bool) -> tuple[list[FieldSymbol], Walks, Lowest]:
+    """constraints._project, each term walked through the whole two-part word D_{c xor I_alpha} D_{I_alpha}."""
+    n = spec.n_colors
+    terms = sorted(generic_superfield(n, kind).coeffs.items())
+    syms = [sym for (_, sym), _ in terms]
+    phases = [_unit_phases(g)[0].k for _, g in terms]
+    projections, lowest = {}, {}
+    for c in range(1 << n):
+        for alpha, (mask, shift) in enumerate(spec.entries):
+            steps = _word_steps(_descending_word(c ^ mask, n) + _descending_word(mask, n), n)
+            walked = []
+            for d in range(1 << n) if every_term else (c,):
+                landed, dots, k = _walk(steps, d)
+                walked.append((landed, dots + shift, (k + phases[d]) & 3))
+            landed, dots, k = walked[c if every_term else 0]
+            if landed or dots != m_alpha(spec, c, alpha):
+                raise AdinkraError(f"projection of entry {alpha} onto {subset_label(c)} is not d_tau^m_alpha U_c")
+            projections[(c, alpha)], lowest[(c, alpha)] = walked, (k, dots)
+    return syms, projections, lowest
 
 
 Projections = dict[tuple[int, int], SuperfieldExpr]  # (component, alpha) -> P F_alpha

@@ -193,18 +193,20 @@ def test_verify_constraints_projects_a_constraints_document_once(run, monkeypatc
     path = tmp_path / "triple.json"
     path.write_text(serialize(emit_constraints(spec)), encoding="utf-8")
     walk = constraints._walk
-    walks = []
+    lengths = []
 
     def counting(steps, mask):
-        walks.append(mask)
+        lengths.append(len(steps))
         return walk(steps, mask)
 
     monkeypatch.setattr("adinkra.constraints._walk", counting)
     code, out, _ = run(["verify-constraints", str(path)])
     assert code == 0 and json.loads(out)["ok"] is True
-    # the decoder walks the one term of U that reaches theta = 0 through each of the
-    # 2^n * m projections, then verify_presentation walks all 2^n terms through each once
-    assert len(walks) == 2**3 * 3 + 2**3 * 3 * 2**3
+    # the decoder walks the one term of U that reaches theta = 0 through each entry's word
+    # and each of the 2^n words D_w once; verify_presentation walks all 2^n terms through
+    # each entry's word and through each D_w once, and reads every projection off those tables
+    assert len(lengths) == (2**3 * 3 + 2**3) + (2**3 * 3 + 2**3 * 2**3)
+    assert max(lengths) <= 3
 
 
 def test_a_huge_shared_shift_costs_no_more_than_none(run, monkeypatch) -> None:
@@ -226,8 +228,8 @@ def test_a_huge_shared_shift_costs_no_more_than_none(run, monkeypatch) -> None:
     monkeypatch.setattr("adinkra.constraints._walk", counting)
     code, out, err = run(["verify-constraints"], stdin=shifted)
     assert code == 0 and err == "" and json.loads(out)["ok"] is True
-    # each walk steps through the D atoms alone, never through the shift
-    assert len(lengths) == 2**2 * 2 + 2**2 * 2 * 2**2 and max(lengths) <= 2 * 2
+    # each walk steps through one descending word of D atoms alone, never through the shift
+    assert len(lengths) == (2**2 * 2 + 2**2) + (2**2 * 2 + 2**2 * 2**2) and max(lengths) <= 2
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 import tracemalloc
 from dataclasses import replace
 from functools import cache
@@ -59,7 +60,7 @@ from adinkra.superspace import (
     generic_superfield,
 )
 
-from oracles import half_distance_mu, projected_lowest, searched_redundant_flags, substituted_report
+from oracles import half_distance_mu, projected_lowest, searched_redundant_flags, substituted_report, two_word_project
 
 
 X_SPEC = SourceSpec(2, ((1, 0), (2, 0)))
@@ -305,6 +306,15 @@ def test_a_wrong_engine_order_fails_the_rederived_heights(monkeypatch) -> None:
     assert report == VerificationReport(False, 0, (), False)
 
 
+@pytest.mark.parametrize("build", [emit_constraints, verify_presentation])
+def test_a_projection_off_its_derivative_order_is_an_error(build, monkeypatch) -> None:
+    order = constraints.m_alpha
+    monkeypatch.setattr("adinkra.constraints.m_alpha", lambda spec, c, alpha: order(spec, c, alpha) + 1)
+    with pytest.raises(AdinkraError) as info:
+        build(X_SPEC)
+    assert str(info.value) == "projection of entry 0 onto {1} carries 0 time derivatives, not m_alpha = 1"
+
+
 def test_verify_counts_all_pairs() -> None:
     report = verify_presentation(TRIPLE_SPEC)
     # 3 entries make 3 pairs per component, 8 components
@@ -452,6 +462,54 @@ def test_one_term_lowest_matches_the_projections_on_the_valise() -> None:
     _check_lowest(ident.spec, ident.kind)
 
 
+def _check_projections(spec: SourceSpec, kind: str) -> None:
+    for every_term in (True, False):
+        assert constraints._project(spec, kind, every_term) == two_word_project(spec, kind, every_term)
+
+
+def _relabeled_n4_sample(kind: str) -> list[SourceSpec]:
+    """Eight N=4 batteries identify() finds, each with its colors renamed by a seeded permutation."""
+    rng = random.Random(f"relabel-{kind}")
+    specs = []
+    for ident in rng.sample(_identified(4, kind), 8):
+        perm = rng.sample(range(4), 4)
+        relabel = lambda mask: sum(1 << perm[c] for c in range(4) if mask >> c & 1)
+        specs.append(SourceSpec(4, tuple((relabel(mask), shift) for mask, shift in ident.spec.entries)))
+    return specs
+
+
+# the largest batteries under MAX_BATTERY_TERMS of one entry, of two-subsets and of three-subsets
+CAP_BATTERIES = {
+    "n9-one-entry": SourceSpec(9, ((0, 0),)),
+    "n6-ten-pairs": SourceSpec(6, tuple((s, 0) for s in range(64) if hgt0(s) == 2)[:10]),
+    "n7-five-triples": SourceSpec(7, tuple((s, 0) for s in range(128) if hgt0(s) == 3)[:5]),
+}
+
+
+@pytest.mark.parametrize("n, kind", sorted(FROZEN_FAMILY_DIGESTS))
+def test_projections_match_the_two_word_walks_on_every_identified_battery(n: int, kind: str) -> None:
+    for ident in _identified(n, kind):
+        _check_projections(ident.spec, ident.kind)
+
+
+def test_projections_match_the_two_word_walks_on_the_valise() -> None:
+    ident = _valise()
+    _check_projections(ident.spec, ident.kind)
+
+
+@pytest.mark.parametrize("kind", [SCALAR, SPINOR])
+def test_projections_match_the_two_word_walks_on_a_relabeled_n4_sample(kind: str) -> None:
+    specs = _relabeled_n4_sample(kind)
+    assert len({spec.entries for spec in specs}) == 8 and all(not ehgt_violations(spec) for spec in specs)
+    for spec in specs:
+        _check_projections(spec, kind)
+
+
+@pytest.mark.parametrize("name", ["n6-ten-pairs", "n7-five-triples"])
+def test_projections_match_the_two_word_walks_at_the_term_cap(name: str) -> None:
+    _check_projections(CAP_BATTERIES[name], SCALAR)
+
+
 def _check_report(spec: SourceSpec, kind: str) -> None:
     expected = substituted_report(spec, kind, emit_constraints(spec, kind).equations)
     assert verify_presentation(spec, kind) == expected
@@ -494,6 +552,7 @@ def _extreme_batteries(draw) -> SourceSpec:
 def test_redundant_flags_match_the_search_on_random_batteries(spec: SourceSpec, kind: str) -> None:
     assert _flags(spec, kind) == searched_redundant_flags(spec, kind)
     _check_lowest(spec, kind)
+    _check_projections(spec, kind)
     assert verify_presentation(spec, kind).ok
 
 
@@ -600,6 +659,33 @@ def test_batteries_over_the_term_cap_are_refused_before_projecting(spec, terms) 
     for build in (emit_constraints, verify_presentation):
         with pytest.raises(AdinkraError, match=rf"^the battery would hold {terms} superfield terms, over the cap of {MAX_BATTERY_TERMS}$"):
             build(spec)
+
+
+# tracemalloc peaks in bytes at the term cap, measured with Python 3.11.7 while every
+# term of U was walked through the whole word of each projection; the bound is 1.25x
+CAP_PEAKS = {
+    ("n9-one-entry", "emit_constraints"): 392_926,
+    ("n9-one-entry", "verify_presentation"): 23_312_414,
+    ("n6-ten-pairs", "emit_constraints"): 815_464,
+    ("n6-ten-pairs", "verify_presentation"): 3_661_694,
+    ("n7-five-triples", "emit_constraints"): 461_512,
+    ("n7-five-triples", "verify_presentation"): 6_212_110,
+}
+
+
+@pytest.mark.parametrize("name, build", sorted(CAP_PEAKS), ids=[f"{n}-{b}" for n, b in sorted(CAP_PEAKS)])
+def test_batteries_at_the_term_cap_stay_within_their_memory(name: str, build: str) -> None:
+    spec = CAP_BATTERIES[name]
+    m = len(spec.entries)
+    assert MAX_BATTERY_TERMS * 3 // 4 < 4**spec.n_colors * m * (m + 1) // 2 <= MAX_BATTERY_TERMS
+    tracemalloc.start()
+    try:
+        result = getattr(constraints, build)(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert getattr(result, "ok", True)
+    assert peak <= CAP_PEAKS[(name, build)] * 5 // 4
 
 
 def test_the_battery_term_cap_admits_its_own_size(monkeypatch) -> None:

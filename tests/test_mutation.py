@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adinkra import mutation
 from adinkra.core import BOSON, FERMION, Adinkra, AdinkraError, Topology
 from adinkra.cube import SCALAR, SPINOR, antipodal_quotient, cube_topology, standard_parity
 from adinkra.mutation import (
@@ -180,6 +181,15 @@ def test_descent_moves_are_replayable_and_minimal() -> None:
         current = lower_vertex(current, v)
     assert targets(current) == (7,)
     assert current.height_of(7) == a.height_of(7)
+
+
+def test_a_descent_that_moves_its_hook_is_an_error(monkeypatch) -> None:
+    # every level the descent drops here drags the hook up one height with it
+    shift = mutation._shift
+    monkeypatch.setattr("adinkra.mutation._shift", lambda a, level, delta: shift(shift(a, level, delta), (0,), 1))
+    with pytest.raises(AdinkraError) as info:
+        lowering_sequence_to_one_hooked(base_adinkra(cube_topology(1)), 0)
+    assert str(info.value) == "descent moved vertex 0 from height 0 to 1; data is inconsistent"
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
