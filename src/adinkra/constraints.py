@@ -55,7 +55,7 @@ from .superspace import (
     Phase,
     SuperOp,
     SuperfieldExpr,
-    Word,
+    _descending_word,
     _unit_phases,
     _walk,
     _word_steps,
@@ -216,11 +216,6 @@ def identify(adinkra: Adinkra) -> Identification:
             "identification failed: battery image does not reproduce the input heights"
         )
     return Identification(spec, convention, tuple(moves))
-
-
-def _descending_word(mask: int, n_colors: int) -> Word:
-    """D_{c_k} ... D_{c_1} over the colors c_1 < ... < c_k of mask, as one word."""
-    return tuple(("D", c + 1) for c in reversed(range(n_colors)) if mask >> c & 1)
 
 
 def projector(spec: SourceSpec, component: int, alpha: int) -> SuperOp:

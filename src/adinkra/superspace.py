@@ -14,7 +14,9 @@ and component() show that view.  With the conventions
     Q_c = i d/d(theta^c) + theta^c d_tau
 
 one gets {D_a, D_b} = {Q_a, Q_b} = 2i delta_ab d_tau and {Q_a, D_b} = 0,
-which the test-suite verifies symbolically rather than assuming.
+which the test-suite verifies symbolically rather than assuming.  D_c and
+Q_c act on an expression only through apply_op, which walks each term
+through a whole word on ints; there is no separate theta action.
 
 The second half of the module turns a height-and-parity decorated graph into
 component transformation rules and checks the supersymmetry algebra closes on
@@ -24,7 +26,8 @@ them: for every component X, [delta(eps1), delta(eps2)] X must equal
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .core import BOSON, FERMION, Adinkra, AdinkraError
@@ -168,7 +171,6 @@ class SuperfieldExpr:
     n_colors: int
     statistics: str
     coeffs: dict[Key, Gauss]
-    _terms: tuple[Term, ...] | None = field(default=None, compare=False, repr=False)
 
     def __init__(self, n_colors: int, statistics: str, terms: Iterable[Term]) -> None:
         if statistics not in (BOSON, FERMION):
@@ -191,16 +193,12 @@ class SuperfieldExpr:
         _init_expr(self, n_colors, statistics, coeffs)
         return self
 
-    @property
+    @cached_property
     def terms(self) -> tuple[Term, ...]:
-        if self._terms is None:
-            by_mask: dict[int, list[tuple[FieldSymbol, Gauss]]] = {}
-            for (mask, sym), g in self.coeffs.items():
-                by_mask.setdefault(mask, []).append((sym, g))
-            object.__setattr__(
-                self, "_terms", tuple((m, _summands(by_mask[m])) for m in sorted(by_mask))
-            )
-        return self._terms
+        by_mask: dict[int, list[tuple[FieldSymbol, Gauss]]] = {}
+        for (mask, sym), g in self.coeffs.items():
+            by_mask.setdefault(mask, []).append((sym, g))
+        return tuple((m, _summands(by_mask[m])) for m in sorted(by_mask))
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -233,7 +231,6 @@ def _init_expr(self: SuperfieldExpr, n_colors: int, statistics: str, coeffs) -> 
     setattr_(self, "n_colors", n_colors)
     setattr_(self, "statistics", statistics)
     setattr_(self, "coeffs", coeffs)
-    setattr_(self, "_terms", None)
 
 
 def _summands(items: list[tuple[FieldSymbol, Gauss]]) -> tuple[Summand, ...]:
@@ -266,37 +263,6 @@ def expr_scale(expr: SuperfieldExpr, phase: Phase) -> SuperfieldExpr:
     return SuperfieldExpr._of(expr.n_colors, expr.statistics, out)
 
 
-def _check_color(n_colors: int, color: int) -> None:
-    if not 1 <= color <= n_colors:
-        raise AdinkraError(f"color {color} outside 1..{n_colors}")
-
-
-def theta_times(expr: SuperfieldExpr, color: int) -> SuperfieldExpr:
-    """Left-multiply by theta^color; kills terms already containing it."""
-    _check_color(expr.n_colors, color)
-    bit = 1 << (color - 1)
-    below = bit - 1
-    out = {
-        (mask | bit, sym): _rot(g, 2 * (mask & below).bit_count())
-        for (mask, sym), g in expr.coeffs.items()
-        if not mask & bit
-    }
-    return SuperfieldExpr._of(expr.n_colors, _flip(expr.statistics), out)
-
-
-def deriv_theta(expr: SuperfieldExpr, color: int) -> SuperfieldExpr:
-    """Left Grassmann derivative in theta^color."""
-    _check_color(expr.n_colors, color)
-    bit = 1 << (color - 1)
-    below = bit - 1
-    out = {
-        (mask ^ bit, sym): _rot(g, 2 * (mask & below).bit_count())
-        for (mask, sym), g in expr.coeffs.items()
-        if mask & bit
-    }
-    return SuperfieldExpr._of(expr.n_colors, _flip(expr.statistics), out)
-
-
 def dtau_expr(expr: SuperfieldExpr, k: int = 1) -> SuperfieldExpr:
     out = {(mask, sym.dot(k)): g for (mask, sym), g in expr.coeffs.items()}
     return SuperfieldExpr._of(expr.n_colors, expr.statistics, out)
@@ -319,18 +285,17 @@ class SuperOp:
     """
 
     coeffs: dict[Word, Gauss]
-    _terms: tuple[tuple[Phase, Word], ...] | None = field(default=None, compare=False, repr=False)
 
     def __init__(self, terms: Iterable[tuple[Phase, Word]]) -> None:
         coeffs: dict[Word, Gauss] = {}
         for phase, word in terms:
             _accumulate(coeffs, tuple(word), _rot((1, 0), phase.k))
-        _init_op(self, coeffs)
+        object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
     def _of(cls, coeffs: dict[Word, Gauss]) -> "SuperOp":
         self = object.__new__(cls)
-        _init_op(self, coeffs)
+        object.__setattr__(self, "coeffs", coeffs)
         return self
 
     @classmethod
@@ -341,19 +306,11 @@ class SuperOp:
     def identity(cls) -> "SuperOp":
         return cls._of({(): (1, 0)})
 
-    @property
+    @cached_property
     def terms(self) -> tuple[tuple[Phase, Word], ...]:
-        if self._terms is None:
-            object.__setattr__(
-                self,
-                "_terms",
-                tuple(
-                    (phase, word)
-                    for word in sorted(self.coeffs)
-                    for phase in _unit_phases(self.coeffs[word])
-                ),
-            )
-        return self._terms
+        return tuple(
+            (phase, word) for word in sorted(self.coeffs) for phase in _unit_phases(self.coeffs[word])
+        )
 
     def __mul__(self, other: "SuperOp") -> "SuperOp":
         out: dict[Word, Gauss] = {}
@@ -393,11 +350,6 @@ class SuperOp:
         return " ".join(f"{p}*{word_str(w)}" for p, w in self.terms)
 
 
-def _init_op(self: SuperOp, coeffs: dict[Word, Gauss]) -> None:
-    object.__setattr__(self, "coeffs", coeffs)
-    object.__setattr__(self, "_terms", None)
-
-
 def D(color: int) -> SuperOp:
     return SuperOp._of({(("D", color),): (1, 0)})
 
@@ -423,7 +375,8 @@ def _word_steps(word: Word, n_colors: int) -> list[tuple[int, int, int]]:
     steps = []
     for atom in reversed(word):
         if atom[0] in ("D", "Q"):
-            _check_color(n_colors, atom[1])
+            if not 1 <= atom[1] <= n_colors:
+                raise AdinkraError(f"color {atom[1]} outside 1..{n_colors}")
             bit = 1 << (atom[1] - 1)
             steps.append((bit, bit - 1, 1 if atom[0] == "D" else 0))
         elif atom[0] == "dt":
@@ -511,11 +464,13 @@ def generic_superfield(n_colors: int, kind: str = SCALAR, prefix: str = "U") -> 
 
 
 def descending_product(colors: Sequence[int]) -> SuperOp:
-    """D_{c_k} ... D_{c_1} for ascending input colors c_1 < ... < c_k."""
-    op = SuperOp.identity()
-    for c in colors:  # ascending colors applied first = rightmost
-        op = D(c) * op
-    return op
+    """D_{c_k} ... D_{c_1} as one word: the first color is rightmost, applied first."""
+    return SuperOp._of({tuple(("D", c) for c in reversed(colors)): (1, 0)})
+
+
+def _descending_word(mask: int, n_colors: int) -> Word:
+    """The word of descending_product over the colors of mask in ascending order."""
+    return tuple(("D", c + 1) for c in reversed(range(n_colors)) if mask >> c & 1)
 
 
 def project(expr: SuperfieldExpr, mask: int) -> tuple[Summand, ...]:

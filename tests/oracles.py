@@ -35,7 +35,6 @@ from adinkra.constraints import (
     SourceSpec,
     VerificationReport,
     Walks,
-    _descending_word,
     emit_constraints,
     image_adinkra,
     m_alpha,
@@ -53,6 +52,7 @@ from adinkra.superspace import (
     RuleSet,
     SuperfieldExpr,
     _accumulate,
+    _descending_word,
     _rot,
     _unit_phases,
     _walk,

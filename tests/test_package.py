@@ -90,7 +90,7 @@ def _imported_by_siblings(module: str) -> set[str]:
     "path",
     [
         *sorted(p for p in Path(adinkra.__file__).parent.glob("*.py") if p.name != "__init__.py"),
-        Path(__file__).with_name("oracles.py"),
+        *sorted(Path(__file__).parent.glob("*.py")),
     ],
     ids=lambda p: p.name,
 )
