@@ -433,7 +433,7 @@ def dimension_vector(adinkra: Adinkra) -> tuple[int, ...]:
     """Component counts per height of the normalized Adinkra, lowest first."""
     h = adinkra.normalized().heights
     counts = Counter(h)
-    return tuple(counts.get(level, 0) for level in range(max(h) + 1))
+    return tuple(counts.get(level, 0) for level in range(max(h, default=-1) + 1))
 
 
 def format_dimension_vector(dims: tuple[int, ...]) -> str:

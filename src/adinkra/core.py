@@ -280,6 +280,8 @@ class Topology:
         Computed on first use.
         """
         adj, vids, eindex = self._adjacent, self.vertex_ids, self._eindex
+        if not adj:  # no vertex, so no square, however many colors
+            return ()
         out = []
         for c1 in range(1, self.n_colors + 1):
             for c2 in range(c1 + 1, self.n_colors + 1):

@@ -118,8 +118,9 @@ def cube_signature(topology: Topology) -> tuple[int, str] | None:
     the two subset-size conventions, and the edge set is exactly the cube's.
     The antipodal quotient and other topologies return None.
     """
-    n = topology.n_colors
-    if topology.vertex_ids != tuple(range(1 << n)):
+    n, k = topology.n_colors, len(topology.vertex_ids)
+    # 1 << n is formed only once it has as many bits as the vertex count
+    if k.bit_length() != n + 1 or k != 1 << n or topology.vertex_ids != tuple(range(k)):
         return None
     for convention in (SCALAR, SPINOR):
         if all(

@@ -87,41 +87,31 @@ def _edge_order(t: Topology) -> list[tuple[int, int, int]]:
     return sorted((c, u, v) for u, v, c in t.edges)
 
 
-def _topology_data(t: Topology) -> dict:
-    return {
-        "n_colors": t.n_colors,
-        "vertices": [
-            {"id": v, "statistics": t.statistics_of(v)} for v in sorted(t.vertex_ids)
-        ],
-        "edges": [
-            {"color": c, "ends": [u, v]}
-            for c, u, v in _edge_order(t)
-        ],
-    }
+def _graph_data(t: Topology, a: Adinkra | None = None) -> dict:
+    """A topology's payload, with each vertex's height and edge's parity when given the Adinkra a on t."""
+    vertices = [{"id": v, "statistics": s} for v, s in zip(t.vertex_ids, t.statistics)]
+    edges = [{"color": c, "ends": [u, v]} for c, u, v in _edge_order(t)]
+    if a is not None:
+        for item, h in zip(vertices, a.heights):
+            item["height"] = h
+        for item, p in zip(edges, _parity_list(a)):
+            item["parity"] = p
+    return {"n_colors": t.n_colors, "vertices": vertices, "edges": edges}
 
 
-def _adinkra_data(a: Adinkra) -> dict:
-    t = a.topology
-    heights = a.heights_by_vertex()
+def _parity_list(a: Adinkra) -> list[int]:
     parity = a.parity_by_edge()
-    return {
-        "n_colors": t.n_colors,
-        "vertices": [
-            {"id": v, "statistics": t.statistics_of(v), "height": heights[v]}
-            for v in sorted(t.vertex_ids)
-        ],
-        "edges": [
-            {"color": c, "ends": [u, v], "parity": parity[(u, v, c)]}
-            for c, u, v in _edge_order(t)
-        ],
-    }
+    return [parity[(u, v, c)] for c, u, v in _edge_order(a.topology)]
+
+
+def _header_data(a: Adinkra) -> dict:
+    """The topology and the parity every member of a family or step of a trace shares."""
+    return {"topology": _graph_data(a.topology), "parity": _parity_list(a)}
 
 
 def _family_data(f: FamilyGraph) -> dict:
-    some = next(iter(f.members.values()))
     return {
-        "topology": _topology_data(f.topology),
-        "parity": _parity_list(some),
+        **_header_data(next(iter(f.members.values()))),
         "members": sorted(list(k) for k in f.members),
         "moves": [
             {"from": list(src), "kind": kind, "vertex": v, "to": list(dst)}
@@ -130,16 +120,9 @@ def _family_data(f: FamilyGraph) -> dict:
     }
 
 
-def _parity_list(a: Adinkra) -> list[int]:
-    parity = a.parity_by_edge()
-    return [parity[(u, v, c)] for c, u, v in _edge_order(a.topology)]
-
-
 def _trace_data(tr: SequenceTrace) -> dict:
-    start = tr.steps[0].adinkra
     return {
-        "topology": _topology_data(start.topology),
-        "parity": _parity_list(start),
+        **_header_data(tr.steps[0].adinkra),
         "steps": [
             {
                 "heights": list(s.adinkra.heights),
@@ -174,8 +157,8 @@ def _constraints_data(cs: ConstraintSystem) -> dict:
 
 
 _ENCODERS = {
-    "topology": _topology_data,
-    "adinkra": _adinkra_data,
+    "topology": _graph_data,
+    "adinkra": lambda a: _graph_data(a.topology, a),
     "family": _family_data,
     "trace": _trace_data,
     "constraints": _constraints_data,
@@ -251,7 +234,8 @@ def _get(obj: dict, key: str, types, path: str):
 
 def _int(obj: dict, key: str, path: str) -> int:
     val = _get(obj, key, None, path)
-    if isinstance(val, bool) or not isinstance(val, int):
+    # JSON decodes integers to exact ints; bool is the one int subclass it yields
+    if type(val) is not int:
         raise _fail(f"{path}.{key}", f"expected int, got {type(val).__name__}")
     return val
 
@@ -267,15 +251,23 @@ def _only_keys(item: dict, keys: tuple[str, ...], path: str) -> None:
             raise _fail(path, f"unexpected key {key!r}")
 
 
-def _decode_vertices(data: dict, path: str, with_heights: bool):
+def _objects(data: dict, key: str, keys: tuple[str, ...], path: str):
+    """(path, item) for each item of the list data[key], once it is an object with no key but keys."""
+    for i, item in enumerate(_list(data, key, path)):
+        ip = f"{path}.{key}[{i}]"
+        if not isinstance(item, dict):
+            raise _fail(ip, f"expected object, got {type(item).__name__}")
+        _only_keys(item, keys, ip)
+        yield ip, item
+
+
+def _decode_graph(data: dict, path: str, decorated: bool) -> Topology | Adinkra:
+    """A topology, or when decorated an Adinkra, whose vertices carry heights and edges parities."""
+    _only_keys(data, ("n_colors", "vertices", "edges"), path)
+    n = _int(data, "n_colors", path)
     stats: dict[int, str] = {}
     heights: dict[int, int] = {}
-    keys = ("id", "statistics", "height") if with_heights else ("id", "statistics")
-    for i, item in enumerate(_list(data, "vertices", path)):
-        vp = f"{path}.vertices[{i}]"
-        if not isinstance(item, dict):
-            raise _fail(vp, f"expected object, got {type(item).__name__}")
-        _only_keys(item, keys, vp)
+    for vp, item in _objects(data, "vertices", ("id", "statistics", "height")[: 2 + decorated], path):
         vid = _int(item, "id", vp)
         st = _get(item, "statistics", str, vp)
         if st not in (BOSON, FERMION):
@@ -283,55 +275,30 @@ def _decode_vertices(data: dict, path: str, with_heights: bool):
         if vid in stats:
             raise _fail(vp, f"duplicate vertex id {vid}")
         stats[vid] = st
-        if with_heights:
+        if decorated:
             heights[vid] = _int(item, "height", vp)
-    return stats, heights
-
-
-def _decode_edges(data: dict, path: str, with_parity: bool):
     edges: list[tuple[int, int, int]] = []
     parity: dict[tuple[int, int, int], int] = {}
-    keys = ("color", "ends", "parity") if with_parity else ("color", "ends")
-    for i, item in enumerate(_list(data, "edges", path)):
-        ep = f"{path}.edges[{i}]"
-        if not isinstance(item, dict):
-            raise _fail(ep, f"expected object, got {type(item).__name__}")
-        _only_keys(item, keys, ep)
+    for ep, item in _objects(data, "edges", ("color", "ends", "parity")[: 2 + decorated], path):
         color = _int(item, "color", ep)
         ends = _list(item, "ends", ep)
-        if len(ends) != 2 or not all(isinstance(e, int) and not isinstance(e, bool) for e in ends):
+        if len(ends) != 2 or not all(type(e) is int for e in ends):
             raise _fail(f"{ep}.ends", "expected a pair of vertex ids")
         u, v = sorted(ends)
         edges.append((u, v, color))
-        if with_parity:
+        if decorated:
             p = _int(item, "parity", ep)
             if p not in (0, 1):
                 raise _fail(f"{ep}.parity", f"expected 0 or 1, got {p}")
             parity[(u, v, color)] = p
-    return edges, parity
-
-
-def _decode_topology(data: dict, path: str) -> Topology:
-    _only_keys(data, ("n_colors", "vertices", "edges"), path)
-    n = _int(data, "n_colors", path)
-    stats, _ = _decode_vertices(data, path, with_heights=False)
-    edges, _ = _decode_edges(data, path, with_parity=False)
-    return _at(path, Topology.build, n, stats, edges)
-
-
-def _decode_adinkra(data: dict, path: str) -> Adinkra:
-    _only_keys(data, ("n_colors", "vertices", "edges"), path)
-    n = _int(data, "n_colors", path)
-    stats, heights = _decode_vertices(data, path, with_heights=True)
-    edges, parity = _decode_edges(data, path, with_parity=True)
     topo = _at(path, Topology.build, n, stats, edges)
-    return _at(path, Adinkra.from_maps, topo, heights, parity)
+    return _at(path, Adinkra.from_maps, topo, heights, parity) if decorated else topo
 
 
 def _heights_tuple(raw, topo: Topology, path: str) -> tuple[int, ...]:
     if not isinstance(raw, list) or len(raw) != len(topo.vertex_ids):
         raise _fail(path, f"expected {len(topo.vertex_ids)} heights")
-    # JSON decodes integers to exact ints; bool is the one int subclass it yields
+    # type(h) is int for every h, tested in one pass
     if not {int}.issuperset(map(type, raw)):
         i, h = next((i, h) for i, h in enumerate(raw) if type(h) is not int)
         raise _fail(f"{path}[{i}]", f"expected int, got {type(h).__name__}")
@@ -346,20 +313,21 @@ def _at(path: str, check, *args):
         raise _fail(path, str(exc)) from None
 
 
-def _shared_parity(data: dict, topo: Topology, path: str) -> tuple[int, ...]:
-    """The parity every member or step shares, aligned with topo.edges and checked once."""
+def _decode_header(data: dict, path: str) -> tuple[Topology, tuple[int, ...]]:
+    """The topology and the parity every member or step shares, aligned with its edges and checked once."""
+    topo = _decode_graph(_get(data, "topology", dict, path), f"{path}.topology", False)
     raw = _list(data, "parity", path)
     order = _edge_order(topo)
     if len(raw) != len(order):
         raise _fail(f"{path}.parity", f"expected {len(order)} entries")
     out = {}
     for i, ((c, u, v), p) in enumerate(zip(order, raw)):
-        if p not in (0, 1) or isinstance(p, bool):
+        if type(p) is not int or p not in (0, 1):
             raise _fail(f"{path}.parity[{i}]", f"expected 0 or 1, got {p!r}")
         out[(u, v, c)] = p
     parity = tuple(out[e] for e in topo.edges)
     _at(f"{path}.parity", _check_parity, topo, parity)
-    return parity
+    return topo, parity
 
 
 def _decode_family(data: dict, path: str) -> FamilyGraph:
@@ -367,18 +335,13 @@ def _decode_family(data: dict, path: str) -> FamilyGraph:
     from .mutation import FamilyGraph, _singles, _walk
 
     _only_keys(data, ("topology", "parity", "members", "moves"), path)
-    topo = _decode_topology(_get(data, "topology", dict, path), f"{path}.topology")
-    parity = _shared_parity(data, topo, path)
+    topo, parity = _decode_header(data, path)
     listed = [
         _heights_tuple(raw, topo, f"{path}.members[{i}]")
         for i, raw in enumerate(_list(data, "members", path))
     ]
     moves = []
-    for i, item in enumerate(_list(data, "moves", path)):
-        mp = f"{path}.moves[{i}]"
-        if not isinstance(item, dict):
-            raise _fail(mp, f"expected object, got {type(item).__name__}")
-        _only_keys(item, ("from", "kind", "vertex", "to"), mp)
+    for mp, item in _objects(data, "moves", ("from", "kind", "vertex", "to"), path):
         kind = _get(item, "kind", str, mp)
         src = _heights_tuple(_get(item, "from", list, mp), topo, f"{mp}.from")
         dst = _heights_tuple(_get(item, "to", list, mp), topo, f"{mp}.to")
@@ -403,7 +366,7 @@ def _decode_family(data: dict, path: str) -> FamilyGraph:
 
 
 def _vertex(val, topo: Topology, path: str) -> int:
-    if isinstance(val, bool) or not isinstance(val, int) or val not in topo._vindex:
+    if type(val) is not int or val not in topo._vindex:
         raise _fail(path, f"expected a vertex id, got {val!r}")
     return val
 
@@ -436,8 +399,7 @@ def _decode_trace(data: dict, path: str) -> SequenceTrace:
     from .mutation import _check_orbit, _sequence, _trace
 
     _only_keys(data, ("topology", "parity", "steps", "cycle_closure"), path)
-    topo = _decode_topology(_get(data, "topology", dict, path), f"{path}.topology")
-    parity = _shared_parity(data, topo, path)
+    topo, parity = _decode_header(data, path)
     listed = _list(data, "steps", path)
     if not listed:
         raise _fail(f"{path}.steps", "a trace needs at least the start step")
@@ -487,13 +449,10 @@ def _decode_constraints(data: dict, path: str) -> ConstraintSystem:
     kind = _get(data, "kind", str, path)
     if kind not in (SCALAR, SPINOR):
         raise _fail(f"{path}.kind", f"expected '{SCALAR}' or '{SPINOR}', got {kind!r}")
-    entries = []
-    for i, item in enumerate(_list(data, "entries", path)):
-        ep = f"{path}.entries[{i}]"
-        if not isinstance(item, dict):
-            raise _fail(ep, f"expected object, got {type(item).__name__}")
-        _only_keys(item, ("subset", "shift"), ep)
-        entries.append((_int(item, "subset", ep), _int(item, "shift", ep)))
+    entries = [
+        (_int(item, "subset", ep), _int(item, "shift", ep))
+        for ep, item in _objects(data, "entries", ("subset", "shift"), path)
+    ]
     spec = _at(f"{path}.entries", SourceSpec, n, tuple(entries))
     listed = _list(data, "equations", path)
     count = (1 << n) * len(entries) * (len(entries) - 1) // 2
@@ -505,8 +464,8 @@ def _decode_constraints(data: dict, path: str) -> ConstraintSystem:
 
 
 _DECODERS = {
-    "topology": _decode_topology,
-    "adinkra": _decode_adinkra,
+    "topology": lambda data, path: _decode_graph(data, path, False),
+    "adinkra": lambda data, path: _decode_graph(data, path, True),
     "family": _decode_family,
     "trace": _decode_trace,
     "constraints": _decode_constraints,

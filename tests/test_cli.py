@@ -608,6 +608,38 @@ def test_every_document_command_answers_a_mutated_document_cleanly(data) -> None
                 assert out.getvalue().startswith("digraph adinkra {"), argv
 
 
+def _empty_adinkra(n_colors: int) -> str:
+    payload = {"n_colors": n_colors, "vertices": [], "edges": []}
+    return json.dumps({"format": "adinkra-document", "version": 1, "kind": "adinkra", "annotations": {}, "payload": payload})
+
+
+def test_dims_of_an_empty_adinkra_is_the_empty_vector(run) -> None:
+    code, out, err = run(["dims"], stdin=_empty_adinkra(2))
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"dimension_vector": "()", "counts": []}
+
+
+def test_identify_refuses_an_empty_adinkra_on_many_colors(run) -> None:
+    code, out, err = run(["identify"], stdin=_empty_adinkra(100))
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "identification needs a full color-cube topology", "type": "AdinkraError"}
+
+
+def test_validate_of_an_empty_adinkra_does_not_walk_its_colors() -> None:
+    # the color pairs of 10^6 colors would take hours to walk
+    env = dict(os.environ, PYTHONPATH=str(Path(adinkra.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "adinkra", "validate"],
+        input=_empty_adinkra(10**6),
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=10,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout) == {"ok": True, "kind": "adinkra"}
+
+
 # ---------------------------------------------------------------------------
 # modules a process loads
 

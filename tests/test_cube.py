@@ -127,6 +127,22 @@ def test_cube_signature_compares_edges_without_building_a_cube(monkeypatch) -> N
     assert cube_signature(swapped) is None
 
 
+def test_cube_signature_counts_vertices_without_building_the_cube_range() -> None:
+    from adinkra.core import Topology
+
+    # two vertices joined by 20 colors: the 20-cube's range of vertex ids would hold 2^20 ints
+    two = Topology.build(20, {0: BOSON, 1: FERMION}, [(0, 1, c) for c in range(1, 21)])
+    empty = Topology.build(100, {}, [])
+    tracemalloc.start()
+    try:
+        found = [cube_signature(two), cube_signature(empty)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert found == [None, None]
+    assert peak < 1_000_000
+
+
 def test_quotient_shape() -> None:
     q = antipodal_quotient()
     assert len(q.vertex_ids) == 8

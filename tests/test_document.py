@@ -572,6 +572,26 @@ def test_the_constraints_of_any_cube_member_round_trip(member) -> None:
     assert serialize(deserialize(text)) == text
 
 
+# tracemalloc peaks in bytes of the codec on the largest cube Adinkra, measured with
+# Python 3.11.7 while topologies and Adinkras had separate encoders and decoders; the bound is 1.25x
+CODEC_PEAKS = {"deserialize": 5_390_704, "serialize": 3_120_983, "export_dot": 1_382_221}
+
+
+@pytest.mark.parametrize("step", sorted(CODEC_PEAKS))
+def test_the_codec_on_the_largest_cube_stays_within_its_memory(step: str) -> None:
+    t = cube_topology(MAX_CUBE_COLORS)
+    a = base_adinkra(t, standard_parity(t))
+    text = serialize(a)
+    call, arg = {"deserialize": (deserialize, text), "serialize": (serialize, a), "export_dot": (export_dot, a)}[step]
+    tracemalloc.start()
+    try:
+        call(arg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= CODEC_PEAKS[step] * 5 // 4
+
+
 def test_topology_decode_refuses_a_huge_color_count_at_once() -> None:
     data = json.loads(serialize(cube_topology(2)))
     data["payload"]["n_colors"] = 10**18
@@ -626,6 +646,10 @@ def _mutation_documents() -> list[str]:
     docs.append(serialize(emit_constraints(SourceSpec(1, ((1, 1),)))))
     docs.append(serialize(emit_constraints(SourceSpec(2, ((1, 0), (2, 0))))))
     docs.append(serialize(emit_constraints(SourceSpec(2, ((0, 1), (3, 0))), SPINOR)))
+    # the degenerate graphs: no vertex at all, and two vertices joined by every color
+    empty = Topology.build(2, {}, [])
+    docs += [serialize(empty), serialize(base_adinkra(empty))]
+    docs.append(serialize(base_adinkra(Topology.build(3, {0: BOSON, 1: FERMION}, [(0, 1, c) for c in (1, 2, 3)]))))
     return docs
 
 
@@ -675,3 +699,27 @@ def test_one_mutated_scalar_is_rejected_with_its_path_or_round_trips(data) -> No
         assert str(exc).startswith("$."), str(exc)
     else:
         assert serialize(doc) == text
+
+
+def _replaced(text: str, path: tuple, value) -> str:
+    tree = json.loads(text)
+    node = tree
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return json.dumps(tree, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("text", _MUTATION_DOCUMENTS, ids=lambda text: json.loads(text)["kind"])
+def test_every_int_written_as_a_float_is_rejected_with_its_path(text) -> None:
+    ints = [(path, value) for path, value in _scalars(json.loads(text)) if type(value) is int]
+    assert ints
+    for path, value in ints:
+        with pytest.raises(DocumentError, match=r"^\$\."):
+            deserialize(_replaced(text, path, float(value)))
+
+
+@pytest.mark.parametrize("obj", [enumerate_family(cube_topology(1)), main_sequence(base_adinkra(cube_topology(1)))], ids=["family", "trace"])
+def test_a_shared_parity_entry_written_as_a_float_is_rejected(obj) -> None:
+    with pytest.raises(DocumentError, match=r"^\$\.payload\.parity\[0\]: expected 0 or 1, got 0\.0$"):
+        deserialize(_replaced(serialize(obj), ("payload", "parity", 0), 0.0))
