@@ -44,7 +44,8 @@ def _read_text(path: str) -> str:
 def _load(path: str, *kinds: str) -> Document:
     doc = deserialize(_read_text(path))
     if kinds and doc.kind not in kinds:
-        raise AdinkraError(f"expected a {' or '.join(kinds)} document, got {doc.kind}")
+        article = "an" if kinds[0][0] in "aeiou" else "a"
+        raise AdinkraError(f"expected {article} {' or '.join(kinds)} document, got {doc.kind}")
     return doc
 
 

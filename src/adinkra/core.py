@@ -19,10 +19,9 @@ vertex_ids): row i, column c - 1 is the position of vertex i's color-c neighbour
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "BOSON",
@@ -143,31 +142,16 @@ class Topology:
 
     Use :meth:`build` to construct from raw data: it validates.  The bare
     constructor only indexes tuples build would accept and checks nothing.
-    The adjacency table, components, a spanning forest, the valise heights
-    (bosons at 0, fermions at 1) and two-color squares are computed once.
+    ``__post_init__`` derives the rest from the four fields, so ``replace``
+    rebuilds it: the adjacency table, components, a spanning forest, the
+    valise heights (bosons at 0, fermions at 1) and an empty distance memo.
+    Two-color squares are computed on first use.
     """
 
     n_colors: int
     vertex_ids: tuple[int, ...]
     statistics: tuple[str, ...]
     edges: tuple[Edge, ...]
-    _vindex: dict[int, int] = field(
-        default_factory=dict, compare=False, repr=False, hash=False
-    )
-    _eindex: dict[Edge, int] = field(
-        default_factory=dict, compare=False, repr=False, hash=False
-    )
-    _adjacent: tuple[tuple[int, ...], ...] = field(
-        default=(), compare=False, repr=False, hash=False
-    )
-    _component_slots: tuple[tuple[int, ...], ...] = field(
-        default=(), compare=False, repr=False, hash=False
-    )
-    _forest: tuple[int, ...] = field(default=(), compare=False, repr=False, hash=False)
-    _valise: tuple[int, ...] = field(default=(), compare=False, repr=False, hash=False)
-    _dist_cache: dict[int, dict[int, int]] = field(
-        default_factory=dict, compare=False, repr=False, hash=False
-    )
 
     @classmethod
     def build(
@@ -176,6 +160,7 @@ class Topology:
         statistics: Mapping[int, str],
         edges: Iterable[Sequence[int]],
     ) -> "Topology":
+        edges = list(edges)  # validated and sorted from one pass over the input
         report = validate_topology(n_colors, statistics, edges)
         if report:
             raise AdinkraError("invalid topology: " + "; ".join(report))
@@ -216,6 +201,7 @@ class Topology:
             slots.append(tuple(sorted(comp)))
         object.__setattr__(self, "_forest", tuple(forest))
         object.__setattr__(self, "_component_slots", tuple(slots))
+        object.__setattr__(self, "_dist_cache", {})
 
     # -- basic queries ----------------------------------------------------
 
@@ -521,41 +507,35 @@ def engineerable(
         if {tail, head} != {e[0], e[1]}:
             raise AdinkraError(f"orientation entry for {e} is {orientation[e]!r}, not its endpoints")
 
-    heights: dict[int, int] = {}
-    # parent pointers for witness reconstruction
-    parent: dict[int, Step] = {}
-    for comp in topology.components():
-        root = comp[0]
-        heights[root] = 0  # normalize_heights sets each component's level
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for w, color in topology.neighbors(u):
-                e = _canon_edge(u, w, color)
-                delta = 1 if orientation[e] == (u, w) else -1
-                h = heights[u] + delta
-                if w not in heights:
-                    heights[w] = h
-                    parent[w] = (u, w, color)
-                    queue.append(w)
-                elif heights[w] != h:
+    vids, vindex, adj = topology.vertex_ids, topology._vindex, topology._adjacent
+    h: list[int | None] = [None] * len(vids)
+    step: list[Step | None] = [None] * len(vids)  # the tree step into each position; None at the roots
+
+    def to_root(i: int) -> Iterator[Step]:
+        """The tree steps from position i up to its root, the step into i first."""
+        while step[i] is not None:
+            yield step[i]
+            i = vindex[step[i][0]]
+
+    # the BFS of Topology.__post_init__: lowest root first, neighbours in color order
+    for slots in topology._component_slots:
+        root = slots[0]
+        h[root] = 0  # _normal_heights sets each component's level
+        order = [root]
+        for i in order:
+            u = vids[i]
+            for color, j in enumerate(adj[i], 1):
+                w = vids[j]
+                hw = h[i] + (1 if orientation[_canon_edge(u, w, color)] == (u, w) else -1)
+                if h[j] is None:
+                    h[j] = hw
+                    step[j] = (u, w, color)
+                    order.append(j)
+                elif h[j] != hw:
                     # conflict: walk root->u, cross to w, walk w->root backwards
-                    up: list[Step] = []
-                    x = u
-                    while x != root:
-                        pu, pv, pc = parent[x]
-                        up.append((pu, pv, pc))
-                        x = pu
-                    up.reverse()
-                    down: list[Step] = []
-                    x = w
-                    while x != root:
-                        pu, pv, pc = parent[x]
-                        down.append((pv, pu, pc))
-                        x = pu
-                    witness = tuple(up) + ((u, w, color),) + tuple(down)
-                    return EngineerResult(ok=False, witness=witness)
-    return EngineerResult(ok=True, heights=normalize_heights(topology, heights))
+                    back = [(b, a, c) for a, b, c in to_root(j)]
+                    return EngineerResult(ok=False, witness=(*reversed([*to_root(i)]), (u, w, color), *back))
+    return EngineerResult(ok=True, heights=dict(zip(vids, _normal_heights(topology, tuple(h)))))
 
 
 def normalize_heights(topology: Topology, heights: Mapping[int, int]) -> dict[int, int]:

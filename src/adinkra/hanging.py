@@ -35,10 +35,12 @@ class HookSet:
     mode: str
     hooks: tuple[tuple[int, int], ...]  # (vertex, height), ascending vertex
 
+    def __post_init__(self) -> None:
+        if self.mode not in (TARGETS, SOURCES):
+            raise AdinkraError(f"hook mode must be targets or sources, got {self.mode!r}")
+
     @classmethod
     def from_map(cls, mode: str, hooks: Mapping[int, int]) -> "HookSet":
-        if mode not in (TARGETS, SOURCES):
-            raise AdinkraError(f"hook mode must be targets or sources, got {mode!r}")
         return cls(mode, tuple(sorted(hooks.items())))
 
     def as_map(self) -> dict[int, int]:
@@ -53,8 +55,6 @@ def check_hooks(topology: Topology, hookset: HookSet) -> list[str]:
     in one component, dist(s, t) > |h(s) - h(t)| strictly.  Hooks naming
     unknown vertices are an error, not a violation.
     """
-    if hookset.mode not in (TARGETS, SOURCES):
-        raise AdinkraError(f"hook mode must be targets or sources, got {hookset.mode!r}")
     hooks = hookset.as_map()
     for v in hooks:
         if v not in topology._vindex:
@@ -101,8 +101,7 @@ def hang(
     hooks = hookset.as_map()
     heights: dict[int, int] = {}
     for comp in topology.components():
-        local = [s for s in comp if s in hooks]
-        tables = [(hooks[s], topology.distances_from(s)) for s in local]
+        tables = [(hooks[s], topology.distances_from(s)) for s in comp if s in hooks]
         for v in comp:
             if hookset.mode == TARGETS:
                 heights[v] = max(h - dist[v] for h, dist in tables)

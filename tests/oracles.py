@@ -20,7 +20,10 @@ a time instead of one level at once, and mu as half a cube distance instead
 of the least m_alpha, the two-color squares by walking every two-colored
 cycle instead of closing four steps from each vertex, and each term of U
 walked through the whole two-part word of each projection instead of each
-descending word walked once and every projection read from two tables.
+descending word walked once and every projection read from two tables, and
+engineerability by a deque BFS over neighbour lists, keyed by vertex id, with
+its heights normalized through the checked public route, instead of the
+adjacency-table walk by vertex position.
 """
 
 from __future__ import annotations
@@ -39,7 +42,16 @@ from adinkra.constraints import (
     image_adinkra,
     m_alpha,
 )
-from adinkra.core import BOSON, Adinkra, AdinkraError, Edge, ParityResult, Topology
+from adinkra.core import (
+    BOSON,
+    Adinkra,
+    AdinkraError,
+    Edge,
+    EngineerResult,
+    ParityResult,
+    Topology,
+    normalize_heights,
+)
 from adinkra.cube import cube_statistics, dist0, hgt0, subset_label
 from adinkra.mutation import lower_vertex, targets
 from adinkra.superspace import (
@@ -125,6 +137,51 @@ def cycle_space_engineerable(topology: Topology, orientation: dict[Edge, tuple[i
         if pot[hi] - pot[lo] != 1:
             return False
     return True
+
+
+def deque_engineerable(topology: Topology, orientation: dict[Edge, tuple[int, int]]) -> EngineerResult:
+    """engineerable as a deque BFS over neighbors() lists with parent pointers by vertex id.
+
+    Heights are normalized through the checked public normalize_heights, and
+    the witness is walked up from each end of the conflicting edge separately.
+    """
+    for e in topology.edges:
+        if e not in orientation:
+            raise AdinkraError(f"orientation missing edge {e}")
+        tail, head = orientation[e]
+        if {tail, head} != {e[0], e[1]}:
+            raise AdinkraError(f"orientation entry for {e} is {orientation[e]!r}, not its endpoints")
+    heights: dict[int, int] = {}
+    parent: dict[int, tuple[int, int, int]] = {}
+    for comp in topology.components():
+        root = comp[0]
+        heights[root] = 0
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for w, color in topology.neighbors(u):
+                e = (u, w, color) if u < w else (w, u, color)
+                h = heights[u] + (1 if orientation[e] == (u, w) else -1)
+                if w not in heights:
+                    heights[w] = h
+                    parent[w] = (u, w, color)
+                    queue.append(w)
+                elif heights[w] != h:
+                    up = []
+                    x = u
+                    while x != root:
+                        pu, pv, pc = parent[x]
+                        up.append((pu, pv, pc))
+                        x = pu
+                    up.reverse()
+                    down = []
+                    x = w
+                    while x != root:
+                        pu, pv, pc = parent[x]
+                        down.append((pv, pu, pc))
+                        x = pu
+                    return EngineerResult(ok=False, witness=tuple(up) + ((u, w, color),) + tuple(down))
+    return EngineerResult(ok=True, heights=normalize_heights(topology, heights))
 
 
 def _normalize_pattern(topology: Topology, heights: dict[int, int]) -> tuple[int, ...]:

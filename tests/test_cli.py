@@ -92,6 +92,19 @@ def test_raise_failure_reports_on_stderr(run) -> None:
     assert "cannot raise 1" in payload["error"]
 
 
+_ADINKRA_ONLY = [["dims"], ["identify"], ["raise", "0"], ["lower", "0"], ["main-seq"], ["verify-susy"], ["constraints"]]
+
+
+@pytest.mark.parametrize(
+    "argv, kinds",
+    [(argv, "an adinkra") for argv in _ADINKRA_ONLY] + [(["verify-constraints"], "a constraints or adinkra")],
+)
+def test_a_command_refuses_a_topology_document_naming_the_kinds_it_reads(run, argv: list[str], kinds: str) -> None:
+    code, out, err = run(argv, stdin=serialize(cube_topology(2)))
+    assert (code, out) == (1, "")
+    assert err == f'{{"error": "expected {kinds} document, got topology", "type": "AdinkraError"}}\n'
+
+
 def test_hang_pipeline(run) -> None:
     _, cube, _ = run(["cube", "2"])
     _, hung, _ = run(

@@ -695,3 +695,22 @@ def test_the_battery_term_cap_admits_its_own_size(monkeypatch) -> None:
     monkeypatch.setattr("adinkra.constraints.MAX_BATTERY_TERMS", 47)
     with pytest.raises(AdinkraError, match="48 superfield terms, over the cap of 47"):
         emit_constraints(X_SPEC)
+
+
+# tracemalloc peaks in bytes of the cube-10 commands, each on the largest cube's valise
+# built outside the trace, measured with Python 3.11.7; the bound is 1.25x
+VALISE_PEAKS = {"identify": 406_764, "kernel_orders": 69_208}
+
+
+@pytest.mark.parametrize("step", sorted(VALISE_PEAKS))
+def test_identify_on_the_largest_cube_stays_within_its_memory(step: str) -> None:
+    t = cube_topology(MAX_CUBE_COLORS)
+    valise = base_adinkra(t, standard_parity(t))
+    call, arg = (identify, valise) if step == "identify" else (kernel_orders, identify(valise).spec)
+    tracemalloc.start()
+    try:
+        call(arg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= VALISE_PEAKS[step] * 5 // 4

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import dataclasses
 import functools
+import inspect
+import random
 import re
 
 import pytest
@@ -31,6 +34,7 @@ from oracles import (
     code_quotient,
     column_solve_edge_parity,
     cycle_space_engineerable,
+    deque_engineerable,
     doubly_even,
 )
 
@@ -104,6 +108,37 @@ def test_components_and_distances() -> None:
     assert two.components() == ((0, 1), (10, 11))
     assert two.distance(0, 1) == 1
     assert two.distance(0, 10) is None
+
+
+def test_build_reads_an_edge_generator_once() -> None:
+    from_list = square()
+    from_generator = Topology.build(2, SQUARE_STATS, (e for e in SQUARE_EDGES))
+    assert from_generator == from_list
+    for v in SQUARE_STATS:
+        for color in (1, 2):
+            assert from_generator.neighbor(v, color) == from_list.neighbor(v, color) != v
+
+
+def test_a_topology_is_its_four_fields() -> None:
+    four = ["n_colors", "vertex_ids", "statistics", "edges"]
+    assert list(inspect.signature(Topology).parameters) == four
+    assert [f.name for f in dataclasses.fields(Topology)] == four
+
+
+def test_replace_rebuilds_the_distances() -> None:
+    a = Topology.build(1, {0: BOSON, 1: FERMION, 2: BOSON, 3: FERMION}, [(0, 1, 1), (2, 3, 1)])
+    assert a.distance(0, 3) is None  # memoizes a's distances from 0
+    b = dataclasses.replace(a, edges=((0, 3, 1), (1, 2, 1)))
+    assert b.neighbor(0, 1) == 3
+    assert b.distance(0, 3) == 1
+    assert b.components() == ((0, 3), (1, 2))
+    assert a.distance(0, 3) is None
+
+
+def test_distances_are_memoized_per_topology() -> None:
+    t = square()
+    assert t.distances_from(0) is t.distances_from(0)
+    assert square().distances_from(0) is not t.distances_from(0)
 
 
 @pytest.mark.parametrize("v, color", [(0, 0), (0, 3), (0, -1), (7, 1), (-1, 2)])
@@ -188,6 +223,25 @@ def test_engineerable_matches_cycle_space_oracle(n: int) -> None:
     t = cube_topology(n)
     for orient in all_orientations(t):
         assert engineerable(t, orient).ok == cycle_space_engineerable(t, orient)
+
+
+@pytest.mark.parametrize("n, kind", [(n, k) for n in (1, 2, 3) for k in (SCALAR, SPINOR)])
+def test_engineerable_matches_the_deque_bfs_on_every_cube_orientation(n: int, kind: str) -> None:
+    t = cube_topology(n, kind)
+    for orient in all_orientations(t):
+        # repr also pins the order of the heights
+        assert repr(engineerable(t, orient)) == repr(deque_engineerable(t, orient))
+
+
+def test_engineerable_matches_the_deque_bfs_on_quotient_orientations() -> None:
+    t = antipodal_quotient()
+    verdicts = set()
+    for bits in random.Random(20).sample(range(1 << len(t.edges)), 2000):
+        orient = {(u, v, c): ((u, v) if bits >> i & 1 else (v, u)) for i, (u, v, c) in enumerate(t.edges)}
+        got = engineerable(t, orient)
+        assert repr(got) == repr(deque_engineerable(t, orient))
+        verdicts.add(got.ok)
+    assert verdicts == {True, False}
 
 
 def test_engineerable_square_count_is_six() -> None:

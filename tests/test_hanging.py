@@ -20,8 +20,10 @@ def test_hookset_is_canonical() -> None:
 
 
 def test_hookset_rejects_bad_mode() -> None:
-    with pytest.raises(AdinkraError):
-        HookSet.from_map("sideways", {0: 2})
+    # refused when built, whichever way it is built
+    for build in (lambda: HookSet.from_map("sideways", {0: 2}), lambda: HookSet("sideways", ())):
+        with pytest.raises(AdinkraError, match="^hook mode must be targets or sources, got 'sideways'$"):
+            build()
 
 
 def test_hang_from_two_targets_makes_the_x() -> None:

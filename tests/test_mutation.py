@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adinkra import mutation
 from adinkra.core import BOSON, FERMION, Adinkra, AdinkraError, Topology
-from adinkra.cube import SCALAR, SPINOR, antipodal_quotient, cube_topology, standard_parity
+from adinkra.cube import MAX_CUBE_COLORS, SCALAR, SPINOR, antipodal_quotient, cube_topology, hgt0, standard_parity
 from adinkra.mutation import (
     automorphic_dual,
     base_adinkra,
@@ -397,3 +399,24 @@ def test_orbit_partition_is_validated() -> None:
         main_sequence(a, [[0], [0, 3], [1, 2]])
     with pytest.raises(AdinkraError, match="height"):
         main_sequence(raise_vertex(a, 0), [[0, 3], [1, 2]])
+
+
+# tracemalloc peaks in bytes of raise and lower on the largest cube's counting Adinkra
+# (heights hgt0) built outside the trace, measured with Python 3.11.7; the bound is 1.25x
+MOVE_PEAKS = {"raise": 16_792, "lower": 16_792}
+
+
+@pytest.mark.parametrize("move", sorted(MOVE_PEAKS))
+def test_a_move_on_the_largest_cube_stays_within_its_memory(move: str) -> None:
+    t = cube_topology(MAX_CUBE_COLORS)
+    counting = Adinkra.from_maps(t, {v: hgt0(v) for v in t.vertex_ids}, standard_parity(t))
+    # the empty set is the one source, the full set the one target
+    call, vertex = (raise_vertex, 0) if move == "raise" else (lower_vertex, (1 << MAX_CUBE_COLORS) - 1)
+    tracemalloc.start()
+    try:
+        moved = call(counting, vertex)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert moved.height_of(vertex) == counting.height_of(vertex) + (2 if move == "raise" else -2)
+    assert peak <= MOVE_PEAKS[move] * 5 // 4
