@@ -98,8 +98,8 @@ def _cmd_quotient4(args) -> int:
     return _emit(base_adinkra(antipodal_quotient()))
 
 
-def _parse_hooks(pairs: list[str]) -> dict[int, int]:
-    hooks = {}
+def _parse_hooks(pairs: list[str]) -> tuple[tuple[int, int], ...]:
+    hooks = []
     for item in pairs:
         vertex, sep, height = item.partition("=")
         if not sep:
@@ -108,17 +108,15 @@ def _parse_hooks(pairs: list[str]) -> dict[int, int]:
             v, h = int(vertex), int(height)
         except ValueError:
             raise AdinkraError(f"hook {item!r} is not of the form VERTEX=HEIGHT") from None
-        if v in hooks:
-            raise AdinkraError(f"vertex {v} is hooked twice")
-        hooks[v] = h
-    return hooks
+        hooks.append((v, h))
+    return tuple(hooks)
 
 
 def _cmd_hang(args) -> int:
     from .hanging import HookSet, check_hooks, hang
 
     topo, parity = _topology_and_parity(args.file)
-    hookset = HookSet.from_map(args.mode, _parse_hooks(args.hook))
+    hookset = HookSet(args.mode, _parse_hooks(args.hook))
     bad = check_hooks(topo, hookset)
     if bad:
         _report({"ok": False, "violations": bad})

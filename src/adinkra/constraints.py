@@ -34,6 +34,7 @@ cube, so they compare those heights, or the orders behind them, directly.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .core import Adinkra, AdinkraError
@@ -258,22 +259,33 @@ Lowest = dict[tuple[int, int], tuple[int, int]]  # (component, alpha) -> phase k
 Walks = dict[tuple[int, int], list[tuple[int, int, int]]]
 
 
-def _equations(spec: SourceSpec, lowest: Lowest) -> tuple[Constraint, ...]:
-    """Relate each entry pair at every component, with phases and orders read off the lowest components."""
+def _relations(spec: SourceSpec, lowest: Lowest) -> Iterator[tuple[int, int, int, int, int]]:
+    """(c, hi, lo, gap, k) per entry pair at every component: P_(c,hi) F_hi = i^k d_tau^gap P_(c,lo) F_lo.
+
+    hi is the side with more derivatives; the gap and the phase exponent k are
+    read off the two lowest components.
+    """
     m = len(spec.entries)
-    equations = []
     for c in range(1 << spec.n_colors):
         for a in range(m):
             for b in range(a + 1, m):
-                ma, mb = lowest[(c, a)][1], lowest[(c, b)][1]
-                hi, lo = (a, b) if (ma, a) >= (mb, b) else (b, a)
-                (ka, da), (kb, db) = lowest[(c, hi)], lowest[(c, lo)]
-                redundant = any(
-                    c >> k & 1 and max(lowest[(c ^ 1 << k, a)][1], lowest[(c ^ 1 << k, b)][1]) == max(ma, mb)
-                    for k in range(spec.n_colors)
-                )
-                equations.append(Constraint(c, hi, lo, da - db, Phase(ka - kb), redundant))
-    return tuple(equations)
+                (ka, da), (kb, db) = lowest[(c, a)], lowest[(c, b)]
+                if (da, a) >= (db, b):
+                    yield c, a, b, da - db, (ka - kb) & 3
+                else:
+                    yield c, b, a, db - da, (kb - ka) & 3
+
+
+def _equations(spec: SourceSpec, lowest: Lowest) -> tuple[Constraint, ...]:
+    """Each relation as a Constraint, flagged redundant when some D_k carries the pair's equation onto it."""
+    n = spec.n_colors
+    return tuple(
+        Constraint(c, hi, lo, gap, Phase(k), any(
+            c >> j & 1 and max(lowest[(c ^ 1 << j, hi)][1], lowest[(c ^ 1 << j, lo)][1]) == lowest[(c, hi)][1]
+            for j in range(n)
+        ))
+        for c, hi, lo, gap, k in _relations(spec, lowest)
+    )
 
 
 def _project(spec: SourceSpec, kind: str, every_term: bool) -> tuple[list[FieldSymbol], Walks, Lowest]:
@@ -333,7 +345,9 @@ def emit_constraints(spec: SourceSpec, kind: str = SCALAR) -> ConstraintSystem:
     For every component c and entry pair, the side with more derivatives is
     expressed through the other; the relating phase is computed by walking
     the one term of U that reaches theta = 0 through each projection's two
-    words, each D_w once: 2^n * (m + 1) walks of at most n atoms.
+    words, each D_w once: 2^n * (m + 1) walks of at most n atoms.  The
+    relations are the ones :func:`verify_presentation` checks; only here does
+    each become a :class:`Constraint` with a :class:`Phase` and a flag.
     An equation is flagged redundant (but kept) when, for some color k in c,
     D_k maps the same pair's equation at c - 2^(k-1) onto it up to a phase.
     Both sides at any component d are a unit times d_tau^M D_d U, with M the
@@ -361,17 +375,20 @@ def verify_presentation(spec: SourceSpec, kind: str = SCALAR) -> VerificationRep
     engine's least order at each component must be mu (the image heights are
     hgt0 + 2 mu).  Each term of U is walked once through each entry's own
     word and once through each D_w, m * 2^n + 4^n walks of at most n atoms,
-    and every projection is read off those two tables; an equation that does
-    not vanish is a failure naming its residual lhs - rhs.
+    and every projection is read off those two tables.  The equations are
+    the relations :func:`emit_constraints` emits, read as plain (component,
+    pair, gap, phase exponent) tuples: no Constraint, Phase or redundant flag
+    is built, and each side is compared term by term with its own gap and
+    phase.  An equation that does not vanish is a failure naming its
+    residual lhs - rhs.
     """
     _check_battery(spec)
     n, m = spec.n_colors, len(spec.entries)
     syms, projections, lowest = _project(spec, kind, every_term=True)
-    equations = _equations(spec, lowest)
-    failures = []
-    for eq in equations:
-        c, gap, k = eq.component, eq.gap, eq.phase.k
-        lhs, rhs = projections[(c, eq.alpha)], projections[(c, eq.beta)]
+    checked, failures = 0, []
+    for c, hi, lo, gap, k in _relations(spec, lowest):
+        checked += 1
+        lhs, rhs = projections[(c, hi)], projections[(c, lo)]
         # each side holds U_d once, at monomial d xor c with a unit coefficient, so no two
         # terms share a key and the sides are equal maps exactly when they agree at every d
         if any(l != (landed, dots + gap, (t + k) & 3) for l, (landed, dots, t) in zip(lhs, rhs)):
@@ -382,11 +399,11 @@ def verify_presentation(spec: SourceSpec, kind: str = SCALAR) -> VerificationRep
                 for sym, (landed, dots, t) in zip(syms, side)
             ])
             failures.append(
-                f"component {subset_label(c)}: entries {eq.alpha}/{eq.beta}"
+                f"component {subset_label(c)}: entries {hi}/{lo}"
                 f" do not satisfy the emitted relation; residual {residual}"
             )
     matches = all(min(lowest[(c, a)][1] for a in range(m)) == mu(spec, c) for c in range(1 << n))
-    return VerificationReport(not failures and matches, len(equations), tuple(failures), matches)
+    return VerificationReport(not failures and matches, checked, tuple(failures), matches)
 
 
 @dataclass(frozen=True)

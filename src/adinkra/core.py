@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import permutations
 from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
@@ -74,10 +75,20 @@ def validate_topology(
     statistics; colors lie in 1..n_colors; no edge is repeated; and every
     vertex meets exactly one edge of each color.
     """
+    return _checked_edges(n_colors, statistics, edges)[0]
+
+
+def _checked_edges(
+    n_colors: int,
+    statistics: Mapping[int, str],
+    edges: Iterable[Sequence[int]],
+) -> tuple[list[str], list[Edge]]:
+    """validate_topology's report, and the edges it accepted in canonical form, from one pass over the edges."""
     report: list[str] = []
+    edge_list: list[Edge] = []
     if not isinstance(n_colors, int) or isinstance(n_colors, bool) or n_colors < 1:
         report.append(f"n_colors must be a positive integer, got {n_colors!r}")
-        return report
+        return report, edge_list
 
     stats: dict[int, str] = {}
     for v, s in statistics.items():
@@ -90,9 +101,11 @@ def validate_topology(
         stats[v] = s
 
     seen: set[Edge] = set()
-    edge_list: list[Edge] = []
     for raw in edges:
-        e = tuple(raw)
+        try:
+            e = tuple(raw)
+        except TypeError:
+            e = ()
         if len(e) != 3 or not all(isinstance(x, int) and not isinstance(x, bool) for x in e):
             report.append(f"edge {raw!r} is not an (u, v, color) integer triple")
             continue
@@ -123,7 +136,7 @@ def validate_topology(
     # long, so a color count no valid graph on these edges can have stops here
     if stats and n_colors > len(edge_list):
         report.append(f"{n_colors} colors but {len(edge_list)} valid edges, so some vertex misses a color")
-        return report
+        return report, edge_list
     degree: dict[tuple[int, int], int] = {}
     for u, v, color in edge_list:
         degree[u, color] = degree.get((u, color), 0) + 1
@@ -133,7 +146,7 @@ def validate_topology(
             d = degree.get((v, color), 0)
             if d != 1:
                 report.append(f"vertex {v} meets {d} edges of color {color}, expected exactly 1")
-    return report
+    return report, edge_list
 
 
 @dataclass(frozen=True)
@@ -160,14 +173,12 @@ class Topology:
         statistics: Mapping[int, str],
         edges: Iterable[Sequence[int]],
     ) -> "Topology":
-        edges = list(edges)  # validated and sorted from one pass over the input
-        report = validate_topology(n_colors, statistics, edges)
+        report, canonical = _checked_edges(n_colors, statistics, edges)  # one pass over the input
         if report:
             raise AdinkraError("invalid topology: " + "; ".join(report))
         vids = tuple(sorted(statistics))
         stats = tuple(statistics[v] for v in vids)
-        es = tuple(sorted(_canon_edge(*e) for e in edges))
-        return cls(n_colors, vids, stats, es)
+        return cls(n_colors, vids, stats, tuple(sorted(canonical)))
 
     def __post_init__(self) -> None:
         vindex = {v: i for i, v in enumerate(self.vertex_ids)}
@@ -263,23 +274,29 @@ class Topology:
         Ordered by color pair, then by lowest vertex, each walked from that
         vertex along c1, c2, c1, c2.  Two edges of colors c1 and c2 joining the
         same pair of vertices, and longer two-colored cycles, are not squares.
-        Computed on first use.
+        Each vertex pairs only colors that lead to two distinct higher
+        neighbours, so colors doubled onto one edge cost one pass, not a pass
+        per pair.  Computed on first use.
         """
         adj, vids, eindex = self._adjacent, self.vertex_ids, self._eindex
-        if not adj:  # no vertex, so no square, however many colors
-            return ()
-        out = []
-        for c1 in range(1, self.n_colors + 1):
-            for c2 in range(c1 + 1, self.n_colors + 1):
-                for i, row in enumerate(adj):
-                    a = row[c1 - 1]
-                    b = adj[a][c2 - 1]
-                    d = adj[b][c1 - 1]
-                    # a doubled edge closes with b == i, which the strict minimum rules out
-                    if adj[d][c2 - 1] == i and i < min(a, b, d):
-                        walk = ((i, a, c1), (a, b, c2), (b, d, c1), (d, i, c2))
-                        out.append((c1, c2, tuple(eindex[_canon_edge(vids[x], vids[y], c)] for x, y, c in walk)))
-        return tuple(out)
+        found = []
+        for i, row in enumerate(adj):
+            # i is the square's lowest vertex, and two colors to one neighbour are a doubled edge,
+            # which closes no square: only colors to two distinct higher neighbours pair up
+            by_end: dict[int, list[int]] = {}
+            for c, a in enumerate(row, 1):
+                if a > i:
+                    by_end.setdefault(a, []).append(c)
+            for (a, firsts), (d, seconds) in permutations(by_end.items(), 2):
+                for c1 in firsts:
+                    for c2 in seconds:
+                        # i -c1- a -c2- b closes through d when d's c1 neighbour is b
+                        if c1 < c2 and adj[d][c1 - 1] == (b := adj[a][c2 - 1]) > i:
+                            walk = ((i, a, c1), (a, b, c2), (b, d, c1), (d, i, c2))
+                            edges = tuple(eindex[_canon_edge(vids[x], vids[y], c)] for x, y, c in walk)
+                            found.append((c1, c2, i, edges))
+        found.sort()
+        return tuple((c1, c2, square) for c1, c2, _, square in found)
 
 
 def orientation_from_heights(

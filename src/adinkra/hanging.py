@@ -30,7 +30,11 @@ SOURCES = "sources"
 
 @dataclass(frozen=True)
 class HookSet:
-    """Prescribed extreme vertices: mode is targets (maxima) or sources (minima)."""
+    """Prescribed extreme vertices: mode is targets (maxima) or sources (minima).
+
+    The hooks are kept sorted by vertex, so equal hook sets compare equal
+    however they were given; a vertex hooked twice is refused.
+    """
 
     mode: str
     hooks: tuple[tuple[int, int], ...]  # (vertex, height), ascending vertex
@@ -38,10 +42,15 @@ class HookSet:
     def __post_init__(self) -> None:
         if self.mode not in (TARGETS, SOURCES):
             raise AdinkraError(f"hook mode must be targets or sources, got {self.mode!r}")
+        hooks = tuple(sorted(self.hooks))
+        for (v, _), (w, _) in zip(hooks, hooks[1:]):
+            if v == w:
+                raise AdinkraError(f"vertex {v} is hooked twice")
+        object.__setattr__(self, "hooks", hooks)
 
     @classmethod
     def from_map(cls, mode: str, hooks: Mapping[int, int]) -> "HookSet":
-        return cls(mode, tuple(sorted(hooks.items())))
+        return cls(mode, tuple(hooks.items()))
 
     def as_map(self) -> dict[int, int]:
         return dict(self.hooks)

@@ -18,7 +18,8 @@ instead of each term of U walked once through each projection and the sides
 compared term by term, the one-hooked descent lowered one checked vertex at
 a time instead of one level at once, and mu as half a cube distance instead
 of the least m_alpha, the two-color squares by walking every two-colored
-cycle instead of closing four steps from each vertex, and each term of U
+cycle, or four steps from every vertex for every color pair, instead of
+pairing only colors that lead to distinct higher neighbours, and each term of U
 walked through the whole two-part word of each projection instead of each
 descending word walked once and every projection read from two tables, and
 engineerability by a deque BFS over neighbour lists, keyed by vertex id, with
@@ -587,6 +588,26 @@ def bichromatic_squares(topology: Topology) -> tuple[tuple[int, int, tuple[int, 
                         break
                 if len(cycle) == 4:
                     out.append((c1, c2, tuple(cycle)))
+    return tuple(out)
+
+
+def color_pair_squares(topology: Topology) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """Topology.squares by walking c1, c2, c1, c2 from every vertex for every color pair.
+
+    A walk that returns to its start through three other vertices, the start
+    the lowest of the four, is a square; |V| * n(n-1)/2 walks in all.
+    """
+    out = []
+    for c1 in range(1, topology.n_colors + 1):
+        for c2 in range(c1 + 1, topology.n_colors + 1):
+            for start in topology.vertex_ids:
+                walk, v = [], start
+                for color in (c1, c2, c1, c2):
+                    w = topology.neighbor(v, color)
+                    walk.append((v, w, color))
+                    v = w
+                if v == start and start < min(a for a, _, _ in walk[1:]):
+                    out.append((c1, c2, tuple(topology.edge_index(*e) for e in walk)))
     return tuple(out)
 
 

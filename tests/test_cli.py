@@ -20,6 +20,7 @@ import adinkra
 from adinkra import constraints
 from adinkra.cli import main
 from adinkra.constraints import MAX_BATTERY_TERMS, ConstraintSystem, SourceSpec, emit_constraints
+from adinkra.core import BOSON, FERMION, Adinkra, Topology
 from adinkra.cube import MAX_CUBE_COLORS, cube_topology
 from adinkra.document import deserialize, serialize
 from adinkra.mutation import base_adinkra, main_sequence
@@ -66,6 +67,16 @@ def test_validate_reports_ok(run) -> None:
     code, out, _ = run(["validate"], stdin=cube)
     assert code == 0
     assert json.loads(out) == {"ok": True, "kind": "adinkra"}
+
+
+def test_validate_answers_at_once_on_two_vertices_joined_by_2000_colors(run) -> None:
+    t = Topology.build(2000, {0: BOSON, 1: FERMION}, [(0, 1, c) for c in range(1, 2001)])
+    text = serialize(Adinkra._trusted(t, (0, 1), (0,) * 2000))
+    start = time.perf_counter()
+    code, out, _ = run(["validate"], stdin=text)
+    elapsed = time.perf_counter() - start
+    assert (code, json.loads(out)) == (0, {"ok": True, "kind": "adinkra"})
+    assert elapsed < 0.2
 
 
 def test_validate_reports_bad_json_as_violation(run) -> None:

@@ -349,10 +349,10 @@ def test_verify_reports_the_residual_of_a_wrong_gap(monkeypatch) -> None:
     with pytest.raises(DocumentError, match=r"^\$\.payload\.equations\[0\]\.gap: expected 0, got 1$"):
         deserialize(json.dumps(data))
     # an equation that fails substitution is reported with the residual it leaves
-    equations = constraints._equations
+    relations = constraints._relations
     monkeypatch.setattr(
-        "adinkra.constraints._equations",
-        lambda spec, lowest: tuple(replace(eq, gap=eq.gap + (eq.component == 0)) for eq in equations(spec, lowest)),
+        "adinkra.constraints._relations",
+        lambda spec, lowest: [(c, hi, lo, gap + (c == 0), k) for c, hi, lo, gap, k in relations(spec, lowest)],
     )
     [failure] = verify_presentation(X_SPEC).failures
     assert failure == (
@@ -370,11 +370,25 @@ def test_a_passing_verification_builds_no_expression_beyond_the_generic_superfie
         assert verify_presentation(spec).ok
         assert len(built) == 1
     # a failing equation is reported through expressions, which the count sees
-    wrong = tuple(replace(eq, gap=eq.gap + 1) for eq in emit_constraints(X_SPEC).equations)
-    monkeypatch.setattr("adinkra.constraints._equations", lambda spec, lowest: wrong)
+    wrong = [(eq.component, eq.alpha, eq.beta, eq.gap + 1, eq.phase.k) for eq in emit_constraints(X_SPEC).equations]
+    monkeypatch.setattr("adinkra.constraints._relations", lambda spec, lowest: wrong)
     built.clear()
     assert not verify_presentation(X_SPEC).ok
     assert len(built) > 1
+
+
+def test_a_passing_verification_builds_no_constraint_and_no_phase(monkeypatch) -> None:
+    init, post_init = constraints.Constraint.__init__, Phase.__post_init__
+    built = []
+    monkeypatch.setattr(constraints.Constraint, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+    monkeypatch.setattr(Phase, "__post_init__", lambda self: built.append(self.k) or post_init(self))
+    for spec in (TRIPLE_SPEC, _valise().spec):
+        built.clear()
+        assert verify_presentation(spec).ok
+        assert built == []
+    # emitting the same battery builds one of each per equation, which the count sees
+    assert len(emit_constraints(TRIPLE_SPEC).equations) == 24
+    assert len(built) == 48
 
 
 # sha256 of the sorted, concatenated constraint documents of every battery
@@ -426,9 +440,9 @@ def _flags(spec: SourceSpec, kind: str) -> list[bool]:
 def _lowest_read_by(build, spec: SourceSpec, kind: str) -> Lowest:
     """The lowest components that build(spec, kind) relates its equations by."""
     seen = []
-    equations = constraints._equations
+    relations = constraints._relations
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("adinkra.constraints._equations", lambda spec, lowest: seen.append(lowest) or equations(spec, lowest))
+        mp.setattr("adinkra.constraints._relations", lambda spec, lowest: seen.append(lowest) or relations(spec, lowest))
         build(spec, kind)
     [lowest] = seen
     return lowest
@@ -565,8 +579,9 @@ def test_term_wise_reports_match_the_substitution_on_tampered_batteries(spec: So
         gap = equations[i].gap + data.draw(st.integers(-1, 2), label="gap shift")
         phase = equations[i].phase * Phase(data.draw(st.integers(0, 3), label="phase shift"))
         equations = (*equations[:i], replace(equations[i], gap=gap, phase=phase), *equations[i + 1 :])
+    relations = [(eq.component, eq.alpha, eq.beta, eq.gap, eq.phase.k) for eq in equations]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("adinkra.constraints._equations", lambda spec, lowest: equations)
+        mp.setattr("adinkra.constraints._relations", lambda spec, lowest: relations)
         report = verify_presentation(spec, kind)
     assert report == substituted_report(spec, kind, equations)
 
@@ -714,3 +729,21 @@ def test_identify_on_the_largest_cube_stays_within_its_memory(step: str) -> None
     finally:
         tracemalloc.stop()
     assert peak <= VALISE_PEAKS[step] * 5 // 4
+
+
+# tracemalloc peak in bytes of dimension_vector on the `cube 10` Adinkra (heights hgt0),
+# built outside the trace, measured with Python 3.11.7; the bound is 1.25x
+DIMS_PEAK = 4_513
+
+
+def test_dimension_vector_on_the_largest_cube_stays_within_its_memory() -> None:
+    t = cube_topology(MAX_CUBE_COLORS)
+    counting = Adinkra.from_maps(t, {v: hgt0(v) for v in t.vertex_ids}, standard_parity(t))
+    tracemalloc.start()
+    try:
+        dims = dimension_vector(counting)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dims == (1, 10, 45, 120, 210, 252, 210, 120, 45, 10, 1)
+    assert peak <= DIMS_PEAK * 5 // 4

@@ -5,6 +5,7 @@ import functools
 import inspect
 import random
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +33,7 @@ from oracles import (
     all_orientations,
     bichromatic_squares,
     code_quotient,
+    color_pair_squares,
     column_solve_edge_parity,
     cycle_space_engineerable,
     deque_engineerable,
@@ -117,6 +119,20 @@ def test_build_reads_an_edge_generator_once() -> None:
     for v in SQUARE_STATS:
         for color in (1, 2):
             assert from_generator.neighbor(v, color) == from_list.neighbor(v, color) != v
+
+
+def test_build_reads_each_edge_once() -> None:
+    from_iterators = Topology.build(2, SQUARE_STATS, [iter(e) for e in SQUARE_EDGES])
+    assert from_iterators == square()
+    assert Topology.build(1, {0: BOSON, 1: FERMION}, [iter((0, 1, 1))]) == Topology.build(
+        1, {0: BOSON, 1: FERMION}, [(0, 1, 1)]
+    )
+
+
+@pytest.mark.parametrize("edge", [5, None, (0, 1), iter((0, 1)), (0, 1, 1, 2)], ids=repr)
+def test_build_refuses_a_malformed_edge(edge) -> None:
+    with pytest.raises(AdinkraError, match=r"^invalid topology: edge .* is not an \(u, v, color\) integer triple"):
+        Topology.build(1, {0: BOSON, 1: FERMION}, [edge])
 
 
 def test_a_topology_is_its_four_fields() -> None:
@@ -504,6 +520,23 @@ def _square_cases():
 @pytest.mark.parametrize("t", _square_cases(), ids=lambda t: f"{t.n_colors}c{len(t.vertex_ids)}v")
 def test_squares_match_the_cycle_walk_in_order(t: Topology) -> None:
     assert t.squares == bichromatic_squares(t)
+
+
+@pytest.mark.parametrize(
+    "t",
+    [cube_topology(n, kind) for n in range(1, 11) for kind in (SCALAR, SPINOR)] + [antipodal_quotient()],
+    ids=lambda t: f"{t.n_colors}c{len(t.vertex_ids)}v{t.statistics[0][0]}",
+)
+def test_squares_match_the_color_pair_walk(t: Topology) -> None:
+    assert t.squares == color_pair_squares(t)
+
+
+def test_squares_of_many_doubled_colors_cost_what_the_edges_allow() -> None:
+    # every color joins the same two vertices, so no pair of colors can close a square
+    t = Topology.build(2000, {0: BOSON, 1: FERMION}, [(0, 1, c) for c in range(1, 2001)])
+    start = time.perf_counter()
+    assert t.squares == ()
+    assert time.perf_counter() - start < 0.05
 
 
 def test_doubled_edges_close_squares_only_through_a_third_color() -> None:

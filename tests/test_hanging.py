@@ -145,3 +145,16 @@ def test_one_hooked_requires_connected_topology() -> None:
     )
     with pytest.raises(AdinkraError):
         one_hooked(two, 0, 0)
+
+
+def test_hookset_sorts_the_hooks_it_is_given() -> None:
+    given = HookSet(TARGETS, ((3, 2), (0, 2)))
+    assert given.hooks == ((0, 2), (3, 2))
+    assert given == HookSet.from_map(TARGETS, {3: 2, 0: 2})
+    assert hash(given) == hash(HookSet.from_map(TARGETS, {0: 2, 3: 2}))
+
+
+@pytest.mark.parametrize("hooks", [((0, 2), (0, 0)), ((0, 0), (3, 2), (0, 2))])
+def test_hookset_refuses_a_vertex_hooked_twice(hooks) -> None:
+    with pytest.raises(AdinkraError, match=r"^vertex 0 is hooked twice$"):
+        HookSet(TARGETS, hooks)
