@@ -388,15 +388,14 @@ class Adinkra:
         A source is a strict local minimum (every edge points away), a target
         a strict local maximum (every edge points in).
         """
-        h = self.heights
+        t = self.topology
+        deg = t.n_colors
         sources: list[int] = []
         targets: list[int] = []
-        for v, hv, around in zip(self.topology.vertex_ids, h, self.topology._adjacent):
-            # every gap is +-1, so the neighbours sum to deg * (hv +- 1) only at an extreme
-            rise = sum(map(h.__getitem__, around)) - len(around) * hv
-            if rise == len(around):
+        for v, rise in zip(t.vertex_ids, _rises(t._adjacent, self.heights)):
+            if rise == deg:
                 sources.append(v)
-            elif rise == -len(around):
+            elif rise == -deg:
                 targets.append(v)
         return tuple(sources), tuple(targets)
 
@@ -404,6 +403,15 @@ class Adinkra:
         """Each component translated into normal form (see normalize_heights); self when already there."""
         h = _normal_heights(self.topology, self.heights)
         return self if h is self.heights else Adinkra._trusted(self.topology, h, self.parity)
+
+
+def _rises(adjacent: Sequence[Sequence[int]], h: Sequence[int]) -> list[int]:
+    """Per position, how many neighbours lie above it less how many lie below, for h with a +-1 gap on every edge.
+
+    A source has every neighbour above it, so its rise is its degree; a target's is minus its degree.
+    """
+    get = h.__getitem__
+    return [sum(map(get, around)) - len(around) * hi for hi, around in zip(h, adjacent)]
 
 
 def _normal_heights(topology: Topology, h: tuple[int, ...]) -> tuple[int, ...]:

@@ -7,9 +7,17 @@ One envelope carries every object kind the tools exchange::
 
 Kinds: topology, adinkra, family, trace, constraints.  Serialization is
 canonical: vertices ascend by id, edges ascend by (color, ends), family
-members and moves are sorted, so equal objects produce identical text.
+members and moves are sorted, so equal objects produce identical text,
+byte-identical to ``json.dumps(indent=2)``.  A family document's members
+and moves are written in one pass: each member's heights once per indent,
+and every move joined from those texts.  The document is joined once from
+the parts of its envelope and payload, so a large payload is not copied at
+each level.
 Deserialization validates shape and reports the offending path (for example
-``payload.vertices[3].height``) before any graph-level validation runs.
+``payload.vertices[3].height``) before any graph-level validation runs.  A
+family's height lists are checked in one pass each, a path is written only
+for the one that fails, and each move's heights are interned to the listed
+member they equal.
 
 The decoders of the family, trace and constraints kinds import mutation,
 constraints and superspace when they run, so a process that reads and writes
@@ -109,18 +117,46 @@ def _header_data(a: Adinkra) -> dict:
     return {"topology": _graph_data(a.topology), "parity": _parity_list(a)}
 
 
+# the indent serialize writes each value of the payload object at
+_PAYLOAD_PAD = "    "
+
+
 def _family_data(f: FamilyGraph) -> dict:
+    """The family payload, its members and moves already written at their indent.
+
+    Each member's heights are written once for the members list and once for
+    the moves, and every move is joined from those texts.
+    """
+    if not f.members:
+        raise _fail("$.payload.members", "a family needs at least one member")
+    item = _PAYLOAD_PAD + "  "
+    field = item + "  "
+    sep = ",\n" + field
+    keys = sorted(f.members)
+    at_field = {k: _indented_json(k, field) for k in keys}
+    # a move's kind and vertex, written once per pair
+    middles: dict[tuple, str] = {}
+    moves = []
+    for src, kind, v, dst in sorted(f.moves):
+        middle = middles.get((kind, v))
+        if middle is None:
+            middle = middles[kind, v] = f'{sep}"kind": {_indented_json(kind, field)}{sep}"vertex": {_indented_json(v, field)}{sep}"to": '
+        from_text = at_field.get(src) or _indented_json(src, field)
+        to_text = at_field.get(dst) or _indented_json(dst, field)
+        moves.append(f'{{\n{field}"from": {from_text}{middle}{to_text}\n{item}}}')
     return {
         **_header_data(next(iter(f.members.values()))),
-        "members": sorted(list(k) for k in f.members),
-        "moves": [
-            {"from": list(src), "kind": kind, "vertex": v, "to": list(dst)}
-            for src, kind, v, dst in sorted(f.moves)
-        ],
+        "members": _Written(_list_parts([_indented_json(k, item) for k in keys], _PAYLOAD_PAD)),
+        "moves": _Written(_list_parts(moves, _PAYLOAD_PAD)),
     }
 
 
+_NO_START = "a trace needs at least the start step"
+
+
 def _trace_data(tr: SequenceTrace) -> dict:
+    if not tr.steps:
+        raise _fail("$.payload.steps", _NO_START)
     return {
         **_header_data(tr.steps[0].adinkra),
         "steps": [
@@ -180,7 +216,49 @@ def serialize(obj: Payload | Document, annotations: Mapping[str, Any] | None = N
         "annotations": annotations,
         "payload": _ENCODERS[kind](payload),
     }
-    return _indented_json(data) + "\n"
+    # the document is joined once from its parts, so a large payload is not copied per level
+    parts = _parts(data, "")
+    parts.append("\n")
+    return "".join(parts)
+
+
+class _Written:
+    """A JSON value already written at the indent of the place it goes, as parts to join in order."""
+
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: list[str]) -> None:
+        self.parts = parts
+
+
+def _list_parts(items: list[str], pad: str) -> list[str]:
+    """The parts of the JSON list of these written items at indent pad, as json.dumps(indent=2) writes it."""
+    if not items:
+        return ["[]"]
+    inner = pad + "  "
+    sep = ",\n" + inner
+    parts = ["[\n" + inner]
+    for item in items:
+        parts += (item, sep)
+    parts[-1] = "\n" + pad + "]"
+    return parts
+
+
+def _parts(value: Any, pad: str) -> list[str]:
+    """The text of _indented_json(value, pad) as parts: each value of a dict with str keys is its own parts."""
+    if type(value) is _Written:
+        return value.parts
+    if type(value) is not dict or not value or not {str}.issuperset(map(type, value)):
+        return [_indented_json(value, pad)]
+    inner = pad + "  "
+    sep = ",\n" + inner
+    parts = ["{\n" + inner]
+    for k, v in value.items():
+        parts.append(_quote(k) + ": ")
+        parts += _parts(v, inner)
+        parts.append(sep)
+    parts[-1] = "\n" + pad + "}"
+    return parts
 
 
 def _indented_json(value: Any, pad: str = "") -> str:
@@ -251,14 +329,19 @@ def _only_keys(item: dict, keys: tuple[str, ...], path: str) -> None:
             raise _fail(path, f"unexpected key {key!r}")
 
 
+def _object(item, keys: tuple[str, ...], path: str) -> dict:
+    """item, once it is an object with no key but keys."""
+    if not isinstance(item, dict):
+        raise _fail(path, f"expected object, got {type(item).__name__}")
+    _only_keys(item, keys, path)
+    return item
+
+
 def _objects(data: dict, key: str, keys: tuple[str, ...], path: str):
     """(path, item) for each item of the list data[key], once it is an object with no key but keys."""
     for i, item in enumerate(_list(data, key, path)):
         ip = f"{path}.{key}[{i}]"
-        if not isinstance(item, dict):
-            raise _fail(ip, f"expected object, got {type(item).__name__}")
-        _only_keys(item, keys, ip)
-        yield ip, item
+        yield ip, _object(item, keys, ip)
 
 
 def _decode_graph(data: dict, path: str, decorated: bool) -> Topology | Adinkra:
@@ -295,14 +378,25 @@ def _decode_graph(data: dict, path: str, decorated: bool) -> Topology | Adinkra:
     return _at(path, Adinkra.from_maps, topo, heights, parity) if decorated else topo
 
 
+def _heights(raw, ints: list[type]) -> tuple[int, ...] | None:
+    """raw as a tuple when it is a list of len(ints) ints, else None; builds no path.
+
+    ints is [int] * n, so one list comparison tests type(h) is int for every h.
+    """
+    if isinstance(raw, list) and len(raw) == len(ints) and list(map(type, raw)) == ints:
+        return tuple(raw)
+    return None
+
+
 def _heights_tuple(raw, topo: Topology, path: str) -> tuple[int, ...]:
+    """raw as a tuple of one int per vertex of topo, or the error naming what is wrong at path."""
+    heights = _heights(raw, [int] * len(topo.vertex_ids))
+    if heights is not None:
+        return heights
     if not isinstance(raw, list) or len(raw) != len(topo.vertex_ids):
         raise _fail(path, f"expected {len(topo.vertex_ids)} heights")
-    # type(h) is int for every h, tested in one pass
-    if not {int}.issuperset(map(type, raw)):
-        i, h = next((i, h) for i, h in enumerate(raw) if type(h) is not int)
-        raise _fail(f"{path}[{i}]", f"expected int, got {type(h).__name__}")
-    return tuple(raw)
+    i, h = next((i, h) for i, h in enumerate(raw) if type(h) is not int)
+    raise _fail(f"{path}[{i}]", f"expected int, got {type(h).__name__}")
 
 
 def _at(path: str, check, *args):
@@ -330,32 +424,61 @@ def _decode_header(data: dict, path: str) -> tuple[Topology, tuple[int, ...]]:
     return topo, parity
 
 
+_MOVE_KEYS = ("from", "kind", "vertex", "to")
+
+
+def _move(item, ints: list[type], keys: dict) -> tuple[tuple[int, ...], str, int, tuple[int, ...]] | None:
+    """_checked_move's answer, its heights interned to keys, when the move is well formed on len(ints) vertices.
+
+    None otherwise; builds no path.
+    """
+    if type(item) is dict and len(item) == len(_MOVE_KEYS):
+        kind, v = item.get("kind"), item.get("vertex")
+        src, dst = _heights(item.get("from"), ints), _heights(item.get("to"), ints)
+        if type(kind) is str and type(v) is int and src is not None and dst is not None:
+            return keys.get(src, src), kind, v, keys.get(dst, dst)
+    return None
+
+
+def _checked_move(item, topo: Topology, mp: str) -> tuple[tuple[int, ...], str, int, tuple[int, ...]]:
+    """A listed move as (from, kind, vertex, to), or the error naming the first thing wrong with it at its path mp."""
+    _object(item, _MOVE_KEYS, mp)
+    kind = _get(item, "kind", str, mp)
+    src = _heights_tuple(_get(item, "from", list, mp), topo, f"{mp}.from")
+    dst = _heights_tuple(_get(item, "to", list, mp), topo, f"{mp}.to")
+    return src, kind, _int(item, "vertex", mp), dst
+
+
 def _decode_family(data: dict, path: str) -> FamilyGraph:
-    """Require the listed members and moves to be the family recomputed from topology and parity."""
-    from .mutation import FamilyGraph, _singles, _walk
+    """Require the listed members and moves to be the family recomputed from topology and parity.
+
+    Each listed list of heights is checked in one pass and its path is
+    written only when it fails; every move's heights are interned to the
+    listed member's key.
+    """
+    from .mutation import FamilyGraph, _singles, _sorted_moves, _walk
 
     _only_keys(data, ("topology", "parity", "members", "moves"), path)
     topo, parity = _decode_header(data, path)
-    listed = [
-        _heights_tuple(raw, topo, f"{path}.members[{i}]")
-        for i, raw in enumerate(_list(data, "members", path))
+    ints = [int] * len(topo.vertex_ids)
+    listed = []
+    for i, raw in enumerate(_list(data, "members", path)):
+        key = _heights(raw, ints)
+        listed.append(_heights_tuple(raw, topo, f"{path}.members[{i}]") if key is None else key)
+    keys = {k: k for k in listed}
+    moves = [
+        _move(item, ints, keys) or _checked_move(item, topo, f"{path}.moves[{i}]")
+        for i, item in enumerate(_list(data, "moves", path))
     ]
-    moves = []
-    for mp, item in _objects(data, "moves", ("from", "kind", "vertex", "to"), path):
-        kind = _get(item, "kind", str, mp)
-        src = _heights_tuple(_get(item, "from", list, mp), topo, f"{mp}.from")
-        dst = _heights_tuple(_get(item, "to", list, mp), topo, f"{mp}.to")
-        moves.append((src, kind, _int(item, "vertex", mp), dst))
     # the walk starts at the valise, which is already in normal form
     start = Adinkra._trusted(topo, topo._valise, parity)
     members = {start.heights: start}
     walked = []
-    for src, kind, (v,), nxt in _walk(start, _singles(topo), ("raise", "lower")):
-        members.setdefault(nxt.heights, nxt)
+    for src, kind, (v,), nxt in _walk(members, _singles(topo), ("raise", "lower")):
         if len(members) > len(listed):
             raise _fail(f"{path}.members", f"the family has more than the {len(listed)} listed")
         walked.append((src, kind, v, nxt.heights))
-    for key, given, found in (("members", listed, sorted(members)), ("moves", moves, sorted(walked))):
+    for key, given, found in (("members", listed, sorted(members)), ("moves", moves, _sorted_moves(walked))):
         if given != found:
             i = next((i for i, (a, b) in enumerate(zip(given, found)) if a != b), min(len(given), len(found)))
             if key == "members" and i < len(given):
@@ -402,7 +525,7 @@ def _decode_trace(data: dict, path: str) -> SequenceTrace:
     topo, parity = _decode_header(data, path)
     listed = _list(data, "steps", path)
     if not listed:
-        raise _fail(f"{path}.steps", "a trace needs at least the start step")
+        raise _fail(f"{path}.steps", _NO_START)
     seen: set[int] = set()
     orbits: set[tuple[int, ...]] = set()
     for i, item in enumerate(listed):

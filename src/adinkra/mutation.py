@@ -14,10 +14,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import compress, groupby, permutations
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .core import Adinkra, AdinkraError, Topology, _aligned, _solved_parity
+from .core import Adinkra, AdinkraError, Topology, _aligned, _normal_heights, _rises, _solved_parity
 
 __all__ = [
     "sources",
@@ -38,6 +39,8 @@ __all__ = [
 ]
 
 HeightKey = tuple[int, ...]
+# (from key, "raise" or "lower", vertex, to key)
+Move = tuple[HeightKey, str, int, HeightKey]
 
 
 def sources(adinkra: Adinkra) -> tuple[int, ...]:
@@ -91,41 +94,63 @@ def raise_vertex(adinkra: Adinkra, vertex: int) -> Adinkra:
     return _move(adinkra, vertex, 2)
 
 
-def _moves(
-    member: Adinkra, orbits: Sequence[tuple[int, ...]], kinds: tuple[str, ...]
-) -> Iterator[tuple[str, tuple[int, ...], Adinkra]]:
-    """Every move out of member as (kind, orbit, normalized result).
-
-    An orbit is raised when all its vertices are sources and lowered when all
-    are targets.  Moves come kind by kind in the order given, and within a
-    kind in orbit order.
-    """
-    src, tgt = member.extremes()
-    for kind in kinds:
-        extreme, delta = (set(src), 2) if kind == "raise" else (set(tgt), -2)
-        for orbit in orbits:
-            if extreme.issuperset(orbit):
-                yield kind, orbit, _shift(member, orbit, delta).normalized()
-
-
 def _walk(
-    start: Adinkra, orbits: Sequence[tuple[int, ...]], kinds: tuple[str, ...]
+    members: dict[HeightKey, Adinkra], orbits: Sequence[tuple[int, ...]], kinds: tuple[str, ...]
 ) -> Iterator[tuple[HeightKey, str, tuple[int, ...], Adinkra]]:
-    """Every move of the breadth-first search from a normalized start.
+    """Every move of the breadth-first search from the one normalized start in members.
 
     Yields (from key, kind, orbit, normalized result) in discovery order:
     members are searched in the order first reached, each once, and a move
     landing on a member already reached is yielded but not searched again.
+    The orbits are sorted vertex tuples in ascending order.  An orbit is
+    raised when all its vertices are sources and lowered when all are
+    targets; moves come kind by kind in the order given, and within a kind
+    in orbit order.  Each member is built once and added to members before
+    the move that reaches it is yielded; every move onto it yields that one
+    Adinkra, whose heights are the member's key.
+
+    Each member carries the rise of each vertex (neighbours above less
+    neighbours below; see _rises): the start is scanned once, and a move
+    changes only the rises of the orbit and of its neighbours.
     """
-    seen = {start.heights}
-    queue = deque([start])
+    (start,) = members.values()
+    t = start.topology
+    adjacent, parity, deg = t._adjacent, start.parity, t.n_colors
+    positions = range(len(t.vertex_ids))
+    # each orbit under its least position, with its positions and its neighbours' (one per edge)
+    by_least: list[list[tuple[tuple[int, ...], tuple[int, ...], list[int]]]] = [[] for _ in positions]
+    for orbit in orbits:
+        moved = tuple(map(t._vindex.__getitem__, orbit))
+        by_least[moved[0]].append((orbit, moved, [j for i in moved for j in adjacent[i]]))
+    # (kind, height change, rise of a movable vertex); the move turns that rise
+    # around and changes each neighbour's by the height change
+    steps = [(kind, 2, deg) if kind == "raise" else (kind, -2, -deg) for kind in kinds]
+    queue = deque([(start.heights, _rises(adjacent, start.heights))])
     while queue:
-        member = queue.popleft()
-        for kind, orbit, nxt in _moves(member, orbits, kinds):
-            if nxt.heights not in seen:
-                seen.add(nxt.heights)
-                queue.append(nxt)
-            yield member.heights, kind, orbit, nxt
+        h, rises = queue.popleft()
+        for kind, delta, full in steps:
+            for least in compress(positions, map(full.__eq__, rises)):
+                for orbit, moved, around in by_least[least]:
+                    if len(moved) > 1 and not all(rises[i] == full for i in moved):
+                        continue
+                    key = list(h)
+                    for i in moved:
+                        key[i] += delta
+                    key = tuple(key)
+                    # normal form puts each component's minimum at 0 or 1, and a vertex raised
+                    # from 0 leaves its neighbours at 1: only one moved from 1 can leave it
+                    if 1 in map(h.__getitem__, moved):
+                        key = _normal_heights(t, key)
+                    member = members.get(key)
+                    if member is None:
+                        member = members[key] = Adinkra._trusted(t, key, parity)
+                        moved_rises = list(rises)
+                        for i in moved:
+                            moved_rises[i] = -full
+                        for j in around:
+                            moved_rises[j] += delta
+                        queue.append((key, moved_rises))
+                    yield h, kind, orbit, member
 
 
 def base_adinkra(topology: Topology, parity=None) -> Adinkra:
@@ -189,7 +214,7 @@ class FamilyGraph:
 
     topology: Topology
     members: Mapping[HeightKey, Adinkra]
-    moves: tuple[tuple[HeightKey, str, int, HeightKey], ...]
+    moves: tuple[Move, ...]
 
     def __len__(self) -> int:
         return len(self.members)
@@ -202,12 +227,20 @@ def member_key(adinkra: Adinkra) -> HeightKey:
 def enumerate_family(topology: Topology, parity=None) -> FamilyGraph:
     """Breadth-first closure of the base Adinkra under raising and lowering."""
     start = base_adinkra(topology, parity).normalized()
-    members: dict[HeightKey, Adinkra] = {start.heights: start}
-    moves = []
-    for src, kind, (v,), nxt in _walk(start, _singles(topology), ("raise", "lower")):
-        members.setdefault(nxt.heights, nxt)
-        moves.append((src, kind, v, nxt.heights))
-    return FamilyGraph(topology, members, tuple(sorted(moves)))
+    members = {start.heights: start}
+    walk = _walk(members, _singles(topology), ("raise", "lower"))
+    moves = [(src, kind, v, nxt.heights) for src, kind, (v,), nxt in walk]
+    return FamilyGraph(topology, members, tuple(_sorted_moves(moves)))
+
+
+def _sorted_moves(moves: list[Move]) -> list[Move]:
+    """The moves of a family walk, sorted.
+
+    The walk yields each member's moves one after another, so this sorts the
+    runs by member and then each run's few moves, which share one key.
+    """
+    runs = sorted(list(run) for _, run in groupby(moves, itemgetter(0)))
+    return [move for run in runs for move in sorted(run)]
 
 
 def _singles(topology: Topology) -> list[tuple[int, ...]]:
@@ -224,7 +257,7 @@ def kinship_distance(a: Adinkra, b: Adinkra) -> int:
     if start.heights == goal:
         return 0
     dist = {start.heights: 0}
-    for src, _, _, nxt in _walk(start, _singles(a.topology), ("raise", "lower")):
+    for src, _, _, nxt in _walk({start.heights: start}, _singles(a.topology), ("raise", "lower")):
         dist.setdefault(nxt.heights, dist[src] + 1)
         if nxt.heights == goal:
             return dist[goal]
@@ -409,7 +442,7 @@ def _sequence(start: Adinkra, orbits: Sequence[tuple[int, ...]]) -> Iterator[Seq
     steps = [SequenceStep(start, None, tuple((v, 0) for v in start.topology.vertex_ids), None, None)]
     yield steps[0]
     first_index: dict[HeightKey, int] = {start.heights: 0}
-    for src, _, orbit, raised in _walk(start, orbits, ("raise",)):
+    for src, _, orbit, raised in _walk({start.heights: start}, orbits, ("raise",)):
         parent = first_index[src]
         counters = dict(steps[parent].counters)
         for v in orbit:

@@ -24,14 +24,17 @@ walked through the whole two-part word of each projection instead of each
 descending word walked once and every projection read from two tables, and
 engineerability by a deque BFS over neighbour lists, keyed by vertex id, with
 its heights normalized through the checked public route, instead of the
-adjacency-table walk by vertex position.
+adjacency-table walk by vertex position, and the family walk over Adinkras,
+each orbit moved by the checked raise or lower and the result normalized
+whole, instead of the walk over height tuples by position.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
+from functools import reduce
 from itertools import permutations, product
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 from adinkra.constraints import (
     Constraint,
@@ -54,7 +57,7 @@ from adinkra.core import (
     normalize_heights,
 )
 from adinkra.cube import cube_statistics, dist0, hgt0, subset_label
-from adinkra.mutation import lower_vertex, targets
+from adinkra.mutation import lower_vertex, raise_vertex, targets
 from adinkra.superspace import (
     I_PHASE,
     MINUS_ONE,
@@ -648,6 +651,41 @@ def stepwise_lowering_sequence(adinkra: Adinkra, vertex: int) -> list[int]:
             current = lower_vertex(current, v)
             moves.append(v)
     return moves
+
+
+def adinkra_moves(
+    member: Adinkra, orbits: Sequence[tuple[int, ...]], kinds: tuple[str, ...]
+) -> Iterator[tuple[str, tuple[int, ...], Adinkra]]:
+    """Every move out of member as (kind, orbit, normalized result).
+
+    An orbit is raised when all its vertices are sources and lowered when all
+    are targets, each vertex by the checked raise_vertex or lower_vertex.
+    Moves come kind by kind in the order given, and within a kind in orbit
+    order.
+    """
+    heights = member.heights_by_vertex()
+    t = member.topology
+    for kind in kinds:
+        up = kind == "raise"
+        extreme = {v for v in t.vertex_ids if all((heights[w] > heights[v]) == up for w, _ in t.neighbors(v))}
+        for orbit in orbits:
+            if extreme.issuperset(orbit):
+                yield kind, orbit, reduce(raise_vertex if up else lower_vertex, orbit, member).normalized()
+
+
+def adinkra_walk(
+    start: Adinkra, orbits: Sequence[tuple[int, ...]], kinds: tuple[str, ...]
+) -> Iterator[tuple[tuple[int, ...], str, tuple[int, ...], Adinkra]]:
+    """mutation._walk from a normalized start, by a deque of Adinkras: (from key, kind, orbit, result)."""
+    seen = {start.heights}
+    queue = deque([start])
+    while queue:
+        member = queue.popleft()
+        for kind, orbit, nxt in adinkra_moves(member, orbits, kinds):
+            if nxt.heights not in seen:
+                seen.add(nxt.heights)
+                queue.append(nxt)
+            yield member.heights, kind, orbit, nxt
 
 
 def half_distance_mu(spec: SourceSpec, component: int) -> int:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 import time
@@ -309,6 +310,93 @@ def test_family_decode_replays_each_move(kind, vertex, why) -> None:
         deserialize(json.dumps(data))
 
 
+# sha256 of each family document, and of the SO(3) orbit trace of the 3-cube, as json.dumps(indent=2)
+# wrote them through the recursive writer, before the family encoder wrote each key once per indent
+FAMILY_DIGESTS = {
+    "scalar1": "2c67c592ac86de12bc6d31e82016412ed243d8e6bdf5b5e85922c78345600f61",
+    "spinor1": "5d7c5dc1e0ed54e903371a9b0f759ca96a3158e246ccde23a05c3441c247c0ac",
+    "scalar2": "d89078b172a61df242dac3c2bdee9bd445d5c531d985a4696c0963f179d566f4",
+    "spinor2": "415187796b354c5dbb7568bcb9a04a94ef1af6cbee8bd74729e164a5c8721573",
+    "scalar3": "9c0ef76ecd195968df8a53fb5fbb5112ff4da486062a45053a1780b9e4f60183",
+    "spinor3": "8e51523cd3581d075c3b0d760c9522854c14f4d553d7895bbbb806d3cb001e9a",
+    "scalar4": "d4055eba48968f373a532fa9e1e642551d5e462c2179dd063ab1e4341aa4341b",
+    "spinor4": "89f6e175f63ed2c86f9f4012d8e72feb0a3f1dc836f31d03749d7985e1ec8315",
+    "quotient4": "a23216e2cf8ed306ce28b6a4ca46f5c8d2c960d6b84774c6b6c515222113db5c",
+}
+SO3_TRACE_DIGEST = "ebc39ad42bd2fbe9b01e9fce5c359bced37d53888de355af421c759c116b2013"
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", FAMILY_DIGESTS)
+def test_every_family_document_keeps_its_bytes(name: str) -> None:
+    t = antipodal_quotient() if name == "quotient4" else cube_topology(int(name[-1]), name[:-1])
+    text = serialize(enumerate_family(t))
+    assert _digest(text) == FAMILY_DIGESTS[name]
+    assert json.dumps(json.loads(text), indent=2) + "\n" == text
+
+
+def test_the_so3_trace_document_keeps_its_bytes() -> None:
+    text = serialize(main_sequence(base_adinkra(cube_topology(3)), [[0], [1, 2, 4], [3, 5, 6], [7]]))
+    assert _digest(text) == SO3_TRACE_DIGEST
+
+
+def test_a_family_whose_moves_leave_its_members_is_written_as_json_dumps_writes_it() -> None:
+    # the encoder writes each member's heights once, and any other key where a move names it
+    t = cube_topology(2)
+    base = base_adinkra(t)
+    other = (9, 8, 8, 9)
+    f = FamilyGraph(t, {base.heights: base}, ((other, "raise", 3, base.heights), (base.heights, "raise", 0, other)))
+    text = serialize(f)
+    data = json.loads(text)
+    assert json.dumps(data, indent=2) + "\n" == text
+    assert data["payload"]["members"] == [list(base.heights)]
+    assert data["payload"]["moves"] == [
+        {"from": list(base.heights), "kind": "raise", "vertex": 0, "to": list(other)},
+        {"from": list(other), "kind": "raise", "vertex": 3, "to": list(base.heights)},
+    ]
+
+
+def test_a_family_without_members_is_refused() -> None:
+    with pytest.raises(DocumentError, match=r"^\$\.payload\.members: a family needs at least one member$"):
+        serialize(FamilyGraph(cube_topology(1), {}, ()))
+
+
+def test_a_trace_without_steps_is_refused() -> None:
+    with pytest.raises(DocumentError, match=r"^\$\.payload\.steps: a trace needs at least the start step$"):
+        serialize(SequenceTrace((), None))
+
+
+# each error is the text the decoder gave before it wrote a path only on failure
+@pytest.mark.parametrize(
+    "tamper, error",
+    [
+        (lambda d: d["payload"]["moves"][7295]["to"].__setitem__(3, 1.0), "$.payload.moves[7295].to[3]: expected int, got float"),
+        (lambda d: d["payload"]["moves"][100].__setitem__("vertex", True), "$.payload.moves[100].vertex: expected int, got bool"),
+        (lambda d: d["payload"]["moves"][5000].pop("kind"), "$.payload.moves[5000]: missing key 'kind'"),
+        (lambda d: d.pop("kind"), "$: missing key 'kind'"),
+        (lambda d: d["payload"]["moves"][-1].__setitem__("weight", 1), "$.payload.moves[7295]: unexpected key 'weight'"),
+        (lambda d: d["payload"]["members"][989].__setitem__(0, True), "$.payload.members[989][0]: expected int, got bool"),
+        (lambda d: d["payload"]["moves"][3000]["from"].pop(), "$.payload.moves[3000].from: expected 16 heights"),
+        (lambda d: d["payload"]["moves"].__setitem__(3000, 3), "$.payload.moves[3000]: expected object, got int"),
+    ],
+    ids=["float-to", "bool-vertex", "missing-move-kind", "missing-kind", "extra-key-last-move", "bool-member", "short-from", "move-not-object"],
+)
+def test_errors_deep_in_the_n4_family_document_keep_their_text(n4_family_text: str, tamper, error: str) -> None:
+    data = json.loads(n4_family_text)
+    tamper(data)
+    with pytest.raises(DocumentError) as info:
+        deserialize(json.dumps(data, indent=2))
+    assert str(info.value) == error
+
+
+@pytest.fixture(scope="module")
+def n4_family_text() -> str:
+    return serialize(enumerate_family(cube_topology(4)))
+
+
 def test_family_and_trace_documents_replay_cleanly() -> None:
     for topo in (cube_topology(3), cube_topology(3, "spinor"), antipodal_quotient()):
         for obj in (enumerate_family(topo), main_sequence(base_adinkra(topo))):
@@ -590,6 +678,26 @@ def test_the_codec_on_the_largest_cube_stays_within_its_memory(step: str) -> Non
     finally:
         tracemalloc.stop()
     assert peak <= CODEC_PEAKS[step] * 5 // 4
+
+
+# tracemalloc peaks in bytes of the codec on the N=4 family document, measured with Python 3.11.7 once
+# the encoder wrote each key once per indent and joined the document once, and the decoder interned
+# its moves' heights (12,601,455 and 9,993,548 before); the bound is 1.25x
+FAMILY_CODEC_PEAKS = {"deserialize": 6_581_290, "serialize": 8_789_512}
+
+
+@pytest.mark.parametrize("step", sorted(FAMILY_CODEC_PEAKS))
+def test_the_codec_on_the_n4_family_stays_within_its_memory(step: str) -> None:
+    family = enumerate_family(cube_topology(4))
+    text = serialize(family)
+    call, arg = (deserialize, text) if step == "deserialize" else (serialize, family)
+    tracemalloc.start()
+    try:
+        call(arg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= FAMILY_CODEC_PEAKS[step] * 5 // 4
 
 
 def test_topology_decode_refuses_a_huge_color_count_at_once() -> None:

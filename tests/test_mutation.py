@@ -26,6 +26,7 @@ from adinkra.mutation import (
 )
 
 from oracles import (
+    adinkra_walk,
     all_height_patterns,
     burnside_class_count,
     equivariant_ladder_patterns,
@@ -399,6 +400,94 @@ def test_orbit_partition_is_validated() -> None:
         main_sequence(a, [[0], [0, 3], [1, 2]])
     with pytest.raises(AdinkraError, match="height"):
         main_sequence(raise_vertex(a, 0), [[0, 3], [1, 2]])
+
+
+# ---------------------------------------------------------------------------
+# the walk over height tuples
+
+
+def _walked(walk) -> list[tuple]:
+    return [(src, kind, orbit, nxt.heights) for src, kind, orbit, nxt in walk]
+
+
+def _same_walk(start: Adinkra, orbits, kinds: tuple[str, ...]) -> None:
+    """mutation._walk makes the reference walk's moves in its order, one Adinkra per member."""
+    members = {start.heights: start}
+    walk = list(mutation._walk(members, orbits, kinds))
+    assert _walked(walk) == _walked(adinkra_walk(start, orbits, kinds))
+    keys = {id(k) for k in members}
+    for src, _, _, nxt in walk:
+        assert id(src) in keys and id(nxt.heights) in keys
+        assert members[nxt.heights] is nxt
+
+
+_WALK_TOPOLOGIES = {f"{kind}{n}": cube_topology(n, kind) for n in (1, 2, 3, 4) for kind in (SCALAR, SPINOR)}
+_WALK_TOPOLOGIES.update(quotient4=antipodal_quotient(), two_squares=two_squares())
+
+
+@pytest.mark.parametrize("name", _WALK_TOPOLOGIES)
+def test_the_walk_makes_the_reference_moves_in_order(name: str) -> None:
+    t = _WALK_TOPOLOGIES[name]
+    _same_walk(base_adinkra(t).normalized(), mutation._singles(t), ("raise", "lower"))
+
+
+def test_the_walk_moves_orbits_across_components_like_the_reference() -> None:
+    # each orbit pairs a vertex of one square with its twin in the other, so a move
+    # can take both components out of normal form at once
+    t = two_squares()
+    orbits = [(v, v + 10) for v in range(4)]
+    for start in enumerate_family(t).members.values():
+        if all(start.height_of(v) == start.height_of(v + 10) for v in range(4)):
+            for kinds in (("raise",), ("lower",), ("raise", "lower")):
+                _same_walk(start, orbits, kinds)
+
+
+def test_the_so3_orbit_walk_matches_the_reference() -> None:
+    start = base_adinkra(cube_topology(3))
+    _same_walk(start, [(0,), (1, 2, 4), (3, 5, 6), (7,)], ("raise",))
+
+
+_WALK_MEMBERS = [
+    m
+    for t in (cube_topology(3), cube_topology(3, SPINOR), antipodal_quotient(), two_squares())
+    for m in enumerate_family(t).members.values()
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_a_random_orbit_walk_matches_the_reference(data) -> None:
+    member = data.draw(st.sampled_from(_WALK_MEMBERS))
+    t = member.topology
+    classes: dict[tuple[str, int], list[int]] = {}
+    for v in t.vertex_ids:
+        classes.setdefault((t.statistics_of(v), member.height_of(v)), []).append(v)
+    # split each class of vertices with one statistics and height at random
+    orbits: list[tuple[int, ...]] = []
+    for same in classes.values():
+        parts: dict[int, list[int]] = {}
+        for v in same:
+            parts.setdefault(data.draw(st.integers(0, len(same) - 1)), []).append(v)
+        orbits += map(tuple, parts.values())
+    kinds = data.draw(st.sampled_from([("raise",), ("lower",), ("raise", "lower")]))
+    _same_walk(member, sorted(orbits), kinds)
+
+
+# tracemalloc peak in bytes of enumerate_family on a fresh 4-cube topology, parity solve included,
+# measured with Python 3.11.7 once the walk ran on height tuples (2,062,896 before); the bound is 1.25x
+FAMILY_PEAK = 1_096_056
+
+
+def test_the_n4_family_stays_within_its_memory() -> None:
+    t = cube_topology(4)
+    tracemalloc.start()
+    try:
+        family = enumerate_family(t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (len(family.members), len(family.moves)) == (990, 7296)
+    assert peak <= FAMILY_PEAK * 5 // 4
 
 
 # tracemalloc peaks in bytes of raise and lower on the largest cube's counting Adinkra
