@@ -129,7 +129,16 @@ def test_build_reads_each_edge_once() -> None:
     )
 
 
-@pytest.mark.parametrize("edge", [5, None, (0, 1), iter((0, 1)), (0, 1, 1, 2)], ids=repr)
+@pytest.mark.parametrize(
+    "edge",
+    [
+        pytest.param(5, id="5"),
+        pytest.param(None, id="None"),
+        pytest.param((0, 1), id="(0, 1)"),
+        pytest.param(iter((0, 1)), id="iter((0, 1))"),
+        pytest.param((0, 1, 1, 2), id="(0, 1, 1, 2)"),
+    ],
+)
 def test_build_refuses_a_malformed_edge(edge) -> None:
     with pytest.raises(AdinkraError, match=r"^invalid topology: edge .* is not an \(u, v, color\) integer triple"):
         Topology.build(1, {0: BOSON, 1: FERMION}, [edge])
