@@ -65,6 +65,7 @@ _EXPORTS = {
     "check_hooks": "hanging",
     "check_identity": "superspace",
     "closure_violations": "superspace",
+    "code_quotient": "cube",
     "cube_signature": "cube",
     "cube_statistics": "cube",
     "cube_topology": "cube",

@@ -27,6 +27,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 __all__ = [
     "BOSON",
     "FERMION",
+    "MAX_PARITY_SQUARES",
     "AdinkraError",
     "Edge",
     "Step",
@@ -44,6 +45,12 @@ __all__ = [
 
 BOSON = "boson"
 FERMION = "fermion"
+
+# The parity solve keeps one row of |edges| bits and one provenance mask of
+# |squares| bits per square, so its memory grows as the square count squared.
+# The 10-cube has 11,520 squares; K_{2,2} with 800 colors split between its
+# two perfect matchings has 160,000, and its solve took 21 s and 1.7 GB.
+MAX_PARITY_SQUARES = 1 << 14
 
 # (u, v, color) with u < v
 Edge = tuple[int, int, int]
@@ -599,8 +606,14 @@ def solve_edge_parity(topology: Topology) -> ParityResult:
     to 0, so the result is deterministic.  Rows are reduced in order, the
     squares first and then the gauge rows; each row's pivot is its lowest
     edge column that no earlier row has taken.  Unsatisfiable systems yield
-    a certificate instead (the violating combination of squares).
+    a certificate instead (the violating combination of squares).  A
+    topology with more than MAX_PARITY_SQUARES squares is refused before any
+    row is built.
     """
+    if len(topology.squares) > MAX_PARITY_SQUARES:
+        raise AdinkraError(
+            f"{len(topology.squares)} two-color squares exceed the cap of {MAX_PARITY_SQUARES} on the parity solve"
+        )
     edges = topology.edges
     ne = len(edges)
 

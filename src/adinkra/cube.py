@@ -1,13 +1,18 @@
-"""Color-cube topologies: vertices are subsets of the color set.
+"""Color-cube topologies and their quotients by binary codes.
 
 A vertex is the bitmask of a subset of {1..n}; color c flips bit c-1.  The
 grading comes from subset size: with the scalar convention, even subsets are
-bosons; with the spinor convention, odd subsets are.  For n = 4 the antipodal
-identification (a subset with its complement) yields the second valid
+bosons; with the spinor convention, odd subsets are.  One builder,
+code_quotient, makes every topology here: the n-cube modulo a binary code
+whose nonzero words all have even weight of at least 4, each class keyed by
+its least subset.  The empty code gives the cube itself; for n = 4 the code
+{1111} identifies each subset with its complement and yields the second valid
 four-color topology on half as many vertices.
 """
 
 from __future__ import annotations
+
+from typing import Iterable
 
 from .core import BOSON, FERMION, AdinkraError, Edge, Topology
 
@@ -15,6 +20,7 @@ __all__ = [
     "SCALAR",
     "SPINOR",
     "MAX_CUBE_COLORS",
+    "code_quotient",
     "cube_topology",
     "cube_statistics",
     "standard_parity",
@@ -55,17 +61,48 @@ def cube_statistics(subset: int, convention: str = SCALAR) -> str:
     return BOSON if even == (convention == SCALAR) else FERMION
 
 
-def cube_topology(n: int, convention: str = SCALAR) -> Topology:
-    """The n-color cube: 2^n subset vertices, n*2^(n-1) edges, color c flips bit c-1.
+def code_quotient(n: int, generators: Iterable[int], convention: str = SCALAR) -> Topology:
+    """The n-cube modulo the binary code the generators span, each class keyed by its least subset.
 
-    n is capped at MAX_CUBE_COLORS, checked before anything is built.
+    Checked before anything is built: n is capped at MAX_CUBE_COLORS; each
+    generator is a nonzero n-bit int outside the span of the ones before it;
+    every nonzero code word has even weight of at least 4, so a class never
+    mixes statistics and no edge closes on itself or doubles another.  The
+    quotient has an odd-square parity exactly when the code is doubly even
+    (arXiv:1108.4124), which is left to the parity solve.
     """
     if not isinstance(n, int) or n < 1:
         raise AdinkraError(f"need a positive number of colors, got {n!r}")
     if n > MAX_CUBE_COLORS:
         raise AdinkraError(f"{n} colors exceeds the cap of {MAX_CUBE_COLORS} on cube size")
-    stats = {v: cube_statistics(v, convention) for v in range(1 << n)}
-    return Topology.build(n, stats, _cube_edges(n))
+    code = [0]
+    for g in generators:
+        if type(g) is not int or not 0 < g < 1 << n:
+            raise AdinkraError(f"generator {g!r} is not an int in 1..{(1 << n) - 1}")
+        if g in code:
+            raise AdinkraError(f"generator {subset_label(g)} lies in the span of the generators before it")
+        words = [w ^ g for w in code]
+        for w in words:
+            if (k := w.bit_count()) % 2 or k < 4:
+                raise AdinkraError(f"code word {subset_label(w)} has weight {k}, not an even weight of at least 4")
+        code += words
+    rep: list[int | None] = [None] * (1 << n)
+    stats: dict[int, str] = {}
+    for v in range(1 << n):
+        if rep[v] is None:  # every smaller subset is keyed, so v is its class's least
+            stats[v] = cube_statistics(v, convention)
+            for w in code:
+                rep[v ^ w] = v
+    edges = [(v, w, c) for v in stats for c in range(1, n + 1) if v < (w := rep[v ^ 1 << (c - 1)])]
+    return Topology.build(n, stats, edges)
+
+
+def cube_topology(n: int, convention: str = SCALAR) -> Topology:
+    """The n-color cube: 2^n subset vertices, n*2^(n-1) edges, color c flips bit c-1.
+
+    n is capped at MAX_CUBE_COLORS, checked before anything is built.
+    """
+    return code_quotient(n, (), convention)
 
 
 def _cube_edges(n: int) -> tuple[Edge, ...]:
@@ -98,17 +135,10 @@ def standard_parity(topology: Topology) -> dict[Edge, int]:
 def antipodal_quotient() -> Topology:
     """The 4-color topology identifying each subset with its complement.
 
-    Classes are keyed by the lexicographically smaller representative (as a
-    bitmask).  8 vertices, 16 edges; subset-size parity survives the
-    identification, so the grading is well defined.
+    The 4-cube modulo the code {1111}: 8 vertices, 16 edges, each keyed by
+    the smaller subset of its pair.
     """
-    full = (1 << 4) - 1
-    rep = lambda v: min(v, v ^ full)
-    stats = {}
-    for v in range(1 << 4):
-        stats[rep(v)] = cube_statistics(rep(v), SCALAR)
-    edges = {tuple(sorted((rep(u), rep(v)))) + (c,) for u, v, c in _cube_edges(4)}
-    return Topology.build(4, stats, sorted(edges))
+    return code_quotient(4, (0b1111,))
 
 
 def cube_signature(topology: Topology) -> tuple[int, str] | None:

@@ -29,7 +29,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from itertools import islice
 from json.encoder import encode_basestring_ascii as _quote
 from typing import TYPE_CHECKING, Any, Mapping
 
@@ -38,7 +37,7 @@ from .cube import MAX_CUBE_COLORS, SCALAR, SPINOR
 
 if TYPE_CHECKING:
     from .constraints import ConstraintSystem
-    from .mutation import FamilyGraph, SequenceTrace
+    from .mutation import FamilyGraph, SequenceStep, SequenceTrace
 
     Payload = Topology | Adinkra | FamilyGraph | SequenceTrace | ConstraintSystem
 
@@ -154,21 +153,22 @@ def _family_data(f: FamilyGraph) -> dict:
 _NO_START = "a trace needs at least the start step"
 
 
+def _step_data(s: SequenceStep) -> dict:
+    return {
+        "heights": list(s.adinkra.heights),
+        "move": None if s.move is None else list(s.move),
+        "counters": [list(p) for p in s.counters],
+        "parent": s.parent,
+        "repeat_of": s.repeat_of,
+    }
+
+
 def _trace_data(tr: SequenceTrace) -> dict:
     if not tr.steps:
         raise _fail("$.payload.steps", _NO_START)
     return {
         **_header_data(tr.steps[0].adinkra),
-        "steps": [
-            {
-                "heights": list(s.adinkra.heights),
-                "move": None if s.move is None else list(s.move),
-                "counters": [list(p) for p in s.counters],
-                "parent": s.parent,
-                "repeat_of": s.repeat_of,
-            }
-            for s in tr.steps
-        ],
+        "steps": [_step_data(s) for s in tr.steps],
         "cycle_closure": tr.cycle_closure,
     }
 
@@ -547,12 +547,16 @@ def _decode_trace(data: dict, path: str) -> SequenceTrace:
     for v, h in zip(topo.vertex_ids, start.heights):
         if v not in seen:
             rest.setdefault((topo.statistics_of(v), h), []).append(v)
-    # one step more than listed is enough to tell that the listing is cut short
-    steps = list(islice(_sequence(start, sorted([*orbits, *map(tuple, rest.values())])), len(listed) + 1))
-    trace = _trace(steps[: len(listed)])
-    _same(listed, _trace_data(trace)["steps"], f"{path}.steps")
-    if len(steps) > len(listed):
-        raise _fail(f"{path}.steps", f"the trace has more than the {len(listed)} listed")
+    # each step is compared as the walk yields it; one step more than listed tells that the listing is cut short
+    steps = []
+    for i, step in enumerate(_sequence(start, sorted([*orbits, *map(tuple, rest.values())]))):
+        if i == len(listed):
+            raise _fail(f"{path}.steps", f"the trace has more than the {len(listed)} listed")
+        _same(listed[i], _step_data(step), f"{path}.steps[{i}]")
+        steps.append(step)
+    if len(steps) != len(listed):
+        raise _fail(f"{path}.steps", f"expected {len(steps)} entries, got {len(listed)}")
+    trace = _trace(steps)
     _same(_get(data, "cycle_closure", None, path), trace.cycle_closure, f"{path}.cycle_closure")
     return trace
 

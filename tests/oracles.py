@@ -56,7 +56,7 @@ from adinkra.core import (
     Topology,
     normalize_heights,
 )
-from adinkra.cube import cube_statistics, dist0, hgt0, subset_label
+from adinkra.cube import dist0, hgt0, subset_label
 from adinkra.mutation import lower_vertex, raise_vertex, targets
 from adinkra.superspace import (
     I_PHASE,
@@ -614,21 +614,8 @@ def color_pair_squares(topology: Topology) -> tuple[tuple[int, int, tuple[int, .
     return tuple(out)
 
 
-def code_quotient(n: int, word: int) -> Topology:
-    """The n-cube with each subset identified with its XOR by word (|word| even, at least 4)."""
-    rep = lambda v: min(v, v ^ word)
-    stats = {rep(v): cube_statistics(rep(v)) for v in range(1 << n)}
-    edges = {
-        tuple(sorted((rep(v), rep(v | 1 << c)))) + (c + 1,)
-        for v in range(1 << n)
-        for c in range(n)
-        if not v >> c & 1
-    }
-    return Topology.build(n, stats, sorted(edges))
-
-
 def doubly_even(word: int) -> bool:
-    """Whether code_quotient(n, word) has an odd-square parity.
+    """Whether code_quotient(n, (word,)) has an odd-square parity.
 
     The quotient of a cube by the code {0, word} is an Adinkra topology with
     a valid sign choice exactly when the code is doubly even, |word| = 0 mod 4

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -20,13 +21,13 @@ import adinkra
 from adinkra import constraints
 from adinkra.cli import main
 from adinkra.constraints import MAX_BATTERY_TERMS, ConstraintSystem, SourceSpec, emit_constraints
-from adinkra.core import BOSON, FERMION, Adinkra, Topology
-from adinkra.cube import MAX_CUBE_COLORS, cube_topology
+from adinkra.core import BOSON, FERMION, MAX_PARITY_SQUARES, Adinkra, Topology
+from adinkra.cube import MAX_CUBE_COLORS, code_quotient, cube_topology
 from adinkra.document import deserialize, serialize
 from adinkra.mutation import base_adinkra, main_sequence
 from adinkra.superspace import RuleSet, RuleTerm, transformation_rules
 
-from oracles import code_quotient
+from test_core import split_k22
 from test_document import _MUTATION_DOCUMENTS, _same_json_type, _scalars
 
 
@@ -53,6 +54,40 @@ def test_cube_above_the_cap_fails(run) -> None:
     code, out, err = run(["cube", str(MAX_CUBE_COLORS + 1)])
     assert code == 1 and out == ""
     assert "cap" in json.loads(err)["error"]
+
+
+# sha256 of the stdout of each cube-building command, taken before the cube and the
+# antipodal quotient were built by one code-quotient builder
+CUBE_OUTPUT_SHA256 = {
+    "cube 1": "5d2c57ecc91a1dfa5b8981f7d440fa88f442c2478ad3108a783f9c9aff0f9dd7",
+    "cube 1 --kind spinor": "209a863287e46c399a42ec3d5e6d8c98e9b564a02e0f64cee75cc0517ae0e35a",
+    "cube 2": "b565b9b4c27bc4e195076d2203f3df222482f2cf698b043a9c52236dd65d96ea",
+    "cube 2 --kind spinor": "50a8ca293540ac073f28cec77863daf32621c82e56ee4957cf587356c2e721db",
+    "cube 3": "25dfab1db66cbaad0c4e1f68d8476d1dee040cae2bc4ae41576b9d42bec489ca",
+    "cube 3 --kind spinor": "fb350bc72bcf40cb14f6a78947fe07c640dcbc90650ef44c92601db69bd9e8c8",
+    "cube 4": "7313b7116a90a3dab16884750f6ffb3a34e8b7ebde613acd124435a16d1c9b46",
+    "cube 4 --kind spinor": "9ae39a01c7d6502a544d6b8d144d49b4d97d334b0565300261f93e9e481ceb4b",
+    "cube 5": "30487711e82a1402665605c7bd49f48a75f06bb8608730db81586138efd48da3",
+    "cube 5 --kind spinor": "32cdc13d84b4983a3d40e4468ba703962ef0cbbd08c4b3412185d5aa644a0faf",
+    "cube 6": "9f0a725e61ceafcb4f27b6c00fc0a67b96bf440b75de8a9e5003c75f5adf8338",
+    "cube 6 --kind spinor": "424208034bbfc9e2933da730919e872b408cdab63fe1dbbf5f1ad51598b93615",
+    "cube 7": "b70f748019fb9db546359892e4dc4c5c431a0ad10f316ee5bf8276d102db4850",
+    "cube 7 --kind spinor": "3cef705c3cff5e2d6f0aa6975c7d0ac3c85b5e38b560223bdb44a66fa886e73e",
+    "cube 8": "7e65cf1c6fcd1991524c6996124eb0d0dbe1fcb3533ad3bd6c5b90f81b9e357e",
+    "cube 8 --kind spinor": "f203079da0e4e416a0f314c95464f6cbd354573d4b595576e2650bff1ecd66a1",
+    "cube 9": "e04269e0c6777baa20c7ee85ec5811e12fa4e732e59a44fadd6c62a9155bf56d",
+    "cube 9 --kind spinor": "689bc0025058e25b23b5e88884410fd7f44fb4d638b75962ac74fdb19a8f998c",
+    "cube 10": "ff57e5193093b3e5adf733a4e9993a5f7c73d3e064c252266180a4d2fed90f7b",
+    "cube 10 --kind spinor": "a4244e09ad70e4513e16bca1f405ac2509ef2cbd55620ec18ce8447f954c95c1",
+    "quotient4": "de5cd8beb04d4395ef25b2c78f484a6a9f90a3d33bc6b4ce17c5ce4818b127a2",
+}
+
+
+@pytest.mark.parametrize("command", list(CUBE_OUTPUT_SHA256))
+def test_cube_output_is_byte_identical(run, command: str) -> None:
+    code, out, err = run(command.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == CUBE_OUTPUT_SHA256[command]
 
 
 def test_cube_spinor_flag(run) -> None:
@@ -543,12 +578,30 @@ def test_constraints_over_the_battery_term_cap_fail_fast(run) -> None:
 
 
 def test_hang_without_a_parity_names_the_certificate(run) -> None:
-    topology = serialize(code_quotient(6, 0b111111))
+    topology = serialize(code_quotient(6, (0b111111,)))
     code, out, err = run(["hang", "--mode", "sources", "--hook=0=0"], stdin=topology)
     assert code == 1 and out == ""
     error = json.loads(err)["error"]
     assert "the odd-square rules of these 15 squares sum to 0 = 1: " in error
     assert error.count("square on vertices") == 15
+
+
+def test_hang_refuses_a_topology_of_too_many_squares_at_once() -> None:
+    # 160,000 squares on 4 vertices: without the cap the solve took 21 s and 1.7 GB
+    env = dict(os.environ, PYTHONPATH=str(Path(adinkra.__file__).parents[1]))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "adinkra", "hang", "--mode", "sources", "--hook=0=0"],
+        input=serialize(split_k22(800)),
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert time.perf_counter() - start < 10
+    assert (proc.returncode, proc.stdout) == (1, "")
+    error = json.loads(proc.stderr)["error"]
+    assert error == f"160000 two-color squares exceed the cap of {MAX_PARITY_SQUARES} on the parity solve"
 
 
 def test_constraints_above_the_cap_fails(run) -> None:

@@ -6,6 +6,7 @@ import inspect
 import random
 import re
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from adinkra.core import (
     BOSON,
     FERMION,
+    MAX_PARITY_SQUARES,
     Adinkra,
     AdinkraError,
     Topology,
@@ -25,14 +27,13 @@ from adinkra.core import (
     solve_edge_parity,
     validate_topology,
 )
-from adinkra.cube import SCALAR, SPINOR, antipodal_quotient, cube_topology, standard_parity
+from adinkra.cube import SCALAR, SPINOR, antipodal_quotient, code_quotient, cube_topology, standard_parity
 from adinkra.hanging import SOURCES, TARGETS, HookSet, hang
 from adinkra.mutation import base_adinkra, lower_vertex, raise_vertex
 
 from oracles import (
     all_orientations,
     bichromatic_squares,
-    code_quotient,
     color_pair_squares,
     column_solve_edge_parity,
     cycle_space_engineerable,
@@ -499,7 +500,7 @@ UNSOLVABLE_CODES = [(6, 0b111111), (7, 0b1111110), (8, 0b11111100)]
 def _parity_cases():
     cases = [cube_topology(n, kind) for n in range(1, 9) for kind in ("scalar", SPINOR)]
     cases += [antipodal_quotient(), _two_squares()]
-    cases += [code_quotient(n, w) for n, w in SOLVABLE_CODES + UNSOLVABLE_CODES]
+    cases += [code_quotient(n, (w,)) for n, w in SOLVABLE_CODES + UNSOLVABLE_CODES]
     return cases
 
 
@@ -548,6 +549,35 @@ def test_squares_of_many_doubled_colors_cost_what_the_edges_allow() -> None:
     assert time.perf_counter() - start < 0.05
 
 
+def split_k22(n_colors: int) -> Topology:
+    """K_{2,2} with its first half of colors on one perfect matching and the rest on the other.
+
+    Every color of one half closes a square with every color of the other,
+    so a few vertices carry (n_colors / 2)^2 squares.
+    """
+    half = n_colors // 2
+    edges = [(u, v, c) for c in range(1, half + 1) for u, v in ((0, 1), (2, 3))]
+    edges += [(u, v, c) for c in range(half + 1, n_colors + 1) for u, v in ((0, 3), (1, 2))]
+    return Topology.build(n_colors, {0: BOSON, 1: FERMION, 2: BOSON, 3: FERMION}, edges)
+
+
+def test_the_parity_solve_refuses_too_many_squares_before_building_rows() -> None:
+    assert len(cube_topology(10).squares) == 11_520 <= MAX_PARITY_SQUARES
+    assert len(split_k22(256).squares) == 128**2 == MAX_PARITY_SQUARES
+    t = split_k22(258)
+    assert len(t.squares) == 129**2
+    tracemalloc.start()
+    try:
+        with pytest.raises(AdinkraError) as info:
+            solve_edge_parity(t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == f"16641 two-color squares exceed the cap of {MAX_PARITY_SQUARES} on the parity solve"
+    # the squares were cached before tracing, so this is what the refusal itself allocates
+    assert peak < 10_000
+
+
 def test_doubled_edges_close_squares_only_through_a_third_color() -> None:
     t = _doubled_edges()
     assert [(c1, c2, [t.edges[i] for i in sq]) for c1, c2, sq in t.squares] == [
@@ -558,7 +588,7 @@ def test_doubled_edges_close_squares_only_through_a_third_color() -> None:
 
 @pytest.mark.parametrize("n, word", SOLVABLE_CODES + UNSOLVABLE_CODES)
 def test_code_quotient_is_solvable_exactly_when_doubly_even(n: int, word: int) -> None:
-    t = code_quotient(n, word)
+    t = code_quotient(n, (word,))
     res = solve_edge_parity(t)
     assert res.ok == doubly_even(word)
     if res.ok:
@@ -570,7 +600,7 @@ def test_code_quotient_is_solvable_exactly_when_doubly_even(n: int, word: int) -
 
 @pytest.mark.parametrize("n, word", UNSOLVABLE_CODES)
 def test_certificate_sums_to_zero_equals_one(n: int, word: int) -> None:
-    t = code_quotient(n, word)
+    t = code_quotient(n, (word,))
     cert = solve_edge_parity(t).certificate
     # each square contributes 1 on the right; every edge must cancel on the left
     assert len(cert) % 2 == 1
@@ -585,7 +615,7 @@ def test_certificate_sums_to_zero_equals_one(n: int, word: int) -> None:
 
 
 def test_parity_failure_names_every_certificate_square() -> None:
-    t = code_quotient(6, 0b111111)
+    t = code_quotient(6, (0b111111,))
     cert = solve_edge_parity(t).certificate
     assert len(cert) == 15
     hooks = HookSet.from_map(SOURCES, {0: 0})

@@ -12,6 +12,7 @@ from adinkra.cube import (
     SCALAR,
     SPINOR,
     antipodal_quotient,
+    code_quotient,
     cube_signature,
     cube_statistics,
     cube_topology,
@@ -177,3 +178,60 @@ def test_standard_parity_does_not_descend_to_quotient() -> None:
         if parity[(u, v, c)] != parity[mate]:
             mismatched += 1
     assert mismatched > 0
+
+
+@pytest.mark.parametrize("kind", [SCALAR, SPINOR])
+def test_the_cube_is_the_quotient_by_the_empty_code(kind: str) -> None:
+    for n in range(1, MAX_CUBE_COLORS + 1):
+        assert cube_topology(n, kind) == code_quotient(n, (), kind)
+
+
+def test_the_antipodal_quotient_is_the_quotient_by_the_all_ones_word() -> None:
+    assert antipodal_quotient() == code_quotient(4, (0b1111,))
+
+
+def test_a_two_word_quotient_keys_each_class_by_its_least_subset() -> None:
+    code = (0, 0b001111, 0b111100, 0b110011)
+    q = code_quotient(6, (0b001111, 0b111100))
+    assert q.vertex_ids == tuple(v for v in range(64) if v == min(v ^ w for w in code))
+    assert len(q.vertex_ids) == 16 and len(q.edges) == 48
+    for v in q.vertex_ids:
+        assert q.statistics_of(v) == cube_statistics(v, SCALAR)
+        for c in range(1, 7):
+            assert q.neighbor(v, c) == min(v ^ 1 << (c - 1) ^ w for w in code)
+
+
+_WEIGHTS = "not an even weight of at least 4"
+REFUSED_CODES = {
+    "weight 2": (4, (0b0011,), f"code word {{1,2}} has weight 2, {_WEIGHTS}"),
+    "odd weight": (5, (0b11100,), f"code word {{3,4,5}} has weight 3, {_WEIGHTS}"),
+    "weight 2 sum": (6, (0b001111, 0b011110), f"code word {{1,5}} has weight 2, {_WEIGHTS}"),
+    "dependent": (
+        6,
+        (0b001111, 0b111100, 0b110011),
+        "generator {1,2,5,6} lies in the span of the generators before it",
+    ),
+    "zero": (4, (0,), "generator 0 is not an int in 1..15"),
+    "2^n": (4, (16,), "generator 16 is not an int in 1..15"),
+    "bool": (4, (True,), "generator True is not an int in 1..15"),
+    "no colors": (0, (), "need a positive number of colors, got 0"),
+    "over the cap": (
+        MAX_CUBE_COLORS + 1,
+        (0b1111,),
+        f"{MAX_CUBE_COLORS + 1} colors exceeds the cap of {MAX_CUBE_COLORS} on cube size",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_CODES))
+def test_code_quotient_refuses_a_bad_code_before_building(case: str) -> None:
+    n, generators, message = REFUSED_CODES[case]
+    tracemalloc.start()
+    try:
+        with pytest.raises(AdinkraError) as info:
+            code_quotient(n, generators)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == message
+    assert peak < 100_000

@@ -700,6 +700,24 @@ def test_the_codec_on_the_n4_family_stays_within_its_memory(step: str) -> None:
     assert peak <= FAMILY_CODEC_PEAKS[step] * 5 // 4
 
 
+# tracemalloc peak in bytes of deserialize on the N=3 main sequence trace (81 steps, 59 kB), measured
+# with Python 3.11.7 once each step was compared as the walk yields it (227,270 while the whole expected
+# step list was rebuilt and compared by repr; on the N=4 trace, 4.56 MB, 20.8 MB against 12.4 MB, but
+# tracing that decode takes seconds); the bound is 1.25x
+TRACE_DECODE_PEAK = 124_835
+
+
+def test_the_trace_decoder_stays_within_its_memory() -> None:
+    text = serialize(main_sequence(base_adinkra(cube_topology(3))))
+    tracemalloc.start()
+    try:
+        deserialize(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= TRACE_DECODE_PEAK * 5 // 4
+
+
 def test_topology_decode_refuses_a_huge_color_count_at_once() -> None:
     data = json.loads(serialize(cube_topology(2)))
     data["payload"]["n_colors"] = 10**18

@@ -8,7 +8,16 @@ from hypothesis import strategies as st
 
 from adinkra import mutation
 from adinkra.core import BOSON, FERMION, Adinkra, AdinkraError, Topology
-from adinkra.cube import MAX_CUBE_COLORS, SCALAR, SPINOR, antipodal_quotient, cube_topology, hgt0, standard_parity
+from adinkra.cube import (
+    MAX_CUBE_COLORS,
+    SCALAR,
+    SPINOR,
+    antipodal_quotient,
+    code_quotient,
+    cube_topology,
+    hgt0,
+    standard_parity,
+)
 from adinkra.mutation import (
     automorphic_dual,
     base_adinkra,
@@ -127,6 +136,25 @@ def test_family_on_quotient_topology() -> None:
     fam = enumerate_family(antipodal_quotient())
     assert len(fam) >= 2
     assert all(len(k) == 8 for k in fam.members)
+
+
+# cube quotients by doubly-even codes (arXiv:1108.4124), each on 8 or 16 vertices:
+# (colors, generators, members, moves, color-preserving classes)
+QUOTIENT_CENSUS = {
+    "{1111}": (4, (0b1111,), 30, 128, 12),
+    "{11110}": (5, (0b11110,), 710, 5_312, 118),
+    "{001111,111100}": (6, (0b001111, 0b111100), 582, 4_480, 100),
+    "E8": (8, (0b11110000, 0b11001100, 0b10101010, 0b11111111), 510, 4_096, 90),  # extended Hamming [8,4,4]
+}
+
+
+@pytest.mark.parametrize("code", list(QUOTIENT_CENSUS))
+def test_quotient_census(code: str) -> None:
+    n, generators, members, moves, classes = QUOTIENT_CENSUS[code]
+    t = code_quotient(n, generators)
+    fam = enumerate_family(t)
+    assert set(fam.members) == all_height_patterns(t)
+    assert (len(fam), len(fam.moves), len(isomorphism_classes(fam.members.values()))) == (members, moves, classes)
 
 
 def test_member_key_is_normalized_heights() -> None:
