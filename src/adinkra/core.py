@@ -163,8 +163,9 @@ class Topology:
     Use :meth:`build` to construct from raw data: it validates.  The bare
     constructor only indexes tuples build would accept and checks nothing.
     ``__post_init__`` derives the rest from the four fields, so ``replace``
-    rebuilds it: the adjacency table, components, a spanning forest, the
-    valise heights (bosons at 0, fermions at 1) and an empty distance memo.
+    rebuilds it: the adjacency and incidence tables, components, a spanning
+    forest, the valise heights (bosons at 0, fermions at 1) and an empty
+    distance memo.
     Two-color squares are computed on first use.
     """
 
@@ -194,28 +195,32 @@ class Topology:
         object.__setattr__(self, "_valise", tuple(int(s != BOSON) for s in self.statistics))
         eindex = {e: i for i, e in enumerate(self.edges)}
         object.__setattr__(self, "_eindex", eindex)
-        # the one adjacency table: adjacent[i][c - 1] is the position of vertex i's color-c neighbour
+        # the one adjacency table: adjacent[i][c - 1] is the position of vertex i's color-c neighbour,
+        # and the incidence table: incident[i][c - 1] is the position of that edge in edges
         adjacent = [[0] * self.n_colors for _ in self.vertex_ids]
-        for u, v, color in self.edges:
-            adjacent[vindex[u]][color - 1] = vindex[v]
-            adjacent[vindex[v]][color - 1] = vindex[u]
+        incident = [[0] * self.n_colors for _ in self.vertex_ids]
+        for (u, v, color), k in eindex.items():  # the table shares eindex's int objects
+            i, j = vindex[u], vindex[v]
+            adjacent[i][color - 1] = j
+            adjacent[j][color - 1] = i
+            incident[i][color - 1] = incident[j][color - 1] = k
         object.__setattr__(self, "_adjacent", tuple(map(tuple, adjacent)))
+        object.__setattr__(self, "_incident", tuple(map(tuple, incident)))
         # BFS from the lowest roots; its tree edges are the forest solve_edge_parity gauges
-        vids = self.vertex_ids
         slots: list[tuple[int, ...]] = []
         forest: list[int] = []
         seen: set[int] = set()
-        for root in range(len(vids)):
+        for root in range(len(self.vertex_ids)):
             if root in seen:
                 continue
             seen.add(root)
             comp = [root]
             for i in comp:
-                for color, j in enumerate(adjacent[i], 1):
+                for j, k in zip(adjacent[i], incident[i]):
                     if j not in seen:
                         seen.add(j)
                         comp.append(j)
-                        forest.append(eindex[_canon_edge(vids[i], vids[j], color)])
+                        forest.append(k)
             slots.append(tuple(sorted(comp)))
         object.__setattr__(self, "_forest", tuple(forest))
         object.__setattr__(self, "_component_slots", tuple(slots))
@@ -285,7 +290,7 @@ class Topology:
         neighbours, so colors doubled onto one edge cost one pass, not a pass
         per pair.  Computed on first use.
         """
-        adj, vids, eindex = self._adjacent, self.vertex_ids, self._eindex
+        adj, inc = self._adjacent, self._incident
         found = []
         for i, row in enumerate(adj):
             # i is the square's lowest vertex, and two colors to one neighbour are a doubled edge,
@@ -299,8 +304,8 @@ class Topology:
                     for c2 in seconds:
                         # i -c1- a -c2- b closes through d when d's c1 neighbour is b
                         if c1 < c2 and adj[d][c1 - 1] == (b := adj[a][c2 - 1]) > i:
-                            walk = ((i, a, c1), (a, b, c2), (b, d, c1), (d, i, c2))
-                            edges = tuple(eindex[_canon_edge(vids[x], vids[y], c)] for x, y, c in walk)
+                            # the walk's edges i-a, a-b, b-d and d-i, read from the incidence table
+                            edges = (inc[i][c1 - 1], inc[a][c2 - 1], inc[b][c1 - 1], inc[i][c2 - 1])
                             found.append((c1, c2, i, edges))
         found.sort()
         return tuple((c1, c2, square) for c1, c2, _, square in found)
@@ -602,18 +607,57 @@ def solve_edge_parity(topology: Topology) -> ParityResult:
 
     One equation per two-colored square (sum of its four edge parities = 1);
     longer two-colored cycles are unconstrained.  Gauge fixing: edges of the
-    topology's BFS spanning forest are set to 0, remaining free variables
-    to 0, so the result is deterministic.  Rows are reduced in order, the
-    squares first and then the gauge rows; each row's pivot is its lowest
-    edge column that no earlier row has taken.  Unsatisfiable systems yield
-    a certificate instead (the violating combination of squares).  A
-    topology with more than MAX_PARITY_SQUARES squares is refused before any
-    row is built.
+    topology's BFS spanning forest are set to 0.  A topology with more than
+    MAX_PARITY_SQUARES squares is refused before anything else is built.
+
+    The solve propagates from the gauge first: a square with exactly one
+    unfixed edge fixes that edge.  Each newly fixed edge goes on a stack,
+    and when it comes off, the squares through it are found in the
+    adjacency and incidence tables (the same squares as ``squares``).  When
+    every edge is fixed and every square sums odd, that parity is the only
+    solution with the forest at 0 (every N-cube ends here).  Otherwise the
+    system goes to GF(2) elimination (see _eliminated_parity), which sets
+    the remaining free variables to 0, so the result is deterministic, and
+    yields a certificate (the violating combination of squares) for an
+    unsatisfiable system.  The result is the elimination's on every input.
     """
     if len(topology.squares) > MAX_PARITY_SQUARES:
         raise AdinkraError(
             f"{len(topology.squares)} two-color squares exceed the cap of {MAX_PARITY_SQUARES} on the parity solve"
         )
+    edges, vindex, adj, inc = topology.edges, topology._vindex, topology._adjacent, topology._incident
+    ne = len(edges)
+    value, fixed = bytearray(ne), bytearray(ne)
+    stack = list(topology._forest)
+    for e in stack:
+        fixed[e] = 1
+    while stack:
+        e = stack.pop()
+        u, v, color = edges[e]
+        i, j = vindex[u], vindex[v]
+        # each color leads i to a and j to b, and a color-`color` edge a-b closes the square i, j, b, a;
+        # a == j for e's own color and for a color doubled onto e, and neither closes a square
+        for a, b, ia, jb in zip(adj[i], adj[j], inc[i], inc[j]):
+            if a != j and adj[a][color - 1] == b:
+                ab = inc[a][color - 1]
+                if fixed[ia] + fixed[ab] + fixed[jb] == 2:  # e is fixed, so one edge is left
+                    f = jb if fixed[ia] and fixed[ab] else ab if fixed[ia] else ia
+                    value[f] = 1 ^ value[e] ^ value[ia] ^ value[ab] ^ value[jb]  # value[f] is still 0
+                    fixed[f] = 1
+                    stack.append(f)
+    if 0 not in fixed and all(value[a] ^ value[b] ^ value[c] ^ value[d] for _, _, (a, b, c, d) in topology.squares):
+        return ParityResult(ok=True, parity=dict(zip(edges, value)))
+    return _eliminated_parity(topology)
+
+
+def _eliminated_parity(topology: Topology) -> ParityResult:
+    """solve_edge_parity by dense GF(2) elimination, for what propagation leaves open.
+
+    Rows are reduced in order, the squares first and then the gauge rows;
+    each row's pivot is its lowest edge column that no earlier row has
+    taken, and free variables are set to 0.  Unsatisfiable systems yield a
+    certificate instead (the violating combination of squares).
+    """
     edges = topology.edges
     ne = len(edges)
 

@@ -577,6 +577,13 @@ def test_constraints_over_the_battery_term_cap_fail_fast(run) -> None:
     assert f"860160 superfield terms, over the cap of {MAX_BATTERY_TERMS}" in json.loads(err)["error"]
 
 
+def test_hang_on_the_8_cube_is_byte_identical(run) -> None:
+    # sha256 of the stdout, taken while the parity was solved by elimination alone
+    code, out, err = run(["hang", "--mode", "sources", "--hook=0=0"], stdin=serialize(cube_topology(8)))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == "d9fdfe1a848e665c1ba11d9f87294723d157e2e9df33120fef45e9c30b27df25"
+
+
 def test_hang_without_a_parity_names_the_certificate(run) -> None:
     topology = serialize(code_quotient(6, (0b111111,)))
     code, out, err = run(["hang", "--mode", "sources", "--hook=0=0"], stdin=topology)
