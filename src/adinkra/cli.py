@@ -4,9 +4,12 @@ Exit codes: 0 success, 1 domain failure (invalid input, failed check),
 2 usage error.  Domain failures print one JSON object on stderr with an
 ``error`` message so pipelines can report precisely.
 
-Each subcommand imports the modules it uses when it runs, so a process
-compiles only those: ``cube`` never loads the superspace engine or the
-constraint batteries.
+Each subcommand imports the modules it uses when it runs, and the constraint
+batteries import the superspace engine and the mutation walk only where they
+use them, so a process compiles only what its subcommand runs: ``cube`` never
+loads the engine or the batteries, ``identify`` and ``dims`` never load the
+engine, and ``constraints`` on given entries, ``verify-constraints`` and
+``validate`` of a constraints document never load the walk.
 """
 
 from __future__ import annotations

@@ -29,6 +29,11 @@ battery presenting it, by lowering onto the all-colors vertex and counting
 how often each source vertex descends.  Neither it nor verify_presentation
 builds the image Adinkra: its heights are hgt0 + 2 mu on an already checked
 cube, so they compare those heights, or the orders behind them, directly.
+
+The superspace engine is imported only by the functions that project or
+expand, and the mutation walk only by identify(), so reading a battery off
+the heights loads no engine and emitting or checking one loads no walk.  The
+annihilator matrices are built on first access.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .core import Adinkra, AdinkraError
 from .cube import (
@@ -49,22 +55,9 @@ from .cube import (
     standard_parity,
     subset_label,
 )
-from .mutation import lowering_sequence_to_one_hooked, sources
-from .superspace import (
-    D,
-    FieldSymbol,
-    Phase,
-    SuperOp,
-    SuperfieldExpr,
-    _descending_word,
-    _unit_phases,
-    _walk,
-    _word_steps,
-    apply_op,
-    descending_product,
-    expr_add,
-    generic_superfield,
-)
+
+if TYPE_CHECKING:
+    from .superspace import FieldSymbol, Phase, SuperfieldExpr, SuperOp
 
 __all__ = [
     "MAX_BATTERY_TERMS",
@@ -200,6 +193,8 @@ def identify(adinkra: Adinkra) -> Identification:
     input's own (already validated) topology, must normalize to the input's
     (parity does not enter the identification); a mismatch is a hard error.
     """
+    from .mutation import lowering_sequence_to_one_hooked, sources
+
     sig = cube_signature(adinkra.topology)
     if sig is None:
         raise AdinkraError("identification needs a full color-cube topology")
@@ -221,6 +216,8 @@ def identify(adinkra: Adinkra) -> Identification:
 
 def projector(spec: SourceSpec, component: int, alpha: int) -> SuperOp:
     """The descending D word mapping entry alpha onto the given component."""
+    from .superspace import descending_product
+
     mask, _ = spec.entries[alpha]
     k = component ^ mask
     return descending_product([c + 1 for c in range(spec.n_colors) if k >> c & 1])
@@ -278,6 +275,8 @@ def _relations(spec: SourceSpec, lowest: Lowest) -> Iterator[tuple[int, int, int
 
 def _equations(spec: SourceSpec, lowest: Lowest) -> tuple[Constraint, ...]:
     """Each relation as a Constraint, flagged redundant when some D_k carries the pair's equation onto it."""
+    from .superspace import Phase
+
     n = spec.n_colors
     return tuple(
         Constraint(c, hi, lo, gap, Phase(k), any(
@@ -299,6 +298,8 @@ def _project(spec: SourceSpec, kind: str, every_term: bool) -> tuple[list[FieldS
     through D_{I_alpha} to theta^w, and D_w once from there: 2^n * (m + 1)
     walks.
     """
+    from .superspace import _descending_word, _unit_phases, _walk, _word_steps, generic_superfield
+
     n = spec.n_colors
     terms = sorted(generic_superfield(n, kind).coeffs.items())
     syms = [sym for (_, sym), _ in terms]
@@ -392,6 +393,8 @@ def verify_presentation(spec: SourceSpec, kind: str = SCALAR) -> VerificationRep
         # each side holds U_d once, at monomial d xor c with a unit coefficient, so no two
         # terms share a key and the sides are equal maps exactly when they agree at every d
         if any(l != (landed, dots + gap, (t + k) & 3) for l, (landed, dots, t) in zip(lhs, rhs)):
+            from .superspace import Phase, SuperfieldExpr
+
             # lhs - i^k d_tau^gap rhs; U_c lands at theta = 0, so its statistics are both sides'
             residual = SuperfieldExpr(n, syms[c].statistics, [
                 (landed, ((Phase(t + side_k), sym.dot(dots + side_gap)),))
@@ -413,7 +416,7 @@ class AnnihilationCounterexample:
     residual: SuperfieldExpr
 
 
-Matrix = tuple[tuple[SuperOp, ...], ...]
+Matrix = "tuple[tuple[SuperOp, ...], ...]"
 
 
 def check_annihilation(a: Matrix, b: Matrix, n_colors: int) -> AnnihilationCounterexample | None:
@@ -423,6 +426,8 @@ def check_annihilation(a: Matrix, b: Matrix, n_colors: int) -> AnnihilationCount
     column, both kinds tried), then A; the first nonzero entry is returned as
     a counterexample, None means exact annihilation.
     """
+    from .superspace import apply_op, expr_add, generic_superfield
+
     rows_a, cols_a = len(a), len(a[0])
     rows_b, cols_b = len(b), len(b[0])
     if any(len(r) != cols_a for r in a) or any(len(r) != cols_b for r in b):
@@ -459,34 +464,49 @@ def format_dimension_vector(dims: tuple[int, ...]) -> str:
 
 def gradient_column(n_colors: int) -> Matrix:
     """The column (D_1, ..., D_n)^T as an operator matrix."""
+    from .superspace import D
+
     return tuple((D(c),) for c in range(1, n_colors + 1))
 
 
-_Z = SuperOp.zero()
+_LAZY = ("N2_DOUBLET_ANNIHILATOR", "N3_TRIPLET_ANNIHILATOR", "N3_QUINTET_ANNIHILATOR")
 
-# Maximal-rank first-order matrix annihilating the two-color gradient column;
-# it is also nilpotent (squares to zero).
-N2_DOUBLET_ANNIHILATOR: Matrix = (
-    (D(1), -D(2)),
-    (D(2), D(1)),
-)
 
-# Maximal-rank first-order matrix annihilating the three-color gradient column.
-N3_TRIPLET_ANNIHILATOR: Matrix = (
-    (D(2), D(1), _Z),
-    (D(3), _Z, D(1)),
-    (_Z, D(3), D(2)),
-    (D(1), -D(2), _Z),
-    (_Z, D(2), -D(3)),
-)
+def __getattr__(name: str):
+    # the annihilator matrices are built on first access, all three at once, and then read as plain globals
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .superspace import D, SuperOp
 
-# Maximal-rank first-order matrix annihilating N3_TRIPLET_ANNIHILATOR.
-N3_QUINTET_ANNIHILATOR: Matrix = (
-    (D(1), _Z, _Z, D(2), _Z),
-    (D(2), _Z, _Z, -D(1), _Z),
-    (D(3), D(2), D(1), _Z, _Z),
-    (_Z, D(1), _Z, D(3), D(3)),
-    (_Z, -D(3), _Z, D(1), D(1)),
-    (_Z, _Z, D(2), _Z, D(3)),
-    (_Z, _Z, D(3), _Z, -D(2)),
-)
+    z = SuperOp.zero()
+    globals().update(
+        # Maximal-rank first-order matrix annihilating the two-color gradient column;
+        # it is also nilpotent (squares to zero).
+        N2_DOUBLET_ANNIHILATOR=(
+            (D(1), -D(2)),
+            (D(2), D(1)),
+        ),
+        # Maximal-rank first-order matrix annihilating the three-color gradient column.
+        N3_TRIPLET_ANNIHILATOR=(
+            (D(2), D(1), z),
+            (D(3), z, D(1)),
+            (z, D(3), D(2)),
+            (D(1), -D(2), z),
+            (z, D(2), -D(3)),
+        ),
+        # Maximal-rank first-order matrix annihilating N3_TRIPLET_ANNIHILATOR.
+        N3_QUINTET_ANNIHILATOR=(
+            (D(1), z, z, D(2), z),
+            (D(2), z, z, -D(1), z),
+            (D(3), D(2), D(1), z, z),
+            (z, D(1), z, D(3), D(3)),
+            (z, -D(3), z, D(1), D(1)),
+            (z, z, D(2), z, D(3)),
+            (z, z, D(3), z, -D(2)),
+        ),
+    )
+    return globals()[name]
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})

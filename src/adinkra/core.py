@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations
+from itertools import islice, permutations
 from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
@@ -290,8 +290,27 @@ class Topology:
         neighbours, so colors doubled onto one edge cost one pass, not a pass
         per pair.  Computed on first use.
         """
+        return _sorted_squares(self._square_walk())
+
+    def _capped_squares(self, cap: int) -> tuple[tuple[int, int, tuple[int, int, int, int]], ...] | int:
+        """squares, walked once and cached as on first use, or their count when there are more than cap.
+
+        Counting past cap holds no square beyond the cap's, so a refusal costs
+        no more memory than an accepted topology.
+        """
+        cached = self.__dict__.get("squares")
+        if cached is not None:
+            return cached if len(cached) <= cap else len(cached)
+        walk = self._square_walk()
+        found = list(islice(walk, cap + 1))
+        if len(found) > cap:
+            return len(found) + sum(1 for _ in walk)
+        squares = self.__dict__["squares"] = _sorted_squares(found)  # where the cached property keeps it
+        return squares
+
+    def _square_walk(self) -> Iterator[tuple[int, int, int, tuple[int, int, int, int]]]:
+        """(c1, c2, lowest vertex, edge indices in walk order) of every square, unsorted."""
         adj, inc = self._adjacent, self._incident
-        found = []
         for i, row in enumerate(adj):
             # i is the square's lowest vertex, and two colors to one neighbour are a doubled edge,
             # which closes no square: only colors to two distinct higher neighbours pair up
@@ -305,10 +324,12 @@ class Topology:
                         # i -c1- a -c2- b closes through d when d's c1 neighbour is b
                         if c1 < c2 and adj[d][c1 - 1] == (b := adj[a][c2 - 1]) > i:
                             # the walk's edges i-a, a-b, b-d and d-i, read from the incidence table
-                            edges = (inc[i][c1 - 1], inc[a][c2 - 1], inc[b][c1 - 1], inc[i][c2 - 1])
-                            found.append((c1, c2, i, edges))
-        found.sort()
-        return tuple((c1, c2, square) for c1, c2, _, square in found)
+                            yield c1, c2, i, (inc[i][c1 - 1], inc[a][c2 - 1], inc[b][c1 - 1], inc[i][c2 - 1])
+
+
+def _sorted_squares(found: Iterable[tuple[int, int, int, tuple[int, int, int, int]]]) -> tuple:
+    """The walked squares in Topology.squares order: by color pair, then by lowest vertex."""
+    return tuple((c1, c2, square) for c1, c2, _, square in sorted(found))
 
 
 def orientation_from_heights(
@@ -608,7 +629,8 @@ def solve_edge_parity(topology: Topology) -> ParityResult:
     One equation per two-colored square (sum of its four edge parities = 1);
     longer two-colored cycles are unconstrained.  Gauge fixing: edges of the
     topology's BFS spanning forest are set to 0.  A topology with more than
-    MAX_PARITY_SQUARES squares is refused before anything else is built.
+    MAX_PARITY_SQUARES squares is refused before anything else is built; the
+    squares past the cap are counted, not kept.
 
     The solve propagates from the gauge first: a square with exactly one
     unfixed edge fixes that edge.  Each newly fixed edge goes on a stack,
@@ -621,10 +643,9 @@ def solve_edge_parity(topology: Topology) -> ParityResult:
     yields a certificate (the violating combination of squares) for an
     unsatisfiable system.  The result is the elimination's on every input.
     """
-    if len(topology.squares) > MAX_PARITY_SQUARES:
-        raise AdinkraError(
-            f"{len(topology.squares)} two-color squares exceed the cap of {MAX_PARITY_SQUARES} on the parity solve"
-        )
+    squares = topology._capped_squares(MAX_PARITY_SQUARES)
+    if type(squares) is int:
+        raise AdinkraError(f"{squares} two-color squares exceed the cap of {MAX_PARITY_SQUARES} on the parity solve")
     edges, vindex, adj, inc = topology.edges, topology._vindex, topology._adjacent, topology._incident
     ne = len(edges)
     value, fixed = bytearray(ne), bytearray(ne)
@@ -645,7 +666,7 @@ def solve_edge_parity(topology: Topology) -> ParityResult:
                     value[f] = 1 ^ value[e] ^ value[ia] ^ value[ab] ^ value[jb]  # value[f] is still 0
                     fixed[f] = 1
                     stack.append(f)
-    if 0 not in fixed and all(value[a] ^ value[b] ^ value[c] ^ value[d] for _, _, (a, b, c, d) in topology.squares):
+    if 0 not in fixed and all(value[a] ^ value[b] ^ value[c] ^ value[d] for _, _, (a, b, c, d) in squares):
         return ParityResult(ok=True, parity=dict(zip(edges, value)))
     return _eliminated_parity(topology)
 

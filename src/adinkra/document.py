@@ -12,7 +12,7 @@ byte-identical to ``json.dumps(indent=2)``.  A family document's members
 and moves are written in one pass: each member's heights once per indent,
 and every move joined from those texts.  The document is joined once from
 the parts of its envelope and payload, so a large payload is not copied at
-each level.
+each level; a trace document writes each step once at its indent.
 Deserialization validates shape and reports the offending path (for example
 ``payload.vertices[3].height``) before any graph-level validation runs.  A
 family's height lists are checked in one pass each, a path is written only
@@ -21,13 +21,16 @@ member they equal.
 
 The decoders of the family, trace and constraints kinds import mutation,
 constraints and superspace when they run, so a process that reads and writes
-only topology and Adinkra documents never loads those modules.
+only topology and Adinkra documents never loads those modules.  Telling a
+payload's kind loads none of them either: a family, trace or constraint system
+exists only once its module is loaded.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 from typing import TYPE_CHECKING, Any, Mapping
@@ -67,21 +70,24 @@ class Document:
     annotations: Mapping[str, Any]
 
 
+# the payload classes defined outside core, by module: (module, class, document kind)
+_LOADED_KINDS = (
+    ("mutation", "FamilyGraph", "family"),
+    ("mutation", "SequenceTrace", "trace"),
+    ("constraints", "ConstraintSystem", "constraints"),
+)
+
+
 def document_kind(obj: Payload) -> str:
     if isinstance(obj, Adinkra):
         return "adinkra"
     if isinstance(obj, Topology):
         return "topology"
-    from .mutation import FamilyGraph, SequenceTrace
-
-    if isinstance(obj, FamilyGraph):
-        return "family"
-    if isinstance(obj, SequenceTrace):
-        return "trace"
-    from .constraints import ConstraintSystem
-
-    if isinstance(obj, ConstraintSystem):
-        return "constraints"
+    # an instance of a class exists only once its module is loaded, so no kind test loads one
+    for module, cls, kind in _LOADED_KINDS:
+        loaded = sys.modules.get(f"{__package__}.{module}")
+        if loaded is not None and isinstance(obj, getattr(loaded, cls)):
+            return kind
     raise DocumentError(f"no document kind for {type(obj).__name__}")
 
 
@@ -164,11 +170,13 @@ def _step_data(s: SequenceStep) -> dict:
 
 
 def _trace_data(tr: SequenceTrace) -> dict:
+    """The trace payload, each step written once at its indent."""
     if not tr.steps:
         raise _fail("$.payload.steps", _NO_START)
+    item = _PAYLOAD_PAD + "  "
     return {
         **_header_data(tr.steps[0].adinkra),
-        "steps": [_step_data(s) for s in tr.steps],
+        "steps": _Written(_list_parts([_indented_json(_step_data(s), item) for s in tr.steps], _PAYLOAD_PAD)),
         "cycle_closure": tr.cycle_closure,
     }
 

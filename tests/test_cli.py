@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import adinkra
-from adinkra import constraints
+from adinkra import superspace
 from adinkra.cli import main
 from adinkra.constraints import MAX_BATTERY_TERMS, ConstraintSystem, SourceSpec, emit_constraints
 from adinkra.core import BOSON, FERMION, MAX_PARITY_SQUARES, Adinkra, Topology
@@ -251,14 +251,14 @@ def test_verify_constraints_projects_a_constraints_document_once(run, monkeypatc
     spec = SourceSpec(3, ((1, 0), (2, 0), (4, 0)))
     path = tmp_path / "triple.json"
     path.write_text(serialize(emit_constraints(spec)), encoding="utf-8")
-    walk = constraints._walk
+    walk = superspace._walk
     lengths = []
 
     def counting(steps, mask):
         lengths.append(len(steps))
         return walk(steps, mask)
 
-    monkeypatch.setattr("adinkra.constraints._walk", counting)
+    monkeypatch.setattr("adinkra.superspace._walk", counting)
     code, out, _ = run(["verify-constraints", str(path)])
     assert code == 0 and json.loads(out)["ok"] is True
     # the decoder walks the one term of U that reaches theta = 0 through each entry's word
@@ -277,14 +277,14 @@ def test_a_huge_shared_shift_costs_no_more_than_none(run, monkeypatch) -> None:
     payload = json.loads(shifted)["payload"]
     assert payload["entries"] == [{"subset": 1, "shift": huge}, {"subset": 2, "shift": huge}]
     assert payload["equations"] == json.loads(plain)["payload"]["equations"]
-    walk = constraints._walk
+    walk = superspace._walk
     lengths = []
 
     def counting(steps, mask):
         lengths.append(len(steps))
         return walk(steps, mask)
 
-    monkeypatch.setattr("adinkra.constraints._walk", counting)
+    monkeypatch.setattr("adinkra.superspace._walk", counting)
     code, out, err = run(["verify-constraints"], stdin=shifted)
     assert code == 0 and err == "" and json.loads(out)["ok"] is True
     # each walk steps through one descending word of D atoms alone, never through the shift
@@ -756,12 +756,27 @@ _HEAVY = {"adinkra.superspace", "adinkra.constraints", "adinkra.mutation", "adin
         (["family"], "adinkra", {"adinkra.mutation"}, {"adinkra.superspace", "adinkra.constraints"}),
         (["verify-susy"], "adinkra", {"adinkra.superspace"}, {"adinkra.constraints"}),
         (["--help"], None, {"adinkra.cli"}, {"adinkra.superspace", "adinkra.constraints"}),
+        # reading a battery off the heights needs no theta-expansion
+        (["identify"], "adinkra", {"adinkra.constraints", "adinkra.mutation"}, {"adinkra.superspace"}),
+        (["dims"], "adinkra", {"adinkra.constraints", "adinkra.mutation"}, {"adinkra.superspace"}),
+        # emitting, checking and decoding a battery's system needs no mutation walk
+        (["constraints", "-n", "2", "--entry", "1", "--entry", "2"], None, {"adinkra.superspace"}, {"adinkra.mutation"}),
+        (["verify-constraints"], "constraints", {"adinkra.superspace"}, {"adinkra.mutation"}),
+        (["validate"], "constraints", {"adinkra.constraints"}, {"adinkra.mutation"}),
     ],
-    ids=["cube", "validate-topology", "family", "verify-susy", "help"],
+    ids=[
+        "cube", "validate-topology", "family", "verify-susy", "help",
+        "identify", "dims", "constraints", "verify-constraints", "validate-constraints",
+    ],
 )
 def test_a_subcommand_loads_only_the_modules_it_uses(argv, stdin, needed, unloaded) -> None:
     square = cube_topology(2)
-    inputs = {None: "", "topology": serialize(square), "adinkra": serialize(base_adinkra(square))}
+    inputs = {
+        None: "",
+        "topology": serialize(square),
+        "adinkra": serialize(base_adinkra(square)),
+        "constraints": serialize(emit_constraints(SourceSpec(2, ((1, 0), (2, 0))))),
+    }
     loaded = _loaded_modules(argv, inputs[stdin])
     assert needed <= loaded
     assert not loaded & unloaded, sorted(loaded & unloaded)

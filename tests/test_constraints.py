@@ -2,10 +2,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from functools import cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -636,6 +640,31 @@ def test_check_annihilation_validates_shapes() -> None:
         check_annihilation(N2_DOUBLET_ANNIHILATOR, gradient_column(3), 3)
     with pytest.raises(AdinkraError, match="ragged"):
         check_annihilation(((D(1),), (D(1), D(2))), gradient_column(1), 1)
+
+
+_ANNIHILATORS = ("N2_DOUBLET_ANNIHILATOR", "N3_TRIPLET_ANNIHILATOR", "N3_QUINTET_ANNIHILATOR")
+
+
+def test_the_annihilators_are_built_on_first_access() -> None:
+    # a fresh process: importing the batteries loads neither the engine nor the walk
+    env = dict(os.environ, PYTHONPATH=str(Path(constraints.__file__).parents[1]))
+    code = (
+        "import sys, adinkra.constraints as c\n"
+        "heavy = lambda: sorted({'adinkra.superspace', 'adinkra.mutation'} & set(sys.modules))\n"
+        "print(heavy())\n"
+        "print(len(c.N3_QUINTET_ANNIHILATOR), heavy())\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "7 ['adinkra.superspace']"]
+    namespace: dict = {}
+    exec(f"from adinkra.constraints import {', '.join(_ANNIHILATORS)}", namespace)
+    assert set(_ANNIHILATORS) <= set(dir(constraints))
+    for name in _ANNIHILATORS:
+        assert namespace[name] is getattr(constraints, name) is getattr(constraints, name)
+    assert N2_DOUBLET_ANNIHILATOR == ((D(1), -D(2)), (D(2), D(1)))
+    with pytest.raises(AttributeError, match=r"^module 'adinkra.constraints' has no attribute 'N4_ANNIHILATOR'$"):
+        constraints.N4_ANNIHILATOR
 
 
 # ---------------------------------------------------------------------------

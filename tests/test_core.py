@@ -620,6 +620,44 @@ def test_the_parity_solve_refuses_too_many_squares_before_building_rows() -> Non
     assert peak < 10_000
 
 
+# tracemalloc peak in bytes of refusing split_k22(800) with no square cached, measured with Python 3.11.7
+# once the solve counted squares past the cap without holding them (36,036,532 while it built every
+# square first; 225 MB on split_k22(2000)); the bound is 1.25x
+SQUARE_REFUSAL_PEAK = 2_533_500
+
+
+def test_the_parity_solve_refuses_too_many_squares_without_holding_them() -> None:
+    t = split_k22(800)
+    tracemalloc.start()
+    try:
+        with pytest.raises(AdinkraError) as info:
+            solve_edge_parity(t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the count past the cap is exact, and no square is kept
+    assert str(info.value) == f"160000 two-color squares exceed the cap of {MAX_PARITY_SQUARES} on the parity solve"
+    assert "squares" not in vars(t)
+    assert peak <= SQUARE_REFUSAL_PEAK * 5 // 4
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: cube_topology(4), antipodal_quotient, lambda: code_quotient(6, (0b111111,))],
+    ids=["cube4", "quotient4", "unsolvable"],
+)
+def test_the_parity_solve_walks_the_squares_once(build, monkeypatch) -> None:
+    # propagation, the elimination it falls back to, and later readers all share the one walk
+    t = build()
+    walks = []
+    square_walk = Topology._square_walk
+    monkeypatch.setattr(Topology, "_square_walk", lambda self: walks.append(self) or square_walk(self))
+    solve_edge_parity(t)
+    solve_edge_parity(t)
+    parity_violations(t, (0,) * len(t.edges))
+    assert walks == [t]
+
+
 def test_doubled_edges_close_squares_only_through_a_third_color() -> None:
     t = _doubled_edges()
     assert [(c1, c2, [t.edges[i] for i in sq]) for c1, c2, sq in t.squares] == [
