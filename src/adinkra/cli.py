@@ -66,8 +66,8 @@ def _topology_and_parity(path: str):
     return doc.payload, None
 
 
-def _emit(obj, annotations=None) -> int:
-    sys.stdout.write(serialize(obj, annotations))
+def _emit(obj) -> int:
+    sys.stdout.write(serialize(obj))
     return 0
 
 

@@ -46,10 +46,12 @@ __all__ = [
 BOSON = "boson"
 FERMION = "fermion"
 
-# The parity solve keeps one row of |edges| bits and one provenance mask of
-# |squares| bits per square, so its memory grows as the square count squared.
-# The 10-cube has 11,520 squares; K_{2,2} with 800 colors split between its
-# two perfect matchings has 160,000, and its solve took 21 s and 1.7 GB.
+# Squares grow as the square of the color count at a vertex, so the parity
+# solve and the parity check refuse more than this without holding them (the
+# 10-cube has 11,520).  The solve's elimination fallback keeps a row and a
+# provenance mask per square, so its memory grows as the square count squared:
+# K_{2,2} with 800 colors on its two perfect matchings (160,000 squares) took
+# 21 s and 1.7 GB.
 MAX_PARITY_SQUARES = 1 << 14
 
 # (u, v, color) with u < v
@@ -193,13 +195,11 @@ class Topology:
         object.__setattr__(self, "_vindex", vindex)
         # the one place statistics fix a height parity: bosons at 0, fermions at 1
         object.__setattr__(self, "_valise", tuple(int(s != BOSON) for s in self.statistics))
-        eindex = {e: i for i, e in enumerate(self.edges)}
-        object.__setattr__(self, "_eindex", eindex)
         # the one adjacency table: adjacent[i][c - 1] is the position of vertex i's color-c neighbour,
-        # and the incidence table: incident[i][c - 1] is the position of that edge in edges
+        # and the one edge index, the incidence table: incident[i][c - 1] is the position of that edge in edges
         adjacent = [[0] * self.n_colors for _ in self.vertex_ids]
         incident = [[0] * self.n_colors for _ in self.vertex_ids]
-        for (u, v, color), k in eindex.items():  # the table shares eindex's int objects
+        for k, (u, v, color) in enumerate(self.edges):
             i, j = vindex[u], vindex[v]
             adjacent[i][color - 1] = j
             adjacent[j][color - 1] = i
@@ -242,10 +242,13 @@ class Topology:
         return self.vertex_ids[self._adjacent[i][color - 1]]
 
     def edge_index(self, u: int, v: int, color: int) -> int:
-        try:
-            return self._eindex[_canon_edge(u, v, color)]
-        except KeyError:
-            raise AdinkraError(f"no edge {(u, v, color)} in topology") from None
+        """The position in edges of the edge (u, v, color), in either end order, read off the incidence table."""
+        i = self._vindex.get(u)
+        if i is not None and color in range(1, self.n_colors + 1):
+            k = self._incident[i][color - 1]
+            if self.edges[k] == _canon_edge(u, v, color):
+                return k
+        raise AdinkraError(f"no edge {(u, v, color)} in topology")
 
     def neighbors(self, v: int) -> list[tuple[int, int]]:
         """All (neighbor, color) pairs at v, in color order."""
@@ -292,20 +295,23 @@ class Topology:
         """
         return _sorted_squares(self._square_walk())
 
-    def _capped_squares(self, cap: int) -> tuple[tuple[int, int, tuple[int, int, int, int]], ...] | int:
-        """squares, walked once and cached as on first use, or their count when there are more than cap.
+    def _capped_squares(self, what: str) -> tuple[tuple[int, int, tuple[int, int, int, int]], ...]:
+        """squares, walked once and cached as on first use, or an AdinkraError naming what refuses more than MAX_PARITY_SQUARES.
 
-        Counting past cap holds no square beyond the cap's, so a refusal costs
-        no more memory than an accepted topology.
+        Counting past the cap holds no square beyond the cap's, so a refusal
+        costs no more memory than an accepted topology.
         """
-        cached = self.__dict__.get("squares")
-        if cached is not None:
-            return cached if len(cached) <= cap else len(cached)
-        walk = self._square_walk()
-        found = list(islice(walk, cap + 1))
-        if len(found) > cap:
-            return len(found) + sum(1 for _ in walk)
-        squares = self.__dict__["squares"] = _sorted_squares(found)  # where the cached property keeps it
+        squares = self.__dict__.get("squares")
+        if squares is None:
+            walk = self._square_walk()
+            found = list(islice(walk, MAX_PARITY_SQUARES + 1))
+            count = len(found) + sum(1 for _ in walk)
+            if count <= MAX_PARITY_SQUARES:
+                squares = self.__dict__["squares"] = _sorted_squares(found)  # where the cached property keeps it
+        else:
+            count = len(squares)
+        if count > MAX_PARITY_SQUARES:
+            raise AdinkraError(f"{count} two-color squares exceed the cap of {MAX_PARITY_SQUARES} on the {what}")
         return squares
 
     def _square_walk(self) -> Iterator[tuple[int, int, int, tuple[int, int, int, int]]]:
@@ -336,7 +342,7 @@ def orientation_from_heights(
     topology: Topology, heights: Mapping[int, int]
 ) -> dict[Edge, tuple[int, int]]:
     """Arrow (tail, head) per edge, pointing from the lower to the higher end."""
-    h = _aligned(heights, topology._vindex, "height for vertex")
+    h = _aligned(heights, topology.vertex_ids, "height for vertex")
     _check_heights(topology, h)
     vindex = topology._vindex
     out: dict[Edge, tuple[int, int]] = {}
@@ -345,15 +351,16 @@ def orientation_from_heights(
     return out
 
 
-def _aligned(values: Mapping, index: Mapping, what: str) -> tuple:
-    """The values of a map in the order of index's keys; a missing or unknown key is an AdinkraError naming it."""
+def _aligned(values: Mapping, keys: Sequence, what: str) -> tuple:
+    """The values of a map in the order of keys; a missing or unknown key is an AdinkraError naming it."""
     try:
-        out = tuple([values[k] for k in index])
+        out = tuple([values[k] for k in keys])
     except KeyError:
-        missing = next(k for k in index if k not in values)
+        missing = next(k for k in keys if k not in values)
         raise AdinkraError(f"no {what} {missing}") from None
     if len(values) != len(out):
-        unknown = next(k for k in values if k not in index)
+        known = set(keys)
+        unknown = next(k for k in values if k not in known)
         raise AdinkraError(f"{what} {unknown}: not in the topology")
     return out
 
@@ -396,8 +403,8 @@ class Adinkra:
         heights: Mapping[int, int],
         parity: Mapping[Edge, int],
     ) -> "Adinkra":
-        h = _aligned(heights, topology._vindex, "height for vertex")
-        p = _aligned(parity, topology._eindex, "parity for edge")
+        h = _aligned(heights, topology.vertex_ids, "height for vertex")
+        p = _aligned(parity, topology.edges, "parity for edge")
         return cls(topology, h, p)
 
     def height_of(self, v: int) -> int:
@@ -484,6 +491,7 @@ def _check_parity(topology: Topology, parity: Sequence[int]) -> None:
     for p, e in zip(parity, topology.edges):
         if p not in (0, 1):
             raise AdinkraError(f"edge {e} has parity {p!r}, expected 0 or 1")
+    topology._capped_squares("parity check")
     bad = parity_violations(topology, parity)
     if bad:
         raise AdinkraError("odd-square rule violated: " + "; ".join(bad))
@@ -604,7 +612,7 @@ def normalize_heights(topology: Topology, heights: Mapping[int, int]) -> dict[in
     boson) or 1 (when a fermion).  Requires the +-1 gap rule on every edge;
     the result lists the vertices in order.
     """
-    h = _aligned(heights, topology._vindex, "height for vertex")
+    h = _aligned(heights, topology.vertex_ids, "height for vertex")
     _check_heights(topology, h)
     return dict(zip(topology.vertex_ids, _normal_heights(topology, h)))
 
@@ -643,9 +651,7 @@ def solve_edge_parity(topology: Topology) -> ParityResult:
     yields a certificate (the violating combination of squares) for an
     unsatisfiable system.  The result is the elimination's on every input.
     """
-    squares = topology._capped_squares(MAX_PARITY_SQUARES)
-    if type(squares) is int:
-        raise AdinkraError(f"{squares} two-color squares exceed the cap of {MAX_PARITY_SQUARES} on the parity solve")
+    squares = topology._capped_squares("parity solve")
     edges, vindex, adj, inc = topology.edges, topology._vindex, topology._adjacent, topology._incident
     ne = len(edges)
     value, fixed = bytearray(ne), bytearray(ne)

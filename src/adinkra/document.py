@@ -8,11 +8,11 @@ One envelope carries every object kind the tools exchange::
 Kinds: topology, adinkra, family, trace, constraints.  Serialization is
 canonical: vertices ascend by id, edges ascend by (color, ends), family
 members and moves are sorted, so equal objects produce identical text,
-byte-identical to ``json.dumps(indent=2)``.  A family document's members
-and moves are written in one pass: each member's heights once per indent,
-and every move joined from those texts.  The document is joined once from
-the parts of its envelope and payload, so a large payload is not copied at
-each level; a trace document writes each step once at its indent.
+byte-identical to ``json.dumps(indent=2)``, and written by one recursive
+writer as parts joined once.  A family document's members and moves are
+written in one pass: each member's heights once per indent, and every move
+joined from those texts.  They and a trace's steps go into the parts one by
+one, so the document's join is the only copy of a large payload.
 Deserialization validates shape and reports the offending path (for example
 ``payload.vertices[3].height``) before any graph-level validation runs.  A
 family's height lists are checked in one pass each, a path is written only
@@ -122,8 +122,8 @@ def _header_data(a: Adinkra) -> dict:
     return {"topology": _graph_data(a.topology), "parity": _parity_list(a)}
 
 
-# the indent serialize writes each value of the payload object at
-_PAYLOAD_PAD = "    "
+# the indent serialize writes each item of a list in the payload at
+_ITEM_PAD = " " * 6
 
 
 def _family_data(f: FamilyGraph) -> dict:
@@ -134,8 +134,7 @@ def _family_data(f: FamilyGraph) -> dict:
     """
     if not f.members:
         raise _fail("$.payload.members", "a family needs at least one member")
-    item = _PAYLOAD_PAD + "  "
-    field = item + "  "
+    field = _ITEM_PAD + "  "
     sep = ",\n" + field
     keys = sorted(f.members)
     at_field = {k: _indented_json(k, field) for k in keys}
@@ -148,11 +147,11 @@ def _family_data(f: FamilyGraph) -> dict:
             middle = middles[kind, v] = f'{sep}"kind": {_indented_json(kind, field)}{sep}"vertex": {_indented_json(v, field)}{sep}"to": '
         from_text = at_field.get(src) or _indented_json(src, field)
         to_text = at_field.get(dst) or _indented_json(dst, field)
-        moves.append(f'{{\n{field}"from": {from_text}{middle}{to_text}\n{item}}}')
+        moves.append(f'{{\n{field}"from": {from_text}{middle}{to_text}\n{_ITEM_PAD}}}')
     return {
         **_header_data(next(iter(f.members.values()))),
-        "members": _Written(_list_parts([_indented_json(k, item) for k in keys], _PAYLOAD_PAD)),
-        "moves": _Written(_list_parts(moves, _PAYLOAD_PAD)),
+        "members": _Written([_indented_json(k, _ITEM_PAD) for k in keys]),
+        "moves": _Written(moves),
     }
 
 
@@ -173,10 +172,9 @@ def _trace_data(tr: SequenceTrace) -> dict:
     """The trace payload, each step written once at its indent."""
     if not tr.steps:
         raise _fail("$.payload.steps", _NO_START)
-    item = _PAYLOAD_PAD + "  "
     return {
         **_header_data(tr.steps[0].adinkra),
-        "steps": _Written(_list_parts([_indented_json(_step_data(s), item) for s in tr.steps], _PAYLOAD_PAD)),
+        "steps": _Written([_indented_json(_step_data(s), _ITEM_PAD) for s in tr.steps]),
         "cycle_closure": tr.cycle_closure,
     }
 
@@ -212,93 +210,75 @@ _ENCODERS = {
 def serialize(obj: Payload | Document, annotations: Mapping[str, Any] | None = None) -> str:
     """Canonical JSON text for a payload object or a prebuilt Document."""
     if isinstance(obj, Document):
-        kind, payload = obj.kind, obj.payload
-        annotations = dict(obj.annotations) if annotations is None else dict(annotations)
+        kind, payload, stored = obj.kind, obj.payload, obj.annotations
     else:
-        kind, payload = document_kind(obj), obj
-        annotations = {} if annotations is None else dict(annotations)
+        kind, payload, stored = document_kind(obj), obj, {}
     data = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
         "kind": kind,
-        "annotations": annotations,
+        "annotations": dict(stored if annotations is None else annotations),
         "payload": _ENCODERS[kind](payload),
     }
     # the document is joined once from its parts, so a large payload is not copied per level
-    parts = _parts(data, "")
+    parts = _write(data, "", [])
     parts.append("\n")
     return "".join(parts)
 
 
-class _Written:
-    """A JSON value already written at the indent of the place it goes, as parts to join in order."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts: list[str]) -> None:
-        self.parts = parts
+class _Written(list):
+    """A JSON list whose items are texts already written at the indent of the place they go."""
 
 
-def _list_parts(items: list[str], pad: str) -> list[str]:
-    """The parts of the JSON list of these written items at indent pad, as json.dumps(indent=2) writes it."""
-    if not items:
-        return ["[]"]
-    inner = pad + "  "
-    sep = ",\n" + inner
-    parts = ["[\n" + inner]
-    for item in items:
-        parts += (item, sep)
-    parts[-1] = "\n" + pad + "]"
-    return parts
-
-
-def _parts(value: Any, pad: str) -> list[str]:
-    """The text of _indented_json(value, pad) as parts: each value of a dict with str keys is its own parts."""
-    if type(value) is _Written:
-        return value.parts
-    if type(value) is not dict or not value or not {str}.issuperset(map(type, value)):
-        return [_indented_json(value, pad)]
-    inner = pad + "  "
-    sep = ",\n" + inner
-    parts = ["{\n" + inner]
-    for k, v in value.items():
-        parts.append(_quote(k) + ": ")
-        parts += _parts(v, inner)
-        parts.append(sep)
-    parts[-1] = "\n" + pad + "}"
-    return parts
-
-
-def _indented_json(value: Any, pad: str = "") -> str:
-    """The text of json.dumps(value, indent=2), nested at indent pad.
+def _write(value: Any, pad: str, out: list[str]) -> list[str]:
+    """Append the text of json.dumps(value, indent=2), nested at indent pad, to out as parts; return out.
 
     json.dumps never uses its C encoder when indent is set, so this walks
     the dicts with str keys and the lists and tuples itself, writes plain
-    ints and strs as json does, joins a list of plain ints in one step, and
-    hands every other value (floats, bools, None, dicts with other keys,
-    types json rejects) to json.dumps.
+    ints and strs as json does, and hands every other value (floats, bools,
+    None, dicts with other keys, types json rejects) to json.dumps.  Each
+    value of a dict is its own parts; a list is one part, each of its items
+    joined alone (a list of plain ints in one step); the items of a _Written
+    list go in one by one as they are.
     """
     kind = type(value)
     if kind is int:
-        return str(value)
+        out.append(str(value))
+        return out
     if kind is str:
-        return _quote(value)
+        out.append(_quote(value))
+        return out
+    if kind in (list, tuple, _Written, dict) and not value:
+        out.append("{}" if kind is dict else "[]")
+        return out
     inner = pad + "  "
     sep = ",\n" + inner
-    if kind is list or kind is tuple:
-        if not value:
-            return "[]"
+    if kind is _Written:
+        out.append("[\n" + inner)
+        for item in value:
+            out += (item, sep)
+        out[-1] = "\n" + pad + "]"
+    elif kind is list or kind is tuple:
         if {int}.issuperset(map(type, value)):
             items = map(str, value)
         else:
-            items = (_indented_json(x, inner) for x in value)
-        return f"[\n{inner}{sep.join(items)}\n{pad}]"
-    if kind is dict and {str}.issuperset(map(type, value)):
-        if not value:
-            return "{}"
-        items = (f"{_quote(k)}: {_indented_json(v, inner)}" for k, v in value.items())
-        return f"{{\n{inner}{sep.join(items)}\n{pad}}}"
-    return json.dumps(value, indent=2).replace("\n", "\n" + pad)
+            items = ("".join(_write(x, inner, [])) for x in value)
+        out.append(f"[\n{inner}{sep.join(items)}\n{pad}]")
+    elif kind is dict and {str}.issuperset(map(type, value)):
+        out.append("{\n" + inner)
+        for k, v in value.items():
+            out.append(_quote(k) + ": ")
+            _write(v, inner, out)
+            out.append(sep)
+        out[-1] = "\n" + pad + "}"
+    else:
+        out.append(json.dumps(value, indent=2).replace("\n", "\n" + pad))
+    return out
+
+
+def _indented_json(value: Any, pad: str = "") -> str:
+    """The text of json.dumps(value, indent=2), nested at indent pad."""
+    return "".join(_write(value, pad, []))
 
 
 # ---------------------------------------------------------------------------
@@ -309,12 +289,12 @@ def _fail(path: str, why: str) -> DocumentError:
     return DocumentError(f"{path}: {why}")
 
 
-def _get(obj: dict, key: str, types, path: str):
+def _get(obj: dict, key: str, types: type | None, path: str):
     if key not in obj:
         raise _fail(path, f"missing key '{key}'")
     val = obj[key]
     if types is not None and not isinstance(val, types):
-        raise _fail(f"{path}.{key}", f"expected {types if isinstance(types, str) else getattr(types, '__name__', types)}, got {type(val).__name__}")
+        raise _fail(f"{path}.{key}", f"expected {types.__name__}, got {type(val).__name__}")
     return val
 
 
@@ -324,10 +304,6 @@ def _int(obj: dict, key: str, path: str) -> int:
     if type(val) is not int:
         raise _fail(f"{path}.{key}", f"expected int, got {type(val).__name__}")
     return val
-
-
-def _list(obj: dict, key: str, path: str) -> list:
-    return _get(obj, key, list, path)
 
 
 def _only_keys(item: dict, keys: tuple[str, ...], path: str) -> None:
@@ -347,7 +323,7 @@ def _object(item, keys: tuple[str, ...], path: str) -> dict:
 
 def _objects(data: dict, key: str, keys: tuple[str, ...], path: str):
     """(path, item) for each item of the list data[key], once it is an object with no key but keys."""
-    for i, item in enumerate(_list(data, key, path)):
+    for i, item in enumerate(_get(data, key, list, path)):
         ip = f"{path}.{key}[{i}]"
         yield ip, _object(item, keys, ip)
 
@@ -372,7 +348,7 @@ def _decode_graph(data: dict, path: str, decorated: bool) -> Topology | Adinkra:
     parity: dict[tuple[int, int, int], int] = {}
     for ep, item in _objects(data, "edges", ("color", "ends", "parity")[: 2 + decorated], path):
         color = _int(item, "color", ep)
-        ends = _list(item, "ends", ep)
+        ends = _get(item, "ends", list, ep)
         if len(ends) != 2 or not all(type(e) is int for e in ends):
             raise _fail(f"{ep}.ends", "expected a pair of vertex ids")
         u, v = sorted(ends)
@@ -418,7 +394,7 @@ def _at(path: str, check, *args):
 def _decode_header(data: dict, path: str) -> tuple[Topology, tuple[int, ...]]:
     """The topology and the parity every member or step shares, aligned with its edges and checked once."""
     topo = _decode_graph(_get(data, "topology", dict, path), f"{path}.topology", False)
-    raw = _list(data, "parity", path)
+    raw = _get(data, "parity", list, path)
     order = _edge_order(topo)
     if len(raw) != len(order):
         raise _fail(f"{path}.parity", f"expected {len(order)} entries")
@@ -470,13 +446,13 @@ def _decode_family(data: dict, path: str) -> FamilyGraph:
     topo, parity = _decode_header(data, path)
     ints = [int] * len(topo.vertex_ids)
     listed = []
-    for i, raw in enumerate(_list(data, "members", path)):
+    for i, raw in enumerate(_get(data, "members", list, path)):
         key = _heights(raw, ints)
         listed.append(_heights_tuple(raw, topo, f"{path}.members[{i}]") if key is None else key)
     keys = {k: k for k in listed}
     moves = [
         _move(item, ints, keys) or _checked_move(item, topo, f"{path}.moves[{i}]")
-        for i, item in enumerate(_list(data, "moves", path))
+        for i, item in enumerate(_get(data, "moves", list, path))
     ]
     # the walk starts at the valise, which is already in normal form
     start = Adinkra._trusted(topo, topo._valise, parity)
@@ -531,7 +507,7 @@ def _decode_trace(data: dict, path: str) -> SequenceTrace:
 
     _only_keys(data, ("topology", "parity", "steps", "cycle_closure"), path)
     topo, parity = _decode_header(data, path)
-    listed = _list(data, "steps", path)
+    listed = _get(data, "steps", list, path)
     if not listed:
         raise _fail(f"{path}.steps", _NO_START)
     seen: set[int] = set()
@@ -589,7 +565,7 @@ def _decode_constraints(data: dict, path: str) -> ConstraintSystem:
         for ep, item in _objects(data, "entries", ("subset", "shift"), path)
     ]
     spec = _at(f"{path}.entries", SourceSpec, n, tuple(entries))
-    listed = _list(data, "equations", path)
+    listed = _get(data, "equations", list, path)
     count = (1 << n) * len(entries) * (len(entries) - 1) // 2
     if len(listed) != count:
         raise _fail(f"{path}.equations", f"expected {count} entries, got {len(listed)}")

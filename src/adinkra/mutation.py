@@ -157,7 +157,7 @@ def base_adinkra(topology: Topology, parity=None) -> Adinkra:
     """The valise: every boson at height 0, every fermion at height 1."""
     if parity is None:
         parity = _solved_parity(topology)
-    return Adinkra(topology, topology._valise, _aligned(parity, topology._eindex, "parity for edge"))
+    return Adinkra(topology, topology._valise, _aligned(parity, topology.edges, "parity for edge"))
 
 
 def automorphic_dual(adinkra: Adinkra) -> Adinkra:

@@ -611,6 +611,25 @@ def test_hang_refuses_a_topology_of_too_many_squares_at_once() -> None:
     assert error == f"160000 two-color squares exceed the cap of {MAX_PARITY_SQUARES} on the parity solve"
 
 
+def test_validate_refuses_an_adinkra_of_too_many_squares_at_once() -> None:
+    # 1,000,000 squares on 4 vertices: without the cap the check took 7.6 s and 509 MB
+    t = split_k22(2000)
+    env = dict(os.environ, PYTHONPATH=str(Path(adinkra.__file__).parents[1]))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "adinkra", "validate"],
+        input=serialize(Adinkra._trusted(t, t._valise, (0,) * len(t.edges))),
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert time.perf_counter() - start < 10
+    assert (proc.returncode, proc.stderr) == (1, "")
+    violation = f"$.payload: 1000000 two-color squares exceed the cap of {MAX_PARITY_SQUARES} on the parity check"
+    assert json.loads(proc.stdout) == {"ok": False, "violations": [violation]}
+
+
 def test_constraints_above_the_cap_fails(run) -> None:
     code, out, err = run(["constraints", "-n", str(MAX_CUBE_COLORS + 1), "--entry", "1"])
     assert code == 1 and out == ""

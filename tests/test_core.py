@@ -175,6 +175,28 @@ def test_neighbor_refuses_a_color_or_vertex_outside_the_topology(v: int, color: 
         square().neighbor(v, color)
 
 
+@pytest.mark.parametrize(
+    "t",
+    [cube_topology(n, kind) for n in range(1, 11) for kind in (SCALAR, SPINOR)],
+    ids=lambda t: f"{t.n_colors}c{t.statistics[0][0]}",
+)
+def test_edge_index_finds_every_cube_edge_from_either_end(t: Topology) -> None:
+    positions = list(range(len(t.edges)))
+    assert [t.edge_index(u, v, c) for u, v, c in t.edges] == positions
+    assert [t.edge_index(v, u, c) for u, v, c in t.edges] == positions
+
+
+# on the 2-cube, vertex 0's edges are (0, 1, 1) and (0, 2, 2)
+@pytest.mark.parametrize(
+    "u, v, color",
+    [(7, 1, 1), (1, 7, 1), (0, 1, 0), (0, 1, 3), (0, 1, -1), (0, 2, 1), (2, 0, 1), (0, 0, 1)],
+    ids=["unknown-vertex", "unknown-other-end", "color-0", "color-n+1", "color--1", "wrong-end", "wrong-end-reversed", "self"],
+)
+def test_edge_index_names_an_edge_it_does_not_find(u: int, v: int, color: int) -> None:
+    with pytest.raises(AdinkraError, match=f"^{re.escape(f'no edge {(u, v, color)} in topology')}$"):
+        cube_topology(2).edge_index(u, v, color)
+
+
 def test_neighbors_of_an_unknown_vertex_are_empty() -> None:
     assert square().neighbors(7) == []
     assert square().neighbors(0) == [(1, 1), (2, 2)]
@@ -637,6 +659,22 @@ def test_the_parity_solve_refuses_too_many_squares_without_holding_them() -> Non
         tracemalloc.stop()
     # the count past the cap is exact, and no square is kept
     assert str(info.value) == f"160000 two-color squares exceed the cap of {MAX_PARITY_SQUARES} on the parity solve"
+    assert "squares" not in vars(t)
+    assert peak <= SQUARE_REFUSAL_PEAK * 5 // 4
+
+
+def test_the_parity_check_refuses_too_many_squares_without_holding_them() -> None:
+    # with the cap the check counts the squares as the solve does; without it, deserializing
+    # this Adinkra on split_k22(2000) took 7.6 s and 509 MB and raised a 71 MB message
+    t = split_k22(800)
+    tracemalloc.start()
+    try:
+        with pytest.raises(AdinkraError) as info:
+            Adinkra(t, t._valise, (0,) * len(t.edges))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == f"160000 two-color squares exceed the cap of {MAX_PARITY_SQUARES} on the parity check"
     assert "squares" not in vars(t)
     assert peak <= SQUARE_REFUSAL_PEAK * 5 // 4
 

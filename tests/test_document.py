@@ -17,6 +17,7 @@ from adinkra.document import (
     Document,
     DocumentError,
     _indented_json,
+    _Written,
     deserialize,
     document_kind,
     export_dot,
@@ -765,9 +766,23 @@ _JSON_TREES = st.recursive(
 
 
 @settings(max_examples=300, deadline=None)
-@given(_JSON_TREES)
-def test_indented_writer_equals_json_dumps(tree) -> None:
-    assert _indented_json(tree) == json.dumps(tree, indent=2)
+@given(_JSON_TREES, st.sampled_from(("", "    ")))
+def test_indented_writer_equals_json_dumps(tree, pad: str) -> None:
+    # json.dumps escapes every newline inside a string, so each one it writes starts a line
+    assert _indented_json(tree, pad) == json.dumps(tree, indent=2).replace("\n", "\n" + pad)
+
+
+@pytest.mark.parametrize("pad", ["", "    "])
+def test_written_items_are_spliced_at_their_indent(pad: str) -> None:
+    items = [[1, 2], {"k": None, "l": []}, "x"]
+
+    def written(at: str) -> _Written:
+        return _Written([_indented_json(x, at) for x in items])
+
+    # in a dict, in a dict in an ordinary list, and empty
+    tree = {"a": written(pad + "    "), "b": [{"c": written(pad + "        ")}], "d": _Written([])}
+    expected = {"a": items, "b": [{"c": items}], "d": []}
+    assert _indented_json(tree, pad) == json.dumps(expected, indent=2).replace("\n", "\n" + pad)
 
 
 @pytest.mark.parametrize("bad", [object(), {1, 2}, b"x", 1j, {(1, 2): 0}])
