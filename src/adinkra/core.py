@@ -79,8 +79,9 @@ def validate_topology(
     naming the offending vertex or edge.  An empty report means the data forms
     a valid topology.  The empty graph (no vertices, no edges) is valid.
 
-    Rules checked: n_colors is a positive int; vertex statistics are
-    boson/fermion; edge endpoints exist, are distinct, and have opposite
+    Rules checked: n_colors is a positive int; vertex ids, edge ends and
+    colors are plain ints (no bool or other int subclass); vertex statistics
+    are boson/fermion; edge endpoints exist, are distinct, and have opposite
     statistics; colors lie in 1..n_colors; no edge is repeated; and every
     vertex meets exactly one edge of each color.
     """
@@ -101,7 +102,7 @@ def _checked_edges(
 
     stats: dict[int, str] = {}
     for v, s in statistics.items():
-        if not isinstance(v, int) or isinstance(v, bool):
+        if type(v) is not int:
             report.append(f"vertex id {v!r} is not an integer")
             continue
         if s not in (BOSON, FERMION):
@@ -115,7 +116,7 @@ def _checked_edges(
             e = tuple(raw)
         except TypeError:
             e = ()
-        if len(e) != 3 or not all(isinstance(x, int) and not isinstance(x, bool) for x in e):
+        if len(e) != 3 or not type(e[0]) is type(e[1]) is type(e[2]) is int:
             report.append(f"edge {raw!r} is not an (u, v, color) integer triple")
             continue
         u, v, color = e
@@ -125,26 +126,26 @@ def _checked_edges(
         if color < 1 or color > n_colors:
             report.append(f"edge {e} has color outside 1..{n_colors}")
             continue
-        bad_end = False
-        for w in (u, v):
-            if w not in stats:
-                report.append(f"edge {e} references unknown vertex {w}")
-                bad_end = True
-        if bad_end:
+        if u not in stats or v not in stats:
+            report += [f"edge {e} references unknown vertex {w}" for w in (u, v) if w not in stats]
             continue
-        ce = _canon_edge(u, v, color)
+        ce = (u, v, color) if u < v else (v, u, color)
         if ce in seen:
             report.append(f"edge {ce} is repeated")
             continue
         seen.add(ce)
         edge_list.append(ce)
-        if stats[ce[0]] == stats[ce[1]]:
-            report.append(f"edge {ce} joins two {stats[ce[0]]}s; statistics must alternate")
+        if stats[u] == stats[v]:
+            report.append(f"edge {ce} joins two {stats[u]}s; statistics must alternate")
 
     # one edge of each color at every vertex; the scan below is |V| * n_colors
     # long, so a color count no valid graph on these edges can have stops here
     if stats and n_colors > len(edge_list):
         report.append(f"{n_colors} colors but {len(edge_list)} valid edges, so some vertex misses a color")
+        return report, edge_list
+    # with no (vertex, color) met twice, meeting all |V| * n_colors of them is meeting each once
+    meets = {(w, color) for u, v, color in edge_list for w in (u, v)}
+    if len(meets) == 2 * len(edge_list) == len(stats) * n_colors:
         return report, edge_list
     degree: dict[tuple[int, int], int] = {}
     for u, v, color in edge_list:
@@ -237,14 +238,14 @@ class Topology:
     def neighbor(self, v: int, color: int) -> int:
         """The unique vertex joined to v by the color-colored edge."""
         i = self._vindex.get(v)
-        if i is None or color not in range(1, self.n_colors + 1):
-            raise AdinkraError(f"vertex {v} has no edge of color {color}")
+        if i is None or type(color) is not int or not 0 < color <= self.n_colors:
+            raise AdinkraError(f"vertex {v} has no edge of color {color!r}")
         return self.vertex_ids[self._adjacent[i][color - 1]]
 
     def edge_index(self, u: int, v: int, color: int) -> int:
         """The position in edges of the edge (u, v, color), in either end order, read off the incidence table."""
         i = self._vindex.get(u)
-        if i is not None and color in range(1, self.n_colors + 1):
+        if i is not None and type(color) is int and 0 < color <= self.n_colors:
             k = self._incident[i][color - 1]
             if self.edges[k] == _canon_edge(u, v, color):
                 return k
@@ -474,9 +475,15 @@ def _normal_heights(topology: Topology, h: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _check_heights(topology: Topology, heights: Sequence[int]) -> None:
-    """Raise unless heights has one entry per vertex and a +-1 gap on every edge."""
+    """Raise unless heights has one int per vertex and a +-1 gap on every edge.
+
+    An int is a plain int: True and 1.0 pass the gap arithmetic but are not heights.
+    """
     if len(heights) != len(topology.vertex_ids):
         raise AdinkraError("heights length does not match vertex count")
+    if not {int}.issuperset(map(type, heights)):
+        v, h = next((v, h) for v, h in zip(topology.vertex_ids, heights) if type(h) is not int)
+        raise AdinkraError(f"vertex {v} has height {h!r}, expected an int")
     vindex = topology._vindex
     for u, v, color in topology.edges:
         gap = heights[vindex[v]] - heights[vindex[u]]
@@ -485,12 +492,13 @@ def _check_heights(topology: Topology, heights: Sequence[int]) -> None:
 
 
 def _check_parity(topology: Topology, parity: Sequence[int]) -> None:
-    """Raise unless parity has one 0/1 entry per edge and obeys the odd-square rule."""
+    """Raise unless parity has one int 0 or 1 per edge and obeys the odd-square rule."""
     if len(parity) != len(topology.edges):
         raise AdinkraError("parity length does not match edge count")
-    for p, e in zip(parity, topology.edges):
-        if p not in (0, 1):
-            raise AdinkraError(f"edge {e} has parity {p!r}, expected 0 or 1")
+    # the type test comes first: True and 1.0 equal 1, and an unhashable entry cannot join a set
+    if not ({int}.issuperset(map(type, parity)) and {0, 1}.issuperset(parity)):
+        p, e = next((p, e) for p, e in zip(parity, topology.edges) if type(p) is not int or p not in (0, 1))
+        raise AdinkraError(f"edge {e} has parity {p!r}, expected 0 or 1")
     topology._capped_squares("parity check")
     bad = parity_violations(topology, parity)
     if bad:
@@ -498,13 +506,16 @@ def _check_parity(topology: Topology, parity: Sequence[int]) -> None:
 
 
 def parity_violations(topology: Topology, parity: Sequence[int]) -> list[str]:
-    """Odd-square rule check; returns one entry per violating two-color square."""
-    bad = []
+    """Odd-square rule check; returns one entry per violating two-color square.
+
+    A square's parity sum is odd exactly when the XOR of its four parities has its low bit set.
+    """
     edges = topology.edges
-    for c1, c2, square in topology.squares:
-        if sum(parity[i] for i in square) % 2 != 1:
-            bad.append(_square_text([edges[i] for i in square]) + " has even parity sum")
-    return bad
+    return [
+        _square_text([edges[a], edges[b], edges[c], edges[d]]) + " has even parity sum"
+        for _, _, (a, b, c, d) in topology.squares
+        if not (parity[a] ^ parity[b] ^ parity[c] ^ parity[d]) & 1
+    ]
 
 
 def _square_text(square: Sequence[Edge]) -> str:

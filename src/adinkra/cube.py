@@ -68,10 +68,12 @@ def code_quotient(n: int, generators: Iterable[int], convention: str = SCALAR) -
     generator is a nonzero n-bit int outside the span of the ones before it;
     every nonzero code word has even weight of at least 4, so a class never
     mixes statistics and no edge closes on itself or doubles another.  The
-    quotient has an odd-square parity exactly when the code is doubly even
-    (arXiv:1108.4124), which is left to the parity solve.
+    quotient is then a valid n-regular topology, so it is built without
+    Topology.build checking its edges again.  It has an odd-square parity
+    exactly when the code is doubly even (arXiv:1108.4124), which is left to
+    the parity solve.
     """
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise AdinkraError(f"need a positive number of colors, got {n!r}")
     if n > MAX_CUBE_COLORS:
         raise AdinkraError(f"{n} colors exceeds the cap of {MAX_CUBE_COLORS} on cube size")
@@ -93,8 +95,8 @@ def code_quotient(n: int, generators: Iterable[int], convention: str = SCALAR) -
             stats[v] = cube_statistics(v, convention)
             for w in code:
                 rep[v ^ w] = v
-    edges = [(v, w, c) for v in stats for c in range(1, n + 1) if v < (w := rep[v ^ 1 << (c - 1)])]
-    return Topology.build(n, stats, edges)
+    edges = sorted((v, w, c) for v in stats for c in range(1, n + 1) if v < (w := rep[v ^ 1 << (c - 1)]))
+    return Topology(n, tuple(stats), tuple(stats.values()), tuple(edges))
 
 
 def cube_topology(n: int, convention: str = SCALAR) -> Topology:

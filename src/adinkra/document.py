@@ -9,15 +9,18 @@ Kinds: topology, adinkra, family, trace, constraints.  Serialization is
 canonical: vertices ascend by id, edges ascend by (color, ends), family
 members and moves are sorted, so equal objects produce identical text,
 byte-identical to ``json.dumps(indent=2)``, and written by one recursive
-writer as parts joined once.  A family document's members and moves are
-written in one pass: each member's heights once per indent, and every move
-joined from those texts.  They and a trace's steps go into the parts one by
-one, so the document's join is the only copy of a large payload.
+writer as parts joined once.  Each vertex and edge of a graph is written
+from one template at the indent it lands at.  A family document's members
+and moves are written in one pass: each member's heights once per indent,
+and every move joined from those texts.  They, a graph's vertices and edges
+and a trace's steps go into the parts one by one, so the document's join is
+the only copy of a large payload.  Every document the library writes reads
+back, since an Adinkra's heights and parities are plain ints.
 Deserialization validates shape and reports the offending path (for example
-``payload.vertices[3].height``) before any graph-level validation runs.  A
-family's height lists are checked in one pass each, a path is written only
-for the one that fails, and each move's heights are interned to the listed
-member they equal.
+``payload.vertices[3].height``) before any graph-level validation runs.  Each
+vertex and edge, and each of a family's height lists, is checked by one test
+of its keys and types; a path is written only for an item that fails it,
+and each move's heights are interned to the listed member they equal.
 
 The decoders of the family, trace and constraints kinds import mutation,
 constraints and superspace when they run, so a process that reads and writes
@@ -95,35 +98,50 @@ def document_kind(obj: Payload) -> str:
 # encoding
 
 
-def _edge_order(t: Topology) -> list[tuple[int, int, int]]:
-    """The edges as (color, u, v), the order every document and DOT graph lists them in."""
-    return sorted((c, u, v) for u, v, c in t.edges)
+def _edge_order(t: Topology, parity: tuple[int, ...] | None = None) -> list[tuple[int, ...]]:
+    """The edges as (color, u, v), the order every document and DOT graph lists them in.
 
-
-def _graph_data(t: Topology, a: Adinkra | None = None) -> dict:
-    """A topology's payload, with each vertex's height and edge's parity when given the Adinkra a on t."""
-    vertices = [{"id": v, "statistics": s} for v, s in zip(t.vertex_ids, t.statistics)]
-    edges = [{"color": c, "ends": [u, v]} for c, u, v in _edge_order(t)]
-    if a is not None:
-        for item, h in zip(vertices, a.heights):
-            item["height"] = h
-        for item, p in zip(edges, _parity_list(a)):
-            item["parity"] = p
-    return {"n_colors": t.n_colors, "vertices": vertices, "edges": edges}
-
-
-def _parity_list(a: Adinkra) -> list[int]:
-    parity = a.parity_by_edge()
-    return [parity[(u, v, c)] for c, u, v in _edge_order(a.topology)]
-
-
-def _header_data(a: Adinkra) -> dict:
-    """The topology and the parity every member of a family or step of a trace shares."""
-    return {"topology": _graph_data(a.topology), "parity": _parity_list(a)}
+    Given the parity aligned with t.edges, each is (color, u, v, parity); no two
+    edges share (color, u, v), so the parity never decides the order.
+    """
+    if parity is None:
+        return sorted((c, u, v) for u, v, c in t.edges)
+    return sorted((c, u, v, p) for (u, v, c), p in zip(t.edges, parity))
 
 
 # the indent serialize writes each item of a list in the payload at
 _ITEM_PAD = " " * 6
+
+
+def _graph_data(t: Topology, a: Adinkra | None = None, pad: str = _ITEM_PAD) -> dict:
+    """A topology's payload, with each vertex's height and edge's parity when given the Adinkra a on t.
+
+    Each vertex and edge is written from one template at pad, the indent of
+    the list items it goes in, for _write to splice in as it is.
+    """
+    at = f"\n{pad}  "  # where each field starts, and each end one level deeper
+    deep, close = at + "  ", f"\n{pad}}}"
+    if a is None:
+        vertices = [f'{{{at}"id": {v},{at}"statistics": {_quote(s)}{close}' for v, s in zip(t.vertex_ids, t.statistics)]
+        edges = [f'{{{at}"color": {c},{at}"ends": [{deep}{u},{deep}{v}{at}]{close}' for c, u, v in _edge_order(t)]
+    else:
+        vertices = [
+            f'{{{at}"id": {v},{at}"statistics": {_quote(s)},{at}"height": {h}{close}'
+            for v, s, h in zip(t.vertex_ids, t.statistics, a.heights)
+        ]
+        edges = [
+            f'{{{at}"color": {c},{at}"ends": [{deep}{u},{deep}{v}{at}],{at}"parity": {p}{close}'
+            for c, u, v, p in _edge_order(t, a.parity)
+        ]
+    return {"n_colors": t.n_colors, "vertices": _Written(vertices), "edges": _Written(edges)}
+
+
+def _header_data(a: Adinkra) -> dict:
+    """The topology and the parity every member of a family or step of a trace shares."""
+    return {
+        "topology": _graph_data(a.topology, pad=_ITEM_PAD + "  "),
+        "parity": [p for _, _, _, p in _edge_order(a.topology, a.parity)],
+    }
 
 
 def _family_data(f: FamilyGraph) -> dict:
@@ -328,38 +346,87 @@ def _objects(data: dict, key: str, keys: tuple[str, ...], path: str):
         yield ip, _object(item, keys, ip)
 
 
+_VERTEX_KEYS = ("id", "statistics", "height")
+_EDGE_KEYS = ("color", "ends", "parity")
+
+
 def _decode_graph(data: dict, path: str, decorated: bool) -> Topology | Adinkra:
-    """A topology, or when decorated an Adinkra, whose vertices carry heights and edges parities."""
+    """A topology, or when decorated an Adinkra, whose vertices carry heights and edges parities.
+
+    Each vertex and edge passes one test of its keys and types and builds no
+    path; only an item that fails it goes through the checks that name what
+    is wrong at its path.
+    """
     _only_keys(data, ("n_colors", "vertices", "edges"), path)
     n = _int(data, "n_colors", path)
+    size = 2 + decorated
     stats: dict[int, str] = {}
     heights: dict[int, int] = {}
-    for vp, item in _objects(data, "vertices", ("id", "statistics", "height")[: 2 + decorated], path):
-        vid = _int(item, "id", vp)
-        st = _get(item, "statistics", str, vp)
-        if st not in (BOSON, FERMION):
-            raise _fail(f"{vp}.statistics", f"expected '{BOSON}' or '{FERMION}', got {st!r}")
-        if vid in stats:
-            raise _fail(vp, f"duplicate vertex id {vid}")
-        stats[vid] = st
-        if decorated:
-            heights[vid] = _int(item, "height", vp)
+    for i, item in enumerate(_get(data, "vertices", list, path)):
+        if (
+            type(item) is dict
+            and len(item) == size
+            and type(vid := item.get("id")) is int
+            and item.get("statistics") in (BOSON, FERMION)
+            and (not decorated or type(item.get("height")) is int)
+            and vid not in stats
+        ):
+            stats[vid] = item["statistics"]
+            if decorated:
+                heights[vid] = item["height"]
+        else:
+            _checked_vertex(item, _VERTEX_KEYS[:size], stats, heights, f"{path}.vertices[{i}]")
     edges: list[tuple[int, int, int]] = []
     parity: dict[tuple[int, int, int], int] = {}
-    for ep, item in _objects(data, "edges", ("color", "ends", "parity")[: 2 + decorated], path):
-        color = _int(item, "color", ep)
-        ends = _get(item, "ends", list, ep)
-        if len(ends) != 2 or not all(type(e) is int for e in ends):
-            raise _fail(f"{ep}.ends", "expected a pair of vertex ids")
-        u, v = sorted(ends)
-        edges.append((u, v, color))
-        if decorated:
-            p = _int(item, "parity", ep)
-            if p not in (0, 1):
-                raise _fail(f"{ep}.parity", f"expected 0 or 1, got {p}")
-            parity[(u, v, color)] = p
+    for i, item in enumerate(_get(data, "edges", list, path)):
+        if (
+            type(item) is dict
+            and len(item) == size
+            and type(color := item.get("color")) is int
+            and type(ends := item.get("ends")) is list
+            and len(ends) == 2
+            and type(u := ends[0]) is int
+            and type(v := ends[1]) is int
+            and (not decorated or (type(p := item.get("parity")) is int and p in (0, 1)))
+        ):
+            e = (u, v, color) if u < v else (v, u, color)
+            edges.append(e)
+            if decorated:
+                parity[e] = p
+        else:
+            _checked_edge(item, _EDGE_KEYS[:size], edges, parity, f"{path}.edges[{i}]")
     topo = _at(path, Topology.build, n, stats, edges)
     return _at(path, Adinkra.from_maps, topo, heights, parity) if decorated else topo
+
+
+def _checked_vertex(item, keys: tuple[str, ...], stats: dict, heights: dict, vp: str) -> None:
+    """Add the vertex item at path vp to stats and, when keys name a height, heights; or name what is wrong with it."""
+    _object(item, keys, vp)
+    vid = _int(item, "id", vp)
+    st = _get(item, "statistics", str, vp)
+    if st not in (BOSON, FERMION):
+        raise _fail(f"{vp}.statistics", f"expected '{BOSON}' or '{FERMION}', got {st!r}")
+    if vid in stats:
+        raise _fail(vp, f"duplicate vertex id {vid}")
+    stats[vid] = st
+    if "height" in keys:
+        heights[vid] = _int(item, "height", vp)
+
+
+def _checked_edge(item, keys: tuple[str, ...], edges: list, parity: dict, ep: str) -> None:
+    """Add the edge item at path ep to edges and, when keys name a parity, parity; or name what is wrong with it."""
+    _object(item, keys, ep)
+    color = _int(item, "color", ep)
+    ends = _get(item, "ends", list, ep)
+    if len(ends) != 2 or not all(type(e) is int for e in ends):
+        raise _fail(f"{ep}.ends", "expected a pair of vertex ids")
+    u, v = sorted(ends)
+    edges.append((u, v, color))
+    if "parity" in keys:
+        p = _int(item, "parity", ep)
+        if p not in (0, 1):
+            raise _fail(f"{ep}.parity", f"expected 0 or 1, got {p}")
+        parity[(u, v, color)] = p
 
 
 def _heights(raw, ints: list[type]) -> tuple[int, ...] | None:

@@ -26,7 +26,10 @@ engineerability by a deque BFS over neighbour lists, keyed by vertex id, with
 its heights normalized through the checked public route, instead of the
 adjacency-table walk by vertex position, and the family walk over Adinkras,
 each orbit moved by the checked raise or lower and the result normalized
-whole, instead of the walk over height tuples by position.
+whole, instead of the walk over height tuples by position, and every
+topology, Adinkra, family and trace document built as plain dicts and lists
+for json.dumps to write, instead of each vertex, edge, member, move and step
+written at its indent.
 """
 
 from __future__ import annotations
@@ -57,7 +60,8 @@ from adinkra.core import (
     normalize_heights,
 )
 from adinkra.cube import dist0, hgt0, subset_label
-from adinkra.mutation import lower_vertex, raise_vertex, targets
+from adinkra.document import FORMAT_NAME, FORMAT_VERSION, document_kind
+from adinkra.mutation import FamilyGraph, SequenceTrace, lower_vertex, raise_vertex, targets
 from adinkra.superspace import (
     I_PHASE,
     MINUS_ONE,
@@ -815,3 +819,65 @@ def _flag_redundant(
 
 
 _PHASES = tuple(Phase(k) for k in range(4))
+
+
+# ---------------------------------------------------------------------------
+# documents as plain data
+
+
+def _reference_graph(t: Topology, a: Adinkra | None = None) -> dict:
+    """A topology's payload, with each vertex's height and edge's parity when given the Adinkra a on t."""
+    vertices = [{"id": v, "statistics": s} for v, s in zip(t.vertex_ids, t.statistics)]
+    order = sorted((c, u, v) for u, v, c in t.edges)
+    edges = [{"color": c, "ends": [u, v]} for c, u, v in order]
+    if a is not None:
+        parity = a.parity_by_edge()
+        for item, h in zip(vertices, a.heights):
+            item["height"] = h
+        for item, (c, u, v) in zip(edges, order):
+            item["parity"] = parity[(u, v, c)]
+    return {"n_colors": t.n_colors, "vertices": vertices, "edges": edges}
+
+
+def _reference_header(a: Adinkra) -> dict:
+    parity = a.parity_by_edge()
+    return {
+        "topology": _reference_graph(a.topology),
+        "parity": [parity[(u, v, c)] for c, u, v in sorted((c, u, v) for u, v, c in a.topology.edges)],
+    }
+
+
+def reference_document(obj: Topology | Adinkra | FamilyGraph | SequenceTrace) -> dict:
+    """The document serialize writes for obj, as the data json.dumps(indent=2) writes the same text from."""
+    if isinstance(obj, Adinkra):
+        payload = _reference_graph(obj.topology, obj)
+    elif isinstance(obj, Topology):
+        payload = _reference_graph(obj)
+    elif isinstance(obj, FamilyGraph):
+        payload = {
+            **_reference_header(next(iter(obj.members.values()))),
+            "members": [list(k) for k in sorted(obj.members)],
+            "moves": [
+                {"from": list(src), "kind": kind, "vertex": v, "to": list(dst)}
+                for src, kind, v, dst in sorted(obj.moves)
+            ],
+        }
+    else:
+        steps = [
+            {
+                "heights": list(s.adinkra.heights),
+                "move": None if s.move is None else list(s.move),
+                "counters": [list(p) for p in s.counters],
+                "parent": s.parent,
+                "repeat_of": s.repeat_of,
+            }
+            for s in obj.steps
+        ]
+        payload = {**_reference_header(obj.steps[0].adinkra), "steps": steps, "cycle_closure": obj.cycle_closure}
+    return {
+        "format": FORMAT_NAME,
+        "version": FORMAT_VERSION,
+        "kind": document_kind(obj),
+        "annotations": {},
+        "payload": payload,
+    }

@@ -140,11 +140,20 @@ def test_build_reads_each_edge_once() -> None:
         pytest.param((0, 1), id="(0, 1)"),
         pytest.param(iter((0, 1)), id="iter((0, 1))"),
         pytest.param((0, 1, 1, 2), id="(0, 1, 1, 2)"),
+        pytest.param((0, 1, True), id="bool color"),
+        pytest.param((0, 1.0, 1), id="float end"),
+        pytest.param((0, 1, type("Color", (int,), {})(1)), id="int subclass color"),
     ],
 )
 def test_build_refuses_a_malformed_edge(edge) -> None:
     with pytest.raises(AdinkraError, match=r"^invalid topology: edge .* is not an \(u, v, color\) integer triple"):
         Topology.build(1, {0: BOSON, 1: FERMION}, [edge])
+
+
+@pytest.mark.parametrize("vid", [1.0, type("Vertex", (int,), {})(1)], ids=["float", "int subclass"])
+def test_build_refuses_a_vertex_id_that_is_not_a_plain_int(vid) -> None:
+    with pytest.raises(AdinkraError, match=f"^invalid topology: vertex id {vid!r} is not an integer;"):
+        Topology.build(1, {0: BOSON, vid: FERMION}, [(0, 1, 1)])
 
 
 def test_a_topology_is_its_four_fields() -> None:
@@ -197,6 +206,16 @@ def test_edge_index_names_an_edge_it_does_not_find(u: int, v: int, color: int) -
         cube_topology(2).edge_index(u, v, color)
 
 
+# a color equal to an in-range int but not a plain int names no edge: 1.0 and True equal 1
+@pytest.mark.parametrize("color", [1.0, True, 2.0, False, 0, 3, "1"], ids=repr)
+def test_neighbor_and_edge_index_refuse_a_color_that_is_not_an_int_in_range(color) -> None:
+    t = cube_topology(2)
+    with pytest.raises(AdinkraError, match=f"^{re.escape(f'vertex 0 has no edge of color {color!r}')}$"):
+        t.neighbor(0, color)
+    with pytest.raises(AdinkraError, match=f"^{re.escape(f'no edge {(0, 1, color)} in topology')}$"):
+        t.edge_index(0, 1, color)
+
+
 def test_neighbors_of_an_unknown_vertex_are_empty() -> None:
     assert square().neighbors(7) == []
     assert square().neighbors(0) == [(1, 1), (2, 2)]
@@ -235,6 +254,36 @@ def test_adinkra_rejects_even_square() -> None:
     t = square()
     with pytest.raises(AdinkraError, match="odd-square"):
         Adinkra.from_maps(t, {0: 0, 1: 1, 2: 1, 3: 2}, {e: 0 for e in t.edges})
+
+
+# True, False and 1.0 pass the gap arithmetic and equal 0 or 1, but a height or parity is a plain int
+@pytest.mark.parametrize(
+    "heights, parity, error",
+    [
+        ((False, True), (0,), "vertex 0 has height False, expected an int"),
+        ((0, 1.0), (0,), "vertex 1 has height 1.0, expected an int"),
+        ((0, 1), (True,), "edge (0, 1, 1) has parity True, expected 0 or 1"),
+        ((0, 1), (0.0,), "edge (0, 1, 1) has parity 0.0, expected 0 or 1"),
+        ((0, 1), ([0],), "edge (0, 1, 1) has parity [0], expected 0 or 1"),
+        ((0, 1), (2,), "edge (0, 1, 1) has parity 2, expected 0 or 1"),
+    ],
+    ids=["bool-height", "float-height", "bool-parity", "float-parity", "list-parity", "parity-2"],
+)
+def test_an_adinkra_refuses_heights_and_parities_that_are_not_ints(heights, parity, error) -> None:
+    t = cube_topology(1)
+    for build in (
+        lambda: Adinkra(t, heights, parity),
+        lambda: Adinkra.from_maps(t, dict(zip(t.vertex_ids, heights)), dict(zip(t.edges, parity))),
+    ):
+        with pytest.raises(AdinkraError, match=f"^{re.escape(error)}$"):
+            build()
+
+
+@pytest.mark.parametrize("heights", [{0: False, 1: True}, {0: 0, 1: 1.0}, {0: 2.0, 1: 1}], ids=repr)
+def test_normalize_heights_refuses_heights_that_are_not_ints(heights) -> None:
+    v, h = next((v, h) for v, h in heights.items() if type(h) is not int)
+    with pytest.raises(AdinkraError, match=f"^{re.escape(f'vertex {v} has height {h!r}, expected an int')}$"):
+        normalize_heights(cube_topology(1), heights)
 
 
 def test_parity_violations_names_the_square() -> None:

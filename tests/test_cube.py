@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from adinkra.core import BOSON, FERMION, AdinkraError, parity_violations
+from adinkra.core import BOSON, FERMION, AdinkraError, Topology, parity_violations
 from adinkra.cube import (
     MAX_CUBE_COLORS,
     SCALAR,
@@ -21,6 +21,8 @@ from adinkra.cube import (
     standard_parity,
     subset_label,
 )
+
+from test_mutation import QUOTIENT_CENSUS
 
 
 def test_hgt0_counts_bits() -> None:
@@ -186,6 +188,19 @@ def test_the_cube_is_the_quotient_by_the_empty_code(kind: str) -> None:
         assert cube_topology(n, kind) == code_quotient(n, (), kind)
 
 
+_QUOTIENT_CODES = [(n, (), kind) for n in range(1, MAX_CUBE_COLORS + 1) for kind in (SCALAR, SPINOR)]
+_QUOTIENT_CODES += [(n, generators, SCALAR) for n, generators, *_ in QUOTIENT_CENSUS.values()]
+
+
+@pytest.mark.parametrize("n, generators, kind", _QUOTIENT_CODES, ids=str)
+def test_a_code_quotient_is_the_topology_build_makes_of_its_data(n: int, generators: tuple, kind: str) -> None:
+    # code_quotient builds without Topology.build's edge check, which its code checks make redundant
+    q = code_quotient(n, generators, kind)
+    built = Topology.build(n, dict(zip(q.vertex_ids, q.statistics)), reversed(q.edges))
+    assert q == built
+    assert (q._adjacent, q._incident, q._forest) == (built._adjacent, built._incident, built._forest)
+
+
 def test_the_antipodal_quotient_is_the_quotient_by_the_all_ones_word() -> None:
     assert antipodal_quotient() == code_quotient(4, (0b1111,))
 
@@ -215,6 +230,7 @@ REFUSED_CODES = {
     "2^n": (4, (16,), "generator 16 is not an int in 1..15"),
     "bool": (4, (True,), "generator True is not an int in 1..15"),
     "no colors": (0, (), "need a positive number of colors, got 0"),
+    "bool colors": (True, (), "need a positive number of colors, got True"),
     "over the cap": (
         MAX_CUBE_COLORS + 1,
         (0b1111,),

@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adinkra.constraints import ConstraintSystem, SourceSpec, emit_constraints, identify
-from adinkra.core import BOSON, FERMION, Topology
-from adinkra.cube import MAX_CUBE_COLORS, SCALAR, SPINOR, antipodal_quotient, cube_topology, standard_parity
+from adinkra.core import BOSON, FERMION, Adinkra, Topology
+from adinkra.cube import MAX_CUBE_COLORS, SCALAR, SPINOR, antipodal_quotient, cube_topology, hgt0, standard_parity
 from adinkra.document import (
     Document,
     DocumentError,
@@ -32,6 +32,8 @@ from adinkra.mutation import (
     main_sequence,
     raise_vertex,
 )
+
+from oracles import reference_document
 
 
 def sample_objects():
@@ -92,6 +94,58 @@ def test_deserialize_reports_paths() -> None:
     data["payload"]["vertices"].append(dict(data["payload"]["vertices"][0]))
     with pytest.raises(DocumentError, match="duplicate vertex"):
         deserialize(json.dumps(data))
+
+
+def _set(key: str, value):
+    return lambda item: item.__setitem__(key, value)
+
+
+# on the 2-cube Adinkra, vertex 1 is {"id": 1, "statistics": "fermion", "height": 1} and
+# edge 2 is {"color": 2, "ends": [0, 2], "parity": 0}; each message is the one the field-by-field checks give
+_BAD_VERTEX = [
+    (lambda v: v.clear() or v.update(a=1, b=2, c=3), "$.payload.vertices[1]: unexpected key 'a'"),
+    (_set("weight", 1), "$.payload.vertices[1]: unexpected key 'weight'"),
+    (lambda v: v.pop("id"), "$.payload.vertices[1]: missing key 'id'"),
+    (lambda v: v.pop("statistics"), "$.payload.vertices[1]: missing key 'statistics'"),
+    (lambda v: v.pop("height"), "$.payload.vertices[1]: missing key 'height'"),
+    (_set("id", True), "$.payload.vertices[1].id: expected int, got bool"),
+    (_set("id", 1.0), "$.payload.vertices[1].id: expected int, got float"),
+    (_set("statistics", 0), "$.payload.vertices[1].statistics: expected str, got int"),
+    (_set("statistics", "quark"), "$.payload.vertices[1].statistics: expected 'boson' or 'fermion', got 'quark'"),
+    (_set("id", 0), "$.payload.vertices[1]: duplicate vertex id 0"),
+    (lambda v: v.update(id=0, height=1.5), "$.payload.vertices[1]: duplicate vertex id 0"),
+    (_set("height", None), "$.payload.vertices[1].height: expected int, got NoneType"),
+    (_set("height", False), "$.payload.vertices[1].height: expected int, got bool"),
+]
+_BAD_EDGE = [
+    (_set("weight", 1), "$.payload.edges[2]: unexpected key 'weight'"),
+    (lambda e: e.pop("color"), "$.payload.edges[2]: missing key 'color'"),
+    (lambda e: e.pop("ends"), "$.payload.edges[2]: missing key 'ends'"),
+    (lambda e: e.pop("parity"), "$.payload.edges[2]: missing key 'parity'"),
+    (_set("color", 2.0), "$.payload.edges[2].color: expected int, got float"),
+    (_set("ends", "02"), "$.payload.edges[2].ends: expected list, got str"),
+    (_set("ends", [0]), "$.payload.edges[2].ends: expected a pair of vertex ids"),
+    (_set("ends", [0, 2, 3]), "$.payload.edges[2].ends: expected a pair of vertex ids"),
+    (_set("ends", [0, True]), "$.payload.edges[2].ends: expected a pair of vertex ids"),
+    (_set("parity", 2), "$.payload.edges[2].parity: expected 0 or 1, got 2"),
+    (_set("parity", -1), "$.payload.edges[2].parity: expected 0 or 1, got -1"),
+    (_set("parity", True), "$.payload.edges[2].parity: expected int, got bool"),
+    (_set("parity", 0.0), "$.payload.edges[2].parity: expected int, got float"),
+]
+
+
+@pytest.mark.parametrize(
+    "where, tamper, error",
+    [(("vertices", 1), *case) for case in _BAD_VERTEX] + [(("edges", 2), *case) for case in _BAD_EDGE],
+    ids=[f"{error.split(':')[0]}-{i}" for i, (_, error) in enumerate(_BAD_VERTEX + _BAD_EDGE)],
+)
+def test_a_malformed_vertex_or_edge_is_named_at_its_path(where: tuple[str, int], tamper, error: str) -> None:
+    data = json.loads(serialize(base_adinkra(cube_topology(2))))
+    key, i = where
+    tamper(data["payload"][key][i])
+    with pytest.raises(DocumentError) as info:
+        deserialize(json.dumps(data))
+    assert str(info.value) == error
 
 
 def test_deserialize_envelope_checks() -> None:
@@ -661,9 +715,51 @@ def test_the_constraints_of_any_cube_member_round_trip(member) -> None:
     assert serialize(deserialize(text)) == text
 
 
-# tracemalloc peaks in bytes of the codec on the largest cube Adinkra, measured with
-# Python 3.11.7 while topologies and Adinkras had separate encoders and decoders; the bound is 1.25x
-CODEC_PEAKS = {"deserialize": 5_390_704, "serialize": 3_120_983, "export_dot": 1_382_221}
+_REFERENCE_TOPOLOGIES = [f"{kind}{n}" for n in (1, 2, 3, 4, 8, 10) for kind in (SCALAR, SPINOR)] + ["quotient4"]
+
+
+def _reference_objects(name: str) -> list:
+    """Every kind of graph document on the topology name: the topology, Adinkras, a family and a trace."""
+    if name == "quotient4":
+        t = antipodal_quotient()
+        adinkras = [base_adinkra(t)]
+    else:
+        t = cube_topology(int(name[6:]), name[:6])
+        counting = Adinkra.from_maps(t, {v: hgt0(v) for v in t.vertex_ids}, standard_parity(t))
+        adinkras = [base_adinkra(t), counting]
+    base = adinkras[0]
+    if len(t.vertex_ids) <= 16:
+        return [t, *adinkras, enumerate_family(t), main_sequence(base)]
+    # the whole family and trace of a large cube are out of reach; one member and the start step carry their graph
+    start = SequenceStep(base, None, tuple((v, 0) for v in t.vertex_ids), None, None)
+    return [t, *adinkras, FamilyGraph(t, {base.heights: base}, ()), SequenceTrace((start,), None)]
+
+
+@pytest.mark.parametrize("name", _REFERENCE_TOPOLOGIES)
+def test_every_graph_document_is_the_reference_encoders(name: str) -> None:
+    for obj in _reference_objects(name):
+        assert serialize(obj) == json.dumps(reference_document(obj), indent=2) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_any_adinkra_is_written_as_the_reference_encoder_writes_it(data) -> None:
+    member = data.draw(st.sampled_from(_FAMILY_MEMBERS[data.draw(st.sampled_from(sorted(_FAMILY_MEMBERS)))]))
+    t = member.topology
+    # flipping every edge at a vertex keeps each square's parity sum odd, as a square meets a vertex in 0 or 2 edges
+    flipped = data.draw(st.sets(st.sampled_from(t.vertex_ids)))
+    parity = tuple(p ^ ((u in flipped) != (v in flipped)) for (u, v, _), p in zip(t.edges, member.parity))
+    a = Adinkra(t, member.heights, parity)
+    text = serialize(a)
+    assert text == json.dumps(reference_document(a), indent=2) + "\n"
+    assert deserialize(text).payload == a
+
+
+# tracemalloc peaks in bytes of the codec on the largest cube Adinkra, measured with Python 3.11.7:
+# deserialize and export_dot while topologies and Adinkras had separate encoders and decoders (deserialize
+# now reads 5.6-6.1 MB, under this bound), serialize once each vertex and edge was written from one
+# template (3,151,737 while each was a dict for the writer to walk); the bound is 1.25x
+CODEC_PEAKS = {"deserialize": 5_390_704, "serialize": 1_844_018, "export_dot": 1_382_221}
 
 
 @pytest.mark.parametrize("step", sorted(CODEC_PEAKS))
