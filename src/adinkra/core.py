@@ -19,9 +19,11 @@ vertex_ids): row i, column c - 1 is the position of vertex i's color-c neighbour
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice, permutations
+from itertools import combinations
 from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
@@ -46,12 +48,12 @@ __all__ = [
 BOSON = "boson"
 FERMION = "fermion"
 
-# Squares grow as the square of the color count at a vertex, so the parity
-# solve and the parity check refuse more than this without holding them (the
-# 10-cube has 11,520).  The solve's elimination fallback keeps a row and a
-# provenance mask per square, so its memory grows as the square count squared:
-# K_{2,2} with 800 colors on its two perfect matchings (160,000 squares) took
-# 21 s and 1.7 GB.
+# Squares grow as the square of the color count at a vertex, so the square
+# table holds at most this many: past it the walk only counts, and the parity
+# solve and the parity check refuse the topology (the 10-cube has 11,520).  The
+# solve's elimination fallback keeps a row and a provenance mask per square, so
+# its memory grows as the square count squared: K_{2,2} with 800 colors on its
+# two perfect matchings (160,000 squares) took 21 s and 1.7 GB.
 MAX_PARITY_SQUARES = 1 << 14
 
 # (u, v, color) with u < v
@@ -169,7 +171,8 @@ class Topology:
     rebuilds it: the adjacency and incidence tables, components, a spanning
     forest, the valise heights (bosons at 0, fermions at 1) and an empty
     distance memo.
-    Two-color squares are computed on first use.
+    The square table (four edge positions per two-color square, from one
+    walk) and the sorted ``squares`` are computed on first use.
     """
 
     n_colors: int
@@ -229,23 +232,29 @@ class Topology:
 
     # -- basic queries ----------------------------------------------------
 
+    def _position(self, v: int) -> int | None:
+        """The position of vertex v in vertex_ids, or None for an unknown vertex.
+
+        An id is a plain int: 1.0 and True equal 1 as dict keys, but name no vertex.
+        """
+        return self._vindex.get(v) if type(v) is int else None
+
     def statistics_of(self, v: int) -> str:
-        try:
-            return self.statistics[self._vindex[v]]
-        except KeyError:
-            raise AdinkraError(f"unknown vertex {v}") from None
+        if type(v) is int and (i := self._vindex.get(v)) is not None:  # _position, inlined on a hot path
+            return self.statistics[i]
+        raise AdinkraError(f"unknown vertex {v}")
 
     def neighbor(self, v: int, color: int) -> int:
         """The unique vertex joined to v by the color-colored edge."""
-        i = self._vindex.get(v)
+        i = self._position(v)
         if i is None or type(color) is not int or not 0 < color <= self.n_colors:
             raise AdinkraError(f"vertex {v} has no edge of color {color!r}")
         return self.vertex_ids[self._adjacent[i][color - 1]]
 
     def edge_index(self, u: int, v: int, color: int) -> int:
         """The position in edges of the edge (u, v, color), in either end order, read off the incidence table."""
-        i = self._vindex.get(u)
-        if i is not None and type(color) is int and 0 < color <= self.n_colors:
+        i = self._position(u)
+        if i is not None and type(v) is int and type(color) is int and 0 < color <= self.n_colors:
             k = self._incident[i][color - 1]
             if self.edges[k] == _canon_edge(u, v, color):
                 return k
@@ -253,7 +262,7 @@ class Topology:
 
     def neighbors(self, v: int) -> list[tuple[int, int]]:
         """All (neighbor, color) pairs at v, in color order."""
-        i = self._vindex.get(v)
+        i = self._position(v)
         return [] if i is None else [(self.vertex_ids[j], c) for c, j in enumerate(self._adjacent[i], 1)]
 
     def components(self) -> tuple[tuple[int, ...], ...]:
@@ -262,14 +271,15 @@ class Topology:
 
     def distances_from(self, v: int) -> dict[int, int]:
         """BFS distances from v to every vertex in its component (cached)."""
+        start = self._position(v)
+        if start is None:
+            raise AdinkraError(f"unknown vertex {v}")
         cached = self._dist_cache.get(v)
         if cached is not None:
             return cached
-        if v not in self._vindex:
-            raise AdinkraError(f"unknown vertex {v}")
         adj = self._adjacent
-        order = [self._vindex[v]]
-        reached = {order[0]: 0}
+        order = [start]
+        reached = {start: 0}
         for i in order:
             for j in adj[i]:
                 if j not in reached:
@@ -280,63 +290,76 @@ class Topology:
         return dist
 
     def distance(self, u: int, v: int) -> int | None:
-        """Graph distance, or None when u and v lie in different components."""
-        return self.distances_from(u).get(v)
+        """Graph distance, or None when u and v lie in different components or v is no vertex."""
+        dist = self.distances_from(u)
+        return dist.get(v) if type(v) is int else None
 
     @cached_property
     def squares(self) -> tuple[tuple[int, int, tuple[int, int, int, int]], ...]:
-        """Every two-color square as (c1, c2, edge indices in walk order).
+        """Every two-color square as (c1, c2, edge indices in walk order), sorted.
 
         Ordered by color pair, then by lowest vertex, each walked from that
         vertex along c1, c2, c1, c2.  Two edges of colors c1 and c2 joining the
         same pair of vertices, and longer two-colored cycles, are not squares.
-        Each vertex pairs only colors that lead to two distinct higher
-        neighbours, so colors doubled onto one edge cost one pass, not a pass
-        per pair.  Computed on first use.
+        Sorted from the square table when the topology has one, so only a
+        topology past MAX_PARITY_SQUARES is walked again, without the cap.
+        Computed on first use, for parity_violations' messages, the
+        elimination's certificates and public readers; the odd-square check
+        and the parity solve read the table instead.
         """
-        return _sorted_squares(self._square_walk())
+        table = self._walked_squares
+        if type(table) is int:
+            table = self._square_walk(math.inf)[0]
+        edges = self.edges
+        it = iter(table)
+        # the first edge joins the lowest vertex to a higher one, so its lower end is the lowest vertex
+        keyed = sorted((edges[a][2], edges[b][2], edges[a][0], (a, b, c, d)) for a, b, c, d in zip(it, it, it, it))
+        return tuple((c1, c2, square) for c1, c2, _, square in keyed)
 
-    def _capped_squares(self, what: str) -> tuple[tuple[int, int, tuple[int, int, int, int]], ...]:
-        """squares, walked once and cached as on first use, or an AdinkraError naming what refuses more than MAX_PARITY_SQUARES.
+    def _square_table(self, what: str) -> array:
+        """The edge positions of every square, four per square in walk order, or an AdinkraError naming what refuses more than MAX_PARITY_SQUARES."""
+        table = self._walked_squares
+        if type(table) is int:
+            raise AdinkraError(f"{table} two-color squares exceed the cap of {MAX_PARITY_SQUARES} on the {what}")
+        return table
 
-        Counting past the cap holds no square beyond the cap's, so a refusal
-        costs no more memory than an accepted topology.
+    @cached_property
+    def _walked_squares(self) -> array | int:
+        """The square table from one walk, or past MAX_PARITY_SQUARES only the count of squares."""
+        table, count = self._square_walk()
+        return table if count <= MAX_PARITY_SQUARES else count
+
+    def _square_walk(self, cap: float = MAX_PARITY_SQUARES) -> tuple[array, int]:
+        """The edge positions of the first cap squares found, four per square in walk order, and the count of all of them.
+
+        Each square is found from its lowest vertex i, walked i -c1- a -c2- b
+        -c1- d -c2- i with c1 < c2, and its edges i-a, a-b, b-d and d-i are
+        read from the incidence table.  Squares past the cap are counted, not held.
         """
-        squares = self.__dict__.get("squares")
-        if squares is None:
-            walk = self._square_walk()
-            found = list(islice(walk, MAX_PARITY_SQUARES + 1))
-            count = len(found) + sum(1 for _ in walk)
-            if count <= MAX_PARITY_SQUARES:
-                squares = self.__dict__["squares"] = _sorted_squares(found)  # where the cached property keeps it
-        else:
-            count = len(squares)
-        if count > MAX_PARITY_SQUARES:
-            raise AdinkraError(f"{count} two-color squares exceed the cap of {MAX_PARITY_SQUARES} on the {what}")
-        return squares
-
-    def _square_walk(self) -> Iterator[tuple[int, int, int, tuple[int, int, int, int]]]:
-        """(c1, c2, lowest vertex, edge indices in walk order) of every square, unsorted."""
         adj, inc = self._adjacent, self._incident
-        for i, row in enumerate(adj):
-            # i is the square's lowest vertex, and two colors to one neighbour are a doubled edge,
-            # which closes no square: only colors to two distinct higher neighbours pair up
+        found: list[int] = []
+        room = 4 * cap
+        past = 0
+        for i, (row, at) in enumerate(zip(adj, inc)):
+            # two colors to one neighbour are a doubled edge, which closes no square:
+            # only colors to two distinct higher neighbours pair up
             by_end: dict[int, list[int]] = {}
-            for c, a in enumerate(row, 1):
+            for c, a in enumerate(row):
                 if a > i:
                     by_end.setdefault(a, []).append(c)
-            for (a, firsts), (d, seconds) in permutations(by_end.items(), 2):
-                for c1 in firsts:
-                    for c2 in seconds:
-                        # i -c1- a -c2- b closes through d when d's c1 neighbour is b
-                        if c1 < c2 and adj[d][c1 - 1] == (b := adj[a][c2 - 1]) > i:
-                            # the walk's edges i-a, a-b, b-d and d-i, read from the incidence table
-                            yield c1, c2, i, (inc[i][c1 - 1], inc[a][c2 - 1], inc[b][c1 - 1], inc[i][c2 - 1])
-
-
-def _sorted_squares(found: Iterable[tuple[int, int, int, tuple[int, int, int, int]]]) -> tuple:
-    """The walked squares in Topology.squares order: by color pair, then by lowest vertex."""
-    return tuple((c1, c2, square) for c1, c2, _, square in sorted(found))
+            for (a, a_colors), (d, d_colors) in combinations(by_end.items(), 2):
+                ra, rd = adj[a], adj[d]
+                for x in a_colors:
+                    for y in d_colors:
+                        # i -x- a -y- b closes through d when d's x neighbour is b
+                        if ra[y] == rd[x] > i:
+                            if len(found) == room:
+                                past += 1
+                            elif x < y:
+                                found += at[x], inc[a][y], inc[ra[y]][x], at[y]
+                            else:
+                                found += at[y], inc[d][x], inc[ra[y]][y], at[x]
+        return array("I", found), len(found) // 4 + past
 
 
 def orientation_from_heights(
@@ -409,7 +432,9 @@ class Adinkra:
         return cls(topology, h, p)
 
     def height_of(self, v: int) -> int:
-        return self.heights[self.topology._vindex[v]]
+        if type(v) is int and (i := self.topology._vindex.get(v)) is not None:  # Topology._position, inlined
+            return self.heights[i]
+        raise AdinkraError(f"unknown vertex {v}")
 
     def parity_of(self, u: int, v: int, color: int) -> int:
         return self.parity[self.topology.edge_index(u, v, color)]
@@ -499,10 +524,15 @@ def _check_parity(topology: Topology, parity: Sequence[int]) -> None:
     if not ({int}.issuperset(map(type, parity)) and {0, 1}.issuperset(parity)):
         p, e = next((p, e) for p, e in zip(parity, topology.edges) if type(p) is not int or p not in (0, 1))
         raise AdinkraError(f"edge {e} has parity {p!r}, expected 0 or 1")
-    topology._capped_squares("parity check")
-    bad = parity_violations(topology, parity)
-    if bad:
-        raise AdinkraError("odd-square rule violated: " + "; ".join(bad))
+    if not _odd_squares(topology._square_table("parity check"), parity):
+        raise AdinkraError("odd-square rule violated: " + "; ".join(parity_violations(topology, parity)))
+
+
+def _odd_squares(table: array, values: Sequence[int]) -> bool:
+    """Whether every square of a square table sums odd under values, 0 or 1 per edge position."""
+    it = iter(table)
+    # the list keeps only the even squares, and building it beats all() over a generator
+    return not [a for a, b, c, d in zip(it, it, it, it) if not values[a] ^ values[b] ^ values[c] ^ values[d]]
 
 
 def parity_violations(topology: Topology, parity: Sequence[int]) -> list[str]:
@@ -648,21 +678,23 @@ def solve_edge_parity(topology: Topology) -> ParityResult:
     One equation per two-colored square (sum of its four edge parities = 1);
     longer two-colored cycles are unconstrained.  Gauge fixing: edges of the
     topology's BFS spanning forest are set to 0.  A topology with more than
-    MAX_PARITY_SQUARES squares is refused before anything else is built; the
-    squares past the cap are counted, not kept.
+    MAX_PARITY_SQUARES squares is refused before anything else is built,
+    from the topology's square table; the squares past the cap are counted,
+    not kept.
 
     The solve propagates from the gauge first: a square with exactly one
     unfixed edge fixes that edge.  Each newly fixed edge goes on a stack,
     and when it comes off, the squares through it are found in the
     adjacency and incidence tables (the same squares as ``squares``).  When
-    every edge is fixed and every square sums odd, that parity is the only
-    solution with the forest at 0 (every N-cube ends here).  Otherwise the
-    system goes to GF(2) elimination (see _eliminated_parity), which sets
-    the remaining free variables to 0, so the result is deterministic, and
-    yields a certificate (the violating combination of squares) for an
+    every edge is fixed and every square of the table sums odd, that parity
+    is the only solution with the forest at 0 (every N-cube ends here), and
+    the sorted ``squares`` are never built.  Otherwise the system goes to
+    GF(2) elimination (see _eliminated_parity), which sets the remaining
+    free variables to 0, so the result is deterministic, and yields a
+    certificate (the violating combination of squares) for an
     unsatisfiable system.  The result is the elimination's on every input.
     """
-    squares = topology._capped_squares("parity solve")
+    table = topology._square_table("parity solve")
     edges, vindex, adj, inc = topology.edges, topology._vindex, topology._adjacent, topology._incident
     ne = len(edges)
     value, fixed = bytearray(ne), bytearray(ne)
@@ -683,7 +715,7 @@ def solve_edge_parity(topology: Topology) -> ParityResult:
                     value[f] = 1 ^ value[e] ^ value[ia] ^ value[ab] ^ value[jb]  # value[f] is still 0
                     fixed[f] = 1
                     stack.append(f)
-    if 0 not in fixed and all(value[a] ^ value[b] ^ value[c] ^ value[d] for _, _, (a, b, c, d) in squares):
+    if 0 not in fixed and _odd_squares(table, value):
         return ParityResult(ok=True, parity=dict(zip(edges, value)))
     return _eliminated_parity(topology)
 

@@ -11,11 +11,12 @@ members and moves are sorted, so equal objects produce identical text,
 byte-identical to ``json.dumps(indent=2)``, and written by one recursive
 writer as parts joined once.  Each vertex and edge of a graph is written
 from one template at the indent it lands at.  A family document's members
-and moves are written in one pass: each member's heights once per indent,
-and every move joined from those texts.  They, a graph's vertices and edges
-and a trace's steps go into the parts one by one, so the document's join is
-the only copy of a large payload.  Every document the library writes reads
-back, since an Adinkra's heights and parities are plain ints.
+and moves are written in one pass: each member's heights formatted once and
+indented for the moves, and every move joined from those texts.  They, a
+graph's vertices and edges and a trace's steps go into the parts one by
+one, so the document's join is the only copy of a large payload.  Every
+document the library writes reads back, since an Adinkra's heights and
+parities are plain ints.
 Deserialization validates shape and reports the offending path (for example
 ``payload.vertices[3].height``) before any graph-level validation runs.  Each
 vertex and edge, and each of a family's height lists, is checked by one test
@@ -147,15 +148,18 @@ def _header_data(a: Adinkra) -> dict:
 def _family_data(f: FamilyGraph) -> dict:
     """The family payload, its members and moves already written at their indent.
 
-    Each member's heights are written once for the members list and once for
-    the moves, and every move is joined from those texts.
+    Each member's heights are formatted once, at the members' indent, and
+    moved two spaces deeper for the moves, whose fields sit one level down;
+    every move is joined from those texts.
     """
     if not f.members:
         raise _fail("$.payload.members", "a family needs at least one member")
     field = _ITEM_PAD + "  "
     sep = ",\n" + field
     keys = sorted(f.members)
-    at_field = {k: _indented_json(k, field) for k in keys}
+    at_item = [_indented_json(k, _ITEM_PAD) for k in keys]
+    # json text holds no raw newline but its layout's, so two more spaces on every line nest it one level deeper
+    at_field = {k: text.replace("\n", "\n  ") for k, text in zip(keys, at_item)}
     # a move's kind and vertex, written once per pair
     middles: dict[tuple, str] = {}
     moves = []
@@ -168,7 +172,7 @@ def _family_data(f: FamilyGraph) -> dict:
         moves.append(f'{{\n{field}"from": {from_text}{middle}{to_text}\n{_ITEM_PAD}}}')
     return {
         **_header_data(next(iter(f.members.values()))),
-        "members": _Written([_indented_json(k, _ITEM_PAD) for k in keys]),
+        "members": _Written(at_item),
         "moves": _Written(moves),
     }
 

@@ -66,7 +66,7 @@ def check_hooks(topology: Topology, hookset: HookSet) -> list[str]:
     """
     hooks = hookset.as_map()
     for v in hooks:
-        if v not in topology._vindex:
+        if topology._position(v) is None:
             raise AdinkraError(f"hook references unknown vertex {v}")
 
     report: list[str] = []
@@ -145,9 +145,10 @@ def one_hooked(
     """
     if len(topology.components()) != 1:
         raise AdinkraError("one-hooked hanging needs a connected topology")
-    if vertex not in topology._vindex:
+    i = topology._position(vertex)
+    if i is None:
         raise AdinkraError(f"hook references unknown vertex {vertex}")
-    if height % 2 != topology._valise[topology._vindex[vertex]]:
+    if height % 2 != topology._valise[i]:
         raise AdinkraError(
             f"hook height {height} does not match the statistics parity of vertex {vertex}"
         )

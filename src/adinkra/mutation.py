@@ -70,9 +70,7 @@ def _shift(adinkra: Adinkra, vertices: Iterable[int], delta: int) -> Adinkra:
 def _move(adinkra: Adinkra, vertex: int, delta: int) -> Adinkra:
     """Move a source up (delta 2) or a target down (delta -2), refusing any other vertex."""
     t = adinkra.topology
-    if vertex not in t._vindex:
-        raise AdinkraError(f"unknown vertex {vertex}")
-    hv = adinkra.height_of(vertex)
+    hv = adinkra.height_of(vertex)  # an AdinkraError for an unknown vertex
     for w, color in t.neighbors(vertex):
         if (adinkra.height_of(w) - hv) * delta < 0:
             edge = (vertex, w, color)
@@ -175,14 +173,14 @@ def lowering_sequence_to_one_hooked(adinkra: Adinkra, vertex: int) -> list[int]:
     :func:`lower_vertex` reproduces the descent.
     """
     t = adinkra.topology
-    if vertex not in t._vindex:
+    if t._position(vertex) is None:
         raise AdinkraError(f"unknown vertex {vertex}")
     if len(t.components()) != 1:
         raise AdinkraError("one-hooked descent needs a connected topology")
     # the landed pattern is forced, so the total move count is known up front
     dist = t.distances_from(vertex)
     hv = adinkra.height_of(vertex)
-    total = sum((adinkra.height_of(w) - (hv - dist[w])) // 2 for w in t.vertex_ids)
+    total = sum((h - (hv - dist[w])) // 2 for w, h in zip(t.vertex_ids, adinkra.heights))
     moves: list[int] = []
     current = adinkra
     while True:
@@ -397,7 +395,7 @@ def _check_orbit(start: Adinkra, orbit: Sequence[int], seen: set[int]) -> tuple[
     if not ot:
         raise AdinkraError("empty orbit in partition")
     for v in ot:
-        if v not in t._vindex:
+        if t._position(v) is None:
             raise AdinkraError(f"orbit refers to unknown vertex {v}")
         if v in seen:
             raise AdinkraError(f"vertex {v} appears in more than one orbit")

@@ -21,6 +21,7 @@ from adinkra.core import (
     ParityResult,
     Topology,
     _eliminated_parity,
+    _odd_squares,
     engineerable,
     net_ascent,
     normalize_heights,
@@ -30,8 +31,8 @@ from adinkra.core import (
     validate_topology,
 )
 from adinkra.cube import SCALAR, SPINOR, antipodal_quotient, code_quotient, cube_topology, standard_parity
-from adinkra.hanging import SOURCES, TARGETS, HookSet, hang
-from adinkra.mutation import base_adinkra, lower_vertex, raise_vertex
+from adinkra.hanging import SOURCES, TARGETS, HookSet, check_hooks, hang, one_hooked
+from adinkra.mutation import base_adinkra, lower_vertex, main_sequence, raise_vertex
 
 from oracles import (
     all_orientations,
@@ -219,6 +220,53 @@ def test_neighbor_and_edge_index_refuse_a_color_that_is_not_an_int_in_range(colo
 def test_neighbors_of_an_unknown_vertex_are_empty() -> None:
     assert square().neighbors(7) == []
     assert square().neighbors(0) == [(1, 1), (2, 2)]
+
+
+# an id equal to an int but not a plain int names no vertex: 1.0 and True equal vertex 1 as dict keys.
+# Each lookup of v on the 2-cube, and the error it raises; (1, 3, 2) is vertex 1's color-2 edge
+_VERTEX_LOOKUPS = {
+    "statistics_of": (lambda t, v: t.statistics_of(v), "unknown vertex {v}"),
+    "neighbor": (lambda t, v: t.neighbor(v, 1), "vertex {v} has no edge of color 1"),
+    "edge_index": (lambda t, v: t.edge_index(v, 3, 2), "no edge ({v}, 3, 2) in topology"),
+    "edge_index-other-end": (lambda t, v: t.edge_index(3, v, 2), "no edge (3, {v}, 2) in topology"),
+    "distances_from": (lambda t, v: t.distances_from(v), "unknown vertex {v}"),
+    "distance": (lambda t, v: t.distance(v, 0), "unknown vertex {v}"),
+    "height_of": (lambda t, v: base_adinkra(t).height_of(v), "unknown vertex {v}"),
+}
+
+
+@pytest.mark.parametrize("lookup", sorted(_VERTEX_LOOKUPS))
+@pytest.mark.parametrize("v", [1.0, True, 7], ids=repr)
+def test_a_vertex_id_that_is_not_an_int_is_an_unknown_vertex(lookup: str, v) -> None:
+    call, message = _VERTEX_LOOKUPS[lookup]
+    t = cube_topology(2)
+    t.distances_from(1)  # memoized under the int 1, which 1.0 and True equal
+    with pytest.raises(AdinkraError, match=f"^{re.escape(message.format(v=v))}$"):
+        call(t, v)
+
+
+@pytest.mark.parametrize("v", [1.0, True, 7], ids=repr)
+def test_a_vertex_id_that_is_not_an_int_has_no_neighbours_and_no_distance(v) -> None:
+    t = cube_topology(2)
+    assert t.neighbors(v) == []
+    assert t.distance(0, v) is None
+
+
+# the hooks, moves and orbits that name a vertex test it as the lookups do
+_VERTEX_ARGUMENTS = {
+    "check_hooks": (lambda t, v: check_hooks(t, HookSet.from_map(TARGETS, {v: 1, 2: 1})), "hook references unknown vertex {v}"),
+    "one_hooked": (lambda t, v: one_hooked(t, v, 1), "hook references unknown vertex {v}"),
+    "raise_vertex": (lambda t, v: raise_vertex(base_adinkra(t), v), "unknown vertex {v}"),
+    "main_sequence": (lambda t, v: main_sequence(base_adinkra(t), [[v], [0, 2], [3]]), "orbit refers to unknown vertex {v}"),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_VERTEX_ARGUMENTS))
+@pytest.mark.parametrize("v", [1.0, True], ids=repr)
+def test_a_vertex_id_that_is_not_an_int_is_refused_where_it_names_a_vertex(call: str, v) -> None:
+    run, message = _VERTEX_ARGUMENTS[call]
+    with pytest.raises(AdinkraError, match=f"^{re.escape(message.format(v=v))}$"):
+        run(cube_topology(2), v)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -734,7 +782,8 @@ def test_the_parity_check_refuses_too_many_squares_without_holding_them() -> Non
     ids=["cube4", "quotient4", "unsolvable"],
 )
 def test_the_parity_solve_walks_the_squares_once(build, monkeypatch) -> None:
-    # propagation, the elimination it falls back to, and later readers all share the one walk
+    # propagation reads the adjacency and incidence tables and walks nothing; the cap, the final
+    # every-square-odd test, the elimination's squares and later readers share the one walk
     t = build()
     walks = []
     square_walk = Topology._square_walk
@@ -743,6 +792,29 @@ def test_the_parity_solve_walks_the_squares_once(build, monkeypatch) -> None:
     solve_edge_parity(t)
     parity_violations(t, (0,) * len(t.edges))
     assert walks == [t]
+
+
+@pytest.mark.parametrize("t", _square_cases(), ids=lambda t: f"{t.n_colors}c{len(t.vertex_ids)}v")
+def test_the_square_table_holds_the_squares_in_walk_order(t: Topology) -> None:
+    it = iter(t._square_table("parity check"))
+    assert sorted(zip(it, it, it, it)) == sorted(square for _, _, square in t.squares)
+
+
+@pytest.mark.parametrize("t", _square_cases(), ids=lambda t: f"{t.n_colors}c{len(t.vertex_ids)}v")
+def test_the_square_table_finds_an_even_square_where_parity_violations_does(t: Topology) -> None:
+    rng = random.Random(len(t.edges))
+    table = t._square_table("parity check")
+    solved = solve_edge_parity(t)
+    starts = [tuple(solved.parity[e] for e in t.edges)] if solved.ok else []
+    for parity in starts + [tuple(rng.randrange(2) for _ in t.edges) for _ in range(20)]:
+        assert _odd_squares(table, parity) == (parity_violations(t, parity) == [])
+
+
+def test_an_adinkra_on_a_fresh_cube_lists_no_squares() -> None:
+    # the odd-square check reads the square table; only a violation lists the sorted squares
+    t = cube_topology(8)
+    Adinkra(t, t._valise, tuple(standard_parity(t)[e] for e in t.edges))
+    assert "squares" not in vars(t)
 
 
 def test_doubled_edges_close_squares_only_through_a_third_color() -> None:

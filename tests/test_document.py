@@ -414,6 +414,22 @@ def test_a_family_whose_moves_leave_its_members_is_written_as_json_dumps_writes_
     ]
 
 
+def _hand_built_families() -> list[FamilyGraph]:
+    """The empty topology's family, keyed by (), and a 2-cube family whose keys hold -1 and two-digit heights."""
+    empty = Topology.build(1, {}, [])
+    t = cube_topology(2)
+    base = base_adinkra(t)
+    low, high = (-1, 0, -2, -1), (10, 11, 11, 12)
+    members = {k: Adinkra(t, k, base.parity) for k in (low, high)}
+    moves = ((high, "lower", 3, low), (low, "raise", 2, (-1, 0, 0, 1)), (low, "lower", 1, high))
+    return [FamilyGraph(empty, {(): Adinkra(empty, (), ())}, ()), FamilyGraph(t, members, moves)]
+
+
+@pytest.mark.parametrize("family", _hand_built_families(), ids=["empty", "negative-and-two-digit"])
+def test_a_hand_built_family_is_written_as_the_reference_encoder_writes_it(family: FamilyGraph) -> None:
+    assert serialize(family) == json.dumps(reference_document(family), indent=2) + "\n"
+
+
 def test_a_family_without_members_is_refused() -> None:
     with pytest.raises(DocumentError, match=r"^\$\.payload\.members: a family needs at least one member$"):
         serialize(FamilyGraph(cube_topology(1), {}, ()))
@@ -756,10 +772,11 @@ def test_any_adinkra_is_written_as_the_reference_encoder_writes_it(data) -> None
 
 
 # tracemalloc peaks in bytes of the codec on the largest cube Adinkra, measured with Python 3.11.7:
-# deserialize and export_dot while topologies and Adinkras had separate encoders and decoders (deserialize
-# now reads 5.6-6.1 MB, under this bound), serialize once each vertex and edge was written from one
-# template (3,151,737 while each was a dict for the writer to walk); the bound is 1.25x
-CODEC_PEAKS = {"deserialize": 5_390_704, "serialize": 1_844_018, "export_dot": 1_382_221}
+# deserialize once the odd-square check read a flat square table instead of walking, tupling and
+# sorting every square (5.6-6.1 MB before), export_dot while topologies and Adinkras had separate
+# encoders and decoders, serialize once each vertex and edge was written from one template (3,151,737
+# while each was a dict for the writer to walk); the bound is 1.25x
+CODEC_PEAKS = {"deserialize": 4_374_104, "serialize": 1_844_018, "export_dot": 1_382_221}
 
 
 @pytest.mark.parametrize("step", sorted(CODEC_PEAKS))
