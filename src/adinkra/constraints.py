@@ -20,9 +20,11 @@ verify_presentation and image_adinkra all refuse one that is not.
 P_(c,alpha) F_alpha is the one word D_{c xor I_alpha} d_tau^l_alpha D_{I_alpha},
 so it sends each term U_d of U to one term at monomial d xor c.  No two terms
 share a key and nothing cancels, so verify_presentation compares the two sides
-of an equation term by term.  It walks U once through each entry's own word and
-once through each D_w, and reads every projection off those two tables;
-emit_constraints walks only U_c, the one term that reaches theta = 0.
+of an equation term by term, as two lists.  It walks U once through each
+entry's own word and once through each D_w, and reads every projection off
+those two tables; emit_constraints walks only U_c, the one term that reaches
+theta = 0.  U's fields and phases and every descending word's steps depend only
+on the color count and kind, and are built once for each.
 
 identify() inverts the construction: given a cube Adinkra it recovers a
 battery presenting it, by lowering onto the all-colors vertex and counting
@@ -41,6 +43,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cache
 from typing import TYPE_CHECKING
 
 from .core import Adinkra, AdinkraError
@@ -223,13 +226,18 @@ def projector(spec: SourceSpec, component: int, alpha: int) -> SuperOp:
     return descending_product([c + 1 for c in range(spec.n_colors) if k >> c & 1])
 
 
-def _check_battery(spec: SourceSpec) -> None:
-    """Refuse a battery over MAX_BATTERY_TERMS, then one whose entries are not mutually extreme."""
+def _check_battery(spec: SourceSpec, kind: str) -> None:
+    """Refuse a battery over MAX_BATTERY_TERMS, then one that is not mutually extreme, then an unknown kind.
+
+    The kind is checked before it keys the engine table's cache, so an unhashable one is refused like any other.
+    """
     m = len(spec.entries)
     terms = 4**spec.n_colors * m * (m + 1) // 2
     if terms > MAX_BATTERY_TERMS:
         raise AdinkraError(f"the battery would hold {terms} superfield terms, over the cap of {MAX_BATTERY_TERMS}")
     _require_extreme(spec)
+    if kind not in (SCALAR, SPINOR):
+        raise AdinkraError(f"superfield kind must be scalar or spinor, got {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -254,6 +262,7 @@ class ConstraintSystem:
 Lowest = dict[tuple[int, int], tuple[int, int]]  # (component, alpha) -> phase k, order
 # (component, alpha) -> each U_d walked, by d: monomial, time derivatives, phase k mod 4
 Walks = dict[tuple[int, int], list[tuple[int, int, int]]]
+EngineTable = tuple[tuple["FieldSymbol", ...], tuple[int, ...], tuple[tuple[tuple[int, int, int], ...], ...]]
 
 
 def _relations(spec: SourceSpec, lowest: Lowest) -> Iterator[tuple[int, int, int, int, int]]:
@@ -287,7 +296,25 @@ def _equations(spec: SourceSpec, lowest: Lowest) -> tuple[Constraint, ...]:
     )
 
 
-def _project(spec: SourceSpec, kind: str, every_term: bool) -> tuple[list[FieldSymbol], Walks, Lowest]:
+@cache
+def _engine_table(n: int, kind: str) -> EngineTable:
+    """U's fields U_d and their phase exponents by d, and the steps of the descending word D_w of every w.
+
+    Depends only on the color count and the kind, so it is built once for
+    each: at most 2 * MAX_CUBE_COLORS tables, each of 2^n symbols, 2^n phases
+    and 2^n words of at most n steps.
+    """
+    from .superspace import _descending_word, _unit_phases, _word_steps, generic_superfield
+
+    terms = sorted(generic_superfield(n, kind).coeffs.items())
+    return (
+        tuple(sym for (_, sym), _ in terms),
+        tuple(_unit_phases(g)[0].k for _, g in terms),
+        tuple(tuple(_word_steps(_descending_word(w, n), n)) for w in range(1 << n)),
+    )
+
+
+def _project(spec: SourceSpec, kind: str, every_term: bool) -> tuple[tuple[FieldSymbol, ...], Walks, Lowest]:
     """U's fields U_d, each U_d (or only U_c) walked from its phase through each projection, and the lowest terms.
 
     P_(c,alpha) is D_w d_tau^l_alpha D_{I_alpha} with w = c xor I_alpha, and
@@ -296,16 +323,14 @@ def _project(spec: SourceSpec, kind: str, every_term: bool) -> tuple[list[FieldS
     monomial once, finishing the m projections with c = w xor I_alpha.  That
     is m * 2^n + 4^n walks of at most n atoms.  The one-term path walks U_c
     through D_{I_alpha} to theta^w, and D_w once from there: 2^n * (m + 1)
-    walks.
+    walks.  U's fields, phases and every word's steps come from the
+    (n, kind) engine table, built on first use; the walks are made per call.
     """
-    from .superspace import _descending_word, _unit_phases, _walk, _word_steps, generic_superfield
+    from .superspace import _walk
 
-    n = spec.n_colors
-    terms = sorted(generic_superfield(n, kind).coeffs.items())
-    syms = [sym for (_, sym), _ in terms]
-    phases = [_unit_phases(g)[0].k for _, g in terms]
-    domain = range(1 << n)
-    entry_words = [_word_steps(_descending_word(mask, n), n) for mask, _ in spec.entries]
+    syms, phases, words = _engine_table(spec.n_colors, kind)
+    domain = range(1 << spec.n_colors)
+    entry_words = [words[mask] for mask, _ in spec.entries]
 
     def through_entry(alpha: int, d: int) -> tuple[int, int, int]:
         # d_tau^l_alpha commutes with every D and only adds l_alpha time derivatives
@@ -316,7 +341,7 @@ def _project(spec: SourceSpec, kind: str, every_term: bool) -> tuple[list[FieldS
     projections, lowest = {}, {}
     for w in domain:
         # only one table of D_w is live at a time; U_c always meets it at theta^w
-        word = _word_steps(_descending_word(w, n), n)
+        word = words[w]
         second = [_walk(word, d) for d in domain] if every_term else {w: _walk(word, w)}
         for alpha, (mask, _) in enumerate(spec.entries):
             c = w ^ mask
@@ -356,7 +381,7 @@ def emit_constraints(spec: SourceSpec, kind: str = SCALAR) -> ConstraintSystem:
     both components.  A battery whose entries are not mutually extreme is
     refused, as :func:`image_adinkra` refuses it.
     """
-    _check_battery(spec)
+    _check_battery(spec, kind)
     _, _, lowest = _project(spec, kind, every_term=False)
     return ConstraintSystem(spec, kind, _equations(spec, lowest))
 
@@ -376,14 +401,18 @@ def verify_presentation(spec: SourceSpec, kind: str = SCALAR) -> VerificationRep
     engine's least order at each component must be mu (the image heights are
     hgt0 + 2 mu).  Each term of U is walked once through each entry's own
     word and once through each D_w, m * 2^n + 4^n walks of at most n atoms,
-    and every projection is read off those two tables.  The equations are
-    the relations :func:`emit_constraints` emits, read as plain (component,
-    pair, gap, phase exponent) tuples: no Constraint, Phase or redundant flag
-    is built, and each side is compared term by term with its own gap and
-    phase.  An equation that does not vanish is a failure naming its
-    residual lhs - rhs.
+    and every projection is read off those two tables; U and the words come
+    from the engine table of (n, kind), so only the first call for a color
+    count and kind builds a generic superfield.  The equations are the
+    relations :func:`emit_constraints` emits, read as plain (component, pair,
+    gap, phase exponent) tuples: no Constraint, Phase or redundant flag is
+    built.  The lower side, with the gap added to every term's time
+    derivatives and the phase exponent to every term's phase, is built as one
+    list and compared with the higher side's list, so every term's landed
+    monomial, time derivatives and phase are checked.  An equation that does
+    not vanish is a failure naming its residual lhs - rhs.
     """
-    _check_battery(spec)
+    _check_battery(spec, kind)
     n, m = spec.n_colors, len(spec.entries)
     syms, projections, lowest = _project(spec, kind, every_term=True)
     checked, failures = 0, []
@@ -392,7 +421,7 @@ def verify_presentation(spec: SourceSpec, kind: str = SCALAR) -> VerificationRep
         lhs, rhs = projections[(c, hi)], projections[(c, lo)]
         # each side holds U_d once, at monomial d xor c with a unit coefficient, so no two
         # terms share a key and the sides are equal maps exactly when they agree at every d
-        if any(l != (landed, dots + gap, (t + k) & 3) for l, (landed, dots, t) in zip(lhs, rhs)):
+        if lhs != [(landed, dots + gap, (t + k) & 3) for landed, dots, t in rhs]:
             from .superspace import Phase, SuperfieldExpr
 
             # lhs - i^k d_tau^gap rhs; U_c lands at theta = 0, so its statistics are both sides'

@@ -181,15 +181,17 @@ def lowering_sequence_to_one_hooked(adinkra: Adinkra, vertex: int) -> list[int]:
     dist = t.distances_from(vertex)
     hv = adinkra.height_of(vertex)
     total = sum((h - (hv - dist[w])) // 2 for w, h in zip(t.vertex_ids, adinkra.heights))
+    vindex = t._vindex  # every target is a vertex of t, so its height is read by position
     moves: list[int] = []
     current = adinkra
     while True:
         others = [v for v in targets(current) if v != vertex]
         if not others:
             break
-        top = max(current.height_of(v) for v in others)
+        heights = current.heights
+        top = max(heights[vindex[v]] for v in others)
         # targets at one height are never adjacent, so the whole level drops at once
-        level = sorted(v for v in others if current.height_of(v) == top)
+        level = sorted(v for v in others if heights[vindex[v]] == top)
         current = _shift(current, level, -2)
         moves.extend(level)
         if len(moves) > total:  # pragma: no cover

@@ -78,6 +78,7 @@ from adinkra.superspace import (
     _walk,
     _word_steps,
     apply_op,
+    component_name,
     descending_product,
     dtau_expr,
     expr_scale,
@@ -690,11 +691,11 @@ def half_distance_mu(spec: SourceSpec, component: int) -> int:
     return best
 
 
-def two_word_project(spec: SourceSpec, kind: str, every_term: bool) -> tuple[list[FieldSymbol], Walks, Lowest]:
+def two_word_project(spec: SourceSpec, kind: str, every_term: bool) -> tuple[tuple[FieldSymbol, ...], Walks, Lowest]:
     """constraints._project, each term walked through the whole two-part word D_{c xor I_alpha} D_{I_alpha}."""
     n = spec.n_colors
     terms = sorted(generic_superfield(n, kind).coeffs.items())
-    syms = [sym for (_, sym), _ in terms]
+    syms = tuple(sym for (_, sym), _ in terms)
     phases = [_unit_phases(g)[0].k for _, g in terms]
     projections, lowest = {}, {}
     for c in range(1 << n):
@@ -748,13 +749,23 @@ def projected_lowest(spec: SourceSpec, kind: str) -> Lowest:
     return {key: _lowest(p, *key) for key, p in _projections(spec, kind).items()}
 
 
-def substituted_report(spec: SourceSpec, kind: str, equations: tuple[Constraint, ...]) -> VerificationReport:
+def substituted_report(
+    spec: SourceSpec, kind: str, equations: tuple[Constraint, ...], moved: tuple[tuple[int, int], int, int] | None = None
+) -> VerificationReport:
     """verify_presentation by substitution: the given equations' sides built as expressions and compared.
 
     Each failure names lhs - rhs, and the heights are re-derived from the
-    lowest components of the fully projected battery.
+    lowest components of the fully projected battery.  moved = (key, d,
+    flip) first moves the term of U_d in projection key from its monomial
+    to that monomial xor flip.
     """
     projections = _projections(spec, kind)
+    if moved is not None:
+        key, d, flip = moved
+        name, p = component_name("U", d), projections[key]
+        projections[key] = SuperfieldExpr._of(p.n_colors, p.statistics, {
+            (mask ^ flip if sym.name == name else mask, sym): g for (mask, sym), g in p.coeffs.items()
+        })
     failures = []
     for eq in equations:
         lhs, rhs = _sides(projections, eq)

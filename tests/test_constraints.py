@@ -370,6 +370,7 @@ def test_a_passing_verification_builds_no_expression_beyond_the_generic_superfie
     built = []
     monkeypatch.setattr("adinkra.superspace._init_expr", lambda self, *args: built.append(args) or init(self, *args))
     for spec in (TRIPLE_SPEC, _valise().spec):
+        constraints._engine_table.cache_clear()  # a cold call builds the generic superfield of its table
         built.clear()
         assert verify_presentation(spec).ok
         assert len(built) == 1
@@ -393,6 +394,78 @@ def test_a_passing_verification_builds_no_constraint_and_no_phase(monkeypatch) -
     # emitting the same battery builds one of each per equation, which the count sees
     assert len(emit_constraints(TRIPLE_SPEC).equations) == 24
     assert len(built) == 48
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("kind", [SCALAR, SPINOR])
+def test_the_engine_table_equals_a_fresh_build(n: int, kind: str) -> None:
+    table = constraints._engine_table(n, kind)
+    syms, phases, words = table
+    u = generic_superfield(n, kind)
+    assert syms == tuple(sym for _, sym in sorted(u.coeffs))
+    assert phases == tuple(phase.k for _, ((phase, _),) in u.terms)
+    for w in range(1 << n):
+        [word] = descending_product([c + 1 for c in range(n) if w >> c & 1]).coeffs
+        assert words[w] == tuple(superspace._word_steps(word, n))
+    assert all(type(part) is tuple for part in (table, *table, *words))
+    assert constraints._engine_table(n, kind) is table
+
+
+@pytest.mark.parametrize("kind", [SCALAR, SPINOR])
+def test_a_second_verification_builds_no_generic_superfield(kind: str, monkeypatch) -> None:
+    constraints._engine_table.cache_clear()
+    assert verify_presentation(TRIPLE_SPEC, kind).ok
+    built = []
+    monkeypatch.setattr("adinkra.superspace._init_expr", lambda self, *args: built.append(args))
+    monkeypatch.setattr("adinkra.superspace.generic_superfield", lambda *args: built.append(args))
+    # the same color count and kind, another battery: the table is read, not rebuilt
+    for spec in (TRIPLE_SPEC, SourceSpec(3, ((3, 0), (5, 0), (6, 0)))):
+        assert verify_presentation(spec, kind).ok
+    assert built == []
+
+
+@pytest.mark.parametrize("build", [emit_constraints, verify_presentation])
+@pytest.mark.parametrize("kind", ["vector", ["scalar"]], ids=["unknown", "unhashable"])
+def test_an_unknown_kind_is_refused(build, kind) -> None:
+    with pytest.raises(AdinkraError) as info:
+        build(X_SPEC, kind)
+    assert str(info.value) == f"superfield kind must be scalar or spinor, got {kind!r}"
+
+
+@pytest.mark.parametrize("kind", [SCALAR, SPINOR])
+def test_the_side_comparison_catches_a_wrong_phase_alone(kind: str, monkeypatch) -> None:
+    # the phase exponent of the equation at {1,2} is off by one; its gap and every landed monomial are right
+    equations = tuple(
+        replace(eq, phase=eq.phase * Phase(1)) if eq.component == 3 else eq
+        for eq in emit_constraints(X_SPEC, kind).equations
+    )
+    relations = constraints._relations
+    monkeypatch.setattr(
+        "adinkra.constraints._relations",
+        lambda spec, lowest: [(c, hi, lo, gap, (k + (c == 3)) & 3) for c, hi, lo, gap, k in relations(spec, lowest)],
+    )
+    report = verify_presentation(X_SPEC, kind)
+    assert len(report.failures) == 1 and report.failures[0].startswith("component {1,2}: ")
+    assert report == substituted_report(X_SPEC, kind, equations)
+
+
+@pytest.mark.parametrize("kind", [SCALAR, SPINOR])
+def test_the_side_comparison_catches_a_wrong_landed_monomial_alone(kind: str, monkeypatch) -> None:
+    # U_1's term of the projection of entry 0 onto {} lands on theta^2 instead of theta^1, with its
+    # own time derivatives and phase; flipping two thetas keeps the term's statistics
+    project = constraints._project
+
+    def moved_term(spec, kind, every_term):
+        syms, projections, lowest = project(spec, kind, every_term)
+        if every_term:
+            landed, dots, k = projections[(0, 0)][1]
+            projections[(0, 0)][1] = (landed ^ 3, dots, k)
+        return syms, projections, lowest
+
+    monkeypatch.setattr("adinkra.constraints._project", moved_term)
+    report = verify_presentation(X_SPEC, kind)
+    assert len(report.failures) == 1 and report.failures[0].startswith("component {}: ")
+    assert report == substituted_report(X_SPEC, kind, emit_constraints(X_SPEC, kind).equations, ((0, 0), 1, 3))
 
 
 # sha256 of the sorted, concatenated constraint documents of every battery
@@ -722,6 +795,7 @@ def test_batteries_at_the_term_cap_stay_within_their_memory(name: str, build: st
     spec = CAP_BATTERIES[name]
     m = len(spec.entries)
     assert MAX_BATTERY_TERMS * 3 // 4 < 4**spec.n_colors * m * (m + 1) // 2 <= MAX_BATTERY_TERMS
+    constraints._engine_table.cache_clear()  # each peak is a cold call's, engine table included
     tracemalloc.start()
     try:
         result = getattr(constraints, build)(spec)
