@@ -31,6 +31,9 @@ battery presenting it, by lowering onto the all-colors vertex and counting
 how often each source vertex descends.  Neither it nor verify_presentation
 builds the image Adinkra: its heights are hgt0 + 2 mu on an already checked
 cube, so they compare those heights, or the orders behind them, directly.
+A spec works out its mu per component and its ehgt_violations report once
+each, on first use, and keeps them, so a battery that identify returns
+reaches verify_presentation with both already known.
 
 The superspace engine is imported only by the functions that project or
 expand, and the mutation walk only by identify(), so reading a battery off
@@ -43,7 +46,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from typing import TYPE_CHECKING
 
 from .core import Adinkra, AdinkraError
@@ -122,27 +125,37 @@ class SourceSpec:
                 raise AdinkraError(f"subset {subset_label(mask)} appears twice")
             seen.add(mask)
 
+    @cached_property
+    def _violations(self) -> tuple[str, ...]:
+        """The ehgt_violations report, worked out on first use."""
+        out = []
+        es = self.entries
+        for a in range(len(es)):
+            for b in range(len(es)):
+                if a == b:
+                    continue
+                (ia, la), (ib, lb) = es[a], es[b]
+                gap = hgt0(ia) - hgt0(ib) + 2 * (la - lb)
+                if gap >= dist0(ia, ib):
+                    out.append(
+                        f"entries {subset_label(ia)} and {subset_label(ib)}: height gap {gap}"
+                        f" reaches distance {dist0(ia, ib)}"
+                    )
+        return tuple(out)
+
+    @cached_property
+    def _orders(self) -> tuple[int, ...]:
+        """mu of every component, by component, worked out on first use."""
+        return tuple(mu(self, c) for c in range(1 << self.n_colors))
+
 
 def ehgt_violations(spec: SourceSpec) -> list[str]:
     """Pairs of entries too close for both to stay extreme in the image."""
-    out = []
-    es = spec.entries
-    for a in range(len(es)):
-        for b in range(len(es)):
-            if a == b:
-                continue
-            (ia, la), (ib, lb) = es[a], es[b]
-            gap = hgt0(ia) - hgt0(ib) + 2 * (la - lb)
-            if gap >= dist0(ia, ib):
-                out.append(
-                    f"entries {subset_label(ia)} and {subset_label(ib)}: height gap {gap}"
-                    f" reaches distance {dist0(ia, ib)}"
-                )
-    return out
+    return list(spec._violations)
 
 
 def _require_extreme(spec: SourceSpec) -> None:
-    bad = ehgt_violations(spec)
+    bad = spec._violations
     if bad:
         raise AdinkraError("spec entries not mutually extreme: " + "; ".join(bad))
 
@@ -160,7 +173,7 @@ def mu(spec: SourceSpec, component: int) -> int:
 
 def kernel_orders(spec: SourceSpec) -> dict[int, int]:
     """mu per component: d_tau^mu(c) annihilates component c of the battery kernel."""
-    return {c: mu(spec, c) for c in range(1 << spec.n_colors)}
+    return dict(enumerate(spec._orders))
 
 
 def image_adinkra(spec: SourceSpec, kind: str = SCALAR) -> Adinkra:
@@ -172,7 +185,7 @@ def image_adinkra(spec: SourceSpec, kind: str = SCALAR) -> Adinkra:
     """
     _require_extreme(spec)
     topo = cube_topology(spec.n_colors, kind)
-    heights = {c: hgt0(c) + 2 * mu(spec, c) for c in topo.vertex_ids}
+    heights = {c: hgt0(c) + 2 * mu_c for c, mu_c in enumerate(spec._orders)}
     return Adinkra.from_maps(topo, heights, standard_parity(topo))
 
 
@@ -195,6 +208,8 @@ def identify(adinkra: Adinkra) -> Identification:
     must be mutually extreme, and its image heights hgt0 + 2 mu, set on the
     input's own (already validated) topology, must normalize to the input's
     (parity does not enter the identification); a mismatch is a hard error.
+    The cube is recognized once per topology object, and the returned spec
+    keeps the mu per component and the extremality report worked out here.
     """
     from .mutation import lowering_sequence_to_one_hooked, sources
 
@@ -209,7 +224,7 @@ def identify(adinkra: Adinkra) -> Identification:
     spec = SourceSpec(n, entries)
     _require_extreme(spec)
     # the unchecked image never escapes: if it normalizes to the checked input, it meets every gap
-    image = tuple(hgt0(v) + 2 * mu(spec, v) for v in adinkra.topology.vertex_ids)
+    image = tuple(hgt0(v) + 2 * mu_v for v, mu_v in enumerate(spec._orders))
     if Adinkra._trusted(adinkra.topology, image, adinkra.parity).normalized().heights != adinkra.normalized().heights:
         raise AdinkraError(
             "identification failed: battery image does not reproduce the input heights"
@@ -434,7 +449,7 @@ def verify_presentation(spec: SourceSpec, kind: str = SCALAR) -> VerificationRep
                 f"component {subset_label(c)}: entries {hi}/{lo}"
                 f" do not satisfy the emitted relation; residual {residual}"
             )
-    matches = all(min(lowest[(c, a)][1] for a in range(m)) == mu(spec, c) for c in range(1 << n))
+    matches = all(min(lowest[(c, a)][1] for a in range(m)) == mu_c for c, mu_c in enumerate(spec._orders))
     return VerificationReport(not failures and matches, checked, tuple(failures), matches)
 
 

@@ -172,7 +172,8 @@ class Topology:
     forest, the valise heights (bosons at 0, fermions at 1) and an empty
     distance memo.
     The square table (four edge positions per two-color square, from one
-    walk) and the sorted ``squares`` are computed on first use.
+    walk), the sorted ``squares`` and the cube signature are computed on
+    first use.
     """
 
     n_colors: int
@@ -315,6 +316,13 @@ class Topology:
         # the first edge joins the lowest vertex to a higher one, so its lower end is the lowest vertex
         keyed = sorted((edges[a][2], edges[b][2], edges[a][0], (a, b, c, d)) for a, b, c, d in zip(it, it, it, it))
         return tuple((c1, c2, square) for c1, c2, _, square in keyed)
+
+    @cached_property
+    def _cube_signature(self) -> tuple[int, str] | None:
+        """``cube.cube_signature``'s (n, convention) or None, recognized on first use."""
+        from .cube import _recognized_cube
+
+        return _recognized_cube(self)
 
     def _square_table(self, what: str) -> array:
         """The edge positions of every square, four per square in walk order, or an AdinkraError naming what refuses more than MAX_PARITY_SQUARES."""

@@ -148,8 +148,15 @@ def cube_signature(topology: Topology) -> tuple[int, str] | None:
 
     Checks vertex ids are exactly 0 .. 2^n - 1, the statistics follow one of
     the two subset-size conventions, and the edge set is exactly the cube's.
-    The antipodal quotient and other topologies return None.
+    The antipodal quotient and other topologies return None.  The answer is
+    worked out once per topology object and kept on it; a
+    ``dataclasses.replace`` copy works out its own.
     """
+    return topology._cube_signature
+
+
+def _recognized_cube(topology: Topology) -> tuple[int, str] | None:
+    """cube_signature's answer, worked out from the topology's fields."""
     n, k = topology.n_colors, len(topology.vertex_ids)
     # 1 << n is formed only once it has as many bits as the vertex count
     if k.bit_length() != n + 1 or k != 1 << n or topology.vertex_ids != tuple(range(k)):

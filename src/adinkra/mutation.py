@@ -171,31 +171,42 @@ def lowering_sequence_to_one_hooked(adinkra: Adinkra, vertex: int) -> list[int]:
     id), which terminates with vertex as the single hook; its own height never
     changes.  Returns the vertices lowered, in order; replaying them with
     :func:`lower_vertex` reproduces the descent.
+
+    The landing pattern is forced: every w lands at hv - dist(vertex, w), the
+    least height function with vertex fixed.  Every gap is +-1, so no vertex
+    stands below its landing height, and each stands above it by an even
+    amount.  Every target other than vertex stands above its landing height,
+    and every vertex that does so at the highest such height is a target, so
+    each level is read off the heights by position, with no scan for
+    extremes.
     """
     t = adinkra.topology
-    if t._position(vertex) is None:
+    hook = t._position(vertex)
+    if hook is None:
         raise AdinkraError(f"unknown vertex {vertex}")
-    if len(t.components()) != 1:
+    if len(t._component_slots) != 1:
         raise AdinkraError("one-hooked descent needs a connected topology")
-    # the landed pattern is forced, so the total move count is known up front
     dist = t.distances_from(vertex)
     hv = adinkra.height_of(vertex)
-    total = sum((h - (hv - dist[w])) // 2 for w, h in zip(t.vertex_ids, adinkra.heights))
-    vindex = t._vindex  # every target is a vertex of t, so its height is read by position
+    landing = [hv - dist[w] for w in t.vertex_ids]
+    total = sum((h - low) // 2 for h, low in zip(adinkra.heights, landing))
+    vids = t.vertex_ids
     moves: list[int] = []
     current = adinkra
-    while True:
-        others = [v for v in targets(current) if v != vertex]
-        if not others:
-            break
-        heights = current.heights
-        top = max(heights[vindex[v]] for v in others)
-        # targets at one height are never adjacent, so the whole level drops at once
-        level = sorted(v for v in others if heights[vindex[v]] == top)
+    heights = current.heights
+    # only a vertex above its landing is ever lowered, so no other one comes to stand above it
+    above = [i for i, (h, low) in enumerate(zip(heights, landing)) if h > low and i != hook]
+    while above:
+        # a vertex above its landing at the highest such height has no neighbour above it,
+        # and two such vertices are never adjacent, so the whole level drops at once
+        top = max(heights[i] for i in above)
+        level = sorted(vids[i] for i in above if heights[i] == top)
         current = _shift(current, level, -2)
         moves.extend(level)
         if len(moves) > total:  # pragma: no cover
             raise AdinkraError("descent exceeded its move budget; data is inconsistent")
+        heights = current.heights
+        above = [i for i in above if heights[i] > landing[i]]
     if current.height_of(vertex) != hv:
         raise AdinkraError(
             f"descent moved vertex {vertex} from height {hv} to {current.height_of(vertex)}; data is inconsistent"

@@ -225,6 +225,27 @@ def test_identify_rejects_non_cube() -> None:
         identify(base_adinkra(antipodal_quotient()))
 
 
+def test_identify_recognizes_the_cube_once_per_topology_object(monkeypatch) -> None:
+    from adinkra import cube
+
+    t = cube_topology(3)
+    members = list(enumerate_family(t).members.values())
+    copy = replace(t)
+    quotient = base_adinkra(antipodal_quotient())
+    recognized = []
+    edges = cube._cube_edges
+    monkeypatch.setattr(cube, "_cube_edges", lambda n: recognized.append(n) or edges(n))
+    assert len(members) == 38
+    for member in members:
+        identify(member)
+    assert recognized == [3]
+    for _ in range(2):
+        identify(Adinkra(copy, members[-1].heights, members[-1].parity))
+    assert recognized == [3, 3]
+    with pytest.raises(AdinkraError, match="^identification needs a full color-cube topology$"):
+        identify(quotient)
+
+
 # ---------------------------------------------------------------------------
 # projectors and constraints
 
@@ -308,6 +329,18 @@ def test_a_wrong_engine_order_fails_the_rederived_heights(monkeypatch) -> None:
     assert report.rederived_matches_image is False
     assert report.ok is False
     assert report == VerificationReport(False, 0, (), False)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_verifying_an_identified_valise_reads_each_order_once(n: int, monkeypatch) -> None:
+    # identify has worked out mu per component; only the projections' own check reads m_alpha
+    t = cube_topology(n)
+    ident = identify(base_adinkra(t, standard_parity(t)))
+    calls = []
+    order = constraints.m_alpha
+    monkeypatch.setattr("adinkra.constraints.m_alpha", lambda *args: calls.append(args) or order(*args))
+    assert verify_presentation(ident.spec, ident.kind).ok
+    assert len(calls) == (1 << n) * len(ident.spec.entries)
 
 
 @pytest.mark.parametrize("build", [emit_constraints, verify_presentation])

@@ -99,7 +99,7 @@ def test_standard_parity_rejects_non_cube() -> None:
 
 
 def test_cube_signature_recognizes_cubes() -> None:
-    for n in (1, 2, 3, 4):
+    for n in range(1, MAX_CUBE_COLORS + 1):
         for kind in (SCALAR, SPINOR):
             assert cube_signature(cube_topology(n, kind)) == (n, kind)
 

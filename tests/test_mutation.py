@@ -223,11 +223,27 @@ def test_a_descent_that_moves_its_hook_is_an_error(monkeypatch) -> None:
     assert str(info.value) == "descent moved vertex 0 from height 0 to 1; data is inconsistent"
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("kind", [SCALAR, SPINOR])
-def test_level_descent_matches_the_stepwise_descent_from_every_vertex(n: int, kind: str) -> None:
-    for member in enumerate_family(cube_topology(n, kind)).members.values():
-        for v in member.topology.vertex_ids:
+@pytest.mark.parametrize(
+    "build, size, ends_only",
+    [
+        *(
+            pytest.param(lambda n=n, kind=kind: cube_topology(n, kind), size, False, id=f"{kind}-{n}")
+            for kind in (SCALAR, SPINOR)
+            for n, size in ((1, 2), (2, 6), (3, 38))
+        ),
+        # the level schedule reads only +-1 gaps and BFS distances, so it holds off the cube too
+        pytest.param(antipodal_quotient, 30, False, id="antipodal"),
+        # only from the first and the last vertex of its many members
+        pytest.param(lambda: code_quotient(5, (0b11110,)), 710, True, id="quotient-11110"),
+    ],
+)
+def test_level_descent_matches_the_stepwise_descent_from_every_vertex(build, size: int, ends_only: bool) -> None:
+    t = build()
+    hooks = (t.vertex_ids[0], t.vertex_ids[-1]) if ends_only else t.vertex_ids
+    members = enumerate_family(t).members.values()
+    assert len(members) == size
+    for member in members:
+        for v in hooks:
             assert lowering_sequence_to_one_hooked(member, v) == stepwise_lowering_sequence(member, v)
 
 
