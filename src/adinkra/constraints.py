@@ -20,11 +20,12 @@ verify_presentation and image_adinkra all refuse one that is not.
 P_(c,alpha) F_alpha is the one word D_{c xor I_alpha} d_tau^l_alpha D_{I_alpha},
 so it sends each term U_d of U to one term at monomial d xor c.  No two terms
 share a key and nothing cancels, so verify_presentation compares the two sides
-of an equation term by term, as two lists.  It walks U once through each
-entry's own word and once through each D_w, and reads every projection off
-those two tables; emit_constraints walks only U_c, the one term that reaches
-theta = 0.  U's fields and phases and every descending word's steps depend only
-on the color count and kind, and are built once for each.
+of an equation term by term, as two lists.  It reads every projection off the
+word table of its color count, every D_w walked over every monomial once
+(4^n walks, kept compactly), and makes no walk per call; emit_constraints
+walks only U_c, the one term that reaches theta = 0, 2^n * (m + 1) walks,
+and builds no word table.  U's fields and phases and every descending word's
+steps depend only on the color count and kind, and are built once for each.
 
 identify() inverts the construction: given a cube Adinkra it recovers a
 battery presenting it, by lowering onto the all-colors vertex and counting
@@ -43,6 +44,7 @@ annihilator matrices are built on first access.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -236,6 +238,10 @@ def projector(spec: SourceSpec, component: int, alpha: int) -> SuperOp:
     """The descending D word mapping entry alpha onto the given component."""
     from .superspace import descending_product
 
+    if type(component) is not int or not 0 <= component < 1 << spec.n_colors:
+        raise AdinkraError(f"component {component!r} outside color range")
+    if type(alpha) is not int or not 0 <= alpha < len(spec.entries):
+        raise AdinkraError(f"entry {alpha!r} outside the battery's entries 0..{len(spec.entries) - 1}")
     mask, _ = spec.entries[alpha]
     k = component ^ mask
     return descending_product([c + 1 for c in range(spec.n_colors) if k >> c & 1])
@@ -278,6 +284,8 @@ Lowest = dict[tuple[int, int], tuple[int, int]]  # (component, alpha) -> phase k
 # (component, alpha) -> each U_d walked, by d: monomial, time derivatives, phase k mod 4
 Walks = dict[tuple[int, int], list[tuple[int, int, int]]]
 EngineTable = tuple[tuple["FieldSymbol", ...], tuple[int, ...], tuple[tuple[tuple[int, int, int], ...], ...]]
+# by word w, then monomial e: landed monomials, time derivatives, phase exponents mod 4
+WordTable = tuple[tuple[array, ...], tuple[bytes, ...], tuple[bytes, ...]]
 
 
 def _relations(spec: SourceSpec, lowest: Lowest) -> Iterator[tuple[int, int, int, int, int]]:
@@ -329,17 +337,38 @@ def _engine_table(n: int, kind: str) -> EngineTable:
     )
 
 
+@cache
+def _word_table(n: int) -> WordTable:
+    """Every descending word D_w walked over every monomial: its landed monomials, time derivatives and phases mod 4.
+
+    Depends only on the color count, so it is built once for each, by 4^n
+    walks of at most n atoms.  Each row holds its 2^n cells in three compact
+    strings, about 4 bytes a cell: about 1 MB at n = 9, where a tuple per
+    cell would take about 17 MB.
+    """
+    from .superspace import _descending_word, _walk, _word_steps
+
+    landed, dots, phases = [], [], []
+    for w in range(1 << n):
+        steps = _word_steps(_descending_word(w, n), n)
+        walked = [_walk(steps, e) for e in range(1 << n)]
+        landed.append(array("H", [mask for mask, _, _ in walked]))
+        dots.append(bytes([more for _, more, _ in walked]))
+        phases.append(bytes([k & 3 for _, _, k in walked]))
+    return tuple(landed), tuple(dots), tuple(phases)
+
+
 def _project(spec: SourceSpec, kind: str, every_term: bool) -> tuple[tuple[FieldSymbol, ...], Walks, Lowest]:
     """U's fields U_d, each U_d (or only U_c) walked from its phase through each projection, and the lowest terms.
 
-    P_(c,alpha) is D_w d_tau^l_alpha D_{I_alpha} with w = c xor I_alpha, and
-    each descending word is walked over each monomial at most once: the
-    entry's own word over U once per entry, then each D_w over every
-    monomial once, finishing the m projections with c = w xor I_alpha.  That
-    is m * 2^n + 4^n walks of at most n atoms.  The one-term path walks U_c
-    through D_{I_alpha} to theta^w, and D_w once from there: 2^n * (m + 1)
-    walks.  U's fields, phases and every word's steps come from the
-    (n, kind) engine table, built on first use; the walks are made per call.
+    P_(c,alpha) is D_w d_tau^l_alpha D_{I_alpha} with w = c xor I_alpha.
+    Every term of U goes through it by two reads of the color count's word
+    table: row I_alpha at d, shifted by l_alpha and U_d's phase, then row w
+    at the monomial reached; no walk is made per call.  The one-term path
+    walks U_c through D_{I_alpha} to theta^w, and D_w once from there:
+    2^n * (m + 1) walks of at most n atoms, and it builds no word table.
+    U's fields, phases and every word's steps come from the (n, kind)
+    engine table, built on first use.
     """
     from .superspace import _walk
 
@@ -352,12 +381,20 @@ def _project(spec: SourceSpec, kind: str, every_term: bool) -> tuple[tuple[Field
         mid, dots, k = _walk(entry_words[alpha], d)
         return mid, dots + spec.entries[alpha][1], k + phases[d]
 
-    firsts = [[through_entry(alpha, d) for d in domain] for alpha in range(len(spec.entries))] if every_term else None
+    if every_term:
+        landed_rows, dots_rows, phase_rows = _word_table(spec.n_colors)
+        # row I_alpha is the entry's own word over every U_d, shifted as through_entry shifts one
+        firsts = [
+            [
+                (mid, dots + shift, k + phase)
+                for mid, dots, k, phase in zip(landed_rows[mask], dots_rows[mask], phase_rows[mask], phases)
+            ]
+            for mask, shift in spec.entries
+        ]
     projections, lowest = {}, {}
     for w in domain:
-        # only one table of D_w is live at a time; U_c always meets it at theta^w
-        word = words[w]
-        second = [_walk(word, d) for d in domain] if every_term else {w: _walk(word, w)}
+        # only one row of D_w is live at a time; U_c always meets it at theta^w
+        second = list(zip(landed_rows[w], dots_rows[w], phase_rows[w])) if every_term else {w: _walk(words[w], w)}
         for alpha, (mask, _) in enumerate(spec.entries):
             c = w ^ mask
             first = firsts[alpha] if every_term else (through_entry(alpha, c),)
@@ -414,11 +451,11 @@ def verify_presentation(spec: SourceSpec, kind: str = SCALAR) -> VerificationRep
 
     All equations must vanish identically on a generic superfield, and the
     engine's least order at each component must be mu (the image heights are
-    hgt0 + 2 mu).  Each term of U is walked once through each entry's own
-    word and once through each D_w, m * 2^n + 4^n walks of at most n atoms,
-    and every projection is read off those two tables; U and the words come
-    from the engine table of (n, kind), so only the first call for a color
-    count and kind builds a generic superfield.  The equations are the
+    hgt0 + 2 mu).  Every projection is read off the word table of the color
+    count, two reads per term of U, so a call makes no walk: only the first
+    call for a color count walks every D_w over every monomial (4^n walks
+    of at most n atoms), and only the first for a color count and kind
+    builds a generic superfield.  The equations are the
     relations :func:`emit_constraints` emits, read as plain (component, pair,
     gap, phase exponent) tuples: no Constraint, Phase or redundant flag is
     built.  The lower side, with the gap added to every term's time
@@ -472,6 +509,8 @@ def check_annihilation(a: Matrix, b: Matrix, n_colors: int) -> AnnihilationCount
     """
     from .superspace import apply_op, expr_add, generic_superfield
 
+    if not (a and a[0] and b and b[0]):
+        raise AdinkraError("an operator matrix needs at least one row and one column")
     rows_a, cols_a = len(a), len(a[0])
     rows_b, cols_b = len(b), len(b[0])
     if any(len(r) != cols_a for r in a) or any(len(r) != cols_b for r in b):

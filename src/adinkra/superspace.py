@@ -31,7 +31,7 @@ from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .core import BOSON, FERMION, Adinkra, AdinkraError
-from .cube import SCALAR, SPINOR, cube_topology, hgt0, standard_parity
+from .cube import MAX_CUBE_COLORS, SCALAR, SPINOR, cube_topology, hgt0, standard_parity
 
 __all__ = [
     "Phase",
@@ -448,8 +448,12 @@ def generic_superfield(n_colors: int, kind: str = SCALAR, prefix: str = "U") -> 
     Component phases follow the convention i^floor((k + s)/2) at theta degree
     k, with s = 1 for the scalar kind and s = 0 for the spinor kind.  This
     reproduces the familiar low-N expansions, e.g. for two colors the scalar
-    reads  U + i th1 U1 + i th2 U2 + i th1 th2 U12.
+    reads  U + i th1 U1 + i th2 U2 + i th1 th2 U12.  The color count is
+    capped at MAX_CUBE_COLORS before any term is built, so check_identity,
+    identity_residual and check_annihilation are capped with it.
     """
+    if type(n_colors) is not int or not 0 <= n_colors <= MAX_CUBE_COLORS:
+        raise AdinkraError(f"a superfield needs 0..{MAX_CUBE_COLORS} colors (the cube cap), got {n_colors!r}")
     if kind not in (SCALAR, SPINOR):
         raise AdinkraError(f"superfield kind must be scalar or spinor, got {kind!r}")
     overall = BOSON if kind == SCALAR else FERMION

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import adinkra
-from adinkra import superspace
+from adinkra import constraints, superspace
 from adinkra.cli import main
 from adinkra.constraints import MAX_BATTERY_TERMS, ConstraintSystem, SourceSpec, emit_constraints
 from adinkra.core import BOSON, FERMION, MAX_PARITY_SQUARES, Adinkra, Topology
@@ -259,13 +259,19 @@ def test_verify_constraints_projects_a_constraints_document_once(run, monkeypatc
         return walk(steps, mask)
 
     monkeypatch.setattr("adinkra.superspace._walk", counting)
+    constraints._word_table.cache_clear()
     code, out, _ = run(["verify-constraints", str(path)])
     assert code == 0 and json.loads(out)["ok"] is True
     # the decoder walks the one term of U that reaches theta = 0 through each entry's word
-    # and each of the 2^n words D_w once; verify_presentation walks all 2^n terms through
-    # each entry's word and through each D_w once, and reads every projection off those tables
-    assert len(lengths) == (2**3 * 3 + 2**3) + (2**3 * 3 + 2**3 * 2**3)
+    # and each of the 2^n words D_w once; verify_presentation reads every projection off the
+    # word table of its color count, which walks each D_w over each monomial on first use
+    assert len(lengths) == (2**3 * 3 + 2**3) + 2**3 * 2**3
     assert max(lengths) <= 3
+    # a second document of the same color count is verified with no walk beyond the decoder's
+    lengths.clear()
+    code, out, _ = run(["verify-constraints", str(path)])
+    assert code == 0 and json.loads(out)["ok"] is True
+    assert len(lengths) == 2**3 * 3 + 2**3
 
 
 def test_a_huge_shared_shift_costs_no_more_than_none(run, monkeypatch) -> None:
@@ -285,10 +291,11 @@ def test_a_huge_shared_shift_costs_no_more_than_none(run, monkeypatch) -> None:
         return walk(steps, mask)
 
     monkeypatch.setattr("adinkra.superspace._walk", counting)
+    constraints._word_table.cache_clear()
     code, out, err = run(["verify-constraints"], stdin=shifted)
     assert code == 0 and err == "" and json.loads(out)["ok"] is True
     # each walk steps through one descending word of D atoms alone, never through the shift
-    assert len(lengths) == (2**2 * 2 + 2**2) + (2**2 * 2 + 2**2 * 2**2) and max(lengths) <= 2
+    assert len(lengths) == (2**2 * 2 + 2**2) + 2**2 * 2**2 and max(lengths) <= 2
 
 
 @pytest.mark.parametrize(

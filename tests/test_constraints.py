@@ -256,6 +256,16 @@ def test_projector_is_descent_over_symmetric_difference() -> None:
     assert projector(X_SPEC, 0b01, 0) == SuperOp.identity()
 
 
+def test_projector_refuses_an_out_of_range_component_or_entry() -> None:
+    spec = SourceSpec(2, ((0, 0),))
+    for component in (4, -1):
+        with pytest.raises(AdinkraError, match=rf"^component {component} outside color range$"):
+            projector(spec, component, 0)
+    for alpha in (1, -1):
+        with pytest.raises(AdinkraError, match=rf"^entry {alpha} outside the battery's entries 0\.\.0$"):
+            projector(spec, 0, alpha)
+
+
 def test_m_alpha_formula() -> None:
     assert m_alpha(X_SPEC, 0, 0) == 1
     assert m_alpha(X_SPEC, 0b01, 0) == 0
@@ -442,6 +452,53 @@ def test_the_engine_table_equals_a_fresh_build(n: int, kind: str) -> None:
         assert words[w] == tuple(superspace._word_steps(word, n))
     assert all(type(part) is tuple for part in (table, *table, *words))
     assert constraints._engine_table(n, kind) is table
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_every_word_table_cell_is_the_walk_of_its_word(n: int) -> None:
+    table = constraints._word_table(n)
+    landed, dots, phases = table
+    assert len(landed) == len(dots) == len(phases) == 1 << n
+    for w in range(1 << n):
+        [word] = descending_product([c + 1 for c in range(n) if w >> c & 1]).coeffs
+        steps = superspace._word_steps(word, n)
+        assert (landed[w].typecode, type(dots[w]), type(phases[w])) == ("H", bytes, bytes)
+        assert [(landed[w][e], dots[w][e], phases[w][e]) for e in range(1 << n)] == [
+            (mask, more, k & 3) for mask, more, k in (superspace._walk(steps, e) for e in range(1 << n))
+        ]
+    assert constraints._word_table(n) is table
+
+
+def _counting_walks(monkeypatch) -> list[int]:
+    walk, walks = superspace._walk, []
+    monkeypatch.setattr("adinkra.superspace._walk", lambda steps, mask: walks.append(mask) or walk(steps, mask))
+    return walks
+
+
+def test_verification_walks_each_word_once_per_color_count(monkeypatch) -> None:
+    specs = (TRIPLE_SPEC, SourceSpec(3, ((3, 0), (5, 0), (6, 0))), _valise().spec)
+    constraints._word_table.cache_clear()
+    walks = _counting_walks(monkeypatch)
+    # the first battery of a color count builds its word table, 4^n walks; no call walks after that
+    for kind in (SCALAR, SPINOR):
+        for spec in specs:
+            assert verify_presentation(spec, kind).ok
+    assert len(walks) == 4**3 + 4**4
+    walks.clear()
+    for kind in (SCALAR, SPINOR):
+        for spec in specs:
+            assert verify_presentation(spec, kind).ok
+    assert walks == []
+
+
+def test_emitting_walks_one_term_per_projection_and_builds_no_word_table(monkeypatch) -> None:
+    constraints._word_table.cache_clear()
+    walks = _counting_walks(monkeypatch)
+    for spec in (TRIPLE_SPEC, _valise().spec, CAP_BATTERIES["n9-one-entry"]):
+        walks.clear()
+        emit_constraints(spec)
+        assert len(walks) == 2**spec.n_colors * (len(spec.entries) + 1)
+    assert constraints._word_table.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("kind", [SCALAR, SPINOR])
@@ -748,6 +805,22 @@ def test_check_annihilation_validates_shapes() -> None:
         check_annihilation(((D(1),), (D(1), D(2))), gradient_column(1), 1)
 
 
+def test_check_annihilation_refuses_an_empty_matrix() -> None:
+    one = ((D(1),),)
+    for a, b in (((), one), (((),), one), (one, ()), (one, ((),))):
+        with pytest.raises(AdinkraError, match="^an operator matrix needs at least one row and one column$"):
+            check_annihilation(a, b, 1)
+
+
+def test_check_annihilation_refuses_a_color_count_over_the_cube_cap(monkeypatch) -> None:
+    # unguarded, each generic superfield holds 2^n terms: n = 30 grew to gigabytes
+    built = []
+    monkeypatch.setattr("adinkra.superspace.FieldSymbol", lambda *args: built.append(args))
+    with pytest.raises(AdinkraError, match=rf"^a superfield needs 0\.\.{MAX_CUBE_COLORS} colors \(the cube cap\), got 11$"):
+        check_annihilation(((D(1),),), ((D(1),),), MAX_CUBE_COLORS + 1)
+    assert built == []
+
+
 _ANNIHILATORS = ("N2_DOUBLET_ANNIHILATOR", "N3_TRIPLET_ANNIHILATOR", "N3_QUINTET_ANNIHILATOR")
 
 
@@ -828,7 +901,8 @@ def test_batteries_at_the_term_cap_stay_within_their_memory(name: str, build: st
     spec = CAP_BATTERIES[name]
     m = len(spec.entries)
     assert MAX_BATTERY_TERMS * 3 // 4 < 4**spec.n_colors * m * (m + 1) // 2 <= MAX_BATTERY_TERMS
-    constraints._engine_table.cache_clear()  # each peak is a cold call's, engine table included
+    constraints._engine_table.cache_clear()  # each peak is a cold call's, engine and word tables included
+    constraints._word_table.cache_clear()
     tracemalloc.start()
     try:
         result = getattr(constraints, build)(spec)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import pickle
+import re
 import tracemalloc
 from functools import lru_cache, reduce
 
@@ -36,6 +37,7 @@ from adinkra.superspace import (
     expr_scale,
     expr_sub,
     generic_superfield,
+    identity_residual,
     project,
     transformation_rules,
 )
@@ -174,6 +176,20 @@ def test_color_range_is_checked() -> None:
         apply_op(D(3), u)
     with pytest.raises(AdinkraError, match="color 0 outside 1..2"):
         apply_op(Q(0), u)
+
+
+@pytest.mark.parametrize("n", [MAX_CUBE_COLORS + 1, -1, True, 2.0])
+def test_the_engine_refuses_a_color_count_outside_the_cube_cap(n, monkeypatch) -> None:
+    built = []
+    monkeypatch.setattr("adinkra.superspace.FieldSymbol", lambda *args: built.append(args))
+    refusal = rf"^a superfield needs 0\.\.{MAX_CUBE_COLORS} colors \(the cube cap\), got {re.escape(repr(n))}$"
+    with pytest.raises(AdinkraError, match=refusal):
+        generic_superfield(n)
+    with pytest.raises(AdinkraError, match=refusal):
+        check_identity(D(1), D(1), n)
+    with pytest.raises(AdinkraError, match=refusal):
+        identity_residual(D(1), D(1), n)
+    assert built == []  # refused before any term is built
 
 
 # ---------------------------------------------------------------------------
