@@ -108,7 +108,7 @@ class SourceSpec:
 
     def __post_init__(self) -> None:
         n = self.n_colors  # the battery lives on the n-cube, so the cube cap applies
-        if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_CUBE_COLORS:
+        if type(n) is not int or not 1 <= n <= MAX_CUBE_COLORS:
             raise AdinkraError(f"a source spec needs 1..{MAX_CUBE_COLORS} colors (the cube cap), got {n!r}")
         if not isinstance(self.entries, tuple):  # a frozen spec hashes its entries
             raise AdinkraError(f"a source spec needs a tuple of entries, got {type(self.entries).__name__}")
@@ -147,8 +147,8 @@ class SourceSpec:
 
     @cached_property
     def _orders(self) -> tuple[int, ...]:
-        """mu of every component, by component, worked out on first use."""
-        return tuple(mu(self, c) for c in range(1 << self.n_colors))
+        """mu of every component, by component, worked out on first use: the least m_alpha over the entries."""
+        return tuple(min(_m_alpha(self, c, a) for a in range(len(self.entries))) for c in range(1 << self.n_colors))
 
 
 def ehgt_violations(spec: SourceSpec) -> list[str]:
@@ -162,15 +162,30 @@ def _require_extreme(spec: SourceSpec) -> None:
         raise AdinkraError("spec entries not mutually extreme: " + "; ".join(bad))
 
 
+def _check_indices(spec: SourceSpec, component: int, alpha: int = 0) -> None:
+    """Refuse a component off the cube or an entry off the battery (every battery has entry 0); ints only."""
+    if type(component) is not int or not 0 <= component < 1 << spec.n_colors:
+        raise AdinkraError(f"component {component!r} outside color range")
+    if type(alpha) is not int or not 0 <= alpha < len(spec.entries):
+        raise AdinkraError(f"entry {alpha!r} outside the battery's entries 0..{len(spec.entries) - 1}")
+
+
 def m_alpha(spec: SourceSpec, component: int, alpha: int) -> int:
     """Derivative order of the component as seen through entry alpha."""
+    _check_indices(spec, component, alpha)
+    return _m_alpha(spec, component, alpha)
+
+
+def _m_alpha(spec: SourceSpec, component: int, alpha: int) -> int:
+    """m_alpha unchecked, for the spec's own loops over its components and entries."""
     mask, shift = spec.entries[alpha]
     return shift + hgt0(mask & ~component)
 
 
 def mu(spec: SourceSpec, component: int) -> int:
     """Least time-derivative order at which the component survives in the image."""
-    return min(m_alpha(spec, component, a) for a in range(len(spec.entries)))
+    _check_indices(spec, component)
+    return spec._orders[component]
 
 
 def kernel_orders(spec: SourceSpec) -> dict[int, int]:
@@ -238,10 +253,7 @@ def projector(spec: SourceSpec, component: int, alpha: int) -> SuperOp:
     """The descending D word mapping entry alpha onto the given component."""
     from .superspace import descending_product
 
-    if type(component) is not int or not 0 <= component < 1 << spec.n_colors:
-        raise AdinkraError(f"component {component!r} outside color range")
-    if type(alpha) is not int or not 0 <= alpha < len(spec.entries):
-        raise AdinkraError(f"entry {alpha!r} outside the battery's entries 0..{len(spec.entries) - 1}")
+    _check_indices(spec, component, alpha)
     mask, _ = spec.entries[alpha]
     k = component ^ mask
     return descending_product([c + 1 for c in range(spec.n_colors) if k >> c & 1])
@@ -407,7 +419,7 @@ def _project(spec: SourceSpec, kind: str, every_term: bool) -> tuple[tuple[Field
             landed, dots, k = walked[c if every_term else 0]
             if landed:
                 raise AdinkraError(f"projection of entry {alpha} onto {subset_label(c)} is not a single term")
-            order = m_alpha(spec, c, alpha)
+            order = _m_alpha(spec, c, alpha)
             if dots != order:
                 raise AdinkraError(
                     f"projection of entry {alpha} onto {subset_label(c)} carries {dots} time derivatives,"

@@ -98,7 +98,7 @@ def _checked_edges(
     """validate_topology's report, and the edges it accepted in canonical form, from one pass over the edges."""
     report: list[str] = []
     edge_list: list[Edge] = []
-    if not isinstance(n_colors, int) or isinstance(n_colors, bool) or n_colors < 1:
+    if type(n_colors) is not int or n_colors < 1:
         report.append(f"n_colors must be a positive integer, got {n_colors!r}")
         return report, edge_list
 
@@ -574,21 +574,29 @@ def net_ascent(
     """
     total = 0
     prev_end: int | None = None
-    for i, (u, v, color) in enumerate(path):
+    for i, step in enumerate(path):
+        if type(step) not in (tuple, list) or len(step) != 3 or not {int}.issuperset(map(type, step)):
+            raise AdinkraError(f"step {i}: {step!r} is not a (u, v, color) triple of ints")
+        u, v, color = step
         e = _canon_edge(u, v, color)
         if e not in orientation:
             raise AdinkraError(f"step {i}: edge {(u, v, color)} not present")
         if prev_end is not None and u != prev_end:
             raise AdinkraError(f"step {i}: starts at {u}, previous step ended at {prev_end}")
-        tail, head = orientation[e]
-        if (u, v) == (tail, head):
+        pair = _as_pair(orientation[e])
+        if pair == (u, v):
             total += 1
-        elif (v, u) == (tail, head):
+        elif pair == (v, u):
             total -= 1
         else:
             raise AdinkraError(f"step {i}: orientation entry {orientation[e]!r} is not an endpoint pair")
         prev_end = v
     return total
+
+
+def _as_pair(entry) -> tuple:
+    """An orientation entry as a tuple, so a [tail, head] list reads as the (tail, head) pair; () if neither."""
+    return tuple(entry) if type(entry) in (tuple, list) else ()
 
 
 @dataclass(frozen=True)
@@ -615,14 +623,16 @@ def engineerable(
     minima at 0 or 1).  On failure the witness is a closed path whose net
     ascent is nonzero (a cycle the arrows wind around).
     """
+    tails = []  # by edge position, the end its arrow leaves
     for e in topology.edges:
         if e not in orientation:
             raise AdinkraError(f"orientation missing edge {e}")
-        tail, head = orientation[e]
-        if {tail, head} != {e[0], e[1]}:
+        pair = _as_pair(orientation[e])
+        if pair not in ((e[0], e[1]), (e[1], e[0])):
             raise AdinkraError(f"orientation entry for {e} is {orientation[e]!r}, not its endpoints")
+        tails.append(pair[0])
 
-    vids, vindex, adj = topology.vertex_ids, topology._vindex, topology._adjacent
+    vids, vindex, adj, inc = topology.vertex_ids, topology._vindex, topology._adjacent, topology._incident
     h: list[int | None] = [None] * len(vids)
     step: list[Step | None] = [None] * len(vids)  # the tree step into each position; None at the roots
 
@@ -639,9 +649,9 @@ def engineerable(
         order = [root]
         for i in order:
             u = vids[i]
-            for color, j in enumerate(adj[i], 1):
+            for color, (j, k) in enumerate(zip(adj[i], inc[i]), 1):
                 w = vids[j]
-                hw = h[i] + (1 if orientation[_canon_edge(u, w, color)] == (u, w) else -1)
+                hw = h[i] + (1 if tails[k] == u else -1)
                 if h[j] is None:
                     h[j] = hw
                     step[j] = (u, w, color)

@@ -73,7 +73,7 @@ def code_quotient(n: int, generators: Iterable[int], convention: str = SCALAR) -
     exactly when the code is doubly even (arXiv:1108.4124), which is left to
     the parity solve.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    if type(n) is not int or n < 1:
         raise AdinkraError(f"need a positive number of colors, got {n!r}")
     if n > MAX_CUBE_COLORS:
         raise AdinkraError(f"{n} colors exceeds the cap of {MAX_CUBE_COLORS} on cube size")

@@ -32,8 +32,8 @@ SOURCES = "sources"
 class HookSet:
     """Prescribed extreme vertices: mode is targets (maxima) or sources (minima).
 
-    The hooks are kept sorted by vertex, so equal hook sets compare equal
-    however they were given; a vertex hooked twice is refused.
+    Each hook is a (vertex, height) tuple of ints, kept sorted by vertex, so
+    equal hook sets compare equal however given; a vertex hooked twice is refused.
     """
 
     mode: str
@@ -42,6 +42,11 @@ class HookSet:
     def __post_init__(self) -> None:
         if self.mode not in (TARGETS, SOURCES):
             raise AdinkraError(f"hook mode must be targets or sources, got {self.mode!r}")
+        for hook in self.hooks:
+            if type(hook) is not tuple or len(hook) != 2 or type(hook[1]) is not int:
+                raise AdinkraError(f"hook {hook!r} is not a (vertex, height) pair of ints")
+            if type(hook[0]) is not int:  # 1.0 and True name no vertex, as in every lookup
+                raise AdinkraError(f"hook references unknown vertex {hook[0]}")
         hooks = tuple(sorted(self.hooks))
         for (v, _), (w, _) in zip(hooks, hooks[1:]):
             if v == w:
@@ -148,6 +153,8 @@ def one_hooked(
     i = topology._position(vertex)
     if i is None:
         raise AdinkraError(f"hook references unknown vertex {vertex}")
+    if type(height) is not int:
+        raise AdinkraError(f"hook height {height!r} is not an int")
     if height % 2 != topology._valise[i]:
         raise AdinkraError(
             f"hook height {height} does not match the statistics parity of vertex {vertex}"

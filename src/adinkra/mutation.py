@@ -8,6 +8,8 @@ family is finite and the move graph is well defined.  A sequence trace walks
 the family by raisings only, recording every move including the ones that
 land on an already-visited pattern.  Isomorphism compares canonical keys:
 each component relabelled by breadth-first search from its best anchor.
+The descent onto a one-hooked Adinkra and the kinship distance are read
+off the heights, with no walk.
 """
 
 from __future__ import annotations
@@ -53,20 +55,6 @@ def targets(adinkra: Adinkra) -> tuple[int, ...]:
     return adinkra.extremes()[1]
 
 
-def _shift(adinkra: Adinkra, vertices: Iterable[int], delta: int) -> Adinkra:
-    """Move each vertex by delta, unchecked.
-
-    The caller has checked that every vertex is a source (delta 2) or a
-    target (delta -2); such vertices are pairwise non-adjacent, so every gap
-    stays +-1, and the topology and parity are untouched.
-    """
-    vindex = adinkra.topology._vindex
-    heights = list(adinkra.heights)
-    for v in vertices:
-        heights[vindex[v]] += delta
-    return Adinkra._trusted(adinkra.topology, tuple(heights), adinkra.parity)
-
-
 def _move(adinkra: Adinkra, vertex: int, delta: int) -> Adinkra:
     """Move a source up (delta 2) or a target down (delta -2), refusing any other vertex."""
     t = adinkra.topology
@@ -79,7 +67,9 @@ def _move(adinkra: Adinkra, vertex: int, delta: int) -> Adinkra:
                 if delta > 0
                 else f"cannot lower {vertex}: edge {edge} points into {w} above it"
             )
-    return _shift(adinkra, (vertex,), delta)
+    heights = list(adinkra.heights)
+    heights[t._vindex[vertex]] += delta  # every neighbour lies on one side, so every gap stays +-1
+    return Adinkra._trusted(t, tuple(heights), adinkra.parity)
 
 
 def lower_vertex(adinkra: Adinkra, vertex: int) -> Adinkra:
@@ -167,51 +157,26 @@ def automorphic_dual(adinkra: Adinkra) -> Adinkra:
 def lowering_sequence_to_one_hooked(adinkra: Adinkra, vertex: int) -> list[int]:
     """Lower everything else until vertex is the unique target.
 
-    Repeatedly lowers all maximal-height targets other than vertex (ascending
-    id), which terminates with vertex as the single hook; its own height never
-    changes.  Returns the vertices lowered, in order; replaying them with
-    :func:`lower_vertex` reproduces the descent.
+    Returns the vertices lowered, in order: level by level from the top,
+    every target other than vertex at the highest height, in ascending id.
+    Replaying them with :func:`lower_vertex` reproduces the descent.
 
-    The landing pattern is forced: every w lands at hv - dist(vertex, w), the
-    least height function with vertex fixed.  Every gap is +-1, so no vertex
-    stands below its landing height, and each stands above it by an even
-    amount.  Every target other than vertex stands above its landing height,
-    and every vertex that does so at the highest such height is a target, so
-    each level is read off the heights by position, with no scan for
-    extremes.
+    The heights force it, so nothing is simulated: every w lands at
+    hv - dist(vertex, w), the least height function with vertex fixed, and
+    drops once from each height H with landing(w) < H <= h(w), H = h(w) mod 2.
+    A vertex above its landing at the highest such height is a target, so the
+    moves are those drops sorted by height descending, then by id.
     """
     t = adinkra.topology
-    hook = t._position(vertex)
-    if hook is None:
-        raise AdinkraError(f"unknown vertex {vertex}")
+    hv = adinkra.height_of(vertex)  # an AdinkraError for an unknown vertex
     if len(t._component_slots) != 1:
         raise AdinkraError("one-hooked descent needs a connected topology")
     dist = t.distances_from(vertex)
-    hv = adinkra.height_of(vertex)
-    landing = [hv - dist[w] for w in t.vertex_ids]
-    total = sum((h - low) // 2 for h, low in zip(adinkra.heights, landing))
-    vids = t.vertex_ids
-    moves: list[int] = []
-    current = adinkra
-    heights = current.heights
-    # only a vertex above its landing is ever lowered, so no other one comes to stand above it
-    above = [i for i, (h, low) in enumerate(zip(heights, landing)) if h > low and i != hook]
-    while above:
-        # a vertex above its landing at the highest such height has no neighbour above it,
-        # and two such vertices are never adjacent, so the whole level drops at once
-        top = max(heights[i] for i in above)
-        level = sorted(vids[i] for i in above if heights[i] == top)
-        current = _shift(current, level, -2)
-        moves.extend(level)
-        if len(moves) > total:  # pragma: no cover
-            raise AdinkraError("descent exceeded its move budget; data is inconsistent")
-        heights = current.heights
-        above = [i for i in above if heights[i] > landing[i]]
-    if current.height_of(vertex) != hv:
-        raise AdinkraError(
-            f"descent moved vertex {vertex} from height {hv} to {current.height_of(vertex)}; data is inconsistent"
-        )
-    return moves
+    levels: dict[int, list[int]] = {}  # by height, the vertices that drop from it
+    for w, h in zip(t.vertex_ids, adinkra.heights):
+        for top in range(h, hv - dist[w], -2):
+            levels.setdefault(top, []).append(w)
+    return [w for top in sorted(levels, reverse=True) for w in sorted(levels[top])]
 
 
 @dataclass(frozen=True)
@@ -260,19 +225,23 @@ def _singles(topology: Topology) -> list[tuple[int, ...]]:
 
 
 def kinship_distance(a: Adinkra, b: Adinkra) -> int:
-    """Minimum number of single-vertex moves turning a into b (same topology)."""
+    """Minimum number of single-vertex moves turning a into b (same topology).
+
+    Height functions with +-1 gaps and fixed parities form a distributive
+    lattice whose covers are the moves (Propp, "Lattice structure for
+    orientations of graphs", 2002): the path down to the meet min(a, b) and
+    up to b takes sum |a - b| / 2 moves, and none is shorter, since a move
+    changes that sum by 2.  Members are normalized, so each component of b
+    shifts freely; the best shift is the median of the gaps h_a - h_b.
+    """
     if a.topology != b.topology:
         raise AdinkraError("kinship distance needs both Adinkras on the same topology")
-    start = a.normalized()
-    goal = member_key(b)
-    if start.heights == goal:
-        return 0
-    dist = {start.heights: 0}
-    for src, _, _, nxt in _walk({start.heights: start}, _singles(a.topology), ("raise", "lower")):
-        dist.setdefault(nxt.heights, dist[src] + 1)
-        if nxt.heights == goal:
-            return dist[goal]
-    raise AdinkraError("height patterns are not connected by moves; data is inconsistent")
+    total = 0
+    for slots in a.topology._component_slots:
+        gaps = sorted(a.heights[i] - b.heights[i] for i in slots)
+        median = gaps[(len(gaps) - 1) // 2]
+        total += sum(abs(g - median) for g in gaps)
+    return total // 2
 
 
 # An anchoring of one component: its vertex positions in BFS order from the

@@ -16,7 +16,9 @@ orders, and presentations verified by substitution: the whole battery
 projected as expressions, each equation's sides built and compared as maps,
 instead of each term of U walked once through each projection and the sides
 compared term by term, the one-hooked descent lowered one checked vertex at
-a time instead of one level at once, and mu as half a cube distance instead
+a time instead of read off the landing heights, the kinship distance by a
+breadth-first walk of the family instead of the height gaps about their
+median, and mu as half a cube distance instead
 of the least m_alpha, the two-color squares by walking every two-colored
 cycle, or four steps from every vertex for every color pair, instead of
 pairing only colors that lead to distinct higher neighbours, and each term of U
@@ -39,6 +41,7 @@ from functools import reduce
 from itertools import permutations, product
 from typing import Iterable, Iterator, Sequence
 
+from adinkra import mutation
 from adinkra.constraints import (
     Constraint,
     Lowest,
@@ -643,6 +646,20 @@ def stepwise_lowering_sequence(adinkra: Adinkra, vertex: int) -> list[int]:
             current = lower_vertex(current, v)
             moves.append(v)
     return moves
+
+
+def walked_kinship_distances(start: Adinkra) -> dict[tuple[int, ...], int]:
+    """kinship_distance from start to every member of its family, keyed by normalized heights.
+
+    Each member's breadth-first layer in the walk of single-vertex raises and
+    lowerings from start.
+    """
+    first = start.normalized()
+    dist = {first.heights: 0}
+    singles = [(v,) for v in first.topology.vertex_ids]
+    for src, _, _, nxt in mutation._walk({first.heights: first}, singles, ("raise", "lower")):
+        dist.setdefault(nxt.heights, dist[src] + 1)
+    return dist
 
 
 def adinkra_moves(

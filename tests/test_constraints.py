@@ -4,9 +4,11 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
+from enum import IntEnum
 from dataclasses import replace
 from functools import cache
 from pathlib import Path
@@ -111,6 +113,13 @@ def test_spec_entries_must_be_a_tuple(entries, name) -> None:
     with pytest.raises(AdinkraError) as info:
         SourceSpec(2, entries)
     assert str(info.value) == f"a source spec needs a tuple of entries, got {name}"
+
+
+def test_spec_refuses_an_int_enum_color_count() -> None:
+    two = IntEnum("Colors", {"TWO": 2}).TWO
+    with pytest.raises(AdinkraError) as info:
+        SourceSpec(two, ((1, 0),))
+    assert str(info.value) == f"a source spec needs 1..{MAX_CUBE_COLORS} colors (the cube cap), got <Colors.TWO: 2>"
 
 
 @pytest.mark.parametrize("n", [0, MAX_CUBE_COLORS + 1, 10_000_000, True, 2.0])
@@ -266,6 +275,18 @@ def test_projector_refuses_an_out_of_range_component_or_entry() -> None:
             projector(spec, 0, alpha)
 
 
+def test_m_alpha_and_mu_refuse_an_out_of_range_component_or_entry() -> None:
+    spec = SourceSpec(2, ((0, 0),))
+    for component in (4, -1, 99, True, 1.0):
+        shown = re.escape(repr(component))
+        for read in (lambda: m_alpha(spec, component, 0), lambda: mu(spec, component)):
+            with pytest.raises(AdinkraError, match=rf"^component {shown} outside color range$"):
+                read()
+    for alpha in (1, -1, False, 0.0):
+        with pytest.raises(AdinkraError, match=rf"^entry {alpha!r} outside the battery's entries 0\.\.0$"):
+            m_alpha(spec, 0, alpha)
+
+
 def test_m_alpha_formula() -> None:
     assert m_alpha(X_SPEC, 0, 0) == 1
     assert m_alpha(X_SPEC, 0b01, 0) == 0
@@ -343,20 +364,20 @@ def test_a_wrong_engine_order_fails_the_rederived_heights(monkeypatch) -> None:
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_verifying_an_identified_valise_reads_each_order_once(n: int, monkeypatch) -> None:
-    # identify has worked out mu per component; only the projections' own check reads m_alpha
+    # identify has worked out mu per component; only the projections' own check reads the order formula
     t = cube_topology(n)
     ident = identify(base_adinkra(t, standard_parity(t)))
     calls = []
-    order = constraints.m_alpha
-    monkeypatch.setattr("adinkra.constraints.m_alpha", lambda *args: calls.append(args) or order(*args))
+    order = constraints._m_alpha
+    monkeypatch.setattr("adinkra.constraints._m_alpha", lambda *args: calls.append(args) or order(*args))
     assert verify_presentation(ident.spec, ident.kind).ok
     assert len(calls) == (1 << n) * len(ident.spec.entries)
 
 
 @pytest.mark.parametrize("build", [emit_constraints, verify_presentation])
 def test_a_projection_off_its_derivative_order_is_an_error(build, monkeypatch) -> None:
-    order = constraints.m_alpha
-    monkeypatch.setattr("adinkra.constraints.m_alpha", lambda spec, c, alpha: order(spec, c, alpha) + 1)
+    order = constraints._m_alpha
+    monkeypatch.setattr("adinkra.constraints._m_alpha", lambda spec, c, alpha: order(spec, c, alpha) + 1)
     with pytest.raises(AdinkraError) as info:
         build(X_SPEC)
     assert str(info.value) == "projection of entry 0 onto {1} carries 0 time derivatives, not m_alpha = 1"

@@ -7,6 +7,7 @@ import random
 import re
 import time
 import tracemalloc
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from adinkra.core import (
     MAX_PARITY_SQUARES,
     Adinkra,
     AdinkraError,
+    EngineerResult,
     ParityResult,
     Topology,
     _eliminated_parity,
@@ -59,6 +61,15 @@ def square() -> Topology:
 
 def test_validate_accepts_square() -> None:
     assert validate_topology(2, SQUARE_STATS, SQUARE_EDGES) == []
+
+
+def test_validate_rejects_an_int_enum_color_count() -> None:
+    two = IntEnum("Colors", {"TWO": 2}).TWO
+    message = "n_colors must be a positive integer, got <Colors.TWO: 2>"
+    assert validate_topology(two, SQUARE_STATS, SQUARE_EDGES) == [message]
+    with pytest.raises(AdinkraError) as info:
+        Topology.build(two, SQUARE_STATS, SQUARE_EDGES)
+    assert str(info.value) == "invalid topology: " + message
 
 
 def test_validate_rejects_bad_color() -> None:
@@ -415,6 +426,37 @@ def test_witness_is_a_closed_ascent() -> None:
         path = res.witness
         assert path[0][0] == path[-1][1]
         assert net_ascent(orient, list(path)) != 0
+
+
+def test_orientation_entries_given_as_lists_read_as_pairs() -> None:
+    t = cube_topology(2)
+    orient = orientation_from_heights(t, {0: 0, 1: 1, 2: 1, 3: 2})
+    listed = {e: list(pair) for e, pair in orient.items()}
+    assert engineerable(t, listed) == engineerable(t, orient) == EngineerResult(
+        ok=True, heights={0: 0, 1: 1, 2: 1, 3: 2}
+    )
+    loop = [(0, 1, 1), (1, 3, 2), (3, 2, 1), (2, 0, 2)]
+    assert net_ascent(listed, loop) == net_ascent(orient, loop) == 0
+    assert net_ascent(listed, [(0, 1, 1), [1, 3, 2]]) == 2
+
+
+@pytest.mark.parametrize("entry", [5, (0, 1, 1), (0,), "01", None])
+def test_an_orientation_entry_that_is_no_pair_is_refused(entry) -> None:
+    t = cube_topology(2)
+    orient = {**orientation_from_heights(t, {0: 0, 1: 1, 2: 1, 3: 2}), (0, 1, 1): entry}
+    shown = re.escape(repr(entry))
+    with pytest.raises(AdinkraError, match=rf"^orientation entry for \(0, 1, 1\) is {shown}, not its endpoints$"):
+        engineerable(t, orient)
+    with pytest.raises(AdinkraError, match=rf"^step 0: orientation entry {shown} is not an endpoint pair$"):
+        net_ascent(orient, [(0, 1, 1)])
+
+
+@pytest.mark.parametrize("step", [(0, 1), (0, 1, 1, 1), 5, (0, "1", 1), (0, 1, 1.0), (False, 1, 1), None])
+def test_a_path_step_that_is_no_int_triple_is_refused(step) -> None:
+    orient = orientation_from_heights(cube_topology(2), {0: 0, 1: 1, 2: 1, 3: 2})
+    shown = re.escape(repr(step))
+    with pytest.raises(AdinkraError, match=rf"^step 1: {shown} is not a \(u, v, color\) triple of ints$"):
+        net_ascent(orient, [(1, 0, 1), step])
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import tracemalloc
+from enum import IntEnum
 
 import pytest
 from hypothesis import given
@@ -237,6 +238,13 @@ REFUSED_CODES = {
         f"{MAX_CUBE_COLORS + 1} colors exceeds the cap of {MAX_CUBE_COLORS} on cube size",
     ),
 }
+
+
+def test_a_color_count_that_is_an_int_enum_is_refused() -> None:
+    two = IntEnum("Colors", {"TWO": 2}).TWO
+    for build in (lambda: cube_topology(two), lambda: code_quotient(two, ())):
+        with pytest.raises(AdinkraError, match=r"^need a positive number of colors, got <Colors\.TWO: 2>$"):
+            build()
 
 
 @pytest.mark.parametrize("case", sorted(REFUSED_CODES))

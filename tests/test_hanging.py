@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from adinkra.core import BOSON, FERMION, AdinkraError, Topology
@@ -158,3 +160,22 @@ def test_hookset_sorts_the_hooks_it_is_given() -> None:
 def test_hookset_refuses_a_vertex_hooked_twice(hooks) -> None:
     with pytest.raises(AdinkraError, match=r"^vertex 0 is hooked twice$"):
         HookSet(TARGETS, hooks)
+
+
+@pytest.mark.parametrize("hook", [(0, "2"), (0, 2.0), (0, False), [0, 2], (0, 2, 1), (0,), 0, None])
+def test_hookset_refuses_a_hook_that_is_no_pair_of_ints(hook) -> None:
+    shown = re.escape(repr(hook))
+    with pytest.raises(AdinkraError, match=rf"^hook {shown} is not a \(vertex, height\) pair of ints$"):
+        HookSet(TARGETS, ((3, 2), hook))
+
+
+@pytest.mark.parametrize("vertex", [0.0, True, "0", None])
+def test_hookset_refuses_a_vertex_that_is_no_int_as_unknown(vertex) -> None:
+    with pytest.raises(AdinkraError, match=rf"^hook references unknown vertex {re.escape(str(vertex))}$"):
+        HookSet(TARGETS, ((3, 2), (vertex, 2)))
+
+
+@pytest.mark.parametrize("height", [3.0, "3", None, True])
+def test_one_hooked_refuses_a_height_that_is_no_int(height) -> None:
+    with pytest.raises(AdinkraError, match=rf"^hook height {re.escape(repr(height))} is not an int$"):
+        one_hooked(cube_topology(3), 7, height)
