@@ -29,7 +29,7 @@ from .cube import (
     hgt0,
     standard_parity,
 )
-from .document import Document, _indented_json, deserialize, export_dot, serialize
+from .document import _indented_json, deserialize, export_dot, serialize
 
 if TYPE_CHECKING:
     from .constraints import SourceSpec
@@ -44,26 +44,19 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _load(path: str, *kinds: str) -> Document:
+def _load(path: str, *kinds: str):
     doc = deserialize(_read_text(path))
-    if kinds and doc.kind not in kinds:
+    if doc.kind not in kinds:
         article = "an" if kinds[0][0] in "aeiou" else "a"
         raise AdinkraError(f"expected {article} {' or '.join(kinds)} document, got {doc.kind}")
-    return doc
-
-
-def _load_adinkra(path: str) -> Adinkra:
-    doc = _load(path, "adinkra")
-    assert isinstance(doc.payload, Adinkra)
     return doc.payload
 
 
 def _topology_and_parity(path: str):
-    doc = _load(path, "topology", "adinkra")
-    if doc.kind == "adinkra":
-        a = doc.payload
-        return a.topology, a.parity_by_edge()
-    return doc.payload, None
+    obj = _load(path, "topology", "adinkra")
+    if isinstance(obj, Adinkra):
+        return obj.topology, obj.parity_by_edge()
+    return obj, None
 
 
 def _emit(obj) -> int:
@@ -130,13 +123,13 @@ def _cmd_hang(args) -> int:
 def _cmd_raise(args) -> int:
     from .mutation import raise_vertex
 
-    return _emit(raise_vertex(_load_adinkra(args.file), args.vertex))
+    return _emit(raise_vertex(_load(args.file, "adinkra"), args.vertex))
 
 
 def _cmd_lower(args) -> int:
     from .mutation import lower_vertex
 
-    return _emit(lower_vertex(_load_adinkra(args.file), args.vertex))
+    return _emit(lower_vertex(_load(args.file, "adinkra"), args.vertex))
 
 
 # the 4-cube's family is walked in a fraction of a second, the 5-cube's in minutes and gigabytes
@@ -168,7 +161,7 @@ def _parse_orbits(text: str) -> list[list[int]]:
 def _cmd_main_seq(args) -> int:
     from .mutation import main_sequence
 
-    start = _load_adinkra(args.file)
+    start = _load(args.file, "adinkra")
     _check_walk_size(start.topology)
     orbits = None if args.orbits is None else _parse_orbits(args.orbits)
     return _emit(main_sequence(start, orbits))
@@ -177,7 +170,7 @@ def _cmd_main_seq(args) -> int:
 def _cmd_identify(args) -> int:
     from .constraints import identify
 
-    ident = identify(_load_adinkra(args.file))
+    ident = identify(_load(args.file, "adinkra"))
     _report(
         {
             "kind": ident.kind,
@@ -189,7 +182,7 @@ def _cmd_identify(args) -> int:
     return 0
 
 
-def _spec_from_args(args) -> tuple[SourceSpec, str]:
+def _spec_from_args(args, *kinds: str) -> tuple[SourceSpec, str]:
     from .constraints import SourceSpec, identify
 
     if args.entry:
@@ -205,30 +198,25 @@ def _spec_from_args(args) -> tuple[SourceSpec, str]:
                     f"entry {item!r} is not of the form SUBSET[:SHIFT]"
                 ) from None
         return SourceSpec(args.n, tuple(entries)), args.kind
-    ident = identify(_load_adinkra(args.file))
-    return ident.spec, ident.kind
+    # decoding a constraints document checks its equations against the rebuilt system
+    obj = _load(args.file, *kinds)
+    if isinstance(obj, Adinkra):
+        ident = identify(obj)
+        return ident.spec, ident.kind
+    return obj.spec, obj.kind
 
 
 def _cmd_constraints(args) -> int:
     from .constraints import emit_constraints
 
-    spec, kind = _spec_from_args(args)
+    spec, kind = _spec_from_args(args, "adinkra")
     return _emit(emit_constraints(spec, kind))
 
 
 def _cmd_verify_constraints(args) -> int:
-    from .constraints import identify, verify_presentation
+    from .constraints import verify_presentation
 
-    if args.entry:
-        spec, kind = _spec_from_args(args)
-    else:
-        # decoding a constraints document checks its equations against the rebuilt system
-        doc = _load(args.file, "constraints", "adinkra")
-        if doc.kind == "constraints":
-            spec, kind = doc.payload.spec, doc.payload.kind
-        else:
-            ident = identify(doc.payload)
-            spec, kind = ident.spec, ident.kind
+    spec, kind = _spec_from_args(args, "constraints", "adinkra")
     report = verify_presentation(spec, kind)
     _report(
         {
@@ -244,7 +232,7 @@ def _cmd_verify_constraints(args) -> int:
 def _cmd_verify_susy(args) -> int:
     from .superspace import closure_violations, transformation_rules
 
-    rules = transformation_rules(_load_adinkra(args.file))
+    rules = transformation_rules(_load(args.file, "adinkra"))
     bad = closure_violations(rules)
     _report({"ok": not bad, "violations": bad})
     return 0 if not bad else 1
@@ -286,7 +274,7 @@ def _cmd_grassmann_check(args) -> int:
 def _cmd_dims(args) -> int:
     from .constraints import dimension_vector, format_dimension_vector, identify, kernel_orders
 
-    a = _load_adinkra(args.file)
+    a = _load(args.file, "adinkra")
     dims = dimension_vector(a)
     out = {"dimension_vector": format_dimension_vector(dims), "counts": list(dims)}
     if cube_signature(a.topology) is not None:
@@ -297,8 +285,7 @@ def _cmd_dims(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    doc = _load(args.file, "topology", "adinkra")
-    sys.stdout.write(export_dot(doc, name=args.name))
+    sys.stdout.write(export_dot(_load(args.file, "topology", "adinkra"), name=args.name))
     return 0
 
 

@@ -42,6 +42,7 @@ __all__ = [
     "engineerable",
     "normalize_heights",
     "solve_edge_parity",
+    "parity_violations",
     "orientation_from_heights",
 ]
 
@@ -567,11 +568,15 @@ def net_ascent(
 ) -> int:
     """Count steps taken along arrows minus steps taken against them.
 
-    path is a chained sequence of directed steps (u, v, color); each step must
+    path is a tuple or list of chained directed steps (u, v, color); each must
     traverse an edge present in the orientation and consecutive steps must
     chain (the first bad step is named in the error).  The empty path has net
     ascent 0.
     """
+    if not isinstance(orientation, Mapping):
+        raise AdinkraError(f"orientation must be a mapping, got {type(orientation).__name__}")
+    if type(path) not in (tuple, list):
+        raise AdinkraError(f"path must be a tuple or list, got {type(path).__name__}")
     total = 0
     prev_end: int | None = None
     for i, step in enumerate(path):
@@ -623,6 +628,8 @@ def engineerable(
     minima at 0 or 1).  On failure the witness is a closed path whose net
     ascent is nonzero (a cycle the arrows wind around).
     """
+    if not isinstance(orientation, Mapping):
+        raise AdinkraError(f"orientation must be a mapping, got {type(orientation).__name__}")
     tails = []  # by edge position, the end its arrow leaves
     for e in topology.edges:
         if e not in orientation:

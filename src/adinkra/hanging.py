@@ -42,6 +42,8 @@ class HookSet:
     def __post_init__(self) -> None:
         if self.mode not in (TARGETS, SOURCES):
             raise AdinkraError(f"hook mode must be targets or sources, got {self.mode!r}")
+        if type(self.hooks) not in (tuple, list):
+            raise AdinkraError(f"hooks must be a tuple or list, got {type(self.hooks).__name__}")
         for hook in self.hooks:
             if type(hook) is not tuple or len(hook) != 2 or type(hook[1]) is not int:
                 raise AdinkraError(f"hook {hook!r} is not a (vertex, height) pair of ints")

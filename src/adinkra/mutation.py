@@ -35,6 +35,7 @@ __all__ = [
     "kinship_distance",
     "isomorphic",
     "isomorphism_classes",
+    "member_key",
     "SequenceStep",
     "SequenceTrace",
     "main_sequence",

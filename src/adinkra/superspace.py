@@ -48,6 +48,7 @@ __all__ = [
     "anticommutator",
     "apply_op",
     "generic_superfield",
+    "descending_product",
     "component_name",
     "project",
     "check_identity",
@@ -590,9 +591,7 @@ def _apply_delta(
         base = 2 * len(mono)
         for rt in rules[vertex]:
             sym = (label, rt.color)
-            if sym in mono:
-                continue
-            # new symbol appends at the right, then bubbles left into place
+            # new symbol (mono holds only the other label's) appends at the right, then bubbles left into place
             crossings = sum(1 for s in mono if s > sym)
             key = (tuple(sorted(mono + (sym,))), rt.source, dots + rt.dotted)
             _accumulate(out, key, _rot(g, base + rt.phase.k + 2 * crossings))

@@ -151,6 +151,24 @@ def test_a_command_refuses_a_topology_document_naming_the_kinds_it_reads(run, ar
     assert err == f'{{"error": "expected {kinds} document, got topology", "type": "AdinkraError"}}\n'
 
 
+# each malformed flag is refused with one error line, after any document is read
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["hang", "--mode", "targets", "--hook", "0"], "hook '0' is not of the form VERTEX=HEIGHT"),
+        (["hang", "--mode", "targets", "--hook", "a=1"], "hook 'a=1' is not of the form VERTEX=HEIGHT"),
+        (["main-seq", "--orbits", "0;x"], "orbits '0;x' are not of the form V,V,...;V,...;..."),
+        (["constraints", "--entry", "1"], "--entry needs -n to fix the color count"),
+        (["constraints", "-n", "2", "--entry", "1:x"], "entry '1:x' is not of the form SUBSET[:SHIFT]"),
+    ],
+    ids=["hook-without-height", "hook-vertex-not-int", "orbit-not-int", "entry-without-n", "entry-shift-not-int"],
+)
+def test_a_malformed_flag_is_refused_naming_it(run, argv: list[str], error: str) -> None:
+    code, out, err = run(argv, stdin=serialize(base_adinkra(cube_topology(2))))
+    assert (code, out) == (1, "")
+    assert err == json.dumps({"error": error, "type": "AdinkraError"}) + "\n"
+
+
 def test_hang_pipeline(run) -> None:
     _, cube, _ = run(["cube", "2"])
     _, hung, _ = run(
@@ -234,6 +252,17 @@ def test_constraints_entry_accepts_shift(run) -> None:
     assert code == 0
     entry = json.loads(out)["payload"]["entries"][0]
     assert entry == {"subset": 0, "shift": 1}
+
+
+def test_constraints_of_an_adinkra_document_are_those_of_its_identified_entries(run) -> None:
+    _, cube, _ = run(["cube", "3"])
+    _, hung, _ = run(["hang", "--mode", "targets", "--hook", "0=2", "--hook", "7=3"], stdin=cube)
+    _, found, _ = run(["identify"], stdin=hung)
+    ident = json.loads(found)
+    entries = [arg for e in ident["entries"] for arg in ("--entry", f"{e['subset']}:{e['shift']}")]
+    code, out, err = run(["constraints"], stdin=hung)
+    assert (code, err) == (0, "")
+    assert run(["constraints", "-n", str(ident["n_colors"]), *entries, "--kind", ident["kind"]], stdin="") == (0, out, "")
 
 
 def test_verify_constraints_round_trip(run) -> None:

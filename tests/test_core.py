@@ -100,6 +100,11 @@ def test_validate_rejects_missing_color_at_vertex() -> None:
     assert any("expected exactly 1" in line for line in report)
 
 
+def test_validate_rejects_unknown_statistics() -> None:
+    report = validate_topology(1, {0: BOSON, 1: "ghost"}, [(0, 1, 1)])
+    assert report[0] == "vertex 1 has unknown statistics 'ghost'"
+
+
 def test_validate_rejects_unknown_endpoint() -> None:
     report = validate_topology(1, {0: BOSON, 1: FERMION}, [(0, 7, 1)])
     assert any("unknown" in line for line in report)
@@ -338,6 +343,16 @@ def test_an_adinkra_refuses_heights_and_parities_that_are_not_ints(heights, pari
             build()
 
 
+@pytest.mark.parametrize(
+    "heights, parity, error",
+    [((0,), (0,), "heights length does not match vertex count"), ((0, 1), (), "parity length does not match edge count")],
+    ids=["short-heights", "short-parity"],
+)
+def test_an_adinkra_refuses_a_heights_or_parity_tuple_too_short(heights, parity, error) -> None:
+    with pytest.raises(AdinkraError, match=f"^{error}$"):
+        Adinkra(cube_topology(1), heights, parity)
+
+
 @pytest.mark.parametrize("heights", [{0: False, 1: True}, {0: 0, 1: 1.0}, {0: 2.0, 1: 1}], ids=repr)
 def test_normalize_heights_refuses_heights_that_are_not_ints(heights) -> None:
     v, h = next((v, h) for v, h in heights.items() if type(h) is not int)
@@ -449,6 +464,28 @@ def test_an_orientation_entry_that_is_no_pair_is_refused(entry) -> None:
         engineerable(t, orient)
     with pytest.raises(AdinkraError, match=rf"^step 0: orientation entry {shown} is not an endpoint pair$"):
         net_ascent(orient, [(0, 1, 1)])
+
+
+@pytest.mark.parametrize("orientation, shown", [(5, "int"), (None, "NoneType"), ([((0, 1, 1), (0, 1))], "list")])
+def test_an_orientation_that_is_no_mapping_is_refused(orientation, shown) -> None:
+    with pytest.raises(AdinkraError, match=rf"^orientation must be a mapping, got {shown}$"):
+        engineerable(cube_topology(2), orientation)
+    with pytest.raises(AdinkraError, match=rf"^orientation must be a mapping, got {shown}$"):
+        net_ascent(orientation, [])
+
+
+@pytest.mark.parametrize("path, shown", [(5, "int"), (None, "NoneType"), (iter([(0, 1, 1)]), "list_iterator")])
+def test_a_path_that_is_no_tuple_or_list_is_refused(path, shown) -> None:
+    with pytest.raises(AdinkraError, match=rf"^path must be a tuple or list, got {shown}$"):
+        net_ascent({}, path)
+
+
+def test_engineerable_names_an_edge_missing_from_the_orientation() -> None:
+    t = cube_topology(2)
+    orient = orientation_from_heights(t, {0: 0, 1: 1, 2: 1, 3: 2})
+    del orient[(1, 3, 2)]
+    with pytest.raises(AdinkraError, match=r"^orientation missing edge \(1, 3, 2\)$"):
+        engineerable(t, orient)
 
 
 @pytest.mark.parametrize("step", [(0, 1), (0, 1, 1, 1), 5, (0, "1", 1), (0, 1, 1.0), (False, 1, 1), None])
@@ -679,10 +716,20 @@ def _doubled_edges() -> Topology:
     return Topology.build(3, stats, [(0, 1, 1), (0, 1, 2), (2, 3, 1), (2, 3, 2), (0, 3, 3), (1, 2, 3)])
 
 
+def _split_doubled_edges() -> Topology:
+    """Colors 1 and 3 both join 0-1 and 2-3; color 2 closes a (1, 2) and a (2, 3) square between them.
+
+    From vertex 0 the lower color of the (2, 3) square leads to 3, so its walk starts from the second neighbour.
+    """
+    stats = {0: BOSON, 1: FERMION, 2: BOSON, 3: FERMION}
+    return Topology.build(3, stats, [(0, 1, 1), (0, 1, 3), (2, 3, 1), (2, 3, 3), (0, 3, 2), (1, 2, 2)])
+
+
 def _square_cases():
     cases = _parity_cases()
     cases.append(Topology.build(2, {0: BOSON, 1: FERMION}, [(0, 1, 1), (0, 1, 2)]))
     cases.append(_doubled_edges())
+    cases.append(pytest.param(_split_doubled_edges(), id="3c4v-split"))
     # two components, one with doubled edges, interleaved with a 3-cube on ids 10..17
     c3 = cube_topology(3)
     doubled = _doubled_edges()
@@ -865,6 +912,15 @@ def test_doubled_edges_close_squares_only_through_a_third_color() -> None:
         (1, 3, [(0, 1, 1), (1, 2, 3), (2, 3, 1), (0, 3, 3)]),
         (2, 3, [(0, 1, 2), (1, 2, 3), (2, 3, 2), (0, 3, 3)]),
     ]
+
+
+def test_split_doubled_edges_walk_one_square_from_each_neighbour() -> None:
+    t = _split_doubled_edges()
+    assert [(c1, c2, [t.edges[i] for i in sq]) for c1, c2, sq in t.squares] == [
+        (1, 2, [(0, 1, 1), (1, 2, 2), (2, 3, 1), (0, 3, 2)]),
+        (2, 3, [(0, 3, 2), (2, 3, 3), (1, 2, 2), (0, 1, 3)]),
+    ]
+    assert t.squares == color_pair_squares(t)
 
 
 @pytest.mark.parametrize("n, word", SOLVABLE_CODES + UNSOLVABLE_CODES)

@@ -71,6 +71,11 @@ def test_cube_statistics_conventions() -> None:
     assert cube_statistics(0b1, SPINOR) == BOSON
 
 
+def test_cube_statistics_refuses_an_unknown_convention() -> None:
+    with pytest.raises(AdinkraError, match=r"^unknown convention 'vector'$"):
+        cube_statistics(0, "vector")
+
+
 def test_cube_edges_flip_one_bit() -> None:
     t = cube_topology(3)
     for u, v, c in t.edges:
@@ -116,6 +121,12 @@ def test_cube_signature_rejects_quotient_and_relabelings() -> None:
         [(0, 1, 1), (2, 3, 1), (4, 5, 1), (1, 2, 2), (3, 4, 2), (5, 0, 2)],
     )
     assert cube_signature(hexagon) is None
+
+    # a cube's ids, but vertex 2 is a boson and vertex 3 a fermion, as in neither convention
+    alternating = Topology.build(
+        2, {0: BOSON, 1: FERMION, 2: BOSON, 3: FERMION}, [(0, 1, 1), (2, 3, 1), (0, 3, 2), (1, 2, 2)]
+    )
+    assert cube_signature(alternating) is None
 
 
 def test_cube_signature_compares_edges_without_building_a_cube(monkeypatch) -> None:

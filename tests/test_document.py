@@ -161,6 +161,12 @@ def test_deserialize_envelope_checks() -> None:
     data["kind"] = "poem"
     with pytest.raises(DocumentError, match=r"\$\.kind"):
         deserialize(json.dumps(data))
+    with pytest.raises(DocumentError, match=r"^\$: expected object, got list$"):
+        deserialize("[]")
+    data = _valid_adinkra_data()
+    data["annotations"] = ["note"]
+    with pytest.raises(DocumentError, match=r"^\$\.annotations: expected object, got list$"):
+        deserialize(json.dumps(data))
 
 
 def test_deserialize_runs_graph_validation() -> None:
@@ -562,6 +568,10 @@ def test_trace_decode_requires_what_main_sequence_records(n, tamper, where) -> N
         (lambda p: p["steps"][3].__setitem__("parent", 0), r"steps\[3\]\.parent: expected 1, got 0$"),
         (lambda p: p["steps"][1]["counters"][0].__setitem__(1, 2), r"steps\[1\]\.counters\[0\]\[1\]: expected 1, got 2$"),
         (lambda p: p["steps"][0]["counters"][3].__setitem__(1, 5), r"steps\[0\]\.counters\[3\]\[1\]: expected 0, got 5$"),
+        (lambda p: p["steps"][1]["counters"].pop(), r"steps\[1\]\.counters: expected 4 entries, got 3$"),
+        (lambda p: p["steps"].__setitem__(1, 3), r"steps\[1\]: expected object, got int$"),
+        (lambda p: p.__setitem__("steps", []), r"steps: a trace needs at least the start step$"),
+        (lambda p: p["parity"].pop(), r"parity: expected 4 entries$"),
     ],
 )
 def test_trace_decode_replays_each_raise(tamper, where) -> None:

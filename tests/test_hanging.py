@@ -63,6 +63,12 @@ def test_check_hooks_flags_uncovered_component() -> None:
     assert any("component" in line for line in report)
 
 
+def test_check_hooks_compares_no_hooks_in_different_components() -> None:
+    two = Topology.build(1, {0: BOSON, 1: FERMION, 10: BOSON, 11: FERMION}, [(0, 1, 1), (10, 11, 1)])
+    # a height gap of 8 at no distance would be refused within one component
+    assert check_hooks(two, HookSet.from_map(TARGETS, {0: 0, 10: 8})) == []
+
+
 def test_check_hooks_flags_statistics_parity() -> None:
     t = cube_topology(2)
     report = check_hooks(t, HookSet.from_map(TARGETS, {0: 2, 3: 1}))
@@ -153,12 +159,19 @@ def test_hookset_sorts_the_hooks_it_is_given() -> None:
     given = HookSet(TARGETS, ((3, 2), (0, 2)))
     assert given.hooks == ((0, 2), (3, 2))
     assert given == HookSet.from_map(TARGETS, {3: 2, 0: 2})
+    assert given == HookSet(TARGETS, [(3, 2), (0, 2)])
     assert hash(given) == hash(HookSet.from_map(TARGETS, {0: 2, 3: 2}))
 
 
 @pytest.mark.parametrize("hooks", [((0, 2), (0, 0)), ((0, 0), (3, 2), (0, 2))])
 def test_hookset_refuses_a_vertex_hooked_twice(hooks) -> None:
     with pytest.raises(AdinkraError, match=r"^vertex 0 is hooked twice$"):
+        HookSet(TARGETS, hooks)
+
+
+@pytest.mark.parametrize("hooks, shown", [(5, "int"), (None, "NoneType"), ({0: 2}, "dict"), ("02", "str")])
+def test_hookset_refuses_hooks_that_are_no_tuple_or_list(hooks, shown) -> None:
+    with pytest.raises(AdinkraError, match=rf"^hooks must be a tuple or list, got {shown}$"):
         HookSet(TARGETS, hooks)
 
 

@@ -277,6 +277,12 @@ def test_kinship_distance_rejects_different_topologies() -> None:
         kinship_distance(base_adinkra(cube_topology(2)), base_adinkra(cube_topology(3)))
 
 
+def test_the_one_hooked_descent_refuses_a_disconnected_topology() -> None:
+    two = Topology.build(1, {0: BOSON, 1: FERMION, 10: BOSON, 11: FERMION}, [(0, 1, 1), (10, 11, 1)])
+    with pytest.raises(AdinkraError, match=r"^one-hooked descent needs a connected topology$"):
+        lowering_sequence_to_one_hooked(base_adinkra(two), 0)
+
+
 def test_descent_moves_are_replayable_and_minimal() -> None:
     t = cube_topology(3)
     a = hang_all_up(t)
@@ -513,6 +519,8 @@ def test_orbit_partition_is_validated() -> None:
         main_sequence(a, [[0], [0, 3], [1, 2]])
     with pytest.raises(AdinkraError, match="height"):
         main_sequence(raise_vertex(a, 0), [[0, 3], [1, 2]])
+    with pytest.raises(AdinkraError, match=r"^empty orbit in partition$"):
+        main_sequence(a, [[0], [], [1], [2], [3]])
 
 
 # ---------------------------------------------------------------------------

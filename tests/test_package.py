@@ -53,6 +53,11 @@ def test_each_name_is_the_object_its_submodule_defines() -> None:
         assert getattr(adinkra, name) is getattr(importlib.import_module(f"adinkra.{module}"), name), name
 
 
+def test_every_export_is_listed_in_its_module_s_all() -> None:
+    missing = [name for name, module in adinkra._EXPORTS.items() if name not in importlib.import_module(f"adinkra.{module}").__all__]
+    assert missing == []
+
+
 def _unused_names(source: str) -> list[str]:
     """Names bound by an import, and module-level _names, that the module never reads as a name or an attribute base."""
     tree = ast.parse(source)

@@ -87,6 +87,20 @@ def test_expr_rejects_inhomogeneous_terms() -> None:
         SuperfieldExpr(1, BOSON, ((0, ((ONE, odd),)),))
 
 
+@pytest.mark.parametrize(
+    "statistics, terms, error",
+    [
+        ("ghost", (), "unknown statistics 'ghost'"),
+        (BOSON, ((0b100, ()),), "theta monomial 0b100 outside color range"),
+        (BOSON, ((-1, ()),), "theta monomial -0b1 outside color range"),
+    ],
+    ids=["statistics", "monomial-above", "monomial-negative"],
+)
+def test_expr_refuses_unknown_statistics_and_monomials_outside_the_colors(statistics, terms, error) -> None:
+    with pytest.raises(AdinkraError, match=f"^{re.escape(error)}$"):
+        SuperfieldExpr(2, statistics, terms)
+
+
 def test_expr_add_cancels_exactly() -> None:
     u = generic_superfield(2)
     assert expr_sub(u, u).is_zero()
