@@ -20,12 +20,15 @@ verify_presentation and image_adinkra all refuse one that is not.
 P_(c,alpha) F_alpha is the one word D_{c xor I_alpha} d_tau^l_alpha D_{I_alpha},
 so it sends each term U_d of U to one term at monomial d xor c.  No two terms
 share a key and nothing cancels, so verify_presentation compares the two sides
-of an equation term by term, as two lists.  It reads every projection off the
-word table of its color count, every D_w walked over every monomial once
-(4^n walks, kept compactly), and makes no walk per call; emit_constraints
-walks only U_c, the one term that reaches theta = 0, 2^n * (m + 1) walks,
-and builds no word table.  U's fields and phases and every descending word's
-steps depend only on the color count and kind, and are built once for each.
+of an equation term by term: where the terms land as two lists, and their
+time derivatives and phases as two byte strings, one byte a term, the lower
+side's moved by one bytes.translate.  It reads every projection off the word
+table of its color count, every D_w applied to every monomial once (4^n
+steps, each row one D step from a shorter word's row, kept compactly), and
+makes no walk per call; emit_constraints walks only U_c, the one term that
+reaches theta = 0, 2^n * (m + 1) walks, and builds no word table.  U's fields
+and phases and every descending word's steps depend only on the color count
+and kind, and are built once for each.
 
 identify() inverts the construction: given a cube Adinkra it recovers a
 battery presenting it, by lowering onto the all-colors vertex and counting
@@ -293,8 +296,9 @@ class ConstraintSystem:
 
 
 Lowest = dict[tuple[int, int], tuple[int, int]]  # (component, alpha) -> phase k, order
-# (component, alpha) -> each U_d walked, by d: monomial, time derivatives, phase k mod 4
-Walks = dict[tuple[int, int], list[tuple[int, int, int]]]
+# (component, alpha) -> where each U_d lands, by d, and one byte 8 * dots + k per U_d, by d: its time
+# derivatives without the entry's shift (at most 2n <= 20, so a byte never wraps) and its phase exponent mod 4
+Projections = dict[tuple[int, int], tuple[list[int], bytes]]
 EngineTable = tuple[tuple["FieldSymbol", ...], tuple[int, ...], tuple[tuple[tuple[int, int, int], ...], ...]]
 # by word w, then monomial e: landed monomials, time derivatives, phase exponents mod 4
 WordTable = tuple[tuple[array, ...], tuple[bytes, ...], tuple[bytes, ...]]
@@ -351,33 +355,39 @@ def _engine_table(n: int, kind: str) -> EngineTable:
 
 @cache
 def _word_table(n: int) -> WordTable:
-    """Every descending word D_w walked over every monomial: its landed monomials, time derivatives and phases mod 4.
+    """Every descending word D_w applied to every monomial: its landed monomials, time derivatives and phases mod 4.
 
-    Depends only on the color count, so it is built once for each, by 4^n
-    walks of at most n atoms.  Each row holds its 2^n cells in three compact
+    Depends only on the color count, so it is built once for each.  Row w
+    is row w xor h, with h the highest color bit of w, taken one D_h step
+    further, since D_w = D_h D_{w xor h}: D_h gives i^2 for each theta of
+    the monomial below theta^h, then strips theta^h or adds it with one time
+    derivative and one more i.  Each row holds its 2^n cells in three compact
     strings, about 4 bytes a cell: about 1 MB at n = 9, where a tuple per
     cell would take about 17 MB.
     """
-    from .superspace import _descending_word, _walk, _word_steps
-
-    landed, dots, phases = [], [], []
-    for w in range(1 << n):
-        steps = _word_steps(_descending_word(w, n), n)
-        walked = [_walk(steps, e) for e in range(1 << n)]
-        landed.append(array("H", [mask for mask, _, _ in walked]))
-        dots.append(bytes([more for _, more, _ in walked]))
-        phases.append(bytes([k & 3 for _, _, k in walked]))
+    landed, dots, phases = [array("H", range(1 << n))], [bytes(1 << n)], [bytes(1 << n)]
+    for w in range(1, 1 << n):
+        h = 1 << (w.bit_length() - 1)
+        below, row = h - 1, w ^ h
+        landed.append(array("H", [mask ^ h for mask in landed[row]]))
+        dots.append(bytes([more + (not mask & h) for mask, more in zip(landed[row], dots[row])]))
+        phases.append(bytes([
+            (k + 2 * (mask & below).bit_count() + (not mask & h)) & 3 for mask, k in zip(landed[row], phases[row])
+        ]))
     return tuple(landed), tuple(dots), tuple(phases)
 
 
-def _project(spec: SourceSpec, kind: str, every_term: bool) -> tuple[tuple[FieldSymbol, ...], Walks, Lowest]:
-    """U's fields U_d, each U_d (or only U_c) walked from its phase through each projection, and the lowest terms.
+def _project(spec: SourceSpec, kind: str, every_term: bool) -> tuple[tuple[FieldSymbol, ...], Projections, Lowest]:
+    """U's fields U_d, each U_d (or only U_c) carried from its phase through each projection, and the lowest terms.
 
     P_(c,alpha) is D_w d_tau^l_alpha D_{I_alpha} with w = c xor I_alpha.
     Every term of U goes through it by two reads of the color count's word
-    table: row I_alpha at d, shifted by l_alpha and U_d's phase, then row w
-    at the monomial reached; no walk is made per call.  The one-term path
-    walks U_c through D_{I_alpha} to theta^w, and D_w once from there:
+    table: row I_alpha at d, with U_d's phase, then row w at the monomial
+    reached; no walk is made per call.  Each projection keeps where its
+    terms land as one list and their derivatives and phases as one byte
+    string, 8 * dots + k a term, with dots not counting l_alpha (d_tau^l_alpha
+    commutes with every D), so a byte holds any entry's terms.  The one-term
+    path walks U_c through D_{I_alpha} to theta^w, and D_w once from there:
     2^n * (m + 1) walks of at most n atoms, and it builds no word table.
     U's fields, phases and every word's steps come from the (n, kind)
     engine table, built on first use.
@@ -385,48 +395,61 @@ def _project(spec: SourceSpec, kind: str, every_term: bool) -> tuple[tuple[Field
     from .superspace import _walk
 
     syms, phases, words = _engine_table(spec.n_colors, kind)
-    domain = range(1 << spec.n_colors)
-    entry_words = [words[mask] for mask, _ in spec.entries]
-
-    def through_entry(alpha: int, d: int) -> tuple[int, int, int]:
-        # d_tau^l_alpha commutes with every D and only adds l_alpha time derivatives
-        mid, dots, k = _walk(entry_words[alpha], d)
-        return mid, dots + spec.entries[alpha][1], k + phases[d]
-
     if every_term:
         landed_rows, dots_rows, phase_rows = _word_table(spec.n_colors)
-        # row I_alpha is the entry's own word over every U_d, shifted as through_entry shifts one
+        # row I_alpha is the entry's own word over every U_d: where U_d lands, and 8 * dots + k with U_d's phase in k
         firsts = [
-            [
-                (mid, dots + shift, k + phase)
-                for mid, dots, k, phase in zip(landed_rows[mask], dots_rows[mask], phase_rows[mask], phases)
-            ]
-            for mask, shift in spec.entries
+            (
+                landed_rows[mask],
+                [8 * dots + ((k + phase) & 3) for dots, k, phase in zip(dots_rows[mask], phase_rows[mask], phases)],
+            )
+            for mask, _ in spec.entries
         ]
     projections, lowest = {}, {}
-    for w in domain:
-        # only one row of D_w is live at a time; U_c always meets it at theta^w
-        second = list(zip(landed_rows[w], dots_rows[w], phase_rows[w])) if every_term else {w: _walk(words[w], w)}
-        for alpha, (mask, _) in enumerate(spec.entries):
+    for w in range(1 << spec.n_colors):
+        if every_term:  # only one row of D_w is live at a time
+            row_landed = landed_rows[w].tolist()
+            row_codes = [8 * more + k for more, k in zip(dots_rows[w], phase_rows[w])]
+        else:  # U_c always meets D_w at theta^w
+            low_w, more_w, k_w = _walk(words[w], w)
+        for alpha, (mask, shift) in enumerate(spec.entries):
             c = w ^ mask
-            first = firsts[alpha] if every_term else (through_entry(alpha, c),)
-            walked = [
-                (landed, dots + more, (k + more_k) & 3)
-                for mid, dots, k in first
-                for landed, more, more_k in (second[mid],)
-            ]
-            # the word toggles every theta in c once, so U_d lands on d xor c and only U_c reaches theta = 0
-            landed, dots, k = walked[c if every_term else 0]
-            if landed:
+            if every_term:
+                mids, starts = firsts[alpha]
+                landed = [row_landed[mid] for mid in mids]
+                # the two phase exponents add in the low three bits, so clearing bit 2 takes their sum mod 4
+                codes = bytes([(start + row_codes[mid]) & ~4 for mid, start in zip(mids, starts)])
+                # the word toggles every theta in c once, so U_d lands on d xor c and only U_c reaches theta = 0
+                low, code = landed[c], codes[c]
+            else:
+                _, dots, k = _walk(words[mask], c)
+                code = 8 * (dots + more_w) + ((k + phases[c] + k_w) & 3)
+                low, landed, codes = low_w, [low_w], bytes([code])
+            if low:
                 raise AdinkraError(f"projection of entry {alpha} onto {subset_label(c)} is not a single term")
-            order = _m_alpha(spec, c, alpha)
+            dots, order = (code >> 3) + shift, _m_alpha(spec, c, alpha)
             if dots != order:
                 raise AdinkraError(
                     f"projection of entry {alpha} onto {subset_label(c)} carries {dots} time derivatives,"
                     f" not m_alpha = {order}"
                 )
-            projections[(c, alpha)], lowest[(c, alpha)] = walked, (k, dots)
+            projections[(c, alpha)], lowest[(c, alpha)] = (landed, codes), (code & 3, dots)
     return syms, projections, lowest
+
+
+@cache
+def _shift_table(delta: int, k: int) -> bytes:
+    """The bytes.translate table adding delta time derivatives and i^k to every code 8 * dots + phase.
+
+    A code pushed outside 0..30 derivatives goes to 255, which no projection
+    holds (every held code has a phase below 4).  delta stays within
+    -n..n on every relation, so the cache holds at most 4 * 21 tables.
+    """
+    return bytes(
+        8 * (dots + delta) + ((code + k) & 3) if 0 <= dots + delta <= 30 else 255
+        for code in range(256)
+        for dots in (code >> 3,)
+    )
 
 
 def emit_constraints(spec: SourceSpec, kind: str = SCALAR) -> ConstraintSystem:
@@ -465,34 +488,40 @@ def verify_presentation(spec: SourceSpec, kind: str = SCALAR) -> VerificationRep
     engine's least order at each component must be mu (the image heights are
     hgt0 + 2 mu).  Every projection is read off the word table of the color
     count, two reads per term of U, so a call makes no walk: only the first
-    call for a color count walks every D_w over every monomial (4^n walks
-    of at most n atoms), and only the first for a color count and kind
+    call for a color count builds the table (4^n cells, each one D step from
+    a cell of a shorter word), and only the first for a color count and kind
     builds a generic superfield.  The equations are the
     relations :func:`emit_constraints` emits, read as plain (component, pair,
     gap, phase exponent) tuples: no Constraint, Phase or redundant flag is
-    built.  The lower side, with the gap added to every term's time
-    derivatives and the phase exponent to every term's phase, is built as one
-    list and compared with the higher side's list, so every term's landed
-    monomial, time derivatives and phase are checked.  An equation that does
-    not vanish is a failure naming its residual lhs - rhs.
+    built.  Each projection holds its landed monomials as one list and one
+    byte 8 * dots + k per term, dots without the entry's shift.  An equation
+    holds when the two landed lists are equal and the higher side's bytes
+    equal the lower side's after one bytes.translate through a cached table
+    adding gap + l_lo - l_hi to every term's derivatives and the phase
+    exponent to every phase, so every term's landed monomial, time
+    derivatives and phase are checked.  An equation that does not vanish is
+    a failure naming its residual lhs - rhs, built from the same list and bytes.
     """
     _check_battery(spec, kind)
     n, m = spec.n_colors, len(spec.entries)
     syms, projections, lowest = _project(spec, kind, every_term=True)
+    shifts = [shift for _, shift in spec.entries]
     checked, failures = 0, []
     for c, hi, lo, gap, k in _relations(spec, lowest):
         checked += 1
-        lhs, rhs = projections[(c, hi)], projections[(c, lo)]
-        # each side holds U_d once, at monomial d xor c with a unit coefficient, so no two
-        # terms share a key and the sides are equal maps exactly when they agree at every d
-        if lhs != [(landed, dots + gap, (t + k) & 3) for landed, dots, t in rhs]:
+        (lhs, lhs_codes), (rhs, rhs_codes) = projections[(c, hi)], projections[(c, lo)]
+        # each side holds U_d once, at monomial d xor c with a unit coefficient, so no two terms
+        # share a key and the sides are equal maps exactly when they agree at every d; the codes
+        # leave out each entry's shift, so the lower side gains gap + l_lo - l_hi derivatives
+        if lhs != rhs or lhs_codes != rhs_codes.translate(_shift_table(gap + shifts[lo] - shifts[hi], k)):
             from .superspace import Phase, SuperfieldExpr
 
             # lhs - i^k d_tau^gap rhs; U_c lands at theta = 0, so its statistics are both sides'
+            sides = ((lhs, lhs_codes, shifts[hi], 0), (rhs, rhs_codes, shifts[lo] + gap, k + 2))
             residual = SuperfieldExpr(n, syms[c].statistics, [
-                (landed, ((Phase(t + side_k), sym.dot(dots + side_gap)),))
-                for side, side_gap, side_k in ((lhs, 0, 0), (rhs, gap, k + 2))
-                for sym, (landed, dots, t) in zip(syms, side)
+                (landed, ((Phase((code & 3) + side_k), sym.dot((code >> 3) + side_dots)),))
+                for side, codes, side_dots, side_k in sides
+                for sym, landed, code in zip(syms, side, codes)
             ])
             failures.append(
                 f"component {subset_label(c)}: entries {hi}/{lo}"

@@ -82,11 +82,12 @@ def validate_topology(
     naming the offending vertex or edge.  An empty report means the data forms
     a valid topology.  The empty graph (no vertices, no edges) is valid.
 
-    Rules checked: n_colors is a positive int; vertex ids, edge ends and
-    colors are plain ints (no bool or other int subclass); vertex statistics
-    are boson/fermion; edge endpoints exist, are distinct, and have opposite
-    statistics; colors lie in 1..n_colors; no edge is repeated; and every
-    vertex meets exactly one edge of each color.
+    Rules checked: n_colors is a positive int; statistics is a mapping and
+    edges an iterable; vertex ids, edge ends and colors are plain ints (no
+    bool or other int subclass); vertex statistics are boson/fermion; edge
+    endpoints exist, are distinct, and have opposite statistics; colors lie
+    in 1..n_colors; no edge is repeated; and every vertex meets exactly one
+    edge of each color.
     """
     return _checked_edges(n_colors, statistics, edges)[0]
 
@@ -101,6 +102,14 @@ def _checked_edges(
     edge_list: list[Edge] = []
     if type(n_colors) is not int or n_colors < 1:
         report.append(f"n_colors must be a positive integer, got {n_colors!r}")
+        return report, edge_list
+    if not isinstance(statistics, Mapping):
+        report.append(f"statistics must be a mapping, got {type(statistics).__name__}")
+    try:
+        edges = iter(edges)
+    except TypeError:
+        report.append(f"edges must be iterable, got {type(edges).__name__}")
+    if report:
         return report, edge_list
 
     stats: dict[int, str] = {}

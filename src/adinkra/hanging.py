@@ -71,6 +71,8 @@ def check_hooks(topology: Topology, hookset: HookSet) -> list[str]:
     in one component, dist(s, t) > |h(s) - h(t)| strictly.  Hooks naming
     unknown vertices are an error, not a violation.
     """
+    if not isinstance(hookset, HookSet):
+        raise AdinkraError(f"hookset must be a HookSet, got {type(hookset).__name__}")
     hooks = hookset.as_map()
     for v in hooks:
         if topology._position(v) is None:
@@ -111,6 +113,8 @@ def hang(
     odd-square solve; pass an explicit parity to keep, say, the standard cube
     signs through a pipeline.
     """
+    if parity is not None and not isinstance(parity, Mapping):
+        raise AdinkraError(f"parity must be a mapping, got {type(parity).__name__}")
     report = check_hooks(topology, hookset)
     if report:
         raise AdinkraError("invalid hooks: " + "; ".join(report))

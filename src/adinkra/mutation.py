@@ -235,6 +235,9 @@ def kinship_distance(a: Adinkra, b: Adinkra) -> int:
     changes that sum by 2.  Members are normalized, so each component of b
     shifts freely; the best shift is the median of the gaps h_a - h_b.
     """
+    for x in (a, b):
+        if not isinstance(x, Adinkra):
+            raise AdinkraError(f"kinship distance needs two Adinkras, got {type(x).__name__}")
     if a.topology != b.topology:
         raise AdinkraError("kinship distance needs both Adinkras on the same topology")
     total = 0

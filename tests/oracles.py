@@ -24,7 +24,9 @@ cycle, or four steps from every vertex for every color pair, instead of
 pairing only colors that lead to distinct higher neighbours, and each term of U
 walked through the whole two-part word of each projection instead of each
 descending word walked once and every projection read from two tables, and
-engineerability by a deque BFS over neighbour lists, keyed by vertex id, with
+each equation's two sides compared as lists of walked terms instead of as
+byte strings through one translate, and engineerability by a deque BFS over
+neighbour lists, keyed by vertex id, with
 its heights normalized through the checked public route, instead of the
 adjacency-table walk by vertex position, and the family walk over Adinkras,
 each orbit moved by the checked raise or lower and the result normalized
@@ -47,10 +49,11 @@ from adinkra.constraints import (
     Lowest,
     SourceSpec,
     VerificationReport,
-    Walks,
+    _relations,
     emit_constraints,
     image_adinkra,
     m_alpha,
+    mu,
 )
 from adinkra.core import (
     BOSON,
@@ -708,6 +711,10 @@ def half_distance_mu(spec: SourceSpec, component: int) -> int:
     return best
 
 
+# (component, alpha) -> each U_d walked, by d: monomial, time derivatives with the entry's shift, phase k mod 4
+Walks = dict[tuple[int, int], list[tuple[int, int, int]]]
+
+
 def two_word_project(spec: SourceSpec, kind: str, every_term: bool) -> tuple[tuple[FieldSymbol, ...], Walks, Lowest]:
     """constraints._project, each term walked through the whole two-part word D_{c xor I_alpha} D_{I_alpha}."""
     n = spec.n_colors
@@ -727,6 +734,48 @@ def two_word_project(spec: SourceSpec, kind: str, every_term: bool) -> tuple[tup
                 raise AdinkraError(f"projection of entry {alpha} onto {subset_label(c)} is not d_tau^m_alpha U_c")
             projections[(c, alpha)], lowest[(c, alpha)] = walked, (k, dots)
     return syms, projections, lowest
+
+
+def listed_report(
+    spec: SourceSpec,
+    kind: str,
+    relations: Iterable[tuple[int, int, int, int, int]] | None = None,
+    moved: tuple[tuple[int, int], int, int] | None = None,
+) -> VerificationReport:
+    """verify_presentation with each equation's two sides compared as lists of (landed, dots, phase) walks.
+
+    Every term of U is walked through the whole two-part word of each
+    projection, and each relation (c, hi, lo, gap, k) compares the higher
+    side's list with the lower side's, gap added to every term's time
+    derivatives and k to every phase, one tuple at a time.  relations default
+    to the ones verify_presentation reads off the lowest terms; moved =
+    (key, d, flip) first moves the term of U_d in projection key from its
+    monomial to that monomial xor flip.
+    """
+    n = spec.n_colors
+    syms, projections, lowest = two_word_project(spec, kind, every_term=True)
+    if moved is not None:
+        key, d, flip = moved
+        landed, dots, k = projections[key][d]
+        projections[key][d] = (landed ^ flip, dots, k)
+    failures = []
+    relations = list(_relations(spec, lowest) if relations is None else relations)
+    for c, hi, lo, gap, k in relations:
+        lhs, rhs = projections[(c, hi)], projections[(c, lo)]
+        if lhs != [(landed, dots + gap, (t + k) & 3) for landed, dots, t in rhs]:
+            residual = SuperfieldExpr(n, syms[c].statistics, [
+                (landed, ((Phase(t + side_k), sym.dot(dots + side_gap)),))
+                for side, side_gap, side_k in ((lhs, 0, 0), (rhs, gap, k + 2))
+                for sym, (landed, dots, t) in zip(syms, side)
+            ])
+            failures.append(
+                f"component {subset_label(c)}: entries {hi}/{lo}"
+                f" do not satisfy the emitted relation; residual {residual}"
+            )
+    matches = all(
+        min(lowest[(c, a)][1] for a in range(len(spec.entries))) == mu(spec, c) for c in range(1 << n)
+    )
+    return VerificationReport(not failures and matches, len(relations), tuple(failures), matches)
 
 
 Projections = dict[tuple[int, int], SuperfieldExpr]  # (component, alpha) -> P F_alpha

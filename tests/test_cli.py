@@ -293,8 +293,9 @@ def test_verify_constraints_projects_a_constraints_document_once(run, monkeypatc
     assert code == 0 and json.loads(out)["ok"] is True
     # the decoder walks the one term of U that reaches theta = 0 through each entry's word
     # and each of the 2^n words D_w once; verify_presentation reads every projection off the
-    # word table of its color count, which walks each D_w over each monomial on first use
-    assert len(lengths) == (2**3 * 3 + 2**3) + 2**3 * 2**3
+    # word table of its color count, which it builds row by row on first use, with no walk
+    assert len(lengths) == 2**3 * 3 + 2**3
+    assert constraints._word_table.cache_info().currsize == 1
     assert max(lengths) <= 3
     # a second document of the same color count is verified with no walk beyond the decoder's
     lengths.clear()
@@ -324,7 +325,7 @@ def test_a_huge_shared_shift_costs_no_more_than_none(run, monkeypatch) -> None:
     code, out, err = run(["verify-constraints"], stdin=shifted)
     assert code == 0 and err == "" and json.loads(out)["ok"] is True
     # each walk steps through one descending word of D atoms alone, never through the shift
-    assert len(lengths) == (2**2 * 2 + 2**2) + 2**2 * 2**2 and max(lengths) <= 2
+    assert len(lengths) == 2**2 * 2 + 2**2 and max(lengths) <= 2
 
 
 @pytest.mark.parametrize(

@@ -66,7 +66,14 @@ from adinkra.superspace import (
     generic_superfield,
 )
 
-from oracles import half_distance_mu, projected_lowest, searched_redundant_flags, substituted_report, two_word_project
+from oracles import (
+    half_distance_mu,
+    listed_report,
+    projected_lowest,
+    searched_redundant_flags,
+    substituted_report,
+    two_word_project,
+)
 
 
 X_SPEC = SourceSpec(2, ((1, 0), (2, 0)))
@@ -500,15 +507,17 @@ def test_verification_walks_each_word_once_per_color_count(monkeypatch) -> None:
     specs = (TRIPLE_SPEC, SourceSpec(3, ((3, 0), (5, 0), (6, 0))), _valise().spec)
     constraints._word_table.cache_clear()
     walks = _counting_walks(monkeypatch)
-    # the first battery of a color count builds its word table, 4^n walks; no call walks after that
+    # the first battery of a color count builds its word table, row by row with no walk;
+    # no table is built after that, and no call walks
     for kind in (SCALAR, SPINOR):
         for spec in specs:
             assert verify_presentation(spec, kind).ok
-    assert len(walks) == 4**3 + 4**4
-    walks.clear()
+    info = constraints._word_table.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)
     for kind in (SCALAR, SPINOR):
         for spec in specs:
             assert verify_presentation(spec, kind).ok
+    assert constraints._word_table.cache_info().misses == 2
     assert walks == []
 
 
@@ -569,8 +578,8 @@ def test_the_side_comparison_catches_a_wrong_landed_monomial_alone(kind: str, mo
     def moved_term(spec, kind, every_term):
         syms, projections, lowest = project(spec, kind, every_term)
         if every_term:
-            landed, dots, k = projections[(0, 0)][1]
-            projections[(0, 0)][1] = (landed ^ 3, dots, k)
+            landed, _ = projections[(0, 0)]
+            landed[1] ^= 3
         return syms, projections, lowest
 
     monkeypatch.setattr("adinkra.constraints._project", moved_term)
@@ -664,9 +673,20 @@ def test_one_term_lowest_matches_the_projections_on_the_valise() -> None:
     _check_lowest(ident.spec, ident.kind)
 
 
+def _walks(spec: SourceSpec, projections: constraints.Projections) -> dict:
+    """Each projection's terms as (landed, time derivatives with the entry's shift, phase) walks."""
+    walks = {}
+    for (c, alpha), (landed, codes) in projections.items():
+        assert type(landed) is list and type(codes) is bytes and len(landed) == len(codes)
+        shift = spec.entries[alpha][1]
+        walks[(c, alpha)] = [(mask, (code >> 3) + shift, code & 3) for mask, code in zip(landed, codes)]
+    return walks
+
+
 def _check_projections(spec: SourceSpec, kind: str) -> None:
     for every_term in (True, False):
-        assert constraints._project(spec, kind, every_term) == two_word_project(spec, kind, every_term)
+        syms, projections, lowest = constraints._project(spec, kind, every_term)
+        assert (syms, _walks(spec, projections), lowest) == two_word_project(spec, kind, every_term)
 
 
 def _relabeled_n4_sample(kind: str) -> list[SourceSpec]:
@@ -728,6 +748,131 @@ def test_term_wise_reports_match_the_substitution_on_every_identified_battery(n:
 def test_term_wise_report_matches_the_substitution_on_the_valise() -> None:
     ident = _valise()
     _check_report(ident.spec, ident.kind)
+
+
+# sha256 of the reprs of verify_presentation's reports, one a line: on every battery identify() finds
+# on the N-color cube, and (cases, failing, digest) under the seeded tamperings of _tampered_cases.
+# Recorded when each equation's sides were compared as lists of walked terms, as listed_report does.
+FROZEN_REPORT_DIGESTS = {
+    1: "3174f5162ede0a494ceb27a1f63d6c790990b84b3367ef70f391a5f032cc21df",
+    2: "209bc6015bf016bca4ea1cb668956efd1215384fb6cddcb9186a6cdaccb26d99",
+    3: "af80adb8269263ece8b8fa7534bb64f2c34fd0f796b7bc1465d947fa9b3950bc",
+    4: "63428a65e87174cc4613fc1cb44a23310660c46a442615496aa1db223abec825",
+}
+FROZEN_TAMPERED_DIGESTS = {
+    (2, SCALAR): (8, 4, "6f11d74339adae256ea39208922a95b9638c4726dfe68ad27e36cc929d4562ad"),
+    (2, SPINOR): (8, 4, "1ed32776f1f4d16ffcd9a1b644002a6f3c91407f00e906ad2b7e9526728dc550"),
+    (3, SCALAR): (68, 60, "7d92488bfa69282d58be777f12ac4841d6b966b0336704625c8fe8760754a715"),
+    (3, SPINOR): (68, 60, "bbe1dde7948a0a256dc74f85daed17e012eb37214f10a7719aa80a96ab6d5333"),
+    (4, SCALAR): (79, 78, "d8406e2e4b2d2538e7534786416b90d5974df2b9e7a1e7a9df3facb7b0208bdf"),
+    (4, SPINOR): (77, 74, "d8d7830795dec80f0bfd32a3d8e1554b25828d5bf8cdea3010528316b05e9941"),
+}
+
+Relations = list[tuple[int, int, int, int, int]]
+Moved = tuple[tuple[int, int], int, int]
+
+
+def _report_digest(reports) -> str:
+    return _sha256("\n".join(map(repr, reports)))
+
+
+def _emitted_relations(spec: SourceSpec, kind: str) -> Relations:
+    return [(eq.component, eq.alpha, eq.beta, eq.gap, eq.phase.k) for eq in emit_constraints(spec, kind).equations]
+
+
+def _tampered_cases(n: int, kind: str):
+    """Seeded tamperings of the batteries identify() finds on the n-cube (40 at n = 4), as (spec, relations, moved).
+
+    Per battery: one relation's gap shifted by -1..2 and its phase exponent
+    by 0..3, not both by 0; then one term of one projection moved to its
+    monomial xor an even flip, which keeps the term's statistics.
+    """
+    rng = random.Random(f"tamper-{n}-{kind}")
+    idents = _identified(n, kind)
+    if n == 4:
+        idents = rng.sample(idents, 40)
+    for ident in idents:
+        spec = ident.spec
+        relations = _emitted_relations(spec, kind)
+        if relations:
+            i = rng.randrange(len(relations))
+            gap_shift, phase_shift = rng.choice([(g, p) for g in range(-1, 3) for p in range(4) if (g, p) != (0, 0)])
+            c, hi, lo, gap, k = relations[i]
+            relations[i] = (c, hi, lo, gap + gap_shift, (k + phase_shift) & 3)
+            yield spec, relations, None
+        if n >= 2:
+            key = (rng.randrange(1 << n), rng.randrange(len(spec.entries)))
+            flip = rng.choice([f for f in range(1, 1 << n) if f.bit_count() % 2 == 0])
+            yield spec, None, (key, rng.randrange(1 << n), flip)
+
+
+def _tampered_report(
+    spec: SourceSpec, kind: str, relations: Relations | None, moved: Moved | None
+) -> VerificationReport:
+    """verify_presentation checking the given relations, with moved = (key, d, flip) applied to its projections."""
+    project = constraints._project
+
+    def moved_term(spec, kind, every_term):
+        syms, projections, lowest = project(spec, kind, every_term)
+        key, d, flip = moved
+        projections[key][0][d] ^= flip
+        return syms, projections, lowest
+
+    with pytest.MonkeyPatch.context() as mp:
+        if relations is not None:
+            mp.setattr("adinkra.constraints._relations", lambda spec, lowest: relations)
+        if moved is not None:
+            mp.setattr("adinkra.constraints._project", moved_term)
+        return verify_presentation(spec, kind)
+
+
+@pytest.mark.parametrize("n, kind", [(n, kind) for n in (1, 2, 3, 4) for kind in (SCALAR, SPINOR)])
+def test_reports_match_the_listed_reference_on_every_identified_battery(n: int, kind: str) -> None:
+    idents = _identified(n, kind)
+    digest = _report_digest(verify_presentation(ident.spec, ident.kind) for ident in idents)
+    assert digest == _report_digest(listed_report(ident.spec, ident.kind) for ident in idents)
+    assert digest == FROZEN_REPORT_DIGESTS[n]
+
+
+@pytest.mark.parametrize("n, kind", sorted(FROZEN_TAMPERED_DIGESTS))
+def test_tampered_reports_match_the_listed_reference(n: int, kind: str) -> None:
+    cases = list(_tampered_cases(n, kind))
+    reports = [_tampered_report(spec, kind, relations, moved) for spec, relations, moved in cases]
+    assert reports == [listed_report(spec, kind, relations, moved) for spec, relations, moved in cases]
+    assert (len(reports), sum(not r.ok for r in reports), _report_digest(reports)) == FROZEN_TAMPERED_DIGESTS[(n, kind)]
+
+
+@pytest.mark.parametrize("kind", [SCALAR, SPINOR])
+@pytest.mark.parametrize(
+    "n, entries", [(2, ((0, 1000), (3, 999))), (3, ((0, 256), (7, 255))), (3, ((1, 300), (2, 300), (4, 300)))]
+)
+def test_shifts_past_a_byte_verify_as_the_reference(n: int, entries, kind: str) -> None:
+    spec = SourceSpec(n, entries)
+    assert not ehgt_violations(spec)
+    report = verify_presentation(spec, kind)
+    assert report.ok and report == listed_report(spec, kind)
+    # every order is the whole shift plus the walked derivatives, never wrapped
+    assert _lowest_read_by(verify_presentation, spec, kind) == projected_lowest(spec, kind)
+    # a gap off by a byte's worth of derivatives fails, with the reference's residual
+    for off in (-256, 256):
+        relations = _emitted_relations(spec, kind)
+        c, hi, lo, gap, k = relations[0]
+        relations[0] = (c, hi, lo, gap + off, k)
+        report = _tampered_report(spec, kind, relations, None)
+        assert len(report.failures) == 1 and report == listed_report(spec, kind, relations)
+
+
+def test_the_shift_table_adds_derivatives_and_phase_to_every_held_code() -> None:
+    for delta in range(-12, 13):
+        for k in range(4):
+            table = constraints._shift_table(delta, k)
+            for dots in range(21):
+                for phase in range(4):
+                    moved = table[8 * dots + phase]
+                    if 0 <= dots + delta <= 30:
+                        assert moved == 8 * (dots + delta) + ((phase + k) & 3)
+                    else:
+                        assert moved & 7 > 3  # a byte no projection holds
 
 
 @st.composite

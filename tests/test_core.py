@@ -72,6 +72,22 @@ def test_validate_rejects_an_int_enum_color_count() -> None:
     assert str(info.value) == "invalid topology: " + message
 
 
+@pytest.mark.parametrize(
+    "statistics, edges, report",
+    [
+        (None, [], ["statistics must be a mapping, got NoneType"]),
+        (["boson"], [], ["statistics must be a mapping, got list"]),
+        ({0: BOSON, 1: FERMION}, 5, ["edges must be iterable, got int"]),
+        (None, 5, ["statistics must be a mapping, got NoneType", "edges must be iterable, got int"]),
+    ],
+)
+def test_validate_reports_containers_of_the_wrong_type(statistics, edges, report) -> None:
+    assert validate_topology(1, statistics, edges) == report
+    with pytest.raises(AdinkraError) as info:
+        Topology.build(1, statistics, edges)
+    assert str(info.value) == "invalid topology: " + "; ".join(report)
+
+
 def test_validate_rejects_bad_color() -> None:
     report = validate_topology(1, SQUARE_STATS, SQUARE_EDGES)
     assert any("color" in line for line in report)

@@ -192,3 +192,18 @@ def test_hookset_refuses_a_vertex_that_is_no_int_as_unknown(vertex) -> None:
 def test_one_hooked_refuses_a_height_that_is_no_int(height) -> None:
     with pytest.raises(AdinkraError, match=rf"^hook height {re.escape(repr(height))} is not an int$"):
         one_hooked(cube_topology(3), 7, height)
+
+
+@pytest.mark.parametrize("hookset, shown", [(None, "NoneType"), ({0: 2}, "dict"), (((0, 2),), "tuple")])
+def test_check_hooks_and_hang_refuse_hooks_that_are_no_hookset(hookset, shown) -> None:
+    for check in (check_hooks, hang):
+        with pytest.raises(AdinkraError) as info:
+            check(cube_topology(2), hookset)
+        assert str(info.value) == f"hookset must be a HookSet, got {shown}"
+
+
+@pytest.mark.parametrize("parity, shown", [(5, "int"), ([0, 0, 0, 0], "list"), ("0000", "str")])
+def test_hang_refuses_a_parity_that_is_no_mapping(parity, shown) -> None:
+    with pytest.raises(AdinkraError) as info:
+        hang(cube_topology(2), HookSet(TARGETS, ((0, 2),)), parity)
+    assert str(info.value) == f"parity must be a mapping, got {shown}"

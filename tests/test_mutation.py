@@ -176,6 +176,17 @@ def test_kinship_distance_counts_moves() -> None:
     assert kinship_distance(x, base) == 2
 
 
+@pytest.mark.parametrize("first, second, shown", [(None, None, "NoneType"), ("x", None, "str"), (True, 0, "bool")])
+def test_kinship_distance_refuses_what_is_no_adinkra(first, second, shown) -> None:
+    with pytest.raises(AdinkraError) as info:
+        kinship_distance(first, second)
+    assert str(info.value) == f"kinship distance needs two Adinkras, got {shown}"
+    base = base_adinkra(cube_topology(2))
+    with pytest.raises(AdinkraError) as info:
+        kinship_distance(base, second)
+    assert str(info.value) == f"kinship distance needs two Adinkras, got {type(second).__name__}"
+
+
 def test_kinship_distance_is_the_breadth_first_layer_of_the_move_graph() -> None:
     t = cube_topology(3)
     fam = enumerate_family(t)
