@@ -384,7 +384,7 @@ def orientation_from_heights(
     topology: Topology, heights: Mapping[int, int]
 ) -> dict[Edge, tuple[int, int]]:
     """Arrow (tail, head) per edge, pointing from the lower to the higher end."""
-    h = _aligned(heights, topology.vertex_ids, "height for vertex")
+    h = _aligned(heights, topology.vertex_ids, "heights", "height for vertex")
     _check_heights(topology, h)
     vindex = topology._vindex
     out: dict[Edge, tuple[int, int]] = {}
@@ -393,8 +393,10 @@ def orientation_from_heights(
     return out
 
 
-def _aligned(values: Mapping, keys: Sequence, what: str) -> tuple:
-    """The values of a map in the order of keys; a missing or unknown key is an AdinkraError naming it."""
+def _aligned(values: Mapping, keys: Sequence, name: str, what: str) -> tuple:
+    """The values of the map called name in the order of keys; a missing or unknown key is an AdinkraError naming it."""
+    if not isinstance(values, Mapping):
+        raise AdinkraError(f"{name} must be a mapping, got {type(values).__name__}")
     try:
         out = tuple([values[k] for k in keys])
     except KeyError:
@@ -445,8 +447,8 @@ class Adinkra:
         heights: Mapping[int, int],
         parity: Mapping[Edge, int],
     ) -> "Adinkra":
-        h = _aligned(heights, topology.vertex_ids, "height for vertex")
-        p = _aligned(parity, topology.edges, "parity for edge")
+        h = _aligned(heights, topology.vertex_ids, "heights", "height for vertex")
+        p = _aligned(parity, topology.edges, "parity", "parity for edge")
         return cls(topology, h, p)
 
     def height_of(self, v: int) -> int:
@@ -536,14 +538,19 @@ def _check_heights(topology: Topology, heights: Sequence[int]) -> None:
 
 def _check_parity(topology: Topology, parity: Sequence[int]) -> None:
     """Raise unless parity has one int 0 or 1 per edge and obeys the odd-square rule."""
+    _check_parity_entries(topology, parity)
+    if not _odd_squares(topology._square_table("parity check"), parity):
+        raise AdinkraError("odd-square rule violated: " + "; ".join(parity_violations(topology, parity)))
+
+
+def _check_parity_entries(topology: Topology, parity: Sequence[int]) -> None:
+    """Raise unless parity has one int 0 or 1 per edge."""
     if len(parity) != len(topology.edges):
         raise AdinkraError("parity length does not match edge count")
     # the type test comes first: True and 1.0 equal 1, and an unhashable entry cannot join a set
     if not ({int}.issuperset(map(type, parity)) and {0, 1}.issuperset(parity)):
         p, e = next((p, e) for p, e in zip(parity, topology.edges) if type(p) is not int or p not in (0, 1))
         raise AdinkraError(f"edge {e} has parity {p!r}, expected 0 or 1")
-    if not _odd_squares(topology._square_table("parity check"), parity):
-        raise AdinkraError("odd-square rule violated: " + "; ".join(parity_violations(topology, parity)))
 
 
 def _odd_squares(table: array, values: Sequence[int]) -> bool:
@@ -556,8 +563,13 @@ def _odd_squares(table: array, values: Sequence[int]) -> bool:
 def parity_violations(topology: Topology, parity: Sequence[int]) -> list[str]:
     """Odd-square rule check; returns one entry per violating two-color square.
 
-    A square's parity sum is odd exactly when the XOR of its four parities has its low bit set.
+    parity is a tuple or list aligned with topology.edges, checked as the
+    Adinkra constructor checks it.  A square's parity sum is odd exactly when
+    the XOR of its four parities has its low bit set.
     """
+    if type(parity) not in (tuple, list):
+        raise AdinkraError(f"parity must be a tuple or list, got {type(parity).__name__}")
+    _check_parity_entries(topology, parity)
     edges = topology.edges
     return [
         _square_text([edges[a], edges[b], edges[c], edges[d]]) + " has even parity sum"
@@ -687,7 +699,7 @@ def normalize_heights(topology: Topology, heights: Mapping[int, int]) -> dict[in
     boson) or 1 (when a fermion).  Requires the +-1 gap rule on every edge;
     the result lists the vertices in order.
     """
-    h = _aligned(heights, topology.vertex_ids, "height for vertex")
+    h = _aligned(heights, topology.vertex_ids, "heights", "height for vertex")
     _check_heights(topology, h)
     return dict(zip(topology.vertex_ids, _normal_heights(topology, h)))
 

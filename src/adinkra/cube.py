@@ -77,6 +77,10 @@ def code_quotient(n: int, generators: Iterable[int], convention: str = SCALAR) -
         raise AdinkraError(f"need a positive number of colors, got {n!r}")
     if n > MAX_CUBE_COLORS:
         raise AdinkraError(f"{n} colors exceeds the cap of {MAX_CUBE_COLORS} on cube size")
+    try:
+        generators = iter(generators)
+    except TypeError:
+        raise AdinkraError(f"generators must be iterable, got {type(generators).__name__}") from None
     code = [0]
     for g in generators:
         if type(g) is not int or not 0 < g < 1 << n:

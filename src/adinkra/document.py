@@ -23,11 +23,14 @@ vertex and edge, and each of a family's height lists, is checked by one test
 of its keys and types; a path is written only for an item that fails it,
 and each move's heights are interned to the listed member they equal.
 
-The decoders of the family, trace and constraints kinds import mutation,
-constraints and superspace when they run, so a process that reads and writes
-only topology and Adinkra documents never loads those modules.  Telling a
-payload's kind loads none of them either: a family, trace or constraint system
-exists only once its module is loaded.
+One table, ``_KINDS``, names each kind's payload class (by module and class
+name), encoder and decoder.  The decoders of the family, trace and
+constraints kinds import mutation, constraints and superspace when they run,
+so a process that reads and writes only topology and Adinkra documents never
+loads those modules.  Telling a payload's kind loads none of them either: it
+tests a kind's class only once the class's module is loaded, since no
+instance can exist before.  A ``Document`` whose kind is not its payload's,
+or whose annotations are not a mapping, is refused when it is built.
 """
 
 from __future__ import annotations
@@ -69,26 +72,25 @@ class DocumentError(AdinkraError):
 
 @dataclass(frozen=True)
 class Document:
+    """A payload, its kind and its annotations; a kind that is not the payload's is refused."""
+
     kind: str
     payload: Payload
     annotations: Mapping[str, Any]
 
-
-# the payload classes defined outside core, by module: (module, class, document kind)
-_LOADED_KINDS = (
-    ("mutation", "FamilyGraph", "family"),
-    ("mutation", "SequenceTrace", "trace"),
-    ("constraints", "ConstraintSystem", "constraints"),
-)
+    def __post_init__(self) -> None:
+        if type(self.kind) is not str or self.kind not in _KINDS:
+            raise DocumentError(f"unknown document kind {self.kind!r}, expected one of {sorted(_KINDS)}")
+        if document_kind(self.payload) != self.kind:
+            cls = _KINDS[self.kind][1]
+            raise DocumentError(f"document kind {self.kind!r} holds {cls} payloads, got {type(self.payload).__name__}")
+        if not isinstance(self.annotations, Mapping):
+            raise DocumentError(f"annotations must be a mapping, got {type(self.annotations).__name__}")
 
 
 def document_kind(obj: Payload) -> str:
-    if isinstance(obj, Adinkra):
-        return "adinkra"
-    if isinstance(obj, Topology):
-        return "topology"
     # an instance of a class exists only once its module is loaded, so no kind test loads one
-    for module, cls, kind in _LOADED_KINDS:
+    for kind, (module, cls, _, _) in _KINDS.items():
         loaded = sys.modules.get(f"{__package__}.{module}")
         if loaded is not None and isinstance(obj, getattr(loaded, cls)):
             return kind
@@ -220,27 +222,18 @@ def _constraints_data(cs: ConstraintSystem) -> dict:
     }
 
 
-_ENCODERS = {
-    "topology": _graph_data,
-    "adinkra": lambda a: _graph_data(a.topology, a),
-    "family": _family_data,
-    "trace": _trace_data,
-    "constraints": _constraints_data,
-}
-
-
 def serialize(obj: Payload | Document, annotations: Mapping[str, Any] | None = None) -> str:
     """Canonical JSON text for a payload object or a prebuilt Document."""
-    if isinstance(obj, Document):
-        kind, payload, stored = obj.kind, obj.payload, obj.annotations
-    else:
-        kind, payload, stored = document_kind(obj), obj, {}
+    if not isinstance(obj, Document):
+        obj = Document(document_kind(obj), obj, {})
+    if annotations is not None:
+        obj = Document(obj.kind, obj.payload, annotations)
     data = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
-        "kind": kind,
-        "annotations": dict(stored if annotations is None else annotations),
-        "payload": _ENCODERS[kind](payload),
+        "kind": obj.kind,
+        "annotations": dict(obj.annotations),
+        "payload": _KINDS[obj.kind][2](obj.payload),
     }
     # the document is joined once from its parts, so a large payload is not copied per level
     parts = _write(data, "", [])
@@ -645,12 +638,13 @@ def _decode_constraints(data: dict, path: str) -> ConstraintSystem:
     return system
 
 
-_DECODERS = {
-    "topology": lambda data, path: _decode_graph(data, path, False),
-    "adinkra": lambda data, path: _decode_graph(data, path, True),
-    "family": _decode_family,
-    "trace": _decode_trace,
-    "constraints": _decode_constraints,
+# each kind's payload class, as (module, class name), its encoder and its decoder
+_KINDS = {
+    "topology": ("core", "Topology", _graph_data, lambda data, path: _decode_graph(data, path, False)),
+    "adinkra": ("core", "Adinkra", lambda a: _graph_data(a.topology, a), lambda data, path: _decode_graph(data, path, True)),
+    "family": ("mutation", "FamilyGraph", _family_data, _decode_family),
+    "trace": ("mutation", "SequenceTrace", _trace_data, _decode_trace),
+    "constraints": ("constraints", "ConstraintSystem", _constraints_data, _decode_constraints),
 }
 
 
@@ -674,13 +668,13 @@ def deserialize(text: str) -> Document:
     if version != FORMAT_VERSION:
         raise _fail("$.version", f"unsupported version {version}")
     kind = _get(data, "kind", str, "$")
-    if kind not in _DECODERS:
-        raise _fail("$.kind", f"expected one of {sorted(_DECODERS)}, got {kind!r}")
+    if kind not in _KINDS:
+        raise _fail("$.kind", f"expected one of {sorted(_KINDS)}, got {kind!r}")
     annotations = data.get("annotations", {})
     if not isinstance(annotations, dict):
         raise _fail("$.annotations", f"expected object, got {type(annotations).__name__}")
     body = _get(data, "payload", dict, "$")
-    payload = _DECODERS[kind](body, "$.payload")
+    payload = _KINDS[kind][3](body, "$.payload")
     return Document(kind, payload, annotations)
 
 

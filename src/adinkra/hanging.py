@@ -113,8 +113,6 @@ def hang(
     odd-square solve; pass an explicit parity to keep, say, the standard cube
     signs through a pipeline.
     """
-    if parity is not None and not isinstance(parity, Mapping):
-        raise AdinkraError(f"parity must be a mapping, got {type(parity).__name__}")
     report = check_hooks(topology, hookset)
     if report:
         raise AdinkraError("invalid hooks: " + "; ".join(report))

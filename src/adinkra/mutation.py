@@ -146,7 +146,7 @@ def base_adinkra(topology: Topology, parity=None) -> Adinkra:
     """The valise: every boson at height 0, every fermion at height 1."""
     if parity is None:
         parity = _solved_parity(topology)
-    return Adinkra(topology, topology._valise, _aligned(parity, topology.edges, "parity for edge"))
+    return Adinkra(topology, topology._valise, _aligned(parity, topology.edges, "parity", "parity for edge"))
 
 
 def automorphic_dual(adinkra: Adinkra) -> Adinkra:
@@ -377,6 +377,8 @@ class SequenceTrace:
 def _check_orbit(start: Adinkra, orbit: Sequence[int], seen: set[int]) -> tuple[int, ...]:
     """The orbit sorted, once it is non-empty, disjoint from seen (then added) and homogeneous in start."""
     t = start.topology
+    if type(orbit) not in (tuple, list):
+        raise AdinkraError(f"an orbit must be a tuple or list, got {type(orbit).__name__}")
     ot = tuple(sorted(orbit))
     if not ot:
         raise AdinkraError("empty orbit in partition")
@@ -394,6 +396,8 @@ def _check_orbit(start: Adinkra, orbit: Sequence[int], seen: set[int]) -> tuple[
 
 
 def _check_orbits(start: Adinkra, orbits: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    if type(orbits) not in (tuple, list):
+        raise AdinkraError(f"orbits must be a tuple or list, got {type(orbits).__name__}")
     seen: set[int] = set()
     out = sorted(_check_orbit(start, orbit, seen) for orbit in orbits)
     missing = set(start.topology.vertex_ids) - seen

@@ -376,8 +376,8 @@ def _word_steps(word: Word, n_colors: int) -> list[tuple[int, int, int]]:
     steps = []
     for atom in reversed(word):
         if atom[0] in ("D", "Q"):
-            if not 1 <= atom[1] <= n_colors:
-                raise AdinkraError(f"color {atom[1]} outside 1..{n_colors}")
+            if type(atom[1]) is not int or not 1 <= atom[1] <= n_colors:
+                raise AdinkraError(f"color {atom[1]!r} outside 1..{n_colors}")
             bit = 1 << (atom[1] - 1)
             steps.append((bit, bit - 1, 1 if atom[0] == "D" else 0))
         elif atom[0] == "dt":
@@ -485,6 +485,8 @@ def project(expr: SuperfieldExpr, mask: int) -> tuple[Summand, ...]:
     equals the antisymmetrized one and the projection returns exactly the
     stored coefficient of the theta monomial.
     """
+    if type(mask) is not int:
+        raise AdinkraError(f"mask must be an int, got {type(mask).__name__}")
     if not 0 <= mask < 1 << expr.n_colors:
         raise AdinkraError(f"subset {mask:#b} outside color range")
     colors = [c + 1 for c in range(expr.n_colors) if mask >> c & 1]

@@ -34,7 +34,7 @@ from adinkra.core import (
 )
 from adinkra.cube import SCALAR, SPINOR, antipodal_quotient, code_quotient, cube_topology, standard_parity
 from adinkra.hanging import SOURCES, TARGETS, HookSet, check_hooks, hang, one_hooked
-from adinkra.mutation import base_adinkra, lower_vertex, main_sequence, raise_vertex
+from adinkra.mutation import base_adinkra, enumerate_family, lower_vertex, main_sequence, raise_vertex
 
 from oracles import (
     all_orientations,
@@ -374,6 +374,57 @@ def test_normalize_heights_refuses_heights_that_are_not_ints(heights) -> None:
     v, h = next((v, h) for v, h in heights.items() if type(h) is not int)
     with pytest.raises(AdinkraError, match=f"^{re.escape(f'vertex {v} has height {h!r}, expected an int')}$"):
         normalize_heights(cube_topology(1), heights)
+
+
+@pytest.mark.parametrize(
+    "parity, error",
+    [
+        ((0,), "parity length does not match edge count"),
+        ((1, 0, 0, 0, 0), "parity length does not match edge count"),
+        ((0, True, 0, 0), "edge (0, 2, 2) has parity True, expected 0 or 1"),
+        ([0, 0, 0, 2], "edge (2, 3, 1) has parity 2, expected 0 or 1"),
+        (5, "parity must be a tuple or list, got int"),
+    ],
+    ids=["short", "long", "bool", "two", "int"],
+)
+def test_parity_violations_checks_the_parity_as_the_constructor_does(parity, error) -> None:
+    t = cube_topology(2)
+    builds = [lambda: parity_violations(t, parity)]
+    if type(parity) in (tuple, list):
+        builds.append(lambda: Adinkra(t, (0, 1, 1, 2), tuple(parity)))
+    for build in builds:
+        with pytest.raises(AdinkraError, match=f"^{re.escape(error)}$"):
+            build()
+
+
+def test_parity_violations_refuses_the_standard_parity_map() -> None:
+    t = cube_topology(2)
+    with pytest.raises(AdinkraError, match="^parity must be a tuple or list, got dict$"):
+        parity_violations(t, standard_parity(t))
+    assert parity_violations(t, tuple(standard_parity(t)[e] for e in t.edges)) == []
+
+
+@pytest.mark.parametrize("value, shown", [([0, 1, 1, 2], "list"), ((0, 0, 0, 1), "tuple"), (5, "int")])
+def test_a_map_based_constructor_refuses_a_value_that_is_no_mapping(value, shown) -> None:
+    t = cube_topology(2)
+    heights, parity = {0: 0, 1: 1, 2: 1, 3: 2}, standard_parity(t)
+    for build, name in (
+        (lambda: Adinkra.from_maps(t, value, parity), "heights"),
+        (lambda: Adinkra.from_maps(t, heights, value), "parity"),
+        (lambda: normalize_heights(t, value), "heights"),
+        (lambda: orientation_from_heights(t, value), "heights"),
+        (lambda: base_adinkra(t, value), "parity"),
+        (lambda: enumerate_family(t, value), "parity"),
+    ):
+        with pytest.raises(AdinkraError, match=f"^{name} must be a mapping, got {shown}$"):
+            build()
+
+
+def test_heights_listed_on_vertex_ids_that_are_not_positions_are_refused() -> None:
+    t = Topology.build(1, {0: BOSON, 5: FERMION}, [(0, 5, 1)])
+    with pytest.raises(AdinkraError, match="^heights must be a mapping, got list$"):
+        orientation_from_heights(t, [0, 1])
+    assert orientation_from_heights(t, {0: 0, 5: 1}) == {(0, 5, 1): (0, 5)}
 
 
 def test_parity_violations_names_the_square() -> None:

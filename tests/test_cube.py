@@ -241,6 +241,8 @@ REFUSED_CODES = {
     "zero": (4, (0,), "generator 0 is not an int in 1..15"),
     "2^n": (4, (16,), "generator 16 is not an int in 1..15"),
     "bool": (4, (True,), "generator True is not an int in 1..15"),
+    "int generators": (4, 15, "generators must be iterable, got int"),
+    "no generators": (4, None, "generators must be iterable, got NoneType"),
     "no colors": (0, (), "need a positive number of colors, got 0"),
     "bool colors": (True, (), "need a positive number of colors, got True"),
     "over the cap": (

@@ -66,8 +66,39 @@ def test_annotations_survive_round_trip() -> None:
 
 
 def test_document_kind_rejects_unknown_objects() -> None:
-    with pytest.raises(DocumentError):
+    with pytest.raises(DocumentError, match="^no document kind for dict$"):
         document_kind({"not": "a payload"})
+
+
+_KIND_NAMES = "['adinkra', 'constraints', 'family', 'topology', 'trace']"
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda a: serialize(Document("family", a, {})), "document kind 'family' holds FamilyGraph payloads, got Adinkra"),
+        (lambda a: Document("adinkra", a.topology, {}), "document kind 'adinkra' holds Adinkra payloads, got Topology"),
+        (lambda a: Document("topology", a, {}), "document kind 'topology' holds Topology payloads, got Adinkra"),
+        (lambda a: Document("adinkra", 5, {}), "no document kind for int"),
+        (lambda a: Document("bogus", a, {}), f"unknown document kind 'bogus', expected one of {_KIND_NAMES}"),
+        (lambda a: Document(["adinkra"], a, {}), f"unknown document kind ['adinkra'], expected one of {_KIND_NAMES}"),
+        (lambda a: Document("adinkra", a, None), "annotations must be a mapping, got NoneType"),
+        (lambda a: Document("adinkra", a, [("note", 1)]), "annotations must be a mapping, got list"),
+        (lambda a: serialize(a, [1]), "annotations must be a mapping, got list"),
+        (lambda a: serialize(Document("adinkra", a, {}), "note"), "annotations must be a mapping, got str"),
+    ],
+    ids=["family-of-adinkra", "adinkra-of-topology", "topology-of-adinkra", "int-payload", "bogus-kind",
+         "list-kind", "none-annotations", "list-annotations", "serialize-list", "serialize-str"],
+)
+def test_a_document_whose_kind_or_annotations_do_not_fit_is_refused(build, error) -> None:
+    with pytest.raises(DocumentError, match=f"^{re.escape(error)}$"):
+        build(base_adinkra(cube_topology(2)))
+
+
+@pytest.mark.parametrize("obj", sample_objects(), ids=lambda o: type(o).__name__)
+def test_a_document_of_the_payloads_own_kind_is_built(obj) -> None:
+    doc = Document(document_kind(obj), obj, {"note": 1})
+    assert serialize(doc) == serialize(obj, {"note": 1})
 
 
 def _valid_adinkra_data() -> dict:

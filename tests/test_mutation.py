@@ -534,6 +534,22 @@ def test_orbit_partition_is_validated() -> None:
         main_sequence(a, [[0], [], [1], [2], [3]])
 
 
+@pytest.mark.parametrize(
+    "orbits, error",
+    [
+        (5, "orbits must be a tuple or list, got int"),
+        ({0: 1}, "orbits must be a tuple or list, got dict"),
+        ([None], "an orbit must be a tuple or list, got NoneType"),
+        ([5], "an orbit must be a tuple or list, got int"),
+        (([0], {1, 2}, [3]), "an orbit must be a tuple or list, got set"),
+    ],
+    ids=["int", "dict", "none-orbit", "int-orbit", "set-orbit"],
+)
+def test_orbits_that_are_no_tuple_or_list_are_refused(orbits, error) -> None:
+    with pytest.raises(AdinkraError, match=f"^{error}$"):
+        main_sequence(base_adinkra(cube_topology(2)), orbits)
+
+
 # ---------------------------------------------------------------------------
 # the walk over height tuples
 

@@ -58,8 +58,31 @@ def test_every_export_is_listed_in_its_module_s_all() -> None:
     assert missing == []
 
 
+def _annotation_names(tree: ast.AST) -> set[str]:
+    """The names read in the annotations of tree, including those quoted as strings."""
+    annotations = [node.annotation for node in ast.walk(tree) if isinstance(node, (ast.arg, ast.AnnAssign))]
+    annotations += [node.returns for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    names = set()
+    for node in (sub for a in annotations if a is not None for sub in ast.walk(a)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names |= {n.id for n in ast.walk(ast.parse(node.value, mode="eval")) if isinstance(n, ast.Name)}
+    return names
+
+
+def _exported_names(tree: ast.Module) -> set[str]:
+    """The names a module lists in its __all__."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
 def _unused_names(source: str) -> list[str]:
-    """Names bound by an import, and module-level _names, that the module never reads as a name or an attribute base."""
+    """Names bound by an import, and module-level _names, that the module never reads.
+
+    A name is read as a name or an attribute base, in a string annotation, or
+    by being listed in the module's __all__.
+    """
     tree = ast.parse(source)
     bound = []
     for node in ast.walk(tree):
@@ -78,7 +101,7 @@ def _unused_names(source: str) -> list[str]:
             continue
         bound += [name for name in defined if name.startswith("_") and not name.startswith("__")]
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-    return sorted(set(bound) - used)
+    return sorted(set(bound) - used - _annotation_names(tree) - _exported_names(tree))
 
 
 def _imported_by_siblings(module: str) -> set[str]:
@@ -107,3 +130,17 @@ def test_every_imported_name_is_used(path) -> None:
 def test_an_unread_module_level_private_name_is_caught() -> None:
     source = "import os\n_PHASES = (1,)\n_SEP = os.sep\ndef _pair():\n    return _SEP\nclass _Build:\n    x: int\n"
     assert _unused_names(source) == ["_Build", "_PHASES", "_pair"]
+
+
+def test_an_import_read_only_in_a_string_annotation_or_all_is_used() -> None:
+    source = (
+        "from typing import TYPE_CHECKING\n"
+        "import os, json\n"
+        "from .core import Adinkra, Topology, _trusted\n"
+        "if TYPE_CHECKING:\n"
+        "    from .mutation import FamilyGraph\n"
+        "__all__ = ['Topology']\n"
+        "def f(a: 'Adinkra', *, g: 'list[FamilyGraph]') -> 'os.PathLike':\n"
+        "    x: '_trusted' = None\n"
+    )
+    assert _unused_names(source) == ["json"]

@@ -192,6 +192,12 @@ def test_color_range_is_checked() -> None:
         apply_op(Q(0), u)
 
 
+@pytest.mark.parametrize("op, shown", [(D(1.0), "1.0"), (Q("1"), "'1'"), (D(True), "True")], ids=["float", "str", "bool"])
+def test_a_color_that_is_no_plain_int_is_refused(op, shown) -> None:
+    with pytest.raises(AdinkraError, match=f"^{re.escape(f'color {shown} outside 1..2')}$"):
+        apply_op(op, generic_superfield(2))
+
+
 @pytest.mark.parametrize("n", [MAX_CUBE_COLORS + 1, -1, True, 2.0])
 def test_the_engine_refuses_a_color_count_outside_the_cube_cap(n, monkeypatch) -> None:
     built = []
@@ -362,6 +368,12 @@ def test_projection_returns_stored_coefficients(n: int, kind: str) -> None:
 def test_projection_checks_mask_range() -> None:
     with pytest.raises(AdinkraError, match="outside"):
         project(generic_superfield(1), 2)
+
+
+@pytest.mark.parametrize("mask, shown", [(1.0, "float"), (True, "bool"), (None, "NoneType")])
+def test_projection_refuses_a_mask_that_is_no_int(mask, shown) -> None:
+    with pytest.raises(AdinkraError, match=f"^mask must be an int, got {shown}$"):
+        project(generic_superfield(2), mask)
 
 
 def test_adinkra_of_superfield_counts_heights() -> None:
