@@ -21,14 +21,17 @@ P_(c,alpha) F_alpha is the one word D_{c xor I_alpha} d_tau^l_alpha D_{I_alpha},
 so it sends each term U_d of U to one term at monomial d xor c.  No two terms
 share a key and nothing cancels, so verify_presentation compares the two sides
 of an equation term by term: where the terms land as two lists, and their
-time derivatives and phases as two byte strings, one byte a term, the lower
-side's moved by one bytes.translate.  It reads every projection off the word
-table of its color count, every D_w applied to every monomial once (4^n
-steps, each row one D step from a shorter word's row, kept compactly), and
-makes no walk per call; emit_constraints walks only U_c, the one term that
-reaches theta = 0, 2^n * (m + 1) walks, and builds no word table.  U's fields
-and phases and every descending word's steps depend only on the color count
-and kind, and are built once for each.
+time derivatives and phases as two byte strings, one code byte 8 * dots + k a
+term, the lower side's moved by one bytes.translate.  It reads every
+projection off the word table of its color count, every D_w applied to every
+monomial once (4^n cells, each row one D step from a shorter word's row, a
+cell one landed monomial and one code byte, about 3 bytes), and makes no
+walk per call and no Python loop per term: each projection is row w gathered
+through the entry's own row by one operator.itemgetter, at C level.
+emit_constraints walks only U_c, the one term that reaches theta = 0,
+2^n * (m + 1) walks, and builds no word table.  U's fields and phases and
+every descending word's steps depend only on the color count and kind, and
+are built once for each.
 
 identify() inverts the construction: given a cube Adinkra it recovers a
 battery presenting it, by lowering onto the all-colors vertex and counting
@@ -52,6 +55,8 @@ from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache, cached_property
+from math import inf
+from operator import add, itemgetter
 from typing import TYPE_CHECKING
 
 from .core import Adinkra, AdinkraError
@@ -150,8 +155,16 @@ class SourceSpec:
 
     @cached_property
     def _orders(self) -> tuple[int, ...]:
-        """mu of every component, by component, worked out on first use: the least m_alpha over the entries."""
-        return tuple(min(_m_alpha(self, c, a) for a in range(len(self.entries))) for c in range(1 << self.n_colors))
+        """mu of every component, by component, worked out on first use: the least m_alpha over the entries.
+
+        Each entry's m_alpha = l_alpha + |I_alpha \\ c| is written out as one row over the components, and
+        the rows are folded by an elementwise min, so only two rows are held at a time.
+        """
+        size, orders = 1 << self.n_colors, None
+        for mask, shift in self.entries:
+            row = [shift + (mask & ~c).bit_count() for c in range(size)]
+            orders = row if orders is None else list(map(min, orders, row))
+        return tuple(orders)
 
 
 def ehgt_violations(spec: SourceSpec) -> list[str]:
@@ -182,7 +195,7 @@ def m_alpha(spec: SourceSpec, component: int, alpha: int) -> int:
 def _m_alpha(spec: SourceSpec, component: int, alpha: int) -> int:
     """m_alpha unchecked, for the spec's own loops over its components and entries."""
     mask, shift = spec.entries[alpha]
-    return shift + hgt0(mask & ~component)
+    return shift + (mask & ~component).bit_count()
 
 
 def mu(spec: SourceSpec, component: int) -> int:
@@ -300,8 +313,10 @@ Lowest = dict[tuple[int, int], tuple[int, int]]  # (component, alpha) -> phase k
 # derivatives without the entry's shift (at most 2n <= 20, so a byte never wraps) and its phase exponent mod 4
 Projections = dict[tuple[int, int], tuple[list[int], bytes]]
 EngineTable = tuple[tuple["FieldSymbol", ...], tuple[int, ...], tuple[tuple[tuple[int, int, int], ...], ...]]
-# by word w, then monomial e: landed monomials, time derivatives, phase exponents mod 4
-WordTable = tuple[tuple[array, ...], tuple[bytes, ...], tuple[bytes, ...]]
+# by word w, then monomial e: landed monomials, and codes 8 * time derivatives + phase exponent mod 4
+WordTable = tuple[tuple[array, ...], tuple[bytes, ...]]
+# clears bit 2 of every byte: two codes add their phase exponents in the low three bits, so this takes the sum mod 4
+_CLEAR4 = bytes(code & ~4 for code in range(256))
 
 
 def _relations(spec: SourceSpec, lowest: Lowest) -> Iterator[tuple[int, int, int, int, int]]:
@@ -312,10 +327,11 @@ def _relations(spec: SourceSpec, lowest: Lowest) -> Iterator[tuple[int, int, int
     """
     m = len(spec.entries)
     for c in range(1 << spec.n_colors):
-        for a in range(m):
+        for a in range(m - 1):
+            ka, da = lowest[c, a]
             for b in range(a + 1, m):
-                (ka, da), (kb, db) = lowest[(c, a)], lowest[(c, b)]
-                if (da, a) >= (db, b):
+                kb, db = lowest[c, b]
+                if da > db:  # a < b, so a tie goes to b
                     yield c, a, b, da - db, (ka - kb) & 3
                 else:
                     yield c, b, a, db - da, (kb - ka) & 3
@@ -355,26 +371,33 @@ def _engine_table(n: int, kind: str) -> EngineTable:
 
 @cache
 def _word_table(n: int) -> WordTable:
-    """Every descending word D_w applied to every monomial: its landed monomials, time derivatives and phases mod 4.
+    """Every descending word D_w applied to every monomial: where it lands, and one code byte 8 * dots + k mod 4.
 
     Depends only on the color count, so it is built once for each.  Row w
     is row w xor h, with h the highest color bit of w, taken one D_h step
     further, since D_w = D_h D_{w xor h}: D_h gives i^2 for each theta of
     the monomial below theta^h, then strips theta^h or adds it with one time
-    derivative and one more i.  Each row holds its 2^n cells in three compact
-    strings, about 4 bytes a cell: about 1 MB at n = 9, where a tuple per
-    cell would take about 17 MB.
+    derivative and one more i.  That step depends only on the monomial
+    reached, so it is one code per monomial, added to the row's codes and
+    taken mod 4 in the phase by _CLEAR4.  A word adds at most n derivatives,
+    so every code is at most 8n + 3 and two codes sum to at most 166 under
+    the cube cap: no byte wraps.  Each row holds its 2^n cells in two compact
+    strings, about 3 bytes a cell: 0.85 MB at n = 9, where a tuple per cell
+    would take about 17 MB.
     """
-    landed, dots, phases = [array("H", range(1 << n))], [bytes(1 << n)], [bytes(1 << n)]
-    for w in range(1, 1 << n):
-        h = 1 << (w.bit_length() - 1)
-        below, row = h - 1, w ^ h
-        landed.append(array("H", [mask ^ h for mask in landed[row]]))
-        dots.append(bytes([more + (not mask & h) for mask, more in zip(landed[row], dots[row])]))
-        phases.append(bytes([
-            (k + 2 * (mask & below).bit_count() + (not mask & h)) & 3 for mask, k in zip(landed[row], phases[row])
-        ]))
-    return tuple(landed), tuple(dots), tuple(phases)
+    size = 1 << n
+    # steps[j][e]: the code D_h, h = 2^j, adds at monomial e
+    steps = [
+        bytes(9 * (not e >> j & 1) + (2 * (e & (1 << j) - 1).bit_count() & 3) for e in range(size)) for j in range(n)
+    ]
+    landed, codes = [array("H", range(size))], [bytes(size)]
+    for w in range(1, size):
+        j = w.bit_length() - 1
+        h = 1 << j
+        row = w ^ h
+        landed.append(array("H", [e ^ h for e in landed[row]]))
+        codes.append(bytes(map(add, codes[row], map(steps[j].__getitem__, landed[row]))).translate(_CLEAR4))
+    return tuple(landed), tuple(codes)
 
 
 def _project(spec: SourceSpec, kind: str, every_term: bool) -> tuple[tuple[FieldSymbol, ...], Projections, Lowest]:
@@ -383,42 +406,41 @@ def _project(spec: SourceSpec, kind: str, every_term: bool) -> tuple[tuple[Field
     P_(c,alpha) is D_w d_tau^l_alpha D_{I_alpha} with w = c xor I_alpha.
     Every term of U goes through it by two reads of the color count's word
     table: row I_alpha at d, with U_d's phase, then row w at the monomial
-    reached; no walk is made per call.  Each projection keeps where its
-    terms land as one list and their derivatives and phases as one byte
-    string, 8 * dots + k a term, with dots not counting l_alpha (d_tau^l_alpha
-    commutes with every D), so a byte holds any entry's terms.  The one-term
-    path walks U_c through D_{I_alpha} to theta^w, and D_w once from there:
-    2^n * (m + 1) walks of at most n atoms, and it builds no word table.
-    U's fields, phases and every word's steps come from the (n, kind)
-    engine table, built on first use.
+    reached; no walk is made per call.  Each entry gets one
+    operator.itemgetter over row I_alpha's landed monomials, and its start
+    codes, row I_alpha's codes with U's phases added; a projection is then
+    row w's landed monomials gathered into one list, and row w's codes
+    gathered, added to the start codes and taken mod 4 in the phase by
+    _CLEAR4 into one byte string, all at C level.  A code is 8 * dots + k,
+    with dots not counting l_alpha (d_tau^l_alpha commutes with every D), so a
+    byte holds any entry's terms.  The one-term path walks U_c through
+    D_{I_alpha} to theta^w, and D_w once from there: 2^n * (m + 1) walks of
+    at most n atoms, and it builds no word table.  U's fields, phases and
+    every word's steps come from the (n, kind) engine table, built on first
+    use.  Either way each projection is checked to be a single term with
+    m_alpha time derivatives.
     """
     from .superspace import _walk
 
     syms, phases, words = _engine_table(spec.n_colors, kind)
     if every_term:
-        landed_rows, dots_rows, phase_rows = _word_table(spec.n_colors)
-        # row I_alpha is the entry's own word over every U_d: where U_d lands, and 8 * dots + k with U_d's phase in k
+        landed_rows, code_rows = _word_table(spec.n_colors)
+        # row I_alpha is the entry's own word over every U_d: a gather of the monomials U_d reaches, and
+        # the start codes 8 * dots + k, U_d's phase in k
         firsts = [
-            (
-                landed_rows[mask],
-                [8 * dots + ((k + phase) & 3) for dots, k, phase in zip(dots_rows[mask], phase_rows[mask], phases)],
-            )
+            (itemgetter(*landed_rows[mask]), bytes(map(add, code_rows[mask], phases)).translate(_CLEAR4))
             for mask, _ in spec.entries
         ]
     projections, lowest = {}, {}
     for w in range(1 << spec.n_colors):
-        if every_term:  # only one row of D_w is live at a time
-            row_landed = landed_rows[w].tolist()
-            row_codes = [8 * more + k for more, k in zip(dots_rows[w], phase_rows[w])]
-        else:  # U_c always meets D_w at theta^w
+        if not every_term:  # U_c always meets D_w at theta^w
             low_w, more_w, k_w = _walk(words[w], w)
         for alpha, (mask, shift) in enumerate(spec.entries):
             c = w ^ mask
             if every_term:
-                mids, starts = firsts[alpha]
-                landed = [row_landed[mid] for mid in mids]
-                # the two phase exponents add in the low three bits, so clearing bit 2 takes their sum mod 4
-                codes = bytes([(start + row_codes[mid]) & ~4 for mid, start in zip(mids, starts)])
+                gather, starts = firsts[alpha]
+                landed = list(gather(landed_rows[w]))
+                codes = bytes(map(add, starts, gather(code_rows[w]))).translate(_CLEAR4)
                 # the word toggles every theta in c once, so U_d lands on d xor c and only U_c reaches theta = 0
                 low, code = landed[c], codes[c]
             else:
@@ -487,10 +509,11 @@ def verify_presentation(spec: SourceSpec, kind: str = SCALAR) -> VerificationRep
     All equations must vanish identically on a generic superfield, and the
     engine's least order at each component must be mu (the image heights are
     hgt0 + 2 mu).  Every projection is read off the word table of the color
-    count, two reads per term of U, so a call makes no walk: only the first
-    call for a color count builds the table (4^n cells, each one D step from
-    a cell of a shorter word), and only the first for a color count and kind
-    builds a generic superfield.  The equations are the
+    count, two reads per term of U gathered at C level, so a call makes no
+    walk and no Python loop per term: only the first call for a color count
+    builds the table (4^n cells of one landed monomial and one code byte,
+    each one D step from a cell of a shorter word), and only the first for a
+    color count and kind builds a generic superfield.  The equations are the
     relations :func:`emit_constraints` emits, read as plain (component, pair,
     gap, phase exponent) tuples: no Constraint, Phase or redundant flag is
     built.  Each projection holds its landed monomials as one list and one
@@ -503,13 +526,13 @@ def verify_presentation(spec: SourceSpec, kind: str = SCALAR) -> VerificationRep
     a failure naming its residual lhs - rhs, built from the same list and bytes.
     """
     _check_battery(spec, kind)
-    n, m = spec.n_colors, len(spec.entries)
+    n = spec.n_colors
     syms, projections, lowest = _project(spec, kind, every_term=True)
     shifts = [shift for _, shift in spec.entries]
     checked, failures = 0, []
     for c, hi, lo, gap, k in _relations(spec, lowest):
         checked += 1
-        (lhs, lhs_codes), (rhs, rhs_codes) = projections[(c, hi)], projections[(c, lo)]
+        (lhs, lhs_codes), (rhs, rhs_codes) = projections[c, hi], projections[c, lo]
         # each side holds U_d once, at monomial d xor c with a unit coefficient, so no two terms
         # share a key and the sides are equal maps exactly when they agree at every d; the codes
         # leave out each entry's shift, so the lower side gains gap + l_lo - l_hi derivatives
@@ -527,7 +550,11 @@ def verify_presentation(spec: SourceSpec, kind: str = SCALAR) -> VerificationRep
                 f"component {subset_label(c)}: entries {hi}/{lo}"
                 f" do not satisfy the emitted relation; residual {residual}"
             )
-    matches = all(min(lowest[(c, a)][1] for a in range(m)) == mu_c for c, mu_c in enumerate(spec._orders))
+    least = [inf] * (1 << n)  # the engine's least order at each component, to compare with mu
+    for (c, _), (_, dots) in lowest.items():
+        if dots < least[c]:
+            least[c] = dots
+    matches = tuple(least) == spec._orders
     return VerificationReport(not failures and matches, checked, tuple(failures), matches)
 
 

@@ -524,6 +524,8 @@ def _check_heights(topology: Topology, heights: Sequence[int]) -> None:
 
     An int is a plain int: True and 1.0 pass the gap arithmetic but are not heights.
     """
+    if type(heights) not in (tuple, list):
+        raise AdinkraError(f"heights must be a tuple or list, got {type(heights).__name__}")
     if len(heights) != len(topology.vertex_ids):
         raise AdinkraError("heights length does not match vertex count")
     if not {int}.issuperset(map(type, heights)):
@@ -537,14 +539,16 @@ def _check_heights(topology: Topology, heights: Sequence[int]) -> None:
 
 
 def _check_parity(topology: Topology, parity: Sequence[int]) -> None:
-    """Raise unless parity has one int 0 or 1 per edge and obeys the odd-square rule."""
+    """Raise unless parity is a tuple or list of one int 0 or 1 per edge and obeys the odd-square rule."""
     _check_parity_entries(topology, parity)
     if not _odd_squares(topology._square_table("parity check"), parity):
         raise AdinkraError("odd-square rule violated: " + "; ".join(parity_violations(topology, parity)))
 
 
 def _check_parity_entries(topology: Topology, parity: Sequence[int]) -> None:
-    """Raise unless parity has one int 0 or 1 per edge."""
+    """Raise unless parity is a tuple or list of one int 0 or 1 per edge."""
+    if type(parity) not in (tuple, list):
+        raise AdinkraError(f"parity must be a tuple or list, got {type(parity).__name__}")
     if len(parity) != len(topology.edges):
         raise AdinkraError("parity length does not match edge count")
     # the type test comes first: True and 1.0 equal 1, and an unhashable entry cannot join a set
@@ -567,8 +571,6 @@ def parity_violations(topology: Topology, parity: Sequence[int]) -> list[str]:
     Adinkra constructor checks it.  A square's parity sum is odd exactly when
     the XOR of its four parities has its low bit set.
     """
-    if type(parity) not in (tuple, list):
-        raise AdinkraError(f"parity must be a tuple or list, got {type(parity).__name__}")
     _check_parity_entries(topology, parity)
     edges = topology.edges
     return [

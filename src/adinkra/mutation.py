@@ -379,12 +379,13 @@ def _check_orbit(start: Adinkra, orbit: Sequence[int], seen: set[int]) -> tuple[
     t = start.topology
     if type(orbit) not in (tuple, list):
         raise AdinkraError(f"an orbit must be a tuple or list, got {type(orbit).__name__}")
+    for v in orbit:  # before the sort, which cannot order an int against another type
+        if t._position(v) is None:
+            raise AdinkraError(f"orbit refers to unknown vertex {v}")
     ot = tuple(sorted(orbit))
     if not ot:
         raise AdinkraError("empty orbit in partition")
     for v in ot:
-        if t._position(v) is None:
-            raise AdinkraError(f"orbit refers to unknown vertex {v}")
         if v in seen:
             raise AdinkraError(f"vertex {v} appears in more than one orbit")
         seen.add(v)

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from array import array
 from enum import IntEnum
 from dataclasses import replace
 from functools import cache
@@ -485,16 +486,51 @@ def test_the_engine_table_equals_a_fresh_build(n: int, kind: str) -> None:
 @pytest.mark.parametrize("n", range(1, 9))
 def test_every_word_table_cell_is_the_walk_of_its_word(n: int) -> None:
     table = constraints._word_table(n)
-    landed, dots, phases = table
-    assert len(landed) == len(dots) == len(phases) == 1 << n
+    landed, codes = table
+    assert type(table) is type(landed) is type(codes) is tuple
+    assert len(landed) == len(codes) == 1 << n
     for w in range(1 << n):
         [word] = descending_product([c + 1 for c in range(n) if w >> c & 1]).coeffs
         steps = superspace._word_steps(word, n)
-        assert (landed[w].typecode, type(dots[w]), type(phases[w])) == ("H", bytes, bytes)
-        assert [(landed[w][e], dots[w][e], phases[w][e]) for e in range(1 << n)] == [
+        assert (type(landed[w]), landed[w].typecode, type(codes[w])) == (array, "H", bytes)
+        assert [(landed[w][e], codes[w][e] >> 3, codes[w][e] & 3) for e in range(1 << n)] == [
             (mask, more, k & 3) for mask, more, k in (superspace._walk(steps, e) for e in range(1 << n))
         ]
     assert constraints._word_table(n) is table
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_every_word_table_code_leaves_room_for_a_sum_of_two(n: int) -> None:
+    # a word adds at most n derivatives and a phase below 4, so a code is at most 8n + 3; two
+    # codes add to at most 166 at n = 10, so a projection's sum never wraps a byte or reaches
+    # the shift table's sentinel 255
+    _, codes = constraints._word_table(n)
+    assert max(max(row) for row in codes) <= 8 * n + 3
+    assert all(code & 7 < 4 for row in codes for code in row)
+    assert 2 * (8 * MAX_CUBE_COLORS + 3) < 255
+
+
+def test_the_clear4_table_takes_a_sum_of_two_phases_mod_4() -> None:
+    for dots in range(31):
+        for k in range(7):
+            assert constraints._CLEAR4[8 * dots + k] == 8 * dots + (k & 3)
+
+
+# tracemalloc bytes a cold word table holds at n = 9, the largest under MAX_BATTERY_TERMS,
+# measured with Python 3.11.7: one array('H') of landed monomials and one bytes of codes per
+# word, about 3 bytes a cell; the bound is 1.25x
+WORD_TABLE_BYTES = 852_788
+
+
+def test_the_largest_word_table_stays_within_its_memory() -> None:
+    constraints._word_table.cache_clear()
+    tracemalloc.start()
+    try:
+        constraints._word_table(9)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= WORD_TABLE_BYTES * 5 // 4
 
 
 def _counting_walks(monkeypatch) -> list[int]:

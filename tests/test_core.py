@@ -389,12 +389,33 @@ def test_normalize_heights_refuses_heights_that_are_not_ints(heights) -> None:
 )
 def test_parity_violations_checks_the_parity_as_the_constructor_does(parity, error) -> None:
     t = cube_topology(2)
-    builds = [lambda: parity_violations(t, parity)]
-    if type(parity) in (tuple, list):
-        builds.append(lambda: Adinkra(t, (0, 1, 1, 2), tuple(parity)))
-    for build in builds:
+    for build in (lambda: parity_violations(t, parity), lambda: Adinkra(t, (0, 1, 1, 2), parity)):
         with pytest.raises(AdinkraError, match=f"^{re.escape(error)}$"):
             build()
+
+
+@pytest.mark.parametrize(
+    "heights, parity, error",
+    [
+        (None, (0, 0, 0, 1), "heights must be a tuple or list, got NoneType"),
+        ({0: 0, 1: 1, 2: 1, 3: 2}, (0, 0, 0, 1), "heights must be a tuple or list, got dict"),
+        (range(4), (0, 0, 0, 1), "heights must be a tuple or list, got range"),
+        ("0112", (0, 0, 0, 1), "heights must be a tuple or list, got str"),
+        ((0, 1, 1, 2), None, "parity must be a tuple or list, got NoneType"),
+        ((0, 1, 1, 2), {0: 0, 1: 0, 2: 0, 3: 1}, "parity must be a tuple or list, got dict"),
+        ((0, 1, 1, 2), b"\x00\x00\x00\x01", "parity must be a tuple or list, got bytes"),
+        (None, None, "heights must be a tuple or list, got NoneType"),
+    ],
+    ids=["none-heights", "dict-heights", "range-heights", "str-heights", "none-parity", "dict-parity", "bytes-parity", "both"],
+)
+def test_the_positional_constructor_refuses_heights_and_parity_that_are_no_tuple_or_list(heights, parity, error) -> None:
+    t = cube_topology(2)
+    with pytest.raises(AdinkraError) as info:
+        Adinkra(t, heights, parity)
+    assert str(info.value) == error
+    # the same values as a tuple or a list build
+    for build in (tuple, list):
+        assert list(Adinkra(t, build((0, 1, 1, 2)), build((0, 0, 0, 1))).heights) == [0, 1, 1, 2]
 
 
 def test_parity_violations_refuses_the_standard_parity_map() -> None:

@@ -550,6 +550,23 @@ def test_orbits_that_are_no_tuple_or_list_are_refused(orbits, error) -> None:
         main_sequence(base_adinkra(cube_topology(2)), orbits)
 
 
+@pytest.mark.parametrize(
+    "orbits, bad",
+    [
+        ([[None, 1], [0], [2], [3]], "None"),
+        ([[1, None], [0], [2], [3]], "None"),
+        ([[0], [1, "2"], [2], [3]], "2"),
+        ([[0, 3], [1, 2.0], [2]], "2.0"),
+        ([[0, 3], [1, (2,)]], "(2,)"),
+    ],
+    ids=["none-first", "none-last", "str", "float", "tuple"],
+)
+def test_an_orbit_mixing_an_id_of_another_type_names_it_before_sorting(orbits, bad) -> None:
+    with pytest.raises(AdinkraError) as info:
+        main_sequence(base_adinkra(cube_topology(2)), orbits)
+    assert str(info.value) == f"orbit refers to unknown vertex {bad}"
+
+
 # ---------------------------------------------------------------------------
 # the walk over height tuples
 
