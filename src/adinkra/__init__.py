@@ -89,7 +89,7 @@ _EXPORTS = {
     "kernel_orders": "constraints",
     "kinship_distance": "mutation",
     "lower_vertex": "mutation",
-    "lowering_sequence_to_one_hooked": "mutation",
+    "lowering_sequence_to_one_hooked": "core",
     "main_sequence": "mutation",
     "member_key": "mutation",
     "mu": "constraints",

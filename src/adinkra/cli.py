@@ -5,11 +5,13 @@ Exit codes: 0 success, 1 domain failure (invalid input, failed check),
 ``error`` message so pipelines can report precisely.
 
 Each subcommand imports the modules it uses when it runs, and the constraint
-batteries import the superspace engine and the mutation walk only where they
-use them, so a process compiles only what its subcommand runs: ``cube`` never
-loads the engine or the batteries, ``identify`` and ``dims`` never load the
-engine, and ``constraints`` on given entries, ``verify-constraints`` and
-``validate`` of a constraints document never load the walk.
+batteries import the superspace engine only where they use it and the
+mutation walk nowhere, so a process compiles only what its subcommand runs:
+``cube`` never loads the engine or the batteries, ``identify`` and ``dims``
+never load the engine or the walk, and ``constraints`` and
+``verify-constraints`` (on given entries, a constraints document or an
+Adinkra document) and ``validate`` of a topology, Adinkra or constraints
+document never load the walk.
 """
 
 from __future__ import annotations

@@ -34,18 +34,22 @@ every descending word's steps depend only on the color count and kind, and
 are built once for each.
 
 identify() inverts the construction: given a cube Adinkra it recovers a
-battery presenting it, by lowering onto the all-colors vertex and counting
-how often each source vertex descends.  Neither it nor verify_presentation
-builds the image Adinkra: its heights are hgt0 + 2 mu on an already checked
-cube, so they compare those heights, or the orders behind them, directly.
-A spec works out its mu per component and its ehgt_violations report once
-each, on first use, and keeps them, so a battery that identify returns
-reaches verify_presentation with both already known.
+battery presenting it, one entry per source vertex v, whose count is how
+often the descent onto the all-colors vertex lowers v.  The heights force
+that descent (core.lowering_sequence_to_one_hooked), so the count is read
+off them, (h(v) - h(full) + n - |v|) / 2, with no walk; the entries, sources
+of a checked cube, meet every entry check, so the spec is built unchecked.
+Neither identify nor verify_presentation builds the image Adinkra: its
+heights are hgt0 + 2 mu on an already checked cube, so they compare those
+heights, normalized, or the orders behind them, directly.  A spec works out
+its mu per component and its ehgt_violations report once each, on first
+use, and keeps them, so a battery that identify returns reaches
+verify_presentation with both already known.
 
 The superspace engine is imported only by the functions that project or
-expand, and the mutation walk only by identify(), so reading a battery off
-the heights loads no engine and emitting or checking one loads no walk.  The
-annihilator matrices are built on first access.
+expand, and the mutation module by none, so reading a battery off the
+heights loads no engine and nothing here loads the walk.  The annihilator
+matrices are built on first access.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ from math import inf
 from operator import add, itemgetter
 from typing import TYPE_CHECKING
 
-from .core import Adinkra, AdinkraError
+from .core import Adinkra, AdinkraError, _normal_heights, lowering_sequence_to_one_hooked
 from .cube import (
     MAX_CUBE_COLORS,
     SCALAR,
@@ -115,9 +119,7 @@ class SourceSpec:
     entries: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        n = self.n_colors  # the battery lives on the n-cube, so the cube cap applies
-        if type(n) is not int or not 1 <= n <= MAX_CUBE_COLORS:
-            raise AdinkraError(f"a source spec needs 1..{MAX_CUBE_COLORS} colors (the cube cap), got {n!r}")
+        _check_color_count(self.n_colors)
         if not isinstance(self.entries, tuple):  # a frozen spec hashes its entries
             raise AdinkraError(f"a source spec needs a tuple of entries, got {type(self.entries).__name__}")
         if not self.entries:
@@ -134,6 +136,14 @@ class SourceSpec:
             if mask in seen:
                 raise AdinkraError(f"subset {subset_label(mask)} appears twice")
             seen.add(mask)
+
+    @classmethod
+    def _trusted(cls, n_colors: int, entries: tuple[tuple[int, int], ...]) -> "SourceSpec":
+        """Build without checks; only for entries read off a checked cube, which meet every entry check."""
+        spec = object.__new__(cls)
+        object.__setattr__(spec, "n_colors", n_colors)
+        object.__setattr__(spec, "entries", entries)
+        return spec
 
     @cached_property
     def _violations(self) -> tuple[str, ...]:
@@ -165,6 +175,12 @@ class SourceSpec:
             row = [shift + (mask & ~c).bit_count() for c in range(size)]
             orders = row if orders is None else list(map(min, orders, row))
         return tuple(orders)
+
+
+def _check_color_count(n: int) -> None:
+    """Refuse a color count off 1..MAX_CUBE_COLORS: a battery lives on the n-cube, so the cube cap applies."""
+    if type(n) is not int or not 1 <= n <= MAX_CUBE_COLORS:
+        raise AdinkraError(f"a source spec needs 1..{MAX_CUBE_COLORS} colors (the cube cap), got {n!r}")
 
 
 def ehgt_violations(spec: SourceSpec) -> list[str]:
@@ -236,29 +252,35 @@ def identify(adinkra: Adinkra) -> Identification:
 
     Works on full color cubes only (quotients and other topologies are
     rejected; their components do not correspond to subsets of one
-    superfield).  The Adinkra is lowered onto the all-colors vertex; each
-    source vertex v becomes an entry (v, times v was lowered).  The battery
-    must be mutually extreme, and its image heights hgt0 + 2 mu, set on the
-    input's own (already validated) topology, must normalize to the input's
-    (parity does not enter the identification); a mismatch is a hard error.
-    The cube is recognized once per topology object, and the returned spec
-    keeps the mu per component and the extremality report worked out here.
+    superfield).  The Adinkra is lowered onto the all-colors vertex (the
+    moves come from core.lowering_sequence_to_one_hooked); each source vertex
+    v becomes an entry (v, times v was lowered).  That descent lands v at
+    h(full) - dist(full, v) = h(full) - (n - |v|) and drops it once per two
+    heights, so the count is read off the heights as
+    (h(v) - h(full) + n - |v|) / 2.  The sources of a checked cube are
+    distinct subsets with counts of at least 0, so the spec is built without
+    its entry checks; the color count is still held to the cube cap.  The
+    battery must be mutually extreme, and its image heights hgt0 + 2 mu must
+    normalize, on the input's own (already validated) topology, to the
+    input's (parity does not enter the identification); a mismatch is a
+    hard error.  The cube is recognized once per topology object, and the
+    returned spec keeps the mu per component and the extremality report
+    worked out here.
     """
-    from .mutation import lowering_sequence_to_one_hooked, sources
-
-    sig = cube_signature(adinkra.topology)
+    t = adinkra.topology
+    sig = cube_signature(t)
     if sig is None:
         raise AdinkraError("identification needs a full color-cube topology")
     n, convention = sig
+    _check_color_count(n)
     full = (1 << n) - 1
     moves = lowering_sequence_to_one_hooked(adinkra, full)
-    counts = Counter(moves)
-    entries = tuple((v, counts[v]) for v in sources(adinkra))
-    spec = SourceSpec(n, entries)
+    h = adinkra.heights  # on a cube, vertex v sits at position v
+    floor = h[full] - n
+    spec = SourceSpec._trusted(n, tuple((v, (h[v] - floor - v.bit_count()) // 2) for v in adinkra.extremes()[0]))
     _require_extreme(spec)
-    # the unchecked image never escapes: if it normalizes to the checked input, it meets every gap
-    image = tuple(hgt0(v) + 2 * mu_v for v, mu_v in enumerate(spec._orders))
-    if Adinkra._trusted(adinkra.topology, image, adinkra.parity).normalized().heights != adinkra.normalized().heights:
+    image = tuple(v.bit_count() + 2 * mu_v for v, mu_v in enumerate(spec._orders))
+    if _normal_heights(t, image) != _normal_heights(t, h):
         raise AdinkraError(
             "identification failed: battery image does not reproduce the input heights"
         )
@@ -400,18 +422,39 @@ def _word_table(n: int) -> WordTable:
     return tuple(landed), tuple(codes)
 
 
+@cache
+def _start_row(n: int, kind: str, mask: int) -> tuple[itemgetter, bytes]:
+    """Row I_alpha = mask as an entry's start: a gather of the monomial each U_d reaches, and its start codes.
+
+    The start codes are 8 * dots + k of D_{I_alpha} on each U_d, U_d's phase
+    in k.  Both depend only on the color count, the kind and the mask, so
+    each row is built once, beside the (n, kind) engine table and the word
+    table it reads.  Worst case: MAX_BATTERY_TERMS refuses every battery at
+    n = 10 (4^10 terms for one entry), so the keys are at most 2 kinds times
+    the 2^n masks of each n = 1..9, 2,044 rows.  A row at n = 9 holds about
+    13 kB by tracemalloc (an itemgetter over 512 monomials, 255 of them int
+    objects of its own, and 512 code bytes), so all 2,044 hold 15.2 MB, the
+    1,024 at n = 9 13.3 MB of it; a process holds one row per mask it has
+    verified in a kind.
+    """
+    _, phases, _ = _engine_table(n, kind)
+    landed_rows, code_rows = _word_table(n)
+    return itemgetter(*landed_rows[mask]), bytes(map(add, code_rows[mask], phases)).translate(_CLEAR4)
+
+
 def _project(spec: SourceSpec, kind: str, every_term: bool) -> tuple[tuple[FieldSymbol, ...], Projections, Lowest]:
     """U's fields U_d, each U_d (or only U_c) carried from its phase through each projection, and the lowest terms.
 
     P_(c,alpha) is D_w d_tau^l_alpha D_{I_alpha} with w = c xor I_alpha.
     Every term of U goes through it by two reads of the color count's word
     table: row I_alpha at d, with U_d's phase, then row w at the monomial
-    reached; no walk is made per call.  Each entry gets one
-    operator.itemgetter over row I_alpha's landed monomials, and its start
-    codes, row I_alpha's codes with U's phases added; a projection is then
-    row w's landed monomials gathered into one list, and row w's codes
-    gathered, added to the start codes and taken mod 4 in the phase by
-    _CLEAR4 into one byte string, all at C level.  A code is 8 * dots + k,
+    reached; no walk is made per call.  Each entry's start row (see
+    _start_row), one operator.itemgetter over row I_alpha's landed monomials
+    and its start codes, row I_alpha's codes with U's phases added, is built
+    once per (n, kind, mask); a projection is then row w's landed monomials
+    gathered into one list, and row w's codes gathered, added to the start
+    codes and taken mod 4 in the phase by _CLEAR4 into one byte string, all
+    at C level.  A code is 8 * dots + k,
     with dots not counting l_alpha (d_tau^l_alpha commutes with every D), so a
     byte holds any entry's terms.  The one-term path walks U_c through
     D_{I_alpha} to theta^w, and D_w once from there: 2^n * (m + 1) walks of
@@ -425,12 +468,7 @@ def _project(spec: SourceSpec, kind: str, every_term: bool) -> tuple[tuple[Field
     syms, phases, words = _engine_table(spec.n_colors, kind)
     if every_term:
         landed_rows, code_rows = _word_table(spec.n_colors)
-        # row I_alpha is the entry's own word over every U_d: a gather of the monomials U_d reaches, and
-        # the start codes 8 * dots + k, U_d's phase in k
-        firsts = [
-            (itemgetter(*landed_rows[mask]), bytes(map(add, code_rows[mask], phases)).translate(_CLEAR4))
-            for mask, _ in spec.entries
-        ]
+        firsts = [_start_row(spec.n_colors, kind, mask) for mask, _ in spec.entries]
     projections, lowest = {}, {}
     for w in range(1 << spec.n_colors):
         if not every_term:  # U_c always meets D_w at theta^w

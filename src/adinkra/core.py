@@ -41,6 +41,7 @@ __all__ = [
     "net_ascent",
     "engineerable",
     "normalize_heights",
+    "lowering_sequence_to_one_hooked",
     "solve_edge_parity",
     "parity_violations",
     "orientation_from_heights",
@@ -413,12 +414,12 @@ def _aligned(values: Mapping, keys: Sequence, name: str, what: str) -> tuple:
 class Adinkra:
     """A topology with a height assignment and an odd-square edge parity.
 
-    heights and parity are stored positionally (aligned with
-    topology.vertex_ids and topology.edges) so instances hash cheaply; use
-    the accessors for map-style reads.  The constructor and :meth:`from_maps`
-    check the +-1 gap on every edge and the odd-square rule on every square;
-    raising, lowering and normalizing build their results unchecked, since
-    none of them can break either rule.
+    heights and parity are stored positionally as tuples (aligned with
+    topology.vertex_ids and topology.edges; a list is kept as a tuple) so
+    instances hash cheaply; use the accessors for map-style reads.  The
+    constructor and :meth:`from_maps` check the +-1 gap on every edge and
+    the odd-square rule on every square; raising, lowering and normalizing
+    build their results unchecked, since none of them can break either rule.
     """
 
     topology: Topology
@@ -428,6 +429,11 @@ class Adinkra:
     def __post_init__(self) -> None:
         _check_heights(self.topology, self.heights)
         _check_parity(self.topology, self.parity)
+        # lists pass both checks; kept as tuples, the Adinkra hashes and equals the tuple-built one
+        if type(self.heights) is list:
+            object.__setattr__(self, "heights", tuple(self.heights))
+        if type(self.parity) is list:
+            object.__setattr__(self, "parity", tuple(self.parity))
 
     @classmethod
     def _trusted(
@@ -489,6 +495,32 @@ class Adinkra:
         """Each component translated into normal form (see normalize_heights); self when already there."""
         h = _normal_heights(self.topology, self.heights)
         return self if h is self.heights else Adinkra._trusted(self.topology, h, self.parity)
+
+
+def lowering_sequence_to_one_hooked(adinkra: Adinkra, vertex: int) -> list[int]:
+    """Lower everything else until vertex is the unique target.
+
+    Returns the vertices lowered, in order: level by level from the top,
+    every target other than vertex at the highest height, in ascending id.
+    Replaying them with :func:`adinkra.mutation.lower_vertex` reproduces the
+    descent.
+
+    The heights force it, so nothing is simulated: every w lands at
+    hv - dist(vertex, w), the least height function with vertex fixed, and
+    drops once from each height H with landing(w) < H <= h(w), H = h(w) mod 2.
+    A vertex above its landing at the highest such height is a target, so the
+    moves are those drops sorted by height descending, then by id.
+    """
+    t = adinkra.topology
+    hv = adinkra.height_of(vertex)  # an AdinkraError for an unknown vertex
+    if len(t._component_slots) != 1:
+        raise AdinkraError("one-hooked descent needs a connected topology")
+    dist = t.distances_from(vertex)
+    levels: dict[int, list[int]] = {}  # by height, the vertices that drop from it
+    for w, h in zip(t.vertex_ids, adinkra.heights):
+        for top in range(h, hv - dist[w], -2):
+            levels.setdefault(top, []).append(w)
+    return [w for top in sorted(levels, reverse=True) for w in sorted(levels[top])]
 
 
 def _rises(adjacent: Sequence[Sequence[int]], h: Sequence[int]) -> list[int]:

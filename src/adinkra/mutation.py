@@ -8,8 +8,9 @@ family is finite and the move graph is well defined.  A sequence trace walks
 the family by raisings only, recording every move including the ones that
 land on an already-visited pattern.  Isomorphism compares canonical keys:
 each component relabelled by breadth-first search from its best anchor.
-The descent onto a one-hooked Adinkra and the kinship distance are read
-off the heights, with no walk.
+The kinship distance is read off the heights, with no walk, and so is the
+descent onto a one-hooked Adinkra, which lives in core (so identify reads it
+without loading this module) and is re-exported here.
 """
 
 from __future__ import annotations
@@ -20,7 +21,16 @@ from itertools import compress, groupby, permutations
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .core import Adinkra, AdinkraError, Topology, _aligned, _normal_heights, _rises, _solved_parity
+from .core import (
+    Adinkra,
+    AdinkraError,
+    Topology,
+    _aligned,
+    _normal_heights,
+    _rises,
+    _solved_parity,
+    lowering_sequence_to_one_hooked,
+)
 
 __all__ = [
     "sources",
@@ -153,31 +163,6 @@ def automorphic_dual(adinkra: Adinkra) -> Adinkra:
     """Flip the Adinkra upside down: negate heights, then normalize."""
     # negating keeps every gap at +-1 and leaves the parity alone
     return Adinkra._trusted(adinkra.topology, tuple(-h for h in adinkra.heights), adinkra.parity).normalized()
-
-
-def lowering_sequence_to_one_hooked(adinkra: Adinkra, vertex: int) -> list[int]:
-    """Lower everything else until vertex is the unique target.
-
-    Returns the vertices lowered, in order: level by level from the top,
-    every target other than vertex at the highest height, in ascending id.
-    Replaying them with :func:`lower_vertex` reproduces the descent.
-
-    The heights force it, so nothing is simulated: every w lands at
-    hv - dist(vertex, w), the least height function with vertex fixed, and
-    drops once from each height H with landing(w) < H <= h(w), H = h(w) mod 2.
-    A vertex above its landing at the highest such height is a target, so the
-    moves are those drops sorted by height descending, then by id.
-    """
-    t = adinkra.topology
-    hv = adinkra.height_of(vertex)  # an AdinkraError for an unknown vertex
-    if len(t._component_slots) != 1:
-        raise AdinkraError("one-hooked descent needs a connected topology")
-    dist = t.distances_from(vertex)
-    levels: dict[int, list[int]] = {}  # by height, the vertices that drop from it
-    for w, h in zip(t.vertex_ids, adinkra.heights):
-        for top in range(h, hv - dist[w], -2):
-            levels.setdefault(top, []).append(w)
-    return [w for top in sorted(levels, reverse=True) for w in sorted(levels[top])]
 
 
 @dataclass(frozen=True)

@@ -46,10 +46,12 @@ from typing import Iterable, Iterator, Sequence
 from adinkra import mutation
 from adinkra.constraints import (
     Constraint,
+    Identification,
     Lowest,
     SourceSpec,
     VerificationReport,
     _relations,
+    ehgt_violations,
     emit_constraints,
     image_adinkra,
     m_alpha,
@@ -65,7 +67,7 @@ from adinkra.core import (
     Topology,
     normalize_heights,
 )
-from adinkra.cube import dist0, hgt0, subset_label
+from adinkra.cube import cube_signature, dist0, hgt0, subset_label
 from adinkra.document import FORMAT_NAME, FORMAT_VERSION, document_kind
 from adinkra.mutation import FamilyGraph, SequenceTrace, lower_vertex, raise_vertex, targets
 from adinkra.superspace import (
@@ -649,6 +651,28 @@ def stepwise_lowering_sequence(adinkra: Adinkra, vertex: int) -> list[int]:
             current = lower_vertex(current, v)
             moves.append(v)
     return moves
+
+
+def counted_identification(adinkra: Adinkra) -> Identification:
+    """identify by counting: the descent's moves counted, the sources scanned, the spec checked.
+
+    The Adinkra is lowered onto the all-colors vertex; each source v becomes
+    the entry (v, how often the descent lowers v), through SourceSpec's own
+    checks.  The battery must be mutually extreme, and its checked image on
+    the standard-parity cube must normalize to the input's heights.
+    """
+    sig = cube_signature(adinkra.topology)
+    if sig is None:
+        raise AdinkraError("identification needs a full color-cube topology")
+    n, convention = sig
+    moves = mutation.lowering_sequence_to_one_hooked(adinkra, (1 << n) - 1)
+    counts = Counter(moves)
+    spec = SourceSpec(n, tuple((v, counts[v]) for v in mutation.sources(adinkra)))
+    if ehgt_violations(spec):
+        raise AdinkraError("spec entries not mutually extreme")
+    if image_adinkra(spec, convention).normalized().heights != adinkra.normalized().heights:
+        raise AdinkraError("identification failed: battery image does not reproduce the input heights")
+    return Identification(spec, convention, tuple(moves))
 
 
 def walked_kinship_distances(start: Adinkra) -> dict[tuple[int, ...], int]:

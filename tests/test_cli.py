@@ -809,20 +809,25 @@ _HEAVY = {"adinkra.superspace", "adinkra.constraints", "adinkra.mutation", "adin
     [
         (["cube", "1"], None, {"adinkra.cube"}, _HEAVY),
         (["validate"], "topology", {"adinkra.document"}, _HEAVY),
+        (["validate"], "adinkra", {"adinkra.document"}, _HEAVY),
         (["family"], "adinkra", {"adinkra.mutation"}, {"adinkra.superspace", "adinkra.constraints"}),
         (["verify-susy"], "adinkra", {"adinkra.superspace"}, {"adinkra.constraints"}),
         (["--help"], None, {"adinkra.cli"}, {"adinkra.superspace", "adinkra.constraints"}),
-        # reading a battery off the heights needs no theta-expansion
-        (["identify"], "adinkra", {"adinkra.constraints", "adinkra.mutation"}, {"adinkra.superspace"}),
-        (["dims"], "adinkra", {"adinkra.constraints", "adinkra.mutation"}, {"adinkra.superspace"}),
-        # emitting, checking and decoding a battery's system needs no mutation walk
+        # reading a battery off the heights needs no theta-expansion and no mutation walk
+        (["identify"], "adinkra", {"adinkra.constraints"}, {"adinkra.superspace", "adinkra.mutation"}),
+        (["dims"], "adinkra", {"adinkra.constraints"}, {"adinkra.superspace", "adinkra.mutation"}),
+        # emitting, checking and decoding a battery's system needs no mutation walk, even when
+        # the battery is read off an Adinkra
         (["constraints", "-n", "2", "--entry", "1", "--entry", "2"], None, {"adinkra.superspace"}, {"adinkra.mutation"}),
+        (["constraints"], "adinkra", {"adinkra.superspace"}, {"adinkra.mutation"}),
         (["verify-constraints"], "constraints", {"adinkra.superspace"}, {"adinkra.mutation"}),
+        (["verify-constraints"], "adinkra", {"adinkra.superspace"}, {"adinkra.mutation"}),
         (["validate"], "constraints", {"adinkra.constraints"}, {"adinkra.mutation"}),
     ],
     ids=[
-        "cube", "validate-topology", "family", "verify-susy", "help",
-        "identify", "dims", "constraints", "verify-constraints", "validate-constraints",
+        "cube", "validate-topology", "validate-adinkra", "family", "verify-susy", "help",
+        "identify", "dims", "constraints", "constraints-adinkra", "verify-constraints",
+        "verify-constraints-adinkra", "validate-constraints",
     ],
 )
 def test_a_subcommand_loads_only_the_modules_it_uses(argv, stdin, needed, unloaded) -> None:

@@ -68,6 +68,7 @@ from adinkra.superspace import (
 )
 
 from oracles import (
+    counted_identification,
     half_distance_mu,
     listed_report,
     projected_lowest,
@@ -235,6 +236,33 @@ def test_identify_then_verify_builds_no_cube_checks_no_parity_and_lowers_no_sing
     assert ident.moves == (0,)
     assert verify_presentation(ident.spec, ident.kind).ok
     assert calls == []
+
+
+@pytest.mark.parametrize("kind", [SCALAR, SPINOR])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_identify_reads_the_counts_the_descent_makes_on_every_member(n: int, kind: str) -> None:
+    # the counts come off the heights and the spec is built unchecked; the oracle counts the
+    # descent's moves and builds a checked spec with a checked image
+    assert mutation.lowering_sequence_to_one_hooked is core.lowering_sequence_to_one_hooked
+    for member in enumerate_family(cube_topology(n, kind)).members.values():
+        ident, counted = identify(member), counted_identification(member)
+        assert ident == counted
+        assert hash(ident) == hash(counted)
+        assert hash(ident.spec) == hash(counted.spec)
+        assert ident.spec._orders == counted.spec._orders
+        assert ident.spec._violations == counted.spec._violations
+
+
+@pytest.mark.parametrize("n", [0, MAX_CUBE_COLORS + 1])
+def test_identify_keeps_the_spec_s_color_count_refusal(n: int) -> None:
+    # a bare Topology checks nothing, so a cube off the cap reaches identify only that way
+    from adinkra.cube import _cube_edges, cube_statistics
+
+    size = 1 << n
+    t = core.Topology(n, tuple(range(size)), tuple(map(cube_statistics, range(size))), _cube_edges(n))
+    cube = Adinkra._trusted(t, t._valise, (0,) * len(t.edges))
+    with pytest.raises(AdinkraError, match=rf"^a source spec needs 1\.\.{MAX_CUBE_COLORS} colors \(the cube cap\), got {n}$"):
+        identify(cube)
 
 
 def test_identify_rejects_non_cube() -> None:
@@ -531,6 +559,42 @@ def test_the_largest_word_table_stays_within_its_memory() -> None:
     finally:
         tracemalloc.stop()
     assert held <= WORD_TABLE_BYTES * 5 // 4
+
+
+# tracemalloc bytes the start-row cache holds after a cold N=9 one-entry verify_presentation, its
+# word and engine tables built beforehand, read as what clearing the cache frees, measured with
+# Python 3.11.7: one itemgetter over the 512 monomials row I_alpha reaches (255 of them int objects
+# of its own) and 512 start code bytes; the bound is 1.25x
+START_ROW_BYTES = 13_001
+
+
+def test_a_start_row_at_the_largest_color_count_stays_within_its_memory() -> None:
+    spec = SourceSpec(9, ((0, 0),))
+    constraints._word_table(9)
+    constraints._engine_table(9, SCALAR)
+    constraints._start_row.cache_clear()
+    tracemalloc.start()
+    try:
+        assert verify_presentation(spec).ok
+        assert constraints._start_row.cache_info().currsize == 1
+        held, _ = tracemalloc.get_traced_memory()
+        constraints._start_row.cache_clear()
+        left, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held - left <= START_ROW_BYTES * 5 // 4
+
+
+def test_a_start_row_is_built_once_per_color_count_kind_and_mask() -> None:
+    specs = (X_SPEC, TRIPLE_SPEC, SourceSpec(3, ((3, 0), (5, 0), (6, 0))))
+    constraints._start_row.cache_clear()
+    for kind in (SCALAR, SPINOR):
+        for _ in range(2):
+            for spec in specs:
+                assert verify_presentation(spec, kind).ok
+    masks = {(spec.n_colors, mask) for spec in specs for mask, _ in spec.entries}
+    info = constraints._start_row.cache_info()
+    assert info.currsize == info.misses == 2 * len(masks)
 
 
 def _counting_walks(monkeypatch) -> list[int]:
@@ -1103,8 +1167,9 @@ def test_batteries_at_the_term_cap_stay_within_their_memory(name: str, build: st
     spec = CAP_BATTERIES[name]
     m = len(spec.entries)
     assert MAX_BATTERY_TERMS * 3 // 4 < 4**spec.n_colors * m * (m + 1) // 2 <= MAX_BATTERY_TERMS
-    constraints._engine_table.cache_clear()  # each peak is a cold call's, engine and word tables included
+    constraints._engine_table.cache_clear()  # each peak is a cold call's, engine, word and start-row tables included
     constraints._word_table.cache_clear()
+    constraints._start_row.cache_clear()
     tracemalloc.start()
     try:
         result = getattr(constraints, build)(spec)

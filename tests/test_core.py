@@ -418,6 +418,20 @@ def test_the_positional_constructor_refuses_heights_and_parity_that_are_no_tuple
         assert list(Adinkra(t, build((0, 1, 1, 2)), build((0, 0, 0, 1))).heights) == [0, 1, 1, 2]
 
 
+@pytest.mark.parametrize("heights", [[0, 1, 1, 2], [2, 3, 3, 4]], ids=["normal", "shifted"])
+def test_the_positional_constructor_keeps_lists_as_tuples(heights) -> None:
+    t = cube_topology(2)
+    listed = Adinkra(t, heights, [0, 0, 0, 1])
+    tupled = Adinkra(t, tuple(heights), (0, 0, 0, 1))
+    assert type(listed.heights) is type(listed.parity) is tuple
+    assert listed == tupled
+    assert hash(listed) == hash(tupled)
+    assert {listed: 1}[tupled] == 1
+    assert listed.normalized() == tupled.normalized()
+    assert hash(listed.normalized()) == hash(tupled.normalized())
+    assert type(listed.normalized().heights) is tuple
+
+
 def test_parity_violations_refuses_the_standard_parity_map() -> None:
     t = cube_topology(2)
     with pytest.raises(AdinkraError, match="^parity must be a tuple or list, got dict$"):
